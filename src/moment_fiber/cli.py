@@ -89,17 +89,23 @@ def analyze(
     max_components: Optional[int] = None,
     float_hint: bool = False,
 ) -> AnalysisReport:
-    """Run every structural decision procedure on one weight matrix."""
-    rank = torus.stratum_orbit_dim(w, range(1, w.n + 1))
-    i_d, i_f = torus.split_indices(w)
-    comp = torus.components(w, max_components=max_components)
+    """Run every structural decision procedure on one weight matrix.
+
+    One elimination (the fundamental circuits of the weights) feeds the
+    rank, splits, components, visibility, Cartan vectors and witness.
+    """
+    core = torus._circuits(w)
+    rank = core.rank
+    i_d, i_f = core.dependent, core.free
+    comp = torus._components(w, core, max_components)
     stable, stable_cert = torus.is_stable(w)
-    dec = torus.visible_decomposition(w)
+    dec = torus._visible_decomposition(w, core)
     visible = isinstance(dec, torus.VisibleDecomposition)
+    cartan = [list(v) for v in torus._cartan_vectors(w, dec)] if visible else None
 
     properties: dict[str, dict] = {}
     properties["locally_free"] = {
-        "value": torus.is_locally_free(w),
+        "value": rank == w.r,
         "justification": {
             "rank": rank,
             "torus_rank": w.r,
@@ -127,7 +133,6 @@ def analyze(
             "value": True,
             "certificate": {"fixed": sorted(dec.fixed), "blocks": blocks},
         }
-        cartan = [list(v) for v in torus.cartan_subspace(w)]
         properties["polar"] = {
             "value": True,
             "certificate": {
@@ -155,7 +160,7 @@ def analyze(
 
     witness_dict = None
     if not visible:
-        wit = torus.nonvisible_closed_witness(w)
+        wit = torus._nonvisible_witness(w, core)
         assert wit is not None
         witness_dict = {
             "x": [_frac_str(v) for v in wit.pair.x],
@@ -177,11 +182,9 @@ def analyze(
                 else None
             ),
         },
-        cartan_subspace=(
-            [list(v) for v in torus.cartan_subspace(w)] if visible else None
-        ),
+        cartan_subspace=cartan,
         nonvisible_witness=witness_dict,
-        reduction_support=sorted(torus.reduction_support(w)),
+        reduction_support=sorted(i_d),
     )
 
 
@@ -266,6 +269,13 @@ def _input_order(family: str, rank: int, twist: int, count: int) -> list[int]:
     return list(range(count))
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} needs an integer, got {text!r}") from None
+
+
 def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int] | None, dict]:
     """Parse 'E6 twist=1 labels=..' token streams; returns scan options too."""
     if not tokens:
@@ -284,7 +294,7 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
     it = iter(tokens[1:])
     for tok in it:
         if tok.startswith("twist="):
-            twist = int(tok.split("=", 1)[1])
+            twist = _parse_int(tok.split("=", 1)[1], "twist=")
         elif tok.startswith("labels="):
             try:
                 labels = [int(v) for v in tok.split("=", 1)[1].split(",") if v != ""]
@@ -295,12 +305,21 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
         elif tok == "scan":
             opts["scan"] = True
         elif tok == "--delta-ge":
-            opts["delta_ge"] = int(next(it, "2"))
+            opts["delta_ge"] = _parse_int(next(it, "2"), "--delta-ge")
         elif tok == "--check-order-not-div":
-            opts["not_div"] = [int(v) for v in next(it, "").split(",") if v]
+            opts["not_div"] = [
+                _parse_int(v, "--check-order-not-div")
+                for v in next(it, "").split(",")
+                if v
+            ]
         else:
             raise InputError(f"unrecognized kac token {tok!r}")
     return family, rank, twist, labels, opts
+
+
+def _worker_count(jobs: int) -> int:
+    """A requested worker count clamped to 1..os.cpu_count()."""
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def _scan_chunk(args: tuple[str, int, int, list[tuple[int, ...]]]):
@@ -341,6 +360,7 @@ def cmd_kac(
     for tok in tokens:
         flat.extend(tok.split())
     family, rank, twist, labels, opts = _diagram_from_tokens(flat)
+    jobs = _worker_count(jobs)
     if opts["scan"]:
         if jobs > 1:
             hits = _parallel_scan(family, rank, opts["delta_ge"], jobs)
@@ -490,7 +510,7 @@ def run_selftest(
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
     """Oracle-vs-fast-path randomized suites; returns (ok, messages)."""
-    shards = max(1, jobs)
+    shards = _worker_count(jobs)
     per = (count + shards - 1) // shards
     args = [
         (seed + 1000 * i, per, max_n, max_r, max_entry) for i in range(shards)
@@ -588,9 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--float-hint", action="store_true",
                     help="add decimal approximations next to exact"
                     " rationals (never replacing them)")
-    pa.add_argument("--jobs", type=int, default=1,
-                    help="worker count for scan workloads (selftest, kac"
-                    " scans); single matrices run inline")
 
     pk = sub.add_parser("kac", help="Kac diagram gradings and scans")
     pk.add_argument("spec", nargs=argparse.REMAINDER,
@@ -615,7 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             try:
                 w = _load_matrix(args.input)
-            except (InputError, json.JSONDecodeError) as exc:
+            except (InputError, json.JSONDecodeError, UnicodeDecodeError) as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             rep = analyze(
@@ -635,16 +652,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 flat.extend(tok.split())
             spec: list[str] = []
             it = iter(flat)
-            for tok in it:
-                if tok == "--format":
-                    args.format = next(it, args.format)
-                elif tok == "--allow-twisted-table":
-                    args.allow_twisted_table = True
-                elif tok == "--jobs":
-                    args.jobs = int(next(it, "1"))
-                else:
-                    spec.append(tok)
             try:
+                for tok in it:
+                    if tok == "--format":
+                        args.format = next(it, args.format)
+                    elif tok == "--allow-twisted-table":
+                        args.allow_twisted_table = True
+                    elif tok == "--jobs":
+                        args.jobs = _parse_int(next(it, "1"), "--jobs")
+                    else:
+                        spec.append(tok)
                 out = cmd_kac(
                     spec,
                     allow_twisted_table=args.allow_twisted_table,

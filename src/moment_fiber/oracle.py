@@ -3,8 +3,9 @@
 Everything here is deliberately written against different algorithms than
 the main modules: ranks by cross-multiplication elimination pivoting from
 the right (no Bareiss division, no compiled kernel), hull membership by
-Caratheodory-style subset enumeration with exact linear solves (no
-simplex), visibility by exhaustive partition search.  These routes generate
+Caratheodory-style subset enumeration with integer cross-multiplication
+solves (no simplex, no rational RREF), visibility by exhaustive partition
+search, mixed-sign circuits by subset enumeration.  These routes generate
 ground truth for the randomized suites; a bug cannot be shared with the
 code they check.
 """
@@ -30,6 +31,7 @@ from .torus import (
 
 _COMPONENT_LIMIT = 16
 _VISIBLE_LIMIT = 8
+_CIRCUIT_LIMIT = 16
 
 
 # -- independent exact linear algebra ----------------------------------------
@@ -65,17 +67,19 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _solve_fractions(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+def _solve_integer(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[list[Fraction]]:
-    """Unique-solution Gaussian solve; None if singular or inconsistent.
+    """One exact solution of an integer system, or None if inconsistent.
 
-    Only used on square systems coming from affinely independent point
-    subsets, where uniqueness is expected.
+    Gauss-Jordan elimination by integer cross-multiplication: rows stay
+    integral and are divided by the gcd of their entries, so no rational
+    arithmetic runs until the solution is read off.  Unknowns without a
+    pivot are set to 0.
     """
-    n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    ncols = len(aug[0]) - 1
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(aug)
+    ncols = len(aug[0]) - 1 if n else 0
     where = []
     row = 0
     for col in range(ncols):
@@ -87,12 +91,14 @@ def _solve_fractions(
         if piv is None:
             continue
         aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
+        prow = aug[row]
+        p = prow[col]
         for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+            f = aug[i][col]
+            if i != row and f:
+                new = [a * p - f * b for a, b in zip(aug[i], prow)]
+                g = math.gcd(*new)
+                aug[i] = [x // g for x in new] if g > 1 else new
         where.append(col)
         row += 1
     for i in range(row, n):
@@ -100,7 +106,7 @@ def _solve_fractions(
             return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(where):
-        x[col] = aug[r][ncols]
+        x[col] = Fraction(aug[r][ncols], aug[r][col])
     return x
 
 
@@ -114,11 +120,9 @@ def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
     ncols = len(rows[0]) if rows else 0
     for fixed in range(k - 1, -1, -1):
         others = [rows[i] for i in range(k) if i != fixed]
-        cols = [
-            [Fraction(r[j]) for r in others] for j in range(ncols)
-        ]
-        rhs = [Fraction(-rows[fixed][j]) for j in range(ncols)]
-        sol = _solve_fractions(cols, rhs)
+        cols = [[r[j] for r in others] for j in range(ncols)]
+        rhs = [-rows[fixed][j] for j in range(ncols)]
+        sol = _solve_integer(cols, rhs)
         if sol is not None:
             v = sol[:]
             v.insert(fixed, Fraction(1))
@@ -257,6 +261,53 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     )
 
 
+def brute_mixed_circuit(w: WeightMatrix) -> Optional[tuple[int, ...]]:
+    """A mixed-sign circuit of the weights by subset enumeration, or None.
+
+    Subsets are scanned by increasing size, then bitmask.  A subset of
+    nullity exactly one is a circuit iff its relation involves every index;
+    the first circuit whose relation has mixed signs is returned as an
+    integer vector of length n.  None means every circuit is same-signed,
+    which is the visible case.
+    """
+    if w.n > _CIRCUIT_LIMIT:
+        raise CapabilityError(
+            f"brute circuit scan refused for n={w.n} > {_CIRCUIT_LIMIT}"
+        )
+    entries = w.matrix.entries
+    for size in range(1, w.n + 1):
+        for mask in _masks_of_size(w.n, size):
+            members = [i for i in range(w.n) if mask >> i & 1]
+            rows = [entries[i] for i in members]
+            if _rank_crossmul(rows) != size - 1:
+                continue
+            v = _kernel_vector(rows)
+            if v is None or any(c == 0 for c in v):
+                continue  # a proper subset is already dependent
+            if all(c > 0 for c in v) or all(c < 0 for c in v):
+                continue
+            scale = math.lcm(*(c.denominator for c in v))
+            rel = [0] * w.n
+            for i, c in zip(members, v):
+                rel[i] = int(c * scale)
+            return tuple(rel)
+    return None
+
+
+def _masks_of_size(n: int, size: int):
+    """Bitmasks of {0..n-1} with ``size`` bits, in increasing numeric order."""
+    if size == 0:
+        yield 0
+        return
+    mask = (1 << size) - 1
+    limit = 1 << n
+    while mask < limit:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | (((mask ^ ripple) >> 2) // low)
+
+
 def check_decomposition(
     w: WeightMatrix, dec: VisibleDecomposition
 ) -> Optional[str]:
@@ -317,10 +368,8 @@ def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
     for size in range(1, d + 2):
         for combo in _combinations(list(idx), size):
             # Solve sum c_i p_i = 0, sum c_i = 1 on the subset.
-            cols = [
-                [Fraction(pts[i][j]) for i in combo] for j in range(d)
-            ] + [[Fraction(1)] * size]
-            rhs = [Fraction(0)] * d + [Fraction(1)]
+            cols = [[pts[i][j] for i in combo] for j in range(d)] + [[1] * size]
+            rhs = [0] * d + [1]
             sol = _lstsq_exact(cols, rhs, size)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
@@ -332,12 +381,13 @@ def brute_zero_in_relative_interior(points: Sequence[Sequence[int]]) -> bool:
     relation, equivalently -p is in the cone of the points for each p.
 
     Each relation found covers its whole support at once, so points already
-    seen inside a relation are not re-queried.
+    seen inside a relation are not re-queried.  No separate hull test is
+    needed: one relation through a nonzero point already puts 0 in the
+    hull, and a set of zero points is its own hull.
     """
-    pts = [tuple(p) for p in points]
-    if not brute_zero_in_hull(pts):
-        return False
-    unique = sorted(set(pts))
+    if not points:
+        raise InputError("relative-interior query needs at least one point")
+    unique = sorted(set(tuple(p) for p in points))
     covered: set[tuple[int, ...]] = set()
     for p in unique:
         if p in covered or all(x == 0 for x in p):
@@ -362,8 +412,8 @@ def _cone_combination(
     idx = list(range(len(pts)))
     for size in range(1, d + 1):
         for combo in _combinations(idx, size):
-            cols = [[Fraction(pts[i][j]) for i in combo] for j in range(d)]
-            rhs = [Fraction(t) for t in target]
+            cols = [[pts[i][j] for i in combo] for j in range(d)]
+            rhs = list(target)
             sol = _lstsq_exact(cols, rhs, size)
             if sol is not None and all(c >= 0 for c in sol):
                 return [(pts[i], c) for i, c in zip(combo, sol)]
@@ -371,12 +421,12 @@ def _cone_combination(
 
 
 def _lstsq_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction], nvars: int
+    rows: list[list[int]], rhs: list[int], nvars: int
 ) -> Optional[list[Fraction]]:
     """Exact solution of a (possibly overdetermined) linear system."""
     if nvars == 0:
         return [] if all(v == 0 for v in rhs) else None
-    sol = _solve_fractions(rows, rhs)
+    sol = _solve_integer(rows, rhs)
     if sol is None:
         return None
     for row, b in zip(rows, rhs):

@@ -27,8 +27,6 @@ from .polytope import HullQuery, Inside, Outside
 
 Stratum = frozenset[int]
 
-_WITNESS_SCAN_LIMIT = 22  # subsets of I_d enumerated by the circuit search
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -256,16 +254,69 @@ def global_modality(w: WeightMatrix) -> int:
     return w.n - _rank_subset(w, _full_mask(w.n))
 
 
+# -- fundamental circuits -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Circuits:
+    """Everything the splits, visibility and witness need, from one
+    elimination of tS.
+
+    The pivot columns of tS are the greedy row basis B of S.  Each kernel
+    vector of tS is the fundamental circuit C(e, B) of one row e outside B:
+    coefficient 1 at e, the largest index of its support.  ``mixed`` is a
+    mixed-sign circuit vector, or None when every fundamental circuit is
+    positive and no two of them meet (exactly the visible case).
+    """
+
+    rank: int
+    dependent: Stratum  # I_d: rows in some circuit
+    free: Stratum  # I_f: rows in no circuit
+    vectors: tuple[RatVector, ...]
+    mixed: Optional[RatVector]
+
+
+def _circuits(w: WeightMatrix) -> _Circuits:
+    vectors = tuple(exactlin.kernel_basis(exactlin.transpose(w.matrix)))
+    dependent = frozenset().union(*(support(v) for v in vectors))
+    return _Circuits(
+        rank=w.n - len(vectors),
+        dependent=dependent,
+        free=frozenset(range(1, w.n + 1)) - dependent,
+        vectors=vectors,
+        mixed=_mixed_circuit(vectors),
+    )
+
+
+def _mixed_circuit(vectors: Sequence[RatVector]) -> Optional[RatVector]:
+    """A mixed-sign circuit met while scanning the fundamental circuits in
+    order, or None when they are all positive and pairwise disjoint.
+
+    A mixed fundamental circuit is returned as it is.  For positive u, v
+    meeting in the basis row b, v - (v_b / u_b) u is a dependency on
+    {e_u, e_v} + B - b.  That set has nullity 1, so the support is a
+    circuit (Oxley, Matroid Theory, 1.1), with -v_b / u_b at e_u and 1 at
+    e_v.
+    """
+    owner: dict[int, RatVector] = {}  # row -> first circuit through it
+    for v in vectors:
+        if any(c < 0 for c in v):
+            return v
+        for i, c in enumerate(v):
+            if c == 0:
+                continue
+            u = owner.setdefault(i, v)
+            if u is not v:
+                ratio = c / u[i]
+                return tuple(a - ratio * b for a, b in zip(v, u))
+    return None
+
+
 def split_indices(w: WeightMatrix) -> tuple[Stratum, Stratum]:
-    """(I_d, I_f): indices whose deletion keeps / drops the rank of S."""
-    full = _full_mask(w.n)
-    total = _rank_subset(w, full)
-    dependent = set()
-    for i in range(1, w.n + 1):
-        if _rank_subset(w, full ^ (1 << (i - 1))) == total:
-            dependent.add(i)
-    i_d = frozenset(dependent)
-    return i_d, frozenset(range(1, w.n + 1)) - i_d
+    """(I_d, I_f): indices whose deletion keeps / drops the rank of S,
+    i.e. the rows in some circuit of the weights and the rest."""
+    core = _circuits(w)
+    return core.dependent, core.free
 
 
 def is_locally_free(w: WeightMatrix) -> bool:
@@ -323,30 +374,33 @@ def components(
     2^#I_f of them; the full list is enumerated unless ``max_components``
     caps it (the count is always reported).
     """
-    i_d, i_f = split_indices(w)
-    count = 1 << len(i_f)
-    fiber_dim = 2 * w.n - _rank_subset(w, _full_mask(w.n))
-    irreducible = not i_f
+    return _components(w, _circuits(w), max_components)
+
+
+def _components(
+    w: WeightMatrix, core: _Circuits, max_components: Optional[int]
+) -> ComponentSet:
+    count = 1 << len(core.free)
     comps: Optional[tuple[Stratum, ...]] = None
     if max_components is None or count <= max_components:
-        free = sorted(i_f)
+        free = sorted(core.free)
         out = []
         for pick in range(count):
             extra = {free[b] for b in range(len(free)) if pick >> b & 1}
-            out.append(frozenset(i_d | extra))
+            out.append(frozenset(core.dependent | extra))
         comps = tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
     return ComponentSet(
         components=comps,
         count=count,
-        fiber_dimension=fiber_dim,
-        irreducible=irreducible,
-        normal=irreducible,
+        fiber_dimension=2 * w.n - core.rank,
+        irreducible=not core.free,
+        normal=not core.free,
     )
 
 
 def reduction_support(w: WeightMatrix) -> Stratum:
     """I_d: the symplectic reduction only sees these coordinate lines."""
-    return split_indices(w)[0]
+    return _circuits(w).dependent
 
 
 # -- element classification --------------------------------------------------
@@ -402,57 +456,38 @@ def visible_decomposition(
 ) -> Union[VisibleDecomposition, NotVisible]:
     """Partition {1..n} = I_0 + I_1 + ... certifying visibility, or a reason.
 
-    Candidate construction: indices of I_d are equivalent when they cut the
-    same hyperplane out of the relation space Ker(tS); equivalence classes
-    are the candidate blocks.  The construction is only guaranteed on
-    visible input, so the three partition conditions are then verified
-    directly and are the sole source of truth.
+    The action is visible iff no circuit of the weights has a mixed-sign
+    relation.  The fundamental circuits against the greedy row basis
+    decide it: a mixed one, or two positive ones sharing an index, yield a
+    mixed-sign circuit; otherwise they are disjoint and positive, and they
+    are the blocks, with their relations, and I_0 = I_f.  The three
+    partition conditions are then verified directly and are the sole
+    source of truth.
     """
-    i_d, i_f = split_indices(w)
-    tS = exactlin.transpose(w.matrix)
-    relation_basis = exactlin.kernel_basis(tS)
-    d = len(relation_basis)
+    return _visible_decomposition(w, _circuits(w))
 
-    # Coordinate functional of index i restricted to the relation space.
-    def functional(i: int) -> tuple[Fraction, ...]:
-        return tuple(v[i - 1] for v in relation_basis)
 
-    def normalized(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        lead = next((x for x in c if x != 0), None)
-        assert lead is not None
-        return tuple(x / lead for x in c)
-
-    classes: dict[tuple[Fraction, ...], list[int]] = {}
-    for i in sorted(i_d):
-        classes.setdefault(normalized(functional(i)), []).append(i)
-
-    blocks: list[Block] = []
-    for members in classes.values():
-        block_set = frozenset(members)
-        sub = exactlin.row_select(w.matrix, members)
-        ker = exactlin.kernel_basis(exactlin.transpose(sub))
-        if len(ker) != 1:
-            return NotVisible(
-                f"block candidate {sorted(block_set)} carries "
-                f"{len(ker)} independent relations instead of 1"
+def _visible_decomposition(
+    w: WeightMatrix, core: _Circuits
+) -> Union[VisibleDecomposition, NotVisible]:
+    if core.mixed is not None:
+        return NotVisible(
+            f"circuit {sorted(support(core.mixed))} has a mixed-sign relation,"
+            " so 0 is not interior to its hull"
+        )
+    blocks = []
+    for v in core.vectors:
+        members = sorted(support(v))
+        blocks.append(
+            Block(
+                indices=frozenset(members),
+                relation=tuple(v[i - 1] for i in members),
             )
-        rel = ker[0]
-        if any(c == 0 for c in rel):
-            return NotVisible(
-                f"relation on block candidate {sorted(block_set)} "
-                "does not involve every index"
-            )
-        if rel[0] < 0:
-            rel = tuple(-c for c in rel)
-        if any(c < 0 for c in rel):
-            return NotVisible(
-                f"relation on block candidate {sorted(block_set)} has "
-                "mixed signs, so 0 is not interior to its hull"
-            )
-        blocks.append(Block(indices=block_set, relation=rel))
+        )
     blocks.sort(key=lambda b: min(b.indices))
 
     # Direct verification of the three partition conditions.
+    i_f = core.free
     rank_total = _rank_subset(w, _full_mask(w.n))
     rank_fixed = _rank_subset(w, _mask_of(w, i_f))
     if rank_fixed != len(i_f):
@@ -483,10 +518,16 @@ def cartan_subspace(w: WeightMatrix) -> list[tuple[int, ...]]:
         raise NotVisibleError(
             f"weight matrix is not visible: {dec.reason}"
         )
-    out = []
-    for b in dec.blocks:
-        out.append(tuple(1 if i in b.indices else 0 for i in range(1, w.n + 1)))
-    return out
+    return _cartan_vectors(w, dec)
+
+
+def _cartan_vectors(
+    w: WeightMatrix, dec: VisibleDecomposition
+) -> list[tuple[int, ...]]:
+    return [
+        tuple(1 if i in b.indices else 0 for i in range(1, w.n + 1))
+        for b in dec.blocks
+    ]
 
 
 # -- orbit closure for fiber points ------------------------------------------
@@ -590,13 +631,8 @@ def _restricted_free_part(w: WeightMatrix, supp: Stratum) -> Stratum:
     members = sorted(supp)
     if not members:
         return frozenset()
-    mask = _mask_of(w, members)
-    total = _rank_subset(w, mask)
-    out = set()
-    for i in members:
-        if _rank_subset(w, mask ^ (1 << (i - 1))) == total - 1:
-            out.add(i)
-    return frozenset(out)
+    sub = WeightMatrix(exactlin.row_select(w.matrix, members))
+    return frozenset(members[i - 1] for i in _circuits(sub).free)
 
 
 def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
@@ -630,15 +666,15 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     if x_ss and phi_ss:
         return Closed(x_combination=x_cert, phi_combination=phi_cert)
 
-    _, i_f = split_indices(w)
-    free_x = sorted(supp_x & i_f)
+    core = _circuits(w)
+    free_x = sorted(supp_x & core.free)
     if free_x:
         return _free_index_destabilizer(w, p, free_x[0], on_x=True)
-    free_phi = sorted(supp_phi & i_f)
+    free_phi = sorted(supp_phi & core.free)
     if free_phi:
         return _free_index_destabilizer(w, p, free_phi[0], on_x=False)
 
-    dec = visible_decomposition(w)
+    dec = _visible_decomposition(w, core)
     if isinstance(dec, NotVisible):
         return UnknownClosedness(
             "non-visible action and neither support meets I_f; "
@@ -660,65 +696,22 @@ def nonvisible_closed_witness(
     positive part of its relation, phi on the negative part.  Returns None
     when the action is visible.
     """
-    if isinstance(visible_decomposition(w), VisibleDecomposition):
+    return _nonvisible_witness(w, _circuits(w))
+
+
+def _nonvisible_witness(
+    w: WeightMatrix, core: _Circuits
+) -> Optional[ClosedPairWitness]:
+    if core.mixed is None:
         return None
-    i_d, _ = split_indices(w)
-    members = sorted(i_d)
-    if len(members) > _WITNESS_SCAN_LIMIT:
-        raise CapabilityError(
-            f"circuit scan over {len(members)} dependent indices exceeds "
-            f"the {_WITNESS_SCAN_LIMIT}-index cap"
-        )
-    for size in range(1, len(members) + 1):
-        for combo_mask in _masks_of_size(len(members), size):
-            subset = [members[b] for b in range(len(members)) if combo_mask >> b & 1]
-            mask = _mask_of(w, subset)
-            if _rank_subset(w, mask) != size - 1:
-                continue
-            if any(
-                _rank_subset(w, mask ^ (1 << (i - 1))) != size - 1
-                for i in subset
-            ):
-                continue  # a proper subset is already dependent
-            sub = exactlin.row_select(w.matrix, subset)
-            ker = exactlin.kernel_basis(exactlin.transpose(sub))
-            assert len(ker) == 1 and all(c != 0 for c in ker[0])
-            rel = exactlin.clear_denominators(ker[0])
-            if all(c > 0 for c in rel) or all(c < 0 for c in rel):
-                continue  # same-sign circuit: not a nilpotent stratum
-            if sum(1 for c in rel if c > 0) == 0:
-                rel = tuple(-c for c in rel)
-            full_rel = [0] * w.n
-            for i, c in zip(subset, rel):
-                full_rel[i - 1] = c
-            x = tuple(
-                Fraction(1) if c > 0 else Fraction(0) for c in full_rel
-            )
-            phi = tuple(
-                Fraction(1) if c < 0 else Fraction(0) for c in full_rel
-            )
-            witness = ClosedPairWitness(
-                pair=PairPoint(x, phi), relation=tuple(full_rel)
-            )
-            _verify_nonvisible_witness(w, witness)
-            return witness
-    raise ArithmeticError(
-        "non-visible weight matrix without a mixed-sign circuit"
-    )  # pragma: no cover - contradicts the visibility characterization
-
-
-def _masks_of_size(n: int, size: int):
-    """Bitmasks of {0..n-1} with ``size`` bits, in increasing numeric order."""
-    if size == 0:
-        yield 0
-        return
-    mask = (1 << size) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
+    # The circuit vector is 1 at its largest index, so clearing the
+    # denominators leaves a primitive integer relation.
+    rel = exactlin.clear_denominators(core.mixed)
+    x = tuple(Fraction(1) if c > 0 else Fraction(0) for c in rel)
+    phi = tuple(Fraction(1) if c < 0 else Fraction(0) for c in rel)
+    witness = ClosedPairWitness(pair=PairPoint(x, phi), relation=rel)
+    _verify_nonvisible_witness(w, witness)
+    return witness
 
 
 def _verify_nonvisible_witness(

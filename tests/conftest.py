@@ -10,9 +10,10 @@ import random
 
 import pytest
 
-from moment_fiber import torus
+from moment_fiber import cli, torus
 
 CORPUS_SEED = 20260810
+CORPUS_SHAPE = (10, 6, 5)  # max n, max r, max |entry| of the random matrices
 
 # Hand-picked degenerate shapes that random sampling hits rarely.
 SPECIAL_ROWS = [
@@ -30,27 +31,11 @@ SPECIAL_ROWS = [
 ]
 
 
-def random_weight_matrix(
-    rng: random.Random, max_n: int = 10, max_r: int = 6, max_entry: int = 5
-) -> torus.WeightMatrix:
-    n = rng.randint(1, max_n)
-    r = rng.randint(1, max_r)
-    rows = [
-        [rng.randint(-max_entry, max_entry) for _ in range(r)]
-        for _ in range(n)
-    ]
-    if rng.random() < 0.15:
-        rows[rng.randrange(n)] = [0] * r
-    if n >= 2 and rng.random() < 0.15:
-        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
-    return torus.WeightMatrix.from_rows(rows)
-
-
 def build_corpus(count: int, seed: int = CORPUS_SEED) -> list[torus.WeightMatrix]:
     rng = random.Random(seed)
     corpus = [torus.WeightMatrix.from_rows(rows) for rows in SPECIAL_ROWS]
     while len(corpus) < count:
-        corpus.append(random_weight_matrix(rng))
+        corpus.append(cli._random_weight_matrix(rng, *CORPUS_SHAPE))
     return corpus
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+
+import pytest
 
 from moment_fiber import cli, torus
 
@@ -71,6 +74,13 @@ class TestAnalyze:
         code, _, err = run(["analyze", str(path)], capsys)
         assert code == 2
         assert "line 1" in err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "weights.csv"
+        path.write_bytes(b"1, 0\n\xff\xfe\n")
+        code, _, err = run(["analyze", str(path)], capsys)
+        assert code == 2
+        assert "parse error" in err
 
     def test_float_hint_adds_but_never_replaces(self, capsys):
         _, out, _ = run(
@@ -168,6 +178,29 @@ class TestKac:
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(["kac", "Q9 labels=1"], capsys)
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "E6 twist=x",
+            "E7 twist=1 scan --delta-ge x",
+            "E7 twist=1 scan --check-order-not-div a",
+            "E7 twist=1 scan --jobs x",
+        ],
+    )
+    def test_non_integer_option_exits_2(self, spec, capsys):
+        code, _, err = run(["kac", spec], capsys)
+        assert code == 2
+        assert "parse error" in err
+
+
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert cli._worker_count(10**9) == cpus
+    assert cli._worker_count(0) == 1
+    assert cli._worker_count(-3) == 1
+    assert cli._worker_count(1) == 1
 
 
 class TestSelftest:

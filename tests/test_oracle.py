@@ -78,6 +78,34 @@ class TestBruteVisible:
         assert oracle.check_decomposition(w, tampered) is not None
 
 
+class TestBruteMixedCircuit:
+    def test_triple(self):
+        assert oracle.brute_mixed_circuit(wm([[1], [1], [-2]])) == (-1, 1, 0)
+
+    def test_smallest_circuit_first(self):
+        assert oracle.brute_mixed_circuit(wm([[1], [-1], [-2]])) == (0, -2, 1)
+
+    def test_visible_has_none(self):
+        assert oracle.brute_mixed_circuit(wm([[1, 0], [-1, 0], [0, 1]])) is None
+        assert oracle.brute_mixed_circuit(wm([[0]])) is None
+
+    def test_size_cap(self):
+        with pytest.raises(CapabilityError):
+            oracle.brute_mixed_circuit(wm([[1]] * 17))
+
+
+class TestBruteRelativeInterior:
+    def test_examples(self):
+        assert oracle.brute_zero_in_relative_interior([(1,), (-1,)])
+        assert oracle.brute_zero_in_relative_interior([(0, 0), (0, 0)])
+        assert not oracle.brute_zero_in_relative_interior([(1,), (0,)])
+        assert not oracle.brute_zero_in_relative_interior([(1, 0), (0, 1)])
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(InputError):
+            oracle.brute_zero_in_relative_interior([])
+
+
 class TestTangentDim:
     def test_smooth_point(self):
         w = wm([[1], [-1]])

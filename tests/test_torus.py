@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from moment_fiber import exactlin, oracle, polytope, torus
+from moment_fiber import cli, exactlin, oracle, polytope, torus
 from moment_fiber.errors import CapabilityError, InputError, NotVisibleError
 from moment_fiber.polytope import Inside, Outside
 from moment_fiber.torus import (
@@ -403,6 +403,64 @@ class TestNonvisibleWitness:
     def test_visible_returns_none(self):
         assert torus.nonvisible_closed_witness(OPPOSITE) is None
         assert torus.nonvisible_closed_witness(IDENTITY2) is None
+
+    def test_mixed_fundamental_circuit(self):
+        # C(2, {1}) relates rows 1 and 2 with opposite signs.
+        wit = torus.nonvisible_closed_witness(TRIPLE)
+        assert wit.relation == (-1, 1, 0)
+        assert wit.pair == PairPoint.of((0, 1, 0), (1, 0, 0))
+
+    def test_two_positive_circuits_sharing_a_basis_row(self):
+        # C(2) = (1, 1, 0) and C(3) = (2, 0, 1) are positive and meet in
+        # row 1; eliminating it leaves the mixed circuit {2, 3}.
+        wit = torus.nonvisible_closed_witness(wm([[1], [-1], [-2]]))
+        assert wit.relation == (0, -2, 1)
+        assert wit.pair == PairPoint.of((0, 0, 1), (0, 1, 0))
+
+    def test_disjoint_positive_circuits_are_the_blocks(self):
+        w = wm([
+            [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0], [0, 0, 1],
+        ])
+        assert torus.nonvisible_closed_witness(w) is None
+        dec = torus.visible_decomposition(w)
+        assert dec.fixed == frozenset({6})
+        assert [(b.indices, b.relation) for b in dec.blocks] == [
+            (frozenset({1, 2}), (Fraction(1), Fraction(1))),
+            (frozenset({3, 4}), (Fraction(2), Fraction(1))),
+            (frozenset({5}), (Fraction(1),)),
+        ]
+
+    def test_presence_matches_the_circuit_scan(self, corpus):
+        for w in corpus:
+            if w.n > 12:
+                continue
+            wit = torus.nonvisible_closed_witness(w)
+            assert (wit is None) == (oracle.brute_mixed_circuit(w) is None), (
+                w.matrix.entries
+            )
+
+    def test_every_witness_is_a_mixed_circuit(self, corpus):
+        for w in corpus:
+            wit = torus.nonvisible_closed_witness(w)
+            if wit is None:
+                continue
+            supp = sorted(torus.support(wit.relation))
+            assert exactlin.rank(
+                exactlin.row_select(w.matrix, supp)
+            ) == len(supp) - 1, w.matrix.entries
+            assert any(c > 0 for c in wit.relation)
+            assert any(c < 0 for c in wit.relation)
+            assert all(v == 0 for v in torus.moment_eval(w, wit.pair))
+
+    @pytest.mark.parametrize("n, r", [(40, 12), (80, 20)])
+    def test_large_generic_matrices_are_analyzed(self, n, r):
+        rng = random.Random(n)
+        w = wm([[rng.randint(-5, 5) for _ in range(r)] for _ in range(n)])
+        rep = cli.analyze(w)
+        assert rep.properties["visible"]["value"] is False
+        rel = rep.nonvisible_witness["relation"]
+        for j in range(r):
+            assert sum(c * row[j] for c, row in zip(rel, w.matrix.entries)) == 0
 
 
 class TestReductionSupport:
