@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, UnsupportedDiagramError
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -322,55 +322,17 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _scan_chunk(args: tuple[str, int, int, list[tuple[int, ...]]]):
-    family, rank, min_delta, labelings = args
-    out = []
-    for labels in labelings:
-        gd = theta.graded_dims(theta.KacDiagram(family, rank, 1, labels))
-        if gd.delta >= min_delta:
-            out.append((labels, gd.order, gd.delta))
-    return out
-
-
-def _parallel_scan(
-    family: str, rank: int, min_delta: int, jobs: int
-) -> list[theta.ScanHit]:
-    labelings = [
-        tuple(mask >> i & 1 for i in range(rank + 1))
-        for mask in range(1, 1 << (rank + 1))
-    ]
-    step = (len(labelings) + jobs - 1) // jobs
-    chunks = [
-        (family, rank, min_delta, labelings[i : i + step])
-        for i in range(0, len(labelings), step)
-    ]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        parts = pool.map(_scan_chunk, chunks)
-    return [
-        theta.ScanHit(theta.KacDiagram(family, rank, 1, labels), order, delta)
-        for part in parts
-        for labels, order, delta in part
-    ]
-
-
-def cmd_kac(
-    tokens: Sequence[str], allow_twisted_table: bool = False, jobs: int = 1
-) -> dict:
+def cmd_kac(tokens: Sequence[str], allow_twisted_table: bool = False) -> dict:
     flat: list[str] = []
     for tok in tokens:
         flat.extend(tok.split())
     family, rank, twist, labels, opts = _diagram_from_tokens(flat)
-    jobs = _worker_count(jobs)
     if opts["scan"]:
-        if jobs > 1:
-            hits = _parallel_scan(family, rank, opts["delta_ge"], jobs)
-            hits.sort(
-                key=lambda h: sum(b << i for i, b in enumerate(h.diagram.labels))
+        if twist != 1:
+            raise UnsupportedDiagramError(
+                "labeling scans over twisted diagrams are not supported"
             )
-        else:
-            hits = theta.levi_order_scan(
-                family, rank, min_delta=opts["delta_ge"]
-            )
+        hits = theta.levi_order_scan(family, rank, min_delta=opts["delta_ge"])
         violations = [
             h for h in hits
             if any(h.order % q == 0 for q in opts["not_div"])
@@ -614,7 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="e.g. E6 twist=1 labels=1,1,0,1,1,1,1")
     pk.add_argument("--format", choices=("json", "text"), default="text")
     pk.add_argument("--allow-twisted-table", action="store_true")
-    pk.add_argument("--jobs", type=int, default=1)
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
     ps.add_argument("--seed", type=int, default=0)
@@ -658,15 +619,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         args.format = next(it, args.format)
                     elif tok == "--allow-twisted-table":
                         args.allow_twisted_table = True
-                    elif tok == "--jobs":
-                        args.jobs = _parse_int(next(it, "1"), "--jobs")
                     else:
                         spec.append(tok)
-                out = cmd_kac(
-                    spec,
-                    allow_twisted_table=args.allow_twisted_table,
-                    jobs=args.jobs,
-                )
+                out = cmd_kac(spec, allow_twisted_table=args.allow_twisted_table)
             except InputError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE

@@ -1,49 +1,76 @@
 """Exact rational linear algebra on integer matrices.
 
-All computations are exact: ranks by fraction-free Bareiss elimination,
-kernels by rational back-substitution in reduced row-echelon normal form.
-No floating point enters anywhere.
+Ranks, kernels, linear solves and pivot columns all come from one routine,
+``echelon``: fraction-free Gauss-Jordan elimination in the update rule of
+Bareiss (1968).  Entries stay integers throughout, and the reduced
+row-echelon form over Q is read off at the end by one division by a common
+denominator.  No floating point enters anywhere.
 
 Row indices in the public API are 1-based, matching the weight-matrix
 conventions used throughout the package (rows are numbered 1..n).
-
-A compiled Bareiss kernel is used for ranks when the ``_fastrank``
-extension built successfully; set ``MOMENT_FIBER_PURE=1`` to force the
-pure-Python path.  Both paths are exact and agree bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from . import _elim
 from .errors import InputError
 
 RatVector = tuple[Fraction, ...]
 
-try:  # pragma: no cover - exercised indirectly
-    from . import _fastrank as _fast
-except ImportError:  # pragma: no cover
-    _fast = None
+USING_COMPILED_KERNEL = False  # pure Python only; kept for report metadata
 
-if os.environ.get("MOMENT_FIBER_PURE", "") in ("1", "true", "yes"):
-    _fast = None
 
-USING_COMPILED_KERNEL = _fast is not None
+def echelon(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns ``(a, pivots, d)``: the nonzero rows of the reduced form, their
+    pivot columns, and the common denominator d.  Every pivot entry of
+    ``a`` equals d and every other entry of a pivot column is 0, so
+    ``a / d`` is the reduced row-echelon form over Q.
+
+    Pivoting is deterministic: columns left to right, first nonzero row
+    at or below the current rank.  At pivot p every other row, also one
+    with a 0 in the pivot column, becomes (p * row - row[c] * pivot_row)
+    // prev, where prev is the previous pivot (1 at the start).  Each
+    entry is then a minor of the input (Sylvester's identity), so the
+    division is exact and entries never grow past the size of a minor.
+    """
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        row_p = a[k]
+        p = row_p[c]
+        for i in range(nrows):
+            if i == k:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_p)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return a[: len(pivots)], pivots, prev
 
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows; compiled fast path with pure fallback."""
-    if _fast is not None:
-        try:
-            return _fast.rank(rows)
-        except OverflowError:
-            pass
-    return _elim.rank_rows(rows)
+    """Rank over Q of integer rows: the number of pivots."""
+    return len(echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 @dataclass(frozen=True)
@@ -95,10 +122,23 @@ def rank(m: IntMatrix) -> int:
 def kernel_basis(m: IntMatrix) -> list[RatVector]:
     """Basis of the right kernel {v : M v = 0}, echelon-normalized.
 
-    The basis size is always ``cols - rank``; every vector satisfies
-    M v = 0 exactly, and the output is deterministic.
+    One vector per free column f: 1 at f, 0 at the other free columns, and
+    minus the reduced row-echelon entries in column f at the pivots.  The
+    basis size is always ``cols - rank``, every vector satisfies M v = 0
+    exactly, and the output is deterministic.
     """
-    return _elim.kernel_rref(m.entries, m.cols)
+    a, pivots, d = echelon(m.entries, m.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, p in zip(a, pivots):
+            v[p] = Fraction(-row[f], d)
+        basis.append(tuple(v))
+    return basis
 
 
 def row_select(m: IntMatrix, indices: Iterable[int]) -> IntMatrix:
@@ -115,11 +155,25 @@ def transpose(m: IntMatrix) -> IntMatrix:
     return IntMatrix(cols, m.rows)
 
 
-def solve(m: IntMatrix, rhs: Sequence) -> RatVector | None:
-    """One exact rational solution of M x = rhs, or None if inconsistent."""
+def solve(m: IntMatrix, rhs: Sequence) -> Optional[RatVector]:
+    """One exact rational solution of M x = rhs, or None if inconsistent.
+
+    The right-hand side is scaled to integers by the lcm of its
+    denominators and eliminated as one more column; unknowns without a
+    pivot are set to 0.
+    """
     if len(rhs) != m.rows:
         raise InputError("right-hand side length does not match row count")
-    return _elim.solve_exact(m.entries, m.cols, rhs)
+    b = [Fraction(x) for x in rhs]
+    scale = math.lcm(*(x.denominator for x in b))
+    aug = [list(row) + [int(x * scale)] for row, x in zip(m.entries, b)]
+    a, pivots, d = echelon(aug, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None  # pivot in the rhs column: inconsistent
+    x = [Fraction(0)] * m.cols
+    for row, p in zip(a, pivots):
+        x[p] = Fraction(row[m.cols], d * scale)
+    return tuple(x)
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:

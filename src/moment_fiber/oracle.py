@@ -2,12 +2,12 @@
 
 Everything here is deliberately written against different algorithms than
 the main modules: ranks by cross-multiplication elimination pivoting from
-the right (no Bareiss division, no compiled kernel), hull membership by
-Caratheodory-style subset enumeration with integer cross-multiplication
-solves (no simplex, no rational RREF), visibility by exhaustive partition
-search, mixed-sign circuits by subset enumeration.  These routes generate
-ground truth for the randomized suites; a bug cannot be shared with the
-code they check.
+the right, kernels and solves by cross-multiplication Gauss-Jordan with gcd
+reduction (no Bareiss division, no rational RREF), hull membership by
+Caratheodory-style subset enumeration (no simplex), visibility by
+exhaustive partition search, mixed-sign circuits by subset enumeration.
+These routes generate ground truth for the randomized suites; a bug cannot
+be shared with the code they check.
 """
 
 from __future__ import annotations
@@ -67,22 +67,20 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _solve_integer(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[list[Fraction]]:
-    """One exact solution of an integer system, or None if inconsistent.
+def _gauss_jordan_integer(aug: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``aug`` in place over its first
+    ``ncols`` columns; returns the pivot columns.
 
-    Gauss-Jordan elimination by integer cross-multiplication: rows stay
-    integral and are divided by the gcd of their entries, so no rational
-    arithmetic runs until the solution is read off.  Unknowns without a
-    pivot are set to 0.
+    Rows are combined by integer cross-multiplication and divided by the
+    gcd of their entries, so they stay integral and no rational arithmetic
+    runs.  Pivot rows come first; each has a nonzero entry at its pivot
+    and 0 in every other pivot column, so it is a multiple of the reduced
+    row-echelon row.  Columns past ``ncols`` are carried along.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     n = len(aug)
-    ncols = len(aug[0]) - 1 if n else 0
-    where = []
-    row = 0
+    where: list[int] = []
     for col in range(ncols):
+        row = len(where)
         piv = None
         for i in range(row, n):
             if aug[i][col]:
@@ -100,14 +98,46 @@ def _solve_integer(
                 g = math.gcd(*new)
                 aug[i] = [x // g for x in new] if g > 1 else new
         where.append(col)
-        row += 1
-    for i in range(row, n):
+    return where
+
+
+def _solve_integer(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[list[Fraction]]:
+    """One exact solution of an integer system, or None if inconsistent.
+
+    The right-hand side rides along the elimination as an extra column;
+    unknowns without a pivot are set to 0.
+    """
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(aug[0]) - 1 if aug else 0
+    where = _gauss_jordan_integer(aug, ncols)
+    for i in range(len(where), len(aug)):
         if aug[i][ncols]:
             return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(where):
         x[col] = Fraction(aug[r][ncols], aug[r][col])
     return x
+
+
+def _integer_kernel(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> list[list[Fraction]]:
+    """Basis of the right kernel, one vector per free column f: 1 at f,
+    0 at the other free columns, read off the integer elimination."""
+    aug = [list(r) for r in rows]
+    where = _gauss_jordan_integer(aug, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in where:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, col in enumerate(where):
+            v[col] = Fraction(-aug[r][f], aug[r][col])
+        basis.append(v)
+    return basis
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
@@ -490,7 +520,7 @@ def random_fiber_point(
         [int(x[i] * w.matrix.entries[i][j]) for i in range(w.n)]
         for j in range(w.r)
     ]
-    basis = _fraction_kernel(tangent, w.n)
+    basis = _integer_kernel(tangent, w.n)
     phi = [Fraction(0)] * w.n
     for vec in basis:
         c = rng.randint(-3, 3)
@@ -500,44 +530,6 @@ def random_fiber_point(
     if any(v != 0 for v in moment_eval(w, point)):  # pragma: no cover
         raise ArithmeticError("sampled point left the fiber")
     return point
-
-
-def _fraction_kernel(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> list[list[Fraction]]:
-    """Kernel basis by plain rational elimination (oracle-local)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    basis = []
-    pivot_set = set(pivots)
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
-        basis.append(v)
-    return basis
 
 
 # -- Vinberg block-dimension oracle --------------------------------------------

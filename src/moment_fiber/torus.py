@@ -331,13 +331,12 @@ def kernel_of_action(w: WeightMatrix) -> list[RatVector]:
 
 
 def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
-    """Select a maximal independent set of columns of S.
+    """Select a maximal independent set of columns of S: its pivot columns.
 
     Every column is a rational combination of the kept ones, so the rank of
     every row subset is preserved; the reduced action is locally free.
     """
-    cols = exactlin.transpose(w.matrix).entries
-    _, keep = _independent_prefix(cols)
+    _, keep, _ = exactlin.echelon(w.matrix.entries, w.r)
     if not keep:
         raise CapabilityError(
             "the action is trivial (all weights vanish); there is no"
@@ -345,21 +344,6 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
         )
     rows = tuple(tuple(row[j] for j in keep) for row in w.matrix.entries)
     return WeightMatrix(IntMatrix(rows, len(keep)))
-
-
-def _independent_prefix(
-    vectors: Sequence[Sequence[int]],
-) -> tuple[int, list[int]]:
-    """Greedy scan keeping each vector that raises the rank."""
-    kept: list[int] = []
-    cur = 0
-    for idx in range(len(vectors)):
-        rows = [vectors[i] for i in kept] + [vectors[idx]]
-        r = exactlin.rank_rows(rows)
-        if r > cur:
-            kept.append(idx)
-            cur = r
-    return cur, kept
 
 
 # -- components of the zero fiber -------------------------------------------
@@ -435,11 +419,6 @@ def classify_element(w: WeightMatrix, v: Sequence) -> Classification:
     return classify_stratum(w, supp)
 
 
-def is_semisimple_point(w: WeightMatrix, v: Sequence) -> bool:
-    c = classify_element(w, v)
-    return isinstance(c, (Semisimple, ZeroOrbit))
-
-
 def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
     """Stability: 0 in the relative interior of the hull of all weights."""
     cert = polytope.zero_in_relative_interior(
@@ -504,10 +483,6 @@ def _visible_decomposition(
     if rank_sum != rank_total:
         return NotVisible("block spans do not meet the total span in direct sum")
     return VisibleDecomposition(fixed=i_f, blocks=tuple(blocks))
-
-
-def is_visible(w: WeightMatrix) -> bool:
-    return isinstance(visible_decomposition(w), VisibleDecomposition)
 
 
 def cartan_subspace(w: WeightMatrix) -> list[tuple[int, ...]]:

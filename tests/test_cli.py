@@ -161,6 +161,12 @@ class TestKac:
         assert code == 3
         assert "refused" in err
 
+    def test_twisted_scan_exits_3(self, capsys):
+        code, out, err = run(["kac", "E6 twist=2 scan"], capsys)
+        assert code == 3
+        assert "refused" in err
+        assert out == ""
+
     def test_twisted_table_flag(self, capsys):
         code, out, _ = run(
             [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_fiber import _elim, exactlin, oracle
+from moment_fiber import exactlin, oracle
 from moment_fiber.errors import InputError
 
 matrices = st.integers(1, 6).flatmap(
@@ -17,6 +17,14 @@ matrices = st.integers(1, 6).flatmap(
         st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
         min_size=1,
         max_size=8,
+    )
+)
+
+huge_matrices = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-(10**12), 10**12), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=7,
     )
 )
 
@@ -45,7 +53,6 @@ class TestRank:
         big = 10**40
         rows = [[big, 2 * big], [3 * big, 6 * big], [0, big]]
         assert exactlin.rank_rows(rows) == 2
-        assert _elim.rank_rows(rows) == 2
 
     @given(matrices)
     @settings(max_examples=150, deadline=None)
@@ -149,22 +156,32 @@ class TestIntMatrix:
         assert exactlin.solve(m, [1, 3]) is None
 
 
-def test_compiled_and_pure_agree():
-    if not exactlin.USING_COMPILED_KERNEL:
-        pytest.skip("compiled kernel unavailable in this build")
-    from moment_fiber import _fastrank
+class TestAgainstOracle:
+    """The fast elimination against the oracle's integer Gauss-Jordan."""
 
-    rng = random.Random(99)
-    for _ in range(500):
-        n, r = rng.randint(1, 9), rng.randint(1, 6)
-        rows = [[rng.randint(-50, 50) for _ in range(r)] for _ in range(n)]
-        assert _fastrank.rank(rows) == _elim.rank_rows(rows)
+    @given(huge_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_oracle(self, rows):
+        m = mat(rows)
+        expected = [tuple(v) for v in oracle._integer_kernel(rows, m.cols)]
+        assert exactlin.kernel_basis(m) == expected
 
-
-def test_compiled_kernel_overflow_raises():
-    if not exactlin.USING_COMPILED_KERNEL:
-        pytest.skip("compiled kernel unavailable in this build")
-    from moment_fiber import _fastrank
-
-    with pytest.raises(OverflowError):
-        _fastrank.rank([[10**40, 0], [0, 1]])
+    @given(huge_matrices, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_matches_oracle(self, rows, data):
+        m = mat(rows)
+        if data.draw(st.booleans()):
+            # A consistent system: rhs = M x for a random integer x.
+            x = data.draw(
+                st.lists(st.integers(-(10**12), 10**12), min_size=m.cols,
+                         max_size=m.cols)
+            )
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        else:
+            rhs = data.draw(
+                st.lists(st.integers(-(10**12), 10**12), min_size=m.rows,
+                         max_size=m.rows)
+            )
+        expected = oracle._solve_integer(rows, rhs)
+        got = exactlin.solve(m, rhs)
+        assert got == (None if expected is None else tuple(expected))
