@@ -9,9 +9,10 @@ Subcommands:
   labeling scan (``scan --delta-ge N [--check-order-not-div A,B]``).
 * ``moment-fiber selftest``: randomized oracle-vs-fast-path suites.
 
-Exit codes: 0 success, 1 selftest mismatch, 2 input parse error,
-3 capability refusal.  All rationals are emitted as exact "p/q" strings;
-``--float-hint`` adds decimal approximations alongside, never replacing.
+Exit codes: 0 success (also when the reader closes the output pipe
+early), 1 selftest mismatch, 2 input parse error, 3 capability refusal.
+All rationals are emitted as exact "p/q" strings; ``--float-hint`` adds
+decimal approximations alongside, never replacing.
 Set MOMENT_FIBER_COLOR=0|1 to force colored text output off or on.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -424,8 +424,8 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
                 fail("component mismatch", w)
             if comp.count != 1 << len(i_f):
                 fail("component count", w)
+        v_fast = torus.visible_decomposition(w)
         if w.n <= 7:
-            v_fast = torus.visible_decomposition(w)
             v_brute = oracle.brute_visible(w)
             fast_ok = isinstance(v_fast, torus.VisibleDecomposition)
             brute_ok = isinstance(v_brute, torus.VisibleDecomposition)
@@ -444,9 +444,7 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
                 elif oracle.tangent_dim(w, p) != comp.fiber_dimension:
                     fail("smooth witness tangent dimension", w)
         wit = torus.nonvisible_closed_witness(w)
-        if (wit is None) != isinstance(
-            torus.visible_decomposition(w), torus.VisibleDecomposition
-        ):
+        if (wit is None) != isinstance(v_fast, torus.VisibleDecomposition):
             fail("nonvisible witness presence", w)
 
         d = rng.randint(1, 4)
@@ -480,6 +478,7 @@ def run_selftest(
     if shards == 1:
         results = [_selftest_chunk(args[0])]
     else:
+        import multiprocessing  # only here: it costs about 1 MB to import
         with multiprocessing.Pool(processes=shards) as pool:
             results = pool.map(_selftest_chunk, args)
     failures = [msg for chunk in results for msg in chunk]
@@ -588,6 +587,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); quiet the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return status
+
+
+def _dispatch(argv: Optional[Sequence[str]]) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":

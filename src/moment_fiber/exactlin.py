@@ -1,10 +1,10 @@
 """Exact rational linear algebra on integer matrices.
 
 Ranks, kernels, linear solves and pivot columns all come from one routine,
-``echelon``: fraction-free Gauss-Jordan elimination in the update rule of
-Bareiss (1968).  Entries stay integers throughout, and the reduced
-row-echelon form over Q is read off at the end by one division by a common
-denominator.  No floating point enters anywhere.
+``echelon``: fraction-free Gauss-Jordan elimination whose step, ``pivot``,
+is the update rule of Bareiss (1968); the simplex in ``polytope`` runs on
+the same step.  Entries stay integers, and the reduced row-echelon form
+over Q is read off at the end by one division by a common denominator.
 
 Row indices in the public API are 1-based, matching the weight-matrix
 conventions used throughout the package (rows are numbered 1..n).
@@ -24,6 +24,27 @@ RatVector = tuple[Fraction, ...]
 USING_COMPILED_KERNEL = False  # pure Python only; kept for report metadata
 
 
+def pivot(a: list[list[int]], k: int, c: int, prev: int) -> int:
+    """Fraction-free Gauss-Jordan pivot of ``a`` on (k, c); returns a[k][c].
+
+    Every row but k, also one with a 0 in column c, becomes (p * row -
+    row[c] * a[k]) // prev.  If ``a / prev`` is a matrix over Q, ``a / p``
+    is it after the pivot.  Each entry stays a minor of the integer input
+    (Sylvester's identity; Bareiss 1968), so the division is exact.
+    """
+    row_p = a[k]
+    p = row_p[c]
+    for i, row in enumerate(a):
+        if i == k:
+            continue
+        f = row[c]
+        if f:
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, row_p)]
+        elif p != prev:
+            a[i] = [p * x // prev for x in row]
+    return p
+
+
 def echelon(
     rows: Sequence[Sequence[int]], ncols: int
 ) -> tuple[list[list[int]], list[int], int]:
@@ -35,11 +56,8 @@ def echelon(
     ``a / d`` is the reduced row-echelon form over Q.
 
     Pivoting is deterministic: columns left to right, first nonzero row
-    at or below the current rank.  At pivot p every other row, also one
-    with a 0 in the pivot column, becomes (p * row - row[c] * pivot_row)
-    // prev, where prev is the previous pivot (1 at the start).  Each
-    entry is then a minor of the input (Sylvester's identity), so the
-    division is exact and entries never grow past the size of a minor.
+    at or below the current rank, each step done by ``pivot``.  Entries
+    never grow past the size of a minor of the input.
     """
     a = [list(r) for r in rows]
     nrows = len(a)
@@ -51,17 +69,7 @@ def echelon(
         if piv is None:
             continue
         a[k], a[piv] = a[piv], a[k]
-        row_p = a[k]
-        p = row_p[c]
-        for i in range(nrows):
-            if i == k:
-                continue
-            f = a[i][c]
-            if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_p)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in a[i]]
-        prev = p
+        prev = pivot(a, k, c, prev)
         pivots.append(c)
         if len(pivots) == nrows:
             break

@@ -8,9 +8,11 @@ verifies by exact rational arithmetic:
 * ``Outside``: an integral separating functional, i.e. a one-parameter
   subgroup under which every point has (strictly / weakly) positive pairing.
 
-The engine is a phase-one exact rational simplex with Bland's rule; the
-Outside functional is the Farkas dual read off the final tableau.  Repeated
-points are kept: Inside coefficients are reported per input position.
+The engine is a fraction-free phase-one simplex with Bland's rule: an
+integer tableau over one common denominator, pivoted by the same Bareiss
+step as the elimination, ``exactlin.pivot``.  The Outside functional is the
+Farkas dual read off the final tableau.  Repeated points are kept: Inside
+coefficients are reported per input position.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
+from .exactlin import clear_denominators, pivot
 
 
 @dataclass(frozen=True)
@@ -31,13 +34,15 @@ class HullQuery:
 
     @classmethod
     def of(cls, points: Sequence[Sequence[int]]) -> "HullQuery":
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+        pts = tuple(tuple(p) for p in points)
         if not pts:
             raise InputError("hull query needs at least one point")
         dim = len(pts[0])
         for p in pts:
             if len(p) != dim:
                 raise InputError("hull query points have mismatched dimensions")
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in p):
+                raise InputError(f"hull query point {p!r} is not integral")
         return cls(pts)
 
     @property
@@ -60,85 +65,74 @@ class Outside:
     functional: tuple[int, ...]
 
 
-HullCertificate = Union[Inside, Outside]
-
-
-def _dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+HullCertificate = Inside | Outside  # not Union: its cache pins old imports
 
 
 def _phase_one(
-    columns: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Feasibility of {A x = b, x >= 0} by exact phase-one simplex.
+    columns: Sequence[Sequence[int]], rhs: list[int]
+) -> tuple[list[Fraction] | None, list[int] | None]:
+    """Feasibility of {A x = b, x >= 0} by fraction-free phase-one simplex.
 
-    ``columns`` holds A column-wise.  Returns (x, None) on feasibility and
-    (None, y) otherwise, where y is a Farkas dual for the original row
-    orientation: y.A <= 0 componentwise and y.b > 0.
+    ``columns`` holds the integer matrix A column-wise.  Returns (x, None)
+    on feasibility and (None, y) otherwise, where y is an integral Farkas
+    dual for the original row orientation: y.A <= 0 componentwise and
+    y.b > 0.
+
+    The tableau is integer rows over one common denominator d; each step
+    is ``exactlin.pivot``, whose pivot becomes the next d.  Pivots are
+    positive, so d > 0 and every sign test, Bland choice and
+    cross-multiplied ratio test matches the rational tableau's.
     """
     nrows = len(rhs)
     ncols = len(columns)
-    flip = [Fraction(-1) if b < 0 else Fraction(1) for b in rhs]
+    flip = [-1 if b < 0 else 1 for b in rhs]
     # Tableau rows: [structural columns | artificial columns | rhs].
     tab = [
         [columns[j][i] * flip[i] for j in range(ncols)]
-        + [Fraction(1) if k == i else Fraction(0) for k in range(nrows)]
+        + [1 if k == i else 0 for k in range(nrows)]
         + [rhs[i] * flip[i]]
         for i in range(nrows)
     ]
+    # Last row, the objective: minimize the sum of artificials; reduced
+    # costs after pricing out the initial basis.
+    tab.append(
+        [-sum(row[j] for row in tab) for j in range(ncols)]
+        + [0] * nrows
+        + [-sum(row[-1] for row in tab)]
+    )
     basis = [ncols + i for i in range(nrows)]
-    # Objective: minimize the sum of artificials; reduced costs after
-    # pricing out the initial basis.
-    obj = [Fraction(0)] * (ncols + nrows + 1)
-    for j in range(ncols):
-        obj[j] = -sum(tab[i][j] for i in range(nrows))
-    obj[-1] = -sum(tab[i][-1] for i in range(nrows))
-
-    total = ncols + nrows
+    d = 1
     while True:
-        enter = -1
-        for j in range(total):  # Bland: smallest eligible index
-            if obj[j] < 0:
-                enter = j
-                break
+        # Bland: smallest eligible index.
+        enter = next((j for j in range(ncols + nrows) if tab[-1][j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Fraction | None = None
         for i in range(nrows):
             a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+            if a > 0 and leave >= 0:
+                # ratio_i - ratio_leave, cross-multiplied by positive divisors.
+                cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                     leave = i
+            elif a > 0:
+                leave = i
         if leave < 0:
             # Cannot happen for this phase-one system (artificials bound it).
             raise ArithmeticError("unbounded phase-one simplex")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(nrows):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        d = pivot(tab, leave, enter, d)
         basis[leave] = enter
 
-    value = -obj[-1]
-    if value == 0:
+    obj = tab[-1]
+    if obj[-1] == 0:
         x = [Fraction(0)] * ncols
         for i, b in enumerate(basis):
             if b < ncols:
-                x[b] = tab[i][-1]
+                x[b] = Fraction(tab[i][-1], d)
         return x, None
-    # Farkas dual from the artificial columns' reduced costs, unflipped.
-    y = [(1 - obj[ncols + i]) * flip[i] for i in range(nrows)]
+    # Farkas dual from the artificial columns' reduced costs, unflipped and
+    # scaled by d > 0.
+    y = [(d - obj[ncols + i]) * flip[i] for i in range(nrows)]
     return None, y
 
 
@@ -148,19 +142,13 @@ def zero_in_hull(q: HullQuery) -> HullCertificate:
     Inside: coefficients >= 0 summing to 1 with zero weighted sum.
     Outside: integral functional strictly positive on every point.
     """
-    d, m = q.dim, len(q.points)
-    columns = [
-        [Fraction(q.points[j][i]) for i in range(d)] + [Fraction(1)]
-        for j in range(m)
-    ]
-    rhs = [Fraction(0)] * d + [Fraction(1)]
-    x, y = _phase_one(columns, rhs)
+    d = q.dim
+    x, y = _phase_one([p + (1,) for p in q.points], [0] * d + [1])
     if x is not None:
         cert: HullCertificate = Inside(tuple(x))
     else:
         assert y is not None
-        phi = integral_subgroup([-v for v in y[:d]])
-        cert = Outside(phi)
+        cert = Outside(integral_subgroup([-v for v in y[:d]]))
     _check(verify_certificate(q, cert, relative_interior=False))
     return cert
 
@@ -172,36 +160,26 @@ def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
     feasible (the relation set is a cone), so strictness is LP-expressible.
     Outside: integral functional nonnegative on all points, positive on one.
     """
-    d, m = q.dim, len(q.points)
-    columns = [[Fraction(q.points[j][i]) for i in range(d)] for j in range(m)]
-    rhs = [-sum(Fraction(q.points[j][i]) for j in range(m)) for i in range(d)]
-    x, y = _phase_one(columns, rhs)
+    rhs = [-sum(coords) for coords in zip(*q.points)]
+    x, y = _phase_one(q.points, rhs)
     if x is not None:
         cert: HullCertificate = Inside(tuple(v + 1 for v in x))
     else:
         assert y is not None
-        phi = integral_subgroup([-v for v in y])
-        cert = Outside(phi)
+        cert = Outside(integral_subgroup([-v for v in y]))
     _check(verify_certificate(q, cert, relative_interior=True))
     return cert
 
 
-def integral_subgroup(
-    functional: Sequence[Fraction | int], reduce: bool = True
-) -> tuple[int, ...]:
+def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Clear denominators of a rational functional into a cocharacter.
 
     Positive scaling keeps all pairing signs, so the result separates the
-    same queries.  With ``reduce`` the entries are divided by their gcd.
+    same queries.  The entries are then divided by their gcd.
     """
-    fracs = [Fraction(x) for x in functional]
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    if reduce:
-        g = math.gcd(*ints) if ints else 0
-        if g > 1:
-            ints = [v // g for v in ints]
-    return tuple(ints)
+    ints = clear_denominators(functional)
+    g = math.gcd(*ints) or 1
+    return tuple(v // g for v in ints)
 
 
 def verify_certificate(
@@ -221,7 +199,7 @@ def verify_certificate(
         if relative_interior:
             return all(c > 0 for c in coeffs)
         return all(c >= 0 for c in coeffs) and sum(coeffs) == 1
-    pairings = [_dot(cert.functional, p) for p in q.points]
+    pairings = [sum(a * b for a, b in zip(cert.functional, p)) for p in q.points]
     if relative_interior:
         return all(v >= 0 for v in pairings) and any(v > 0 for v in pairings)
     return all(v > 0 for v in pairings)

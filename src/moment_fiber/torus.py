@@ -137,7 +137,7 @@ class ZeroOrbit:
     is_semisimple = True
 
 
-Classification = Union[Nilpotent, Semisimple, Mixed, ZeroOrbit]
+Classification = Nilpotent | Semisimple | Mixed | ZeroOrbit  # see HullCertificate
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class UnknownClosedness:
     reason: str
 
 
-Closedness = Union[Closed, NotClosed, UnknownClosedness]
+Closedness = Closed | NotClosed | UnknownClosedness
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -207,6 +209,34 @@ def test_worker_count_is_clamped():
     assert cli._worker_count(0) == 1
     assert cli._worker_count(-3) == 1
     assert cli._worker_count(1) == 1
+
+
+def test_closed_pipe_exits_0_without_traceback():
+    # The reader's end is closed before the command writes anything.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from moment_fiber.cli import main; sys.exit(main())",
+                "kac",
+                "E6 twist=1 scan",
+                "--format",
+                "json",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == cli.EXIT_OK
 
 
 class TestSelftest:

@@ -47,6 +47,14 @@ class TestZeroInHull:
         with pytest.raises(InputError):
             HullQuery.of([])
 
+    @pytest.mark.parametrize(
+        "pts",
+        [[(Fraction(1, 2),), (-1,)], [(1,), (-1.7,)], [(True, 0)], [(2.0,)]],
+    )
+    def test_non_integer_point_rejected(self, pts):
+        with pytest.raises(InputError):
+            HullQuery.of(pts)
+
 
 class TestZeroInRelativeInterior:
     def test_symmetric_pair(self):
@@ -88,7 +96,6 @@ class TestIntegralSubgroup:
 
     def test_gcd_reduction(self):
         assert polytope.integral_subgroup([2, -4]) == (1, -2)
-        assert polytope.integral_subgroup([2, -4], reduce=False) == (2, -4)
 
     def test_signs_preserved_on_query(self):
         pts = [(1, 3), (2, -1)]
@@ -129,6 +136,29 @@ def test_oracle_agreement(pts):
     assert isinstance(
         polytope.zero_in_relative_interior(q), Inside
     ) == oracle.brute_zero_in_relative_interior(pts)
+
+
+big_queries = st.integers(1, 5).flatmap(
+    lambda d: st.lists(
+        st.tuples(*([st.integers(-(10**6), 10**6)] * d)), min_size=1, max_size=8
+    )
+)
+
+
+@given(big_queries)
+@settings(max_examples=80, deadline=None)
+def test_large_entries_verify_and_match_oracle(pts):
+    # Large entries make the integer tableau grow, so every exact division
+    # in the pivot step is exercised.
+    q = HullQuery.of(pts)
+    hull = polytope.zero_in_hull(q)
+    relint = polytope.zero_in_relative_interior(q)
+    assert polytope.verify_certificate(q, hull, relative_interior=False)
+    assert polytope.verify_certificate(q, relint, relative_interior=True)
+    assert isinstance(hull, Inside) == oracle.brute_zero_in_hull(pts)
+    assert isinstance(relint, Inside) == oracle.brute_zero_in_relative_interior(
+        pts
+    )
 
 
 def test_monotonicity_under_extra_points():

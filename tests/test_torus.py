@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -569,3 +572,33 @@ class TestStabilityIrreducibilityTriple:
             irr = torus.components(w).irreducible
             assert stable == (not i_f) == irr
         assert seen >= 10
+
+
+def test_reimported_package_is_collected():
+    # A module-level typing.Union alias of the package's own classes would
+    # stay in typing's cache and keep every earlier copy of the package
+    # alive after a re-import.
+    code = """
+import gc, importlib, sys, weakref
+refs = []
+for _ in range(3):
+    for k in [k for k in sys.modules if k.split('.')[0] == 'moment_fiber']:
+        del sys.modules[k]
+    torus = importlib.import_module('moment_fiber.torus')
+    refs.append(weakref.ref(torus.ZeroOrbit))
+    refs.append(weakref.ref(importlib.import_module('moment_fiber.polytope')))
+del torus
+gc.collect()
+print(sum(r() is not None for r in refs))
+"""
+    src = os.path.dirname(os.path.dirname(torus.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    ).stdout
+    assert out.split() == ["2"]  # only the copy still in sys.modules
