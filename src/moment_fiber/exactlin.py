@@ -104,7 +104,7 @@ class IntMatrix:
     def from_rows(
         cls, rows: Iterable[Iterable[int]], cols: int | None = None
     ) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
         if cols is None:
             if not entries:
                 raise InputError("zero-row matrix needs an explicit column count")

@@ -476,23 +476,18 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
     """Dimension of the kernel of the moment map's differential at p.
 
     The Jacobian has rows indexed by the torus directions; column i is
-    S[i][j] * phi_i, column n+i is S[i][j] * x_i.  Columns are scaled to
-    integers (rank is unchanged) and eliminated by the oracle routine.
+    S[i][j] * phi_i, column n+i is S[i][j] * x_i.  Each column is scaled
+    by the positive denominator of its factor (rank is unchanged) and the
+    integer columns are eliminated by the oracle routine.
     """
     if any(v != 0 for v in moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
-    cols: list[list[int]] = []
-    for i in range(w.n):
-        cols.append(_scaled_column(w, i, p.phi[i]))
-    for i in range(w.n):
-        cols.append(_scaled_column(w, i, p.x[i]))
+    cols = [
+        [s * Fraction(factor).numerator for s in row]
+        for factors in (p.phi, p.x)
+        for row, factor in zip(w.matrix.entries, factors)
+    ]
     return 2 * w.n - _rank_crossmul(cols)
-
-
-def _scaled_column(w: WeightMatrix, i: int, factor: Fraction) -> list[int]:
-    col = [Fraction(w.matrix.entries[i][j]) * factor for j in range(w.r)]
-    den = math.lcm(*(v.denominator for v in col)) if col else 1
-    return [int(v * den) for v in col]
 
 
 def random_fiber_point(

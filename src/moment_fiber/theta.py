@@ -381,13 +381,7 @@ def rank1_dim_filter(family: str, rank: int, twist: int = 1) -> list[KacDiagram]
         raise UnsupportedDiagramError(
             "labeling scans over twisted diagrams are not supported"
         )
-    marks = _marks_for(family, rank, twist)
-    out = []
-    for labels in _all_labelings(len(marks)):
-        d = KacDiagram(family, rank, twist, labels)
-        if graded_dims(d).delta == 1:
-            out.append(d)
-    return out
+    return [h.diagram for h in levi_order_scan(family, rank, 1) if h.delta == 1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from . import exactlin, polytope
@@ -181,36 +180,9 @@ class ClosedPairWitness:
 # -- internal helpers -------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 18)
-def _mask_rank(entries: tuple[tuple[int, ...], ...], mask: int) -> int:
-    rows = [entries[i] for i in range(len(entries)) if mask >> i & 1]
-    return exactlin.rank_rows(rows)
-
-
-def _full_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
-def _mask_of(w: WeightMatrix, subset: Iterable[int]) -> int:
-    mask = 0
-    for i in subset:
-        if not 1 <= i <= w.n:
-            raise InputError(f"index {i} out of range 1..{w.n}")
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _set_of(mask: int) -> Stratum:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _rank_subset(w: WeightMatrix, mask: int) -> int:
-    return _mask_rank(w.matrix.entries, mask)
-
-
 def support(vec: Sequence) -> Stratum:
     """Indices (1-based) of the nonzero coordinates."""
-    return frozenset(i + 1 for i, v in enumerate(vec) if Fraction(v) != 0)
+    return frozenset(i + 1 for i, v in enumerate(vec) if v != 0)
 
 
 def weights_of(w: WeightMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
@@ -222,36 +194,37 @@ def weights_of(w: WeightMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
 
 def moment_eval(w: WeightMatrix, p: PairPoint) -> RatVector:
     """Value of the moment map at (x, phi): component j is
-    sum_i S[i][j] * x_i * phi_i."""
+    sum_i S[i][j] * x_i * phi_i.
+
+    Only the lines with x_i and phi_i both nonzero are summed; the other
+    terms vanish.  Every component is a Fraction, 0 included.
+    """
     if len(p.x) != w.n or len(p.phi) != w.n:
         raise InputError(f"pair point length does not match n={w.n}")
-    out = []
-    for j in range(w.r):
-        out.append(
-            sum(
-                (Fraction(w.matrix.entries[i][j]) * p.x[i] * p.phi[i]
-                 for i in range(w.n)),
-                Fraction(0),
-            )
-        )
+    out = [Fraction(0)] * w.r
+    for row, x, phi in zip(w.matrix.entries, p.x, p.phi):
+        if x != 0 and phi != 0:
+            xphi = x * phi
+            for j, s in enumerate(row):
+                out[j] += s * xphi
     return tuple(out)
 
 
 def stratum_orbit_dim(w: WeightMatrix, subset: Iterable[int]) -> int:
     """Orbit dimension along the stratum with support ``subset``:
     rank of the selected weight rows."""
-    return _rank_subset(w, _mask_of(w, subset))
+    return exactlin.rank_rows(weights_of(w, subset))
 
 
 def modality(w: WeightMatrix, subset: Iterable[int]) -> int:
     """#I - rank(S_I): parameters of orbits inside the stratum."""
-    mask = _mask_of(w, subset)
-    return bin(mask).count("1") - _rank_subset(w, mask)
+    rows = weights_of(w, subset)
+    return len(rows) - exactlin.rank_rows(rows)
 
 
 def global_modality(w: WeightMatrix) -> int:
     """n - rank(S): modality of the whole representation."""
-    return w.n - _rank_subset(w, _full_mask(w.n))
+    return w.n - exactlin.rank(w.matrix)
 
 
 # -- fundamental circuits -------------------------------------------------------
@@ -321,7 +294,7 @@ def split_indices(w: WeightMatrix) -> tuple[Stratum, Stratum]:
 
 def is_locally_free(w: WeightMatrix) -> bool:
     """True iff rank(S) = r, i.e. generic orbits have full dimension."""
-    return _rank_subset(w, _full_mask(w.n)) == w.r
+    return exactlin.rank(w.matrix) == w.r
 
 
 def kernel_of_action(w: WeightMatrix) -> list[RatVector]:
@@ -467,13 +440,13 @@ def _visible_decomposition(
 
     # Direct verification of the three partition conditions.
     i_f = core.free
-    rank_total = _rank_subset(w, _full_mask(w.n))
-    rank_fixed = _rank_subset(w, _mask_of(w, i_f))
+    rank_total = exactlin.rank(w.matrix)
+    rank_fixed = exactlin.rank_rows(weights_of(w, i_f))
     if rank_fixed != len(i_f):
         return NotVisible("free part I_0 is not linearly independent")
     rank_sum = rank_fixed
     for b in blocks:
-        rank_b = _rank_subset(w, _mask_of(w, b.indices))
+        rank_b = exactlin.rank_rows(weights_of(w, b.indices))
         if rank_b != len(b.indices) - 1:
             return NotVisible(
                 f"block {sorted(b.indices)} has rank {rank_b}, "
@@ -526,40 +499,30 @@ def _solve_cocharacter(
     return exactlin.clear_denominators(sol)
 
 
-def _limit_point(w: WeightMatrix, p: PairPoint, lam: Sequence[int]) -> PairPoint:
-    """Limit of the cocharacter flow at t -> 0 (exponents must allow it)."""
-    exps = [
-        sum(w.matrix.entries[i][j] * lam[j] for j in range(w.r))
-        for i in range(w.n)
-    ]
-    x = tuple(
-        p.x[i] if exps[i] == 0 else Fraction(0) for i in range(w.n)
-    )
-    phi = tuple(
-        p.phi[i] if exps[i] == 0 else Fraction(0) for i in range(w.n)
-    )
-    return PairPoint(x, phi)
-
-
-def _verify_destabilizer(
-    w: WeightMatrix, p: PairPoint, lam: Sequence[int]
-) -> None:
-    exps = [
-        sum(w.matrix.entries[i][j] * lam[j] for j in range(w.r))
-        for i in range(w.n)
-    ]
+def _destabilizer(
+    w: WeightMatrix, p: PairPoint, pairings: Sequence[Fraction]
+) -> NotClosed:
+    """The cocharacter with the given weight pairings, checked to
+    destabilize p, and the limit of its flow at t -> 0."""
+    lam = _solve_cocharacter(w, pairings)
+    exps = [sum(s * c for s, c in zip(row, lam)) for row in w.matrix.entries]
     strict = False
-    for i in range(w.n):
-        if p.x[i] != 0:
-            if exps[i] < 0:
+    for x, phi, e in zip(p.x, p.phi, exps):
+        if x != 0:
+            if e < 0:
                 raise ArithmeticError("destabilizer diverges on x")
-            strict = strict or exps[i] > 0
-        if p.phi[i] != 0:
-            if exps[i] > 0:
+            strict = strict or e > 0
+        if phi != 0:
+            if e > 0:
                 raise ArithmeticError("destabilizer diverges on phi")
-            strict = strict or exps[i] < 0
+            strict = strict or e < 0
     if not strict:
         raise ArithmeticError("destabilizer fixes the point")
+    limit = PairPoint(
+        tuple(v if e == 0 else Fraction(0) for v, e in zip(p.x, exps)),
+        tuple(v if e == 0 else Fraction(0) for v, e in zip(p.phi, exps)),
+    )
+    return NotClosed(cocharacter=lam, limit=limit)
 
 
 def _free_index_destabilizer(
@@ -572,42 +535,32 @@ def _free_index_destabilizer(
     """
     target = [Fraction(0)] * w.n
     target[i0 - 1] = Fraction(1) if on_x else Fraction(-1)
-    lam = _solve_cocharacter(w, target)
-    _verify_destabilizer(w, p, lam)
-    return NotClosed(cocharacter=lam, limit=_limit_point(w, p, lam))
+    return _destabilizer(w, p, target)
 
 
 def _block_destabilizer(
     w: WeightMatrix,
     dec: VisibleDecomposition,
     p: PairPoint,
-    supp_mask_set: Stratum,
-    i0: int,
+    supp: Stratum,
     on_x: bool,
 ) -> NotClosed:
-    """Destabilizer from the block relation through i0 (visible case)."""
-    block = next(b for b in dec.blocks if i0 in b.indices)
-    outside = sorted(block.indices - supp_mask_set)
-    assert outside, "restricted free index inside a fully contained block"
-    i1 = outside[0]
-    members = sorted(block.indices)
-    alpha = dict(zip(members, block.relation))
+    """Destabilizer from a block relation (visible case, supp avoids I_f).
+
+    The circuits inside supp are the blocks inside it, so the rest of supp
+    is the free part of its rows; i0 is its least index.  The block of i0
+    is not inside supp and meets the complement first in i1.
+    """
+    block_of = {i: b for b in dec.blocks for i in b.indices}
+    i0 = min(i for i in supp if not block_of[i].indices <= supp)
+    block = block_of[i0]
+    i1 = min(block.indices - supp)
+    alpha = dict(zip(sorted(block.indices), block.relation))
     target = [Fraction(0)] * w.n
-    sign = Fraction(1) if on_x else Fraction(-1)
+    sign = 1 if on_x else -1
     target[i0 - 1] = sign * alpha[i1]
     target[i1 - 1] = -sign * alpha[i0]
-    lam = _solve_cocharacter(w, target)
-    _verify_destabilizer(w, p, lam)
-    return NotClosed(cocharacter=lam, limit=_limit_point(w, p, lam))
-
-
-def _restricted_free_part(w: WeightMatrix, supp: Stratum) -> Stratum:
-    """I_f of the row-selected matrix, mapped back to global indices."""
-    members = sorted(supp)
-    if not members:
-        return frozenset()
-    sub = WeightMatrix(exactlin.row_select(w.matrix, members))
-    return frozenset(members[i - 1] for i in _circuits(sub).free)
+    return _destabilizer(w, p, target)
 
 
 def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
@@ -656,10 +609,8 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
             "no general decision procedure is available"
         )
     if not x_ss:
-        free = sorted(_restricted_free_part(w, supp_x))
-        return _block_destabilizer(w, dec, p, supp_x, free[0], on_x=True)
-    free = sorted(_restricted_free_part(w, supp_phi))
-    return _block_destabilizer(w, dec, p, supp_phi, free[0], on_x=False)
+        return _block_destabilizer(w, dec, p, supp_x, on_x=True)
+    return _block_destabilizer(w, dec, p, supp_phi, on_x=False)
 
 
 def nonvisible_closed_witness(
@@ -735,11 +686,12 @@ def smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
     indicator of its complement.  Requires a locally free action."""
     if not is_locally_free(w):
         raise CapabilityError(
-            f"rank(S)={_rank_subset(w, _full_mask(w.n))} < r={w.r}: the"
+            f"rank(S)={exactlin.rank(w.matrix)} < r={w.r}: the"
             " action has a positive-dimensional kernel; reduce it first"
             " (reduce_to_effective)"
         )
-    chosen = _set_of(_mask_of(w, subset))
+    chosen = set(subset)
+    weights_of(w, chosen)  # rejects indices outside 1..n
     x = tuple(Fraction(1 if i in chosen else 0) for i in range(1, w.n + 1))
     phi = tuple(Fraction(0 if i in chosen else 1) for i in range(1, w.n + 1))
     return PairPoint(x, phi)
@@ -751,4 +703,4 @@ def stabilizer_dim(w: WeightMatrix, p: PairPoint) -> int:
     if len(p.x) != w.n or len(p.phi) != w.n:
         raise InputError(f"pair point length does not match n={w.n}")
     supp = support(p.x) | support(p.phi)
-    return w.r - _rank_subset(w, _mask_of(w, supp))
+    return w.r - exactlin.rank_rows(weights_of(w, supp))

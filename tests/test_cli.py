@@ -70,6 +70,12 @@ class TestAnalyze:
         assert code == 2
         assert "line" in err or "char" in err
 
+    @pytest.mark.parametrize("spec", ["[[1.5]]", '{"weights": [[1], [true]]}'])
+    def test_non_integer_json_entry_exits_2(self, spec, capsys):
+        code, _, err = run(["analyze", spec], capsys)
+        assert code == 2
+        assert "parse error" in err
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "weights.csv"
         path.write_text("1, x\n")

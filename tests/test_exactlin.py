@@ -146,6 +146,11 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             exactlin.IntMatrix(((1.5,),), 1)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("entry", [1.5, Fraction(1, 2), True])
+    def test_from_rows_rejects_non_integer(self, entry):
+        with pytest.raises(InputError):
+            exactlin.IntMatrix.from_rows([[entry], [-1]])
+
     def test_solve_consistent(self):
         m = mat([[1, 1], [1, -1]])
         x = exactlin.solve(m, [2, 0])

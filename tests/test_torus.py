@@ -81,6 +81,20 @@ class TestStrataNumbers:
                     exactlin.kernel_basis(exactlin.transpose(sub))
                 )
 
+    @pytest.mark.parametrize("subset", [{0}, {4}, {1, 4}, {-1}])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            torus.stratum_orbit_dim,
+            torus.modality,
+            torus.classify_stratum,
+            torus.smooth_witness,
+        ],
+    )
+    def test_out_of_range_index_rejected(self, fn, subset):
+        with pytest.raises(InputError):
+            fn(BLOCK_PLUS_FREE, subset)
+
 
 class TestSplitIndices:
     def test_examples(self):
@@ -383,6 +397,47 @@ class TestPairClosedOrbit:
                 assert isinstance(
                     torus.pair_semisimple_certificate(w, p), Inside
                 )
+
+    def test_block_destabilizer(self, monkeypatch):
+        # Blocks {1,2} and {3,4}; supp(x) = {1,3,4} contains {3,4}, so the
+        # free part of its rows is {1}, whose block leaves supp(x) at 2.
+        w = wm([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        calls = []
+        circuits = torus._circuits
+        monkeypatch.setattr(
+            torus, "_circuits", lambda m: calls.append(m) or circuits(m)
+        )
+        res = torus.pair_closed_orbit(w, PairPoint.of((1, 0, 1, 1), (0,) * 4))
+        assert isinstance(res, NotClosed)
+        assert res.cocharacter == (1, 0)
+        assert res.limit == PairPoint.of((0, 0, 1, 1), (0,) * 4)
+        assert len(calls) == 1
+
+    def test_free_part_of_a_support_is_outside_its_blocks(self, small_corpus):
+        # The block destabilizer relies on this: for a visible matrix and a
+        # support avoiding I_f, the rows' own free part is the support
+        # minus the blocks it contains.  Few random matrices are visible
+        # with several blocks, so three such matrices are added by hand.
+        several_blocks = [
+            wm([[1, 0], [-1, 0], [0, 1], [0, -1]]),
+            wm([[1, 1], [-1, -1], [1, -1], [-2, 2], [0, 0]]),
+            wm([[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0],
+                [0, 0, -1, 0], [0, 0, 0, 1]]),
+        ]
+        for w in small_corpus + several_blocks:
+            dec = torus.visible_decomposition(w)
+            if w.n > 8 or isinstance(dec, NotVisible):
+                continue
+            dependent = sorted(set(range(1, w.n + 1)) - dec.fixed)
+            for mask in range(1, 1 << len(dependent)):
+                supp = frozenset(
+                    i for b, i in enumerate(dependent) if mask >> b & 1
+                )
+                members = sorted(supp)
+                sub = WeightMatrix(exactlin.row_select(w.matrix, members))
+                free = {members[i - 1] for i in torus.split_indices(sub)[1]}
+                inside = [b.indices for b in dec.blocks if b.indices <= supp]
+                assert free == supp.difference(*inside), (w, supp)
 
 
 class TestNonvisibleWitness:
