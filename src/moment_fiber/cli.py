@@ -545,6 +545,19 @@ def _render_report_text(rep: AnalysisReport, stream) -> None:
 # -- entry points ----------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # ValueError: argparse's "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # the type name in that message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="moment-fiber",
@@ -559,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="analyze a weight matrix")
     pa.add_argument("input", help="path, inline JSON, or - for stdin")
     pa.add_argument("--format", choices=("json", "text"), default="text")
-    pa.add_argument("--max-components", type=int, default=4096,
+    pa.add_argument("--max-components", type=_at_least(0), default=4096,
                     help="cap on the enumerated component list; the count"
                     " is always reported")
     pa.add_argument("--float-hint", action="store_true",
@@ -574,10 +587,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--count", type=int, default=100)
-    ps.add_argument("--max-n", type=int, default=8)
-    ps.add_argument("--max-r", type=int, default=5)
-    ps.add_argument("--max-entry", type=int, default=5)
+    ps.add_argument("--count", type=_at_least(1), default=100)
+    ps.add_argument("--max-n", type=_at_least(1), default=8)
+    ps.add_argument("--max-r", type=_at_least(1), default=5)
+    ps.add_argument("--max-entry", type=_at_least(0), default=5)
     ps.add_argument("--jobs", type=int, default=1)
     return ap
 

@@ -396,7 +396,7 @@ def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
         return True
     idx = range(len(pts))
     for size in range(1, d + 2):
-        for combo in _combinations(list(idx), size):
+        for combo in itertools.combinations(idx, size):
             # Solve sum c_i p_i = 0, sum c_i = 1 on the subset.
             cols = [[pts[i][j] for i in combo] for j in range(d)] + [[1] * size]
             rhs = [0] * d + [1]
@@ -441,7 +441,7 @@ def _cone_combination(
         return []
     idx = list(range(len(pts)))
     for size in range(1, d + 1):
-        for combo in _combinations(idx, size):
+        for combo in itertools.combinations(idx, size):
             cols = [[pts[i][j] for i in combo] for j in range(d)]
             rhs = list(target)
             sol = _lstsq_exact(cols, rhs, size)
@@ -465,10 +465,6 @@ def _lstsq_exact(
     return sol
 
 
-def _combinations(items: list[int], size: int):
-    return itertools.combinations(items, size)
-
-
 # -- tangent spaces and sampling -----------------------------------------------
 
 
@@ -482,11 +478,8 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
     """
     if any(v != 0 for v in moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
-    cols = [
-        [s * Fraction(factor).numerator for s in row]
-        for factors in (p.phi, p.x)
-        for row, factor in zip(w.matrix.entries, factors)
-    ]
+    nums = [Fraction(f).numerator for f in p.phi + p.x]
+    cols = [[s * f for s in row] for row, f in zip(w.matrix.entries * 2, nums)]
     return 2 * w.n - _rank_crossmul(cols)
 
 

@@ -5,8 +5,9 @@ n x r integer weight matrix S (row i is the weight of the i-th line).
 Everything about the zero fiber of the moment map on V + V* is decided
 exactly from S: strata dimensions and modality, the irreducible components
 of the fiber, irreducibility/normality, stability, the visibility
-decomposition, Cartan subspaces, orbit-closure questions for fiber points,
-the support of the symplectic reduction, and explicit smooth points.
+decomposition, Cartan subspaces, orbit closedness of every fiber point (one
+hull query on the doubled weights), the support of the symplectic
+reduction, and explicit smooth points.
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
 (hull combinations, separating cocharacters, block relations) verify by
@@ -141,8 +142,11 @@ Classification = Nilpotent | Semisimple | Mixed | ZeroOrbit  # see HullCertifica
 
 @dataclass(frozen=True)
 class Closed:
-    x_combination: Optional[Inside]  # None for x = 0
-    phi_combination: Optional[Inside]
+    """Strictly positive coefficients on the doubled weight system: one per
+    s_i with x_i != 0, then one per -s_i with phi_i != 0, in index order;
+    their weighted sum vanishes.  Empty for the origin."""
+
+    combination: Inside
 
 
 @dataclass(frozen=True)
@@ -155,12 +159,7 @@ class NotClosed:
     limit: PairPoint
 
 
-@dataclass(frozen=True)
-class UnknownClosedness:
-    reason: str
-
-
-Closedness = Closed | NotClosed | UnknownClosedness
+Closedness = Closed | NotClosed
 
 
 @dataclass(frozen=True)
@@ -481,30 +480,28 @@ def _cartan_vectors(
 # -- orbit closure for fiber points ------------------------------------------
 
 
-def _solve_cocharacter(
-    w: WeightMatrix, pairings: Sequence[Fraction]
-) -> tuple[int, ...]:
-    """Integer cocharacter with prescribed weight pairings, positively
-    scaled; requires consistency of S t = pairings."""
-    sol = exactlin.solve(w.matrix, pairings)
-    if sol is None:
-        raise ArithmeticError("inconsistent cocharacter system")
-    check = [
-        sum((Fraction(w.matrix.entries[i][j]) * sol[j] for j in range(w.r)),
-            Fraction(0))
-        for i in range(w.n)
+def pair_semisimple_certificate(
+    w: WeightMatrix, p: PairPoint
+) -> polytope.HullCertificate:
+    """Hull certificate for the doubled weight system of a pair point.
+
+    The pair's orbit is closed iff 0 lies in the relative interior of the
+    hull of {s_i : x_i != 0} together with {-s_i : phi_i != 0}; this is
+    the element classification applied to (x, phi) inside V + V*.
+    """
+    pts = [w.weight(i) for i in sorted(support(p.x))] + [
+        tuple(-v for v in w.weight(i)) for i in sorted(support(p.phi))
     ]
-    if list(check) != [Fraction(p) for p in pairings]:
-        raise ArithmeticError("cocharacter solve failed verification")
-    return exactlin.clear_denominators(sol)
+    if not pts:
+        return Inside(())  # the origin: trivially closed
+    return polytope.zero_in_relative_interior(HullQuery.of(pts))
 
 
 def _destabilizer(
-    w: WeightMatrix, p: PairPoint, pairings: Sequence[Fraction]
+    w: WeightMatrix, p: PairPoint, lam: tuple[int, ...]
 ) -> NotClosed:
-    """The cocharacter with the given weight pairings, checked to
-    destabilize p, and the limit of its flow at t -> 0."""
-    lam = _solve_cocharacter(w, pairings)
+    """The cocharacter lam, checked to destabilize p, and the limit of its
+    flow at t -> 0."""
     exps = [sum(s * c for s, c in zip(row, lam)) for row in w.matrix.entries]
     strict = False
     for x, phi, e in zip(p.x, p.phi, exps):
@@ -525,92 +522,20 @@ def _destabilizer(
     return NotClosed(cocharacter=lam, limit=limit)
 
 
-def _free_index_destabilizer(
-    w: WeightMatrix, p: PairPoint, i0: int, on_x: bool
-) -> NotClosed:
-    """Cocharacter pairing 1 with weight i0 (i0 in I_f) and 0 elsewhere.
-
-    For i0 in supp(x) the dual coordinate phi_i0 is forced to vanish on the
-    fiber, so the flow converges and kills x_i0; symmetrically for phi.
-    """
-    target = [Fraction(0)] * w.n
-    target[i0 - 1] = Fraction(1) if on_x else Fraction(-1)
-    return _destabilizer(w, p, target)
-
-
-def _block_destabilizer(
-    w: WeightMatrix,
-    dec: VisibleDecomposition,
-    p: PairPoint,
-    supp: Stratum,
-    on_x: bool,
-) -> NotClosed:
-    """Destabilizer from a block relation (visible case, supp avoids I_f).
-
-    The circuits inside supp are the blocks inside it, so the rest of supp
-    is the free part of its rows; i0 is its least index.  The block of i0
-    is not inside supp and meets the complement first in i1.
-    """
-    block_of = {i: b for b in dec.blocks for i in b.indices}
-    i0 = min(i for i in supp if not block_of[i].indices <= supp)
-    block = block_of[i0]
-    i1 = min(block.indices - supp)
-    alpha = dict(zip(sorted(block.indices), block.relation))
-    target = [Fraction(0)] * w.n
-    sign = 1 if on_x else -1
-    target[i0 - 1] = sign * alpha[i1]
-    target[i1 - 1] = -sign * alpha[i0]
-    return _destabilizer(w, p, target)
-
-
 def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     """Is the orbit of a fiber point closed?
 
-    Both parts semisimple always implies closed.  On visible input the
-    converse holds and a destabilizing cocharacter is produced otherwise.
-    On non-visible input the destabilizer is still available whenever a
-    support meets I_f; the remaining situations are reported Unknown.
+    Decided for every fiber point by the Hilbert-Mumford hull query on the
+    doubled weights (``pair_semisimple_certificate``): an Inside
+    combination makes the orbit closed, and an Outside functional is a
+    destabilizing cocharacter.
     """
     if any(v != 0 for v in moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
-
-    supp_x = support(p.x)
-    supp_phi = support(p.phi)
-
-    def interior_cert(indices: Stratum, negate: bool) -> Optional[Inside]:
-        if not indices:
-            return None
-        pts = [
-            tuple(-v for v in w.weight(i)) if negate else w.weight(i)
-            for i in sorted(indices)
-        ]
-        cert = polytope.zero_in_relative_interior(HullQuery.of(pts))
-        return cert if isinstance(cert, Inside) else None
-
-    x_cert = interior_cert(supp_x, negate=False)
-    phi_cert = interior_cert(supp_phi, negate=True)
-    x_ss = not supp_x or x_cert is not None
-    phi_ss = not supp_phi or phi_cert is not None
-    if x_ss and phi_ss:
-        return Closed(x_combination=x_cert, phi_combination=phi_cert)
-
-    core = _circuits(w)
-    free_x = sorted(supp_x & core.free)
-    if free_x:
-        return _free_index_destabilizer(w, p, free_x[0], on_x=True)
-    free_phi = sorted(supp_phi & core.free)
-    if free_phi:
-        return _free_index_destabilizer(w, p, free_phi[0], on_x=False)
-
-    dec = _visible_decomposition(w, core)
-    if isinstance(dec, NotVisible):
-        return UnknownClosedness(
-            "non-visible action and neither support meets I_f; "
-            "no general decision procedure is available"
-        )
-    if not x_ss:
-        return _block_destabilizer(w, dec, p, supp_x, on_x=True)
-    return _block_destabilizer(w, dec, p, supp_phi, on_x=False)
+    cert = pair_semisimple_certificate(w, p)
+    if isinstance(cert, Inside):
+        return Closed(combination=cert)
+    return _destabilizer(w, p, cert.functional)
 
 
 def nonvisible_closed_witness(
@@ -644,8 +569,8 @@ def _verify_nonvisible_witness(
     w: WeightMatrix, witness: ClosedPairWitness
 ) -> None:
     p = witness.pair
-    if any(v != 0 for v in moment_eval(w, p)):
-        raise ArithmeticError("witness pair leaves the zero fiber")
+    if not isinstance(pair_closed_orbit(w, p), Closed):  # checks the fiber too
+        raise ArithmeticError("witness orbit failed the closedness check")
     combo = [Fraction(0)] * w.r
     for i, c in enumerate(witness.relation):
         for j in range(w.r):
@@ -654,27 +579,6 @@ def _verify_nonvisible_witness(
         raise ArithmeticError("witness relation is not a weight dependency")
     if not isinstance(classify_element(w, p.x), Nilpotent):
         raise ArithmeticError("witness x-part is not nilpotent")
-    if not isinstance(pair_semisimple_certificate(w, p), Inside):
-        raise ArithmeticError("witness orbit failed the closedness check")
-
-
-def pair_semisimple_certificate(
-    w: WeightMatrix, p: PairPoint
-) -> polytope.HullCertificate:
-    """Hull certificate for the doubled weight system of a pair point.
-
-    The pair's orbit is closed iff 0 lies in the relative interior of the
-    hull of {s_i : x_i != 0} together with {-s_i : phi_i != 0}; this is
-    the element classification applied to (x, phi) inside V + V*.
-    """
-    pts: list[tuple[int, ...]] = []
-    for i in sorted(support(p.x)):
-        pts.append(w.weight(i))
-    for i in sorted(support(p.phi)):
-        pts.append(tuple(-v for v in w.weight(i)))
-    if not pts:
-        return Inside(())  # the origin: trivially closed
-    return polytope.zero_in_relative_interior(HullQuery.of(pts))
 
 
 # -- smooth points and tangent data ------------------------------------------

@@ -217,6 +217,24 @@ def test_worker_count_is_clamped():
     assert cli._worker_count(1) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--max-n", "0"],
+        ["selftest", "--max-r", "0"],
+        ["selftest", "--max-entry", "-1"],
+        ["selftest", "--count", "-3"],
+        ["analyze", "[[1],[-1]]", "--max-components", "-1"],
+    ],
+)
+def test_out_of_range_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "must be >=" in err
+
+
 def test_closed_pipe_exits_0_without_traceback():
     # The reader's end is closed before the command writes anything.
     read_end, write_end = os.pipe()

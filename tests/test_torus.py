@@ -21,7 +21,6 @@ from moment_fiber.torus import (
     NotVisible,
     PairPoint,
     Semisimple,
-    UnknownClosedness,
     VisibleDecomposition,
     WeightMatrix,
     ZeroOrbit,
@@ -364,10 +363,17 @@ class TestPairClosedOrbit:
         )
         assert isinstance(res, NotClosed)
 
-    def test_unknown_branch(self):
-        # Non-visible, supports avoid I_f, x not semisimple.
-        res = torus.pair_closed_orbit(TRIPLE, PairPoint.of((1, 0, 0), (0, 1, 1)))
-        assert isinstance(res, UnknownClosedness)
+    def test_nilpotent_x_closed_when_not_visible(self):
+        # Non-visible, supports avoid I_f, x nilpotent: the doubled points
+        # 1, -1, 2 still hold 0 in their relative interior.
+        p = PairPoint.of((1, 0, 0), (0, 1, 1))
+        res = torus.pair_closed_orbit(TRIPLE, p)
+        assert isinstance(res, Closed)
+        coeffs = res.combination.coefficients
+        assert all(c > 0 for c in coeffs)
+        assert [c / coeffs[0] for c in coeffs] == [1, 3, 1]
+        q = polytope.HullQuery.of([(1,), (-1,), (2,)])
+        assert polytope.verify_certificate(q, res.combination, True)
 
     def test_destabilizer_certifies(self, small_corpus):
         rng = random.Random(17)
@@ -398,26 +404,69 @@ class TestPairClosedOrbit:
                     torus.pair_semisimple_certificate(w, p), Inside
                 )
 
+    def test_verdict_matches_brute_relative_interior(self, corpus):
+        # Hilbert-Mumford against the subset-enumeration oracle.  The first
+        # point per matrix has x = 0, so phi-only points are covered; the
+        # size filter keeps the oracle's enumeration to a few seconds.
+        rng = random.Random(23)
+        cases = 0
+        for w in corpus:
+            if w.n > 8 or w.r > 4:
+                continue
+            for k in range(8):
+                mask = rng.randrange(1, 1 << w.n) if k else 0
+                subset = {i + 1 for i in range(w.n) if mask >> i & 1}
+                p = oracle.random_fiber_point(w, subset, rng.randrange(10**6))
+                pts = [w.weight(i) for i in sorted(torus.support(p.x))] + [
+                    tuple(-v for v in w.weight(i))
+                    for i in sorted(torus.support(p.phi))
+                ]
+                res = torus.pair_closed_orbit(w, p)
+                cases += 1
+                if not pts:  # the origin
+                    assert res == Closed(Inside(()))
+                    continue
+                closed = oracle.brute_zero_in_relative_interior(pts)
+                assert isinstance(res, Closed) == closed, (w, p)
+                if closed:
+                    assert polytope.verify_certificate(
+                        polytope.HullQuery.of(pts), res.combination, True
+                    )
+                else:
+                    # Pairings >= 0 on supp x, <= 0 on supp phi, one strict.
+                    lam = res.cocharacter
+                    exps = [sum(s * c for s, c in zip(wt, lam)) for wt in pts]
+                    assert all(e >= 0 for e in exps)
+                    assert any(e > 0 for e in exps)
+        assert cases >= 2000
+
     def test_block_destabilizer(self, monkeypatch):
-        # Blocks {1,2} and {3,4}; supp(x) = {1,3,4} contains {3,4}, so the
-        # free part of its rows is {1}, whose block leaves supp(x) at 2.
+        # Blocks {1,2} and {3,4}; supp(x) = {1,3,4} contains {3,4}.  Only
+        # (1, 0) separates the doubled points, and its flow kills x_1; the
+        # hull query needs no circuit of the weights.
         w = wm([[1, 0], [-1, 0], [0, 1], [0, -1]])
         calls = []
         circuits = torus._circuits
         monkeypatch.setattr(
             torus, "_circuits", lambda m: calls.append(m) or circuits(m)
         )
+
+        def forbidden(*args):
+            raise AssertionError("closedness needs no solve or visibility")
+
+        monkeypatch.setattr(exactlin, "solve", forbidden)
+        monkeypatch.setattr(torus, "_visible_decomposition", forbidden)
         res = torus.pair_closed_orbit(w, PairPoint.of((1, 0, 1, 1), (0,) * 4))
         assert isinstance(res, NotClosed)
         assert res.cocharacter == (1, 0)
         assert res.limit == PairPoint.of((0, 0, 1, 1), (0,) * 4)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_free_part_of_a_support_is_outside_its_blocks(self, small_corpus):
-        # The block destabilizer relies on this: for a visible matrix and a
-        # support avoiding I_f, the rows' own free part is the support
-        # minus the blocks it contains.  Few random matrices are visible
-        # with several blocks, so three such matrices are added by hand.
+        # For a visible matrix and a support avoiding I_f, the rows' own
+        # free part is the support minus the blocks it contains.  Few
+        # random matrices are visible with several blocks, so three such
+        # matrices are added by hand.
         several_blocks = [
             wm([[1, 0], [-1, 0], [0, 1], [0, -1]]),
             wm([[1, 1], [-1, -1], [1, -1], [-2, 2], [0, 0]]),
