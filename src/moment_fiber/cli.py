@@ -36,6 +36,8 @@ EXIT_SELFTEST_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 
+FORMATS = ("json", "text")
+
 
 def _frac_str(x: Fraction) -> str:
     f = Fraction(x)
@@ -429,10 +431,10 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
                 fail("visibility verdict mismatch", w)
             elif fast_ok and oracle.check_decomposition(w, v_fast) is not None:
                 fail("decomposition verification", w)
-        if torus.is_locally_free(w) and w.n <= 6:
+        if w.n <= 6 and torus.is_locally_free(w):
             for mask in range(1 << w.n):
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-                p = torus.smooth_witness(w, subset)
+                p = torus._smooth_witness(w, subset)
                 if any(v != 0 for v in torus.moment_eval(w, p)):
                     fail("smooth witness off fiber", w)
                 elif torus.stabilizer_dim(w, p) != 0:
@@ -466,10 +468,11 @@ def run_selftest(
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
     """Oracle-vs-fast-path randomized suites; returns (ok, messages)."""
-    shards = _worker_count(jobs)
-    per = (count + shards - 1) // shards
+    shards = _worker_count(min(jobs, count))  # no idle workers
+    per, extra = divmod(count, shards)
     args = [
-        (seed + 1000 * i, per, max_n, max_r, max_entry) for i in range(shards)
+        (seed + 1000 * i, per + (i < extra), max_n, max_r, max_entry)
+        for i in range(shards)
     ]
     if shards == 1:
         results = [_selftest_chunk(args[0])]
@@ -479,7 +482,7 @@ def run_selftest(
             results = pool.map(_selftest_chunk, args)
     failures = [msg for chunk in results for msg in chunk]
     lines = [
-        f"selftest: {shards * per} matrices"
+        f"selftest: {count} matrices"
         f" (seed={seed}, n<={max_n}, r<={max_r}, |entry|<={max_entry})",
     ]
     if failures:
@@ -571,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="analyze a weight matrix")
     pa.add_argument("input", help="path, inline JSON, or - for stdin")
-    pa.add_argument("--format", choices=("json", "text"), default="text")
+    pa.add_argument("--format", choices=FORMATS, default="text")
     pa.add_argument("--max-components", type=_at_least(0), default=4096,
                     help="cap on the enumerated component list; the count"
                     " is always reported")
@@ -582,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kac", help="Kac diagram gradings and scans")
     pk.add_argument("spec", nargs=argparse.REMAINDER,
                     help="e.g. E6 twist=1 labels=1,1,0,1,1,1,1")
-    pk.add_argument("--format", choices=("json", "text"), default="text")
+    pk.add_argument("--format", choices=FORMATS, default="text")
     pk.add_argument("--allow-twisted-table", action="store_true")
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
@@ -591,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-n", type=_at_least(1), default=8)
     ps.add_argument("--max-r", type=_at_least(1), default=5)
     ps.add_argument("--max-entry", type=_at_least(0), default=5)
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_at_least(1), default=1)
     return ap
 
 
@@ -607,7 +610,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
             try:
@@ -635,7 +639,12 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             try:
                 for tok in it:
                     if tok == "--format":
-                        args.format = next(it, args.format)
+                        args.format = next(it, "")
+                        if args.format not in FORMATS:
+                            parser.error(
+                                "argument --format: needs one of"
+                                f" {', '.join(FORMATS)}, got {args.format!r}"
+                            )
                     elif tok == "--allow-twisted-table":
                         args.allow_twisted_table = True
                     else:

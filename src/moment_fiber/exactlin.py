@@ -1,9 +1,9 @@
 """Exact rational linear algebra on integer matrices.
 
-Ranks, kernels, linear solves and pivot columns all come from one routine,
-``echelon``: fraction-free Gauss-Jordan elimination whose step, ``pivot``,
-is the update rule of Bareiss (1968); the simplex in ``polytope`` runs on
-the same step.  Entries stay integers, and the reduced row-echelon form
+Ranks, kernels and pivot columns all come from one routine, ``echelon``:
+fraction-free Gauss-Jordan elimination whose step, ``pivot``, is the
+update rule of Bareiss (1968); the simplex in ``polytope`` runs on the
+same step.  Entries stay integers, and the reduced row-echelon form
 over Q is read off at the end by one division by a common denominator.
 
 Row indices in the public API are 1-based, matching the weight-matrix
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -161,27 +161,6 @@ def row_select(m: IntMatrix, indices: Iterable[int]) -> IntMatrix:
 def transpose(m: IntMatrix) -> IntMatrix:
     cols = tuple(tuple(row[j] for row in m.entries) for j in range(m.cols))
     return IntMatrix(cols, m.rows)
-
-
-def solve(m: IntMatrix, rhs: Sequence) -> Optional[RatVector]:
-    """One exact rational solution of M x = rhs, or None if inconsistent.
-
-    The right-hand side is scaled to integers by the lcm of its
-    denominators and eliminated as one more column; unknowns without a
-    pivot are set to 0.
-    """
-    if len(rhs) != m.rows:
-        raise InputError("right-hand side length does not match row count")
-    b = [Fraction(x) for x in rhs]
-    scale = math.lcm(*(x.denominator for x in b))
-    aug = [list(row) + [int(x * scale)] for row, x in zip(m.entries, b)]
-    a, pivots, d = echelon(aug, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
-        return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(a, pivots):
-        x[p] = Fraction(row[m.cols], d * scale)
-    return tuple(x)
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
 """Independent brute-force implementations of the fast-path criteria.
 
 Everything here is deliberately written against different algorithms than
-the main modules: ranks by cross-multiplication elimination pivoting from
-the right, kernels and solves by cross-multiplication Gauss-Jordan with gcd
+the main modules: ranks by inserting rows one at a time into an integer
+echelon basis that pivots from the right (cross-multiplication, then gcd
+division), kernels and solves by cross-multiplication Gauss-Jordan with gcd
 reduction (no Bareiss division, no rational RREF), hull membership by
 Caratheodory-style subset enumeration (no simplex), visibility by
 exhaustive partition search, mixed-sign circuits by subset enumeration.
+The subset enumerations get each subset's rank by extending its parent
+subset's basis with one row instead of eliminating the subset afresh.
 These routes generate ground truth for the randomized suites; a bug cannot
 be shared with the code they check.
 """
@@ -37,34 +40,48 @@ _CIRCUIT_LIMIT = 16
 # -- independent exact linear algebra ----------------------------------------
 
 
-def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
-    """Rank by integer cross-multiplication, pivoting right-to-left.
+def _insert_row(
+    basis: list[tuple[int, list[int]]], row: Sequence[int]
+) -> Optional[list[tuple[int, list[int]]]]:
+    """``basis`` extended by ``row``, or None if the row is in its span.
 
-    Entries swell (no division step), which is fine at oracle scale; the
-    pivot order and update rule are both unlike the fast path.
+    The basis is a list of (pivot column, row) pairs, pivots descending;
+    each row's pivot is its rightmost nonzero column.  The new row is
+    reduced against them by integer cross-multiplication, divided by its
+    gcd and inserted in pivot order.  ``basis`` itself is not modified, so
+    a subset's basis can extend its parent subset's.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols - 1, -1, -1):
-        piv = None
-        for i in range(nrows - 1, rank - 1, -1):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            if f:
-                m[i] = [a * p - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    reduced = list(row)
+    for col, b in basis:
+        f = reduced[col]
+        if f:
+            p = b[col]
+            reduced = [p * a - f * x for a, x in zip(reduced, b)]
+    col = len(reduced) - 1
+    while col >= 0 and not reduced[col]:
+        col -= 1
+    if col < 0:
+        return None
+    g = math.gcd(*reduced)
+    if g > 1:
+        reduced = [a // g for a in reduced]
+    at = 0
+    while at < len(basis) and basis[at][0] > col:
+        at += 1
+    return basis[:at] + [(col, reduced)] + basis[at:]
+
+
+def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
+    """Rank by inserting the rows one by one with ``_insert_row``.
+
+    The pivot order (rightmost column first) and the update rule (plain
+    cross-multiplication, then gcd division) are both unlike the fast
+    path's Bareiss elimination.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        basis = _insert_row(basis, row) or basis
+    return len(basis)
 
 
 def _gauss_jordan_integer(aug: list[list[int]], ncols: int) -> list[int]:
@@ -141,28 +158,27 @@ def _integer_kernel(
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
-    """A nonzero kernel vector of the transpose system, or None.
+    """The kernel vector of the transpose system, 1 at the last index.
 
-    Finds v with sum_i v_i * rows[i] = 0 by solving for the last index in
-    terms of the others; only called when the corank is exactly one.
+    Finds v with sum_i v_i * rows[i] = 0 from one integer elimination of
+    the transposed rows; only called when the corank is exactly one.
+    Returns None when the kernel vector is 0 at the last index (or the
+    corank is not one).  The relation is re-checked in integers.
     """
     k = len(rows)
     ncols = len(rows[0]) if rows else 0
-    for fixed in range(k - 1, -1, -1):
-        others = [rows[i] for i in range(k) if i != fixed]
-        cols = [[r[j] for r in others] for j in range(ncols)]
-        rhs = [-rows[fixed][j] for j in range(ncols)]
-        sol = _solve_integer(cols, rhs)
-        if sol is not None:
-            v = sol[:]
-            v.insert(fixed, Fraction(1))
-            if any(
-                sum((v[i] * rows[i][j] for i in range(k)), Fraction(0)) != 0
-                for j in range(ncols)
-            ):
-                continue
-            return v
-    return None
+    kernel = _integer_kernel([[r[j] for r in rows] for j in range(ncols)], k)
+    if len(kernel) != 1 or kernel[0][-1] == 0:
+        return None
+    last = kernel[0][-1]
+    v = [c / last for c in kernel[0]]
+    scale = math.lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (scale // c.denominator) for c in v]
+    if any(
+        sum(c * row[j] for c, row in zip(ints, rows)) for j in range(ncols)
+    ):
+        raise ArithmeticError("kernel vector does not annihilate the rows")
+    return v
 
 
 # -- components ---------------------------------------------------------------
@@ -176,13 +192,21 @@ def brute_components(w: WeightMatrix) -> list[Stratum]:
             f"{_COMPONENT_LIMIT}"
         )
     entries = w.matrix.entries
+    n = w.n
     total = _rank_crossmul(entries)
     out = []
-    for mask in range(1 << w.n):
-        rows = [entries[i] for i in range(w.n) if mask >> i & 1]
-        size = len(rows)
-        if total - _rank_crossmul(rows) == w.n - size:
-            out.append(frozenset(i + 1 for i in range(w.n) if mask >> i & 1))
+
+    def walk(i: int, basis: list, chosen: tuple[int, ...]) -> None:
+        """Every subset of rows i+1..n added to ``chosen``; ``basis``
+        spans the rows in ``chosen``."""
+        if i == n:
+            if total - len(basis) == n - len(chosen):
+                out.append(frozenset(chosen))
+            return
+        walk(i + 1, basis, chosen)
+        walk(i + 1, _insert_row(basis, entries[i]) or basis, chosen + (i + 1,))
+
+    walk(0, [], ())
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -205,14 +229,19 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     n = w.n
     total_rank = _rank_crossmul(entries)
 
-    rank_of_mask = {}
+    basis_of_mask: dict[int, list] = {0: []}
+
+    def mask_basis(mask: int) -> list:
+        """The mask minus its lowest row's basis, with that row inserted."""
+        if mask not in basis_of_mask:
+            low = mask & -mask
+            parent = mask_basis(mask ^ low)
+            row = entries[low.bit_length() - 1]
+            basis_of_mask[mask] = _insert_row(parent, row) or parent
+        return basis_of_mask[mask]
 
     def mask_rank(mask: int) -> int:
-        if mask not in rank_of_mask:
-            rank_of_mask[mask] = _rank_crossmul(
-                [entries[i] for i in range(n) if mask >> i & 1]
-            )
-        return rank_of_mask[mask]
+        return len(mask_basis(mask))
 
     block_relation: dict[int, Optional[tuple[Fraction, ...]]] = {}
 
@@ -459,8 +488,10 @@ def _lstsq_exact(
     sol = _solve_integer(rows, rhs)
     if sol is None:
         return None
+    scale = math.lcm(*(c.denominator for c in sol))
+    nums = [c.numerator * (scale // c.denominator) for c in sol]
     for row, b in zip(rows, rhs):
-        if sum((c * v for c, v in zip(sol, row)), Fraction(0)) != b:
+        if sum(c * v for c, v in zip(nums, row)) != b * scale:
             return None
     return sol
 
@@ -472,14 +503,18 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
     """Dimension of the kernel of the moment map's differential at p.
 
     The Jacobian has rows indexed by the torus directions; column i is
-    S[i][j] * phi_i, column n+i is S[i][j] * x_i.  Each column is scaled
-    by the positive denominator of its factor (rank is unchanged) and the
-    integer columns are eliminated by the oracle routine.
+    S[i][j] * phi_i, column n+i is S[i][j] * x_i.  Columns whose factor is
+    0 vanish and are dropped; the others are scaled by the positive
+    denominator of their factor (rank is unchanged), i.e. built from its
+    numerator, and eliminated by ``_rank_crossmul``.
     """
     if any(v != 0 for v in moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
-    nums = [Fraction(f).numerator for f in p.phi + p.x]
-    cols = [[s * f for s in row] for row, f in zip(w.matrix.entries * 2, nums)]
+    cols = [
+        [s * f.numerator for s in row]
+        for row, f in zip(w.matrix.entries * 2, p.phi + p.x)
+        if f
+    ]
     return 2 * w.n - _rank_crossmul(cols)
 
 

@@ -594,6 +594,11 @@ def smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
             " action has a positive-dimensional kernel; reduce it first"
             " (reduce_to_effective)"
         )
+    return _smooth_witness(w, subset)
+
+
+def _smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
+    """``smooth_witness`` for a caller that has checked local freeness."""
     chosen = set(subset)
     weights_of(w, chosen)  # rejects indices outside 1..n
     x = tuple(Fraction(1 if i in chosen else 0) for i in range(1, w.n + 1))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from moment_fiber import cli, torus
+from moment_fiber import cli, exactlin, torus
 
 
 def run(argv, capsys):
@@ -193,6 +193,24 @@ class TestKac:
         code, _, _ = run(["kac", "Q9 labels=1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1", "--format", "xml"],
+            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1 --format xml"],
+            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1", "--format"],
+        ],
+    )
+    def test_bad_format_exits_2(self, argv, capsys):
+        # The options after the spec are re-parsed by hand; they must be
+        # checked like analyze's --format.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "--format" in out.err
+        assert out.out == ""
+
 
     @pytest.mark.parametrize(
         "spec",
@@ -224,6 +242,7 @@ def test_worker_count_is_clamped():
         ["selftest", "--max-r", "0"],
         ["selftest", "--max-entry", "-1"],
         ["selftest", "--count", "-3"],
+        ["selftest", "--jobs", "0"],
         ["analyze", "[[1],[-1]]", "--max-components", "-1"],
     ],
 )
@@ -321,3 +340,50 @@ class TestSelftest:
             capsys,
         )
         assert code == 0
+
+    def test_shards_split_count_exactly(self, capsys, monkeypatch):
+        # Two shards on any host, run in this process: 5 matrices are
+        # split 3 + 2, and the report counts exactly those.
+        import multiprocessing
+
+        shard_counts = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                assert processes == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                shard_counts.extend(a[1] for a in args)
+                return [fn(a) for a in args]
+
+        drawn = []
+        real = cli._random_weight_matrix
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(
+            cli, "_random_weight_matrix",
+            lambda *a: drawn.append(1) or real(*a),
+        )
+        code, out, _ = run(["selftest", "--count", "5", "--jobs", "2"], capsys)
+        assert code == 0
+        assert "selftest: 5 matrices" in out
+        assert shard_counts == [3, 2]
+        assert len(drawn) == 5
+
+    def test_at_most_two_ranks_per_matrix(self, monkeypatch):
+        # The smooth-witness suite checks local freeness once per matrix,
+        # not once per subset.
+        calls = []
+        real = exactlin.rank
+        monkeypatch.setattr(
+            exactlin, "rank", lambda m: calls.append(m) or real(m)
+        )
+        ok, _ = cli.run_selftest(0, count=30)
+        assert ok
+        assert len(calls) <= 2 * 30

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from moment_fiber import oracle, torus
+from moment_fiber import exactlin, oracle, torus
 from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.torus import NotVisible, PairPoint, VisibleDecomposition, WeightMatrix
 
@@ -37,6 +39,26 @@ class TestBruteComponents:
     def test_size_cap(self):
         with pytest.raises(CapabilityError):
             oracle.brute_components(wm([[1]] * 17))
+
+    def test_matches_rank_condition(self, corpus):
+        # The subsets I with rank S - rank S_I = n - #I, each rank taken
+        # afresh by the fast elimination, in the oracle's output order.
+        checked = 0
+        for w in corpus:
+            if w.n > 8:
+                continue
+            rows = w.matrix.entries
+            total = exactlin.rank_rows(rows)
+            expected = [
+                frozenset(subset)
+                for size in range(w.n + 1)
+                for subset in itertools.combinations(range(1, w.n + 1), size)
+                if total - exactlin.rank_rows([rows[i - 1] for i in subset])
+                == w.n - size
+            ]
+            assert oracle.brute_components(w) == expected, rows
+            checked += 1
+        assert checked >= 300
 
 
 class TestBruteVisible:
@@ -76,6 +98,33 @@ class TestBruteVisible:
             ),
         )
         assert oracle.check_decomposition(w, tampered) is not None
+
+
+class TestKernelVector:
+    def test_corank_one_relation(self):
+        # Cases with a zero last coordinate come from rows whose last one
+        # is outside the span of the others.
+        rng = random.Random(5)
+        normalised = unnormalisable = 0
+        while normalised < 200 or unnormalisable < 50:
+            k, r = rng.randint(1, 6), rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+            if k >= 3 and rng.random() < 0.3:
+                rows[rng.randrange(k - 1)] = list(rows[rng.randrange(k - 1)])
+            m = exactlin.IntMatrix.from_rows(rows)
+            if exactlin.rank(m) != k - 1:
+                continue
+            (u,) = exactlin.kernel_basis(exactlin.transpose(m))
+            v = oracle._kernel_vector(rows)
+            if u[-1] == 0:
+                assert v is None, rows
+                unnormalisable += 1
+                continue
+            assert v == [c / u[-1] for c in u], rows
+            assert v[-1] == 1
+            for j in range(r):
+                assert sum(c * row[j] for c, row in zip(v, rows)) == 0
+            normalised += 1
 
 
 class TestBruteMixedCircuit:
