@@ -414,15 +414,15 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
 
     for _ in range(count):
         w = _random_weight_matrix(rng, max_n, max_r, max_entry)
-        i_d, i_f = torus.split_indices(w)
-        comp = torus.components(w)
+        core = torus._circuits(w)  # one elimination feeds every suite
+        comp = torus._components(w, core, None)
         if w.n <= 12:
             brute = oracle.brute_components(w)
             if set(comp.components or ()) != set(brute):
                 fail("component mismatch", w)
-            if comp.count != 1 << len(i_f):
+            if comp.count != 1 << len(core.free):
                 fail("component count", w)
-        v_fast = torus.visible_decomposition(w)
+        v_fast = torus._visible_decomposition(w, core)
         if w.n <= 7:
             v_brute = oracle.brute_visible(w)
             fast_ok = isinstance(v_fast, torus.VisibleDecomposition)
@@ -441,7 +441,7 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
                     fail("smooth witness stabilizer", w)
                 elif oracle.tangent_dim(w, p) != comp.fiber_dimension:
                     fail("smooth witness tangent dimension", w)
-        wit = torus.nonvisible_closed_witness(w)
+        wit = torus._nonvisible_witness(w, core)
         if (wit is None) != isinstance(v_fast, torus.VisibleDecomposition):
             fail("nonvisible witness presence", w)
 

@@ -2,11 +2,16 @@
 
 Both queries — "is 0 in the convex hull of the given integer points?" and
 "is 0 in its relative interior?" — are answered with a certificate that
-verifies by exact rational arithmetic:
+``verify_certificate`` checks in integer arithmetic:
 
-* ``Inside``: explicit combination coefficients,
+* ``Inside``: explicit rational combination coefficients, scaled to
+  integers by the lcm of their denominators before they are checked,
 * ``Outside``: an integral separating functional, i.e. a one-parameter
   subgroup under which every point has (strictly / weakly) positive pairing.
+
+A caller that already holds a certificate, such as the torus layer's
+non-visible witness, checks it with ``verify_certificate`` and needs no
+simplex run.
 
 The engine is a fraction-free phase-one simplex with Bland's rule: an
 integer tableau over one common denominator, pivoted by the same Bareiss
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
@@ -53,9 +59,10 @@ class HullQuery:
 @dataclass(frozen=True)
 class Inside:
     """Combination coefficients witnessing 0 in the (relative interior of
-    the) hull; one coefficient per input point position."""
+    the) hull; one coefficient per input point position, a Fraction or an
+    int."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
@@ -185,21 +192,33 @@ def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
 def verify_certificate(
     q: HullQuery, cert: HullCertificate, relative_interior: bool
 ) -> bool:
-    """Exact verification of a certificate against its query."""
+    """Exact verification of a certificate against its query.
+
+    Inside: one coefficient per point, each > 0 (relative interior) or
+    >= 0 summing to 1 (hull), with a vanishing weighted sum.  The
+    coefficients are multiplied by L, the lcm of their denominators, and
+    the checks run on those integers: sum a_i p_i = 0, and sum a_i = L for
+    the hull.  Outside: a functional of length ``q.dim`` pairing > 0 with
+    every point (hull), or >= 0 with every point and > 0 with one
+    (relative interior).
+    """
     if isinstance(cert, Inside):
         coeffs = cert.coefficients
         if len(coeffs) != len(q.points):
             return False
-        combo = [
-            sum((c * p[i] for c, p in zip(coeffs, q.points)), Fraction(0))
-            for i in range(q.dim)
-        ]
-        if any(v != 0 for v in combo):
-            return False
         if relative_interior:
-            return all(c > 0 for c in coeffs)
-        return all(c >= 0 for c in coeffs) and sum(coeffs) == 1
-    pairings = [sum(a * b for a, b in zip(cert.functional, p)) for p in q.points]
+            if any(c <= 0 for c in coeffs):
+                return False
+        elif any(c < 0 for c in coeffs):
+            return False
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        if not relative_interior and sum(ints) != scale:
+            return False
+        return all(sum(map(mul, ints, col)) == 0 for col in zip(*q.points))
+    if len(cert.functional) != q.dim:
+        return False
+    pairings = [sum(map(mul, cert.functional, p)) for p in q.points]
     if relative_interior:
         return all(v >= 0 for v in pairings) and any(v > 0 for v in pairings)
     return all(v > 0 for v in pairings)

@@ -11,7 +11,9 @@ reduction, and explicit smooth points.
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
 (hull combinations, separating cocharacters, block relations) verify by
-exact rational arithmetic.
+exact rational arithmetic.  Most hull certificates come from the simplex
+in ``polytope``; the non-visible witness's two are built from its circuit
+and only checked, so ``analyze`` runs one simplex per matrix (stability).
 """
 
 from __future__ import annotations
@@ -543,9 +545,15 @@ def nonvisible_closed_witness(
 ) -> Optional[ClosedPairWitness]:
     """On non-visible input: a closed-orbit fiber point with nilpotent x.
 
-    Built from a mixed-sign circuit of the weights: x is supported on the
-    positive part of its relation, phi on the negative part.  Returns None
-    when the action is visible.
+    Built from a mixed-sign circuit of the weights: x is the indicator of
+    the positive part P of its relation, phi of the negative part N.  The
+    circuit is itself both certificates, so no hull search runs: the
+    absolute values of the relation are a strictly positive combination of
+    the doubled weights (the orbit is closed), and P, a proper subset of a
+    circuit, is independent, so S_P t = 1 has a solution t pairing
+    positively with every weight on supp(x) (x is nilpotent).  Both are
+    checked with ``polytope.verify_certificate``.  Returns None when the
+    action is visible.
     """
     return _nonvisible_witness(w, _circuits(w))
 
@@ -568,16 +576,45 @@ def _nonvisible_witness(
 def _verify_nonvisible_witness(
     w: WeightMatrix, witness: ClosedPairWitness
 ) -> None:
-    p = witness.pair
-    if not isinstance(pair_closed_orbit(w, p), Closed):  # checks the fiber too
-        raise ArithmeticError("witness orbit failed the closedness check")
-    combo = [Fraction(0)] * w.r
-    for i, c in enumerate(witness.relation):
-        for j in range(w.r):
-            combo[j] += c * w.matrix.entries[i][j]
-    if any(v != 0 for v in combo):
+    """Build the witness's closedness and nilpotency certificates from its
+    relation and check them exactly; raise ArithmeticError on a fault."""
+    p, rel = witness.pair, witness.relation
+    if any(v != 0 for v in moment_eval(w, p)):
+        raise ArithmeticError("witness pair is off the zero fiber")
+    rows = w.matrix.entries
+    if len(rel) != w.n or any(
+        sum(c * row[j] for c, row in zip(rel, rows)) != 0 for j in range(w.r)
+    ):
         raise ArithmeticError("witness relation is not a weight dependency")
-    if not isinstance(classify_element(w, p.x), Nilpotent):
+    pos = [i for i, c in enumerate(rel) if c > 0]
+    neg = [i for i, c in enumerate(rel) if c < 0]
+    x_supp, phi_supp = {i + 1 for i in pos}, {i + 1 for i in neg}
+    if support(p.x) != x_supp or support(p.phi) != phi_supp:
+        raise ArithmeticError("witness supports differ from the relation")
+    if not pos:
+        raise ArithmeticError("witness x-part is zero")
+
+    # Closed: |rel| is a strictly positive combination of the doubled weights.
+    doubled = HullQuery.of(
+        [rows[i] for i in pos] + [tuple(-v for v in rows[i]) for i in neg]
+    )
+    closed = Inside(tuple(abs(rel[i]) for i in pos + neg))
+    if not polytope.verify_certificate(doubled, closed, relative_interior=True):
+        raise ArithmeticError("witness orbit failed the closedness check")
+
+    # Nilpotent: solve S_P t = 1 by one elimination of [S_P | 1].
+    a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos], w.r + 1)
+    if pivots and pivots[-1] == w.r:
+        raise ArithmeticError("S_P t = 1 is inconsistent: P is dependent")
+    # t = a[k][-1] / d at pivot column k; |d| * t keeps its signs.
+    sign = 1 if d > 0 else -1
+    t = [0] * w.r
+    for row, c in zip(a, pivots):
+        t[c] = sign * row[-1]
+    nilpotent = Outside(polytope.integral_subgroup(t))
+    if not polytope.verify_certificate(
+        HullQuery.of([rows[i] for i in pos]), nilpotent, relative_interior=False
+    ):
         raise ArithmeticError("witness x-part is not nilpotent")
 
 

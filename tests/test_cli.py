@@ -314,10 +314,10 @@ class TestSelftest:
     def test_mutation_is_detected(self, capsys, monkeypatch):
         # Harness check: a wrong fast path must be reported with the
         # offending matrix echoed.
-        real = torus.components
+        real = torus._components
 
-        def broken(w, max_components=None):
-            out = real(w, max_components)
+        def broken(w, core, max_components):
+            out = real(w, core, max_components)
             if w.n >= 2:
                 return type(out)(
                     components=out.components[:-1] if out.components else None,
@@ -328,7 +328,7 @@ class TestSelftest:
                 )
             return out
 
-        monkeypatch.setattr(cli.torus, "components", broken)
+        monkeypatch.setattr(cli.torus, "_components", broken)
         code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
         assert code == 1
         assert "FAIL" in out
@@ -387,3 +387,14 @@ class TestSelftest:
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
         assert len(calls) <= 2 * 30
+
+    def test_one_circuit_core_per_matrix(self, monkeypatch):
+        # Components, visibility and the witness share one elimination.
+        calls = []
+        real = torus._circuits
+        monkeypatch.setattr(
+            torus, "_circuits", lambda w: calls.append(w) or real(w)
+        )
+        ok, _ = cli.run_selftest(0, count=30)
+        assert ok
+        assert len(calls) == 30

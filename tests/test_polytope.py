@@ -180,3 +180,110 @@ def test_monotonicity_under_extra_points():
             )
             grown += 1
     assert grown > 10  # the scenario actually occurred
+
+
+class TestVerifyCertificate:
+    def test_outside_of_wrong_length_rejected(self):
+        q = HullQuery.of([(1, -5), (2, 3)])
+        for functional in [(1,), (1, 0, 9)]:
+            for relint in (False, True):
+                assert not polytope.verify_certificate(
+                    q, Outside(functional), relative_interior=relint
+                )
+        assert polytope.verify_certificate(q, Outside((1, 0)), False)
+
+    def test_int_and_fraction_coefficients(self):
+        q = HullQuery.of([(1,), (1,), (-2,)])
+        assert polytope.verify_certificate(q, Inside((1, 3, 2)), True)
+        assert not polytope.verify_certificate(q, Inside((1, 3, 2)), False)
+        thirds = Inside((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+        assert polytope.verify_certificate(q, thirds, False)
+        assert polytope.verify_certificate(q, thirds, True)
+
+
+def reference_verify(q, cert, relative_interior):
+    """``verify_certificate`` by Fraction sums: the reference for the
+    integer version."""
+    if isinstance(cert, Inside):
+        coeffs = [Fraction(c) for c in cert.coefficients]
+        if len(coeffs) != len(q.points):
+            return False
+        for i in range(q.dim):
+            if sum((c * p[i] for c, p in zip(coeffs, q.points)), Fraction(0)):
+                return False
+        if relative_interior:
+            return all(c > 0 for c in coeffs)
+        return all(c >= 0 for c in coeffs) and sum(coeffs) == 1
+    if len(cert.functional) != q.dim:
+        return False
+    pairings = [
+        sum(a * b for a, b in zip(cert.functional, p)) for p in q.points
+    ]
+    if relative_interior:
+        return all(v >= 0 for v in pairings) and any(v > 0 for v in pairings)
+    return all(v > 0 for v in pairings)
+
+
+def _tamper(coeffs, how, k, delta, scale):
+    """One mutation of a coefficient or functional vector; k picks the
+    position, delta and scale are nonzero rationals."""
+    v = list(coeffs)
+    k %= len(v)
+    if how == "perturb":
+        v[k] += delta
+    elif how == "zero":
+        v[k] = 0
+    elif how == "negate":
+        v[k] = -v[k]
+    elif how == "drop":
+        del v[k]
+    elif how == "append":
+        v.append(delta)
+    elif how == "scale":  # a positive multiple: unnormalised for the hull
+        v = [c * abs(scale) for c in v]
+    elif how == "int":  # clear the denominators: int entries
+        v = list(polytope.integral_subgroup(v)) if any(v) else [0] * len(v)
+    return tuple(v)
+
+
+MUTATIONS = st.sampled_from(
+    ["none", "perturb", "zero", "negate", "drop", "append", "scale", "int"]
+)
+NONZERO = st.fractions(-3, 3, max_denominator=5).filter(bool)
+
+
+@given(queries, st.booleans(), MUTATIONS, st.integers(0, 10), NONZERO, NONZERO)
+@settings(max_examples=400, deadline=None)
+def test_integer_verification_matches_fraction_reference(
+    pts, relint, how, k, delta, scale
+):
+    q = HullQuery.of(pts)
+    if relint:
+        cert = polytope.zero_in_relative_interior(q)
+    else:
+        cert = polytope.zero_in_hull(q)
+    assert polytope.verify_certificate(q, cert, relint)
+    if isinstance(cert, Inside):
+        tampered = Inside(_tamper(cert.coefficients, how, k, delta, scale))
+    else:
+        functional = _tamper(cert.functional, how, k, delta, scale)
+        tampered = Outside(tuple(int(v) for v in functional))
+    for c in (cert, tampered):
+        for mode in (False, True):
+            assert polytope.verify_certificate(q, c, mode) == reference_verify(
+                q, c, mode
+            ), (pts, c, mode)
+
+
+@given(
+    queries,
+    st.booleans(),
+    st.lists(st.fractions(-2, 2, max_denominator=4), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_coefficients_match_fraction_reference(pts, relint, coeffs):
+    q = HullQuery.of(pts)
+    for c in (Inside(tuple(coeffs)), Outside(tuple(int(v) for v in coeffs))):
+        assert polytope.verify_certificate(q, c, relint) == reference_verify(
+            q, c, relint
+        ), (pts, c, relint)

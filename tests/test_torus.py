@@ -558,6 +558,62 @@ class TestNonvisibleWitness:
             assert any(c < 0 for c in wit.relation)
             assert all(v == 0 for v in torus.moment_eval(w, wit.pair))
 
+    def test_constructed_witness_matches_the_searched_route(self, corpus):
+        # The hull searches stay the reference for the built certificates.
+        checked = 0
+        for w in corpus:
+            wit = torus.nonvisible_closed_witness(w)
+            if wit is None:
+                continue
+            assert isinstance(torus.pair_closed_orbit(w, wit.pair), Closed), (
+                w.matrix.entries
+            )
+            assert isinstance(
+                torus.classify_element(w, wit.pair.x), Nilpotent
+            ), w.matrix.entries
+            checked += 1
+        assert checked > 100
+
+    def test_analyze_runs_one_simplex_per_matrix(self, corpus, monkeypatch):
+        calls = []
+        real = polytope._phase_one
+        monkeypatch.setattr(
+            polytope,
+            "_phase_one",
+            lambda cols, rhs: calls.append(1) or real(cols, rhs),
+        )
+        for w in corpus:
+            before = len(calls)
+            cli.analyze(w)
+            assert len(calls) - before == 1, w.matrix.entries
+
+    @pytest.mark.parametrize(
+        "rows, relation, x, phi, message",
+        [
+            # One sign of TRIPLE's relation (-1, 1, 0) flipped.
+            ([[1], [1], [-2]], (1, 1, 0), (0, 1, 0), (1, 0, 0), "dependency"),
+            # Signs and supports agree, but no dependency.
+            ([[1], [1], [-2]], (-1, 2, 0), (0, 1, 0), (1, 0, 0), "dependency"),
+            # x misses an index of the positive part.
+            ([[1], [1], [-2]], (1, 1, 1), (0, 0, 0), (0, 0, 0), "supports"),
+            ([[1], [1], [-2]], (2, 0, 1), (1, 0, 0), (0, 0, 1), "supports"),
+            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 1), (1, 0, 0), "supports"),
+            # x and phi overlap at index 2: off the fiber.
+            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 0), (1, 1, 0), "fiber"),
+            # Positive relations: P is dependent, S_P t = 1 inconsistent.
+            ([[1], [2], [-1]], (1, 1, 3), (1, 1, 1), (0, 0, 0), "inconsistent"),
+            ([[1], [2], [1]], (1, 1, -3), (1, 1, 0), (0, 0, 1), "inconsistent"),
+            # No positive part.
+            ([[1], [-1]], (-1, -1), (0, 0), (1, 1), "x-part is zero"),
+        ],
+    )
+    def test_tampered_witness_is_rejected(
+        self, rows, relation, x, phi, message
+    ):
+        witness = torus.ClosedPairWitness(PairPoint.of(x, phi), relation)
+        with pytest.raises(ArithmeticError, match=message):
+            torus._verify_nonvisible_witness(wm(rows), witness)
+
     @pytest.mark.parametrize("n, r", [(40, 12), (80, 20)])
     def test_large_generic_matrices_are_analyzed(self, n, r):
         rng = random.Random(n)
