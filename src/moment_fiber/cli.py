@@ -194,7 +194,10 @@ def analyze(
 
 
 def _parse_weights_json(text: str) -> torus.WeightMatrix:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InputError("JSON input is nested too deeply") from None
     if isinstance(data, list):
         rows = data
     elif isinstance(data, dict) and "weights" in data:
@@ -217,6 +220,13 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
             try:
                 row.append(int(tok))
             except ValueError:
+                digits = tok[1:] if tok[:1] in "+-" else tok
+                if digits.isdecimal():  # only the length limit rejects it
+                    raise InputError(
+                        f"line {lineno}, field {colno}: an integer of"
+                        f" {len(digits)} digits exceeds the limit of"
+                        f" {sys.get_int_max_str_digits()} digits"
+                    ) from None
                 raise InputError(
                     f"line {lineno}, field {colno}: {tok!r} is not an integer"
                 ) from None
@@ -302,14 +312,16 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
             labels = "all-ones"  # type: ignore[assignment]
         elif tok == "scan":
             opts["scan"] = True
-        elif tok == "--delta-ge":
-            opts["delta_ge"] = _parse_int(next(it, "2"), "--delta-ge")
-        elif tok == "--check-order-not-div":
-            opts["not_div"] = [
-                _parse_int(v, "--check-order-not-div")
-                for v in next(it, "").split(",")
-                if v
-            ]
+        elif tok in ("--delta-ge", "--check-order-not-div"):
+            value = next(it, None)
+            if value is None:
+                raise InputError(f"{tok} needs a value")
+            if tok == "--delta-ge":
+                opts["delta_ge"] = _parse_int(value, tok)
+            else:
+                opts["not_div"] = [
+                    _parse_int(v, tok) for v in value.split(",") if v
+                ]
         else:
             raise InputError(f"unrecognized kac token {tok!r}")
     return family, rank, twist, labels, opts
@@ -616,7 +628,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         if args.command == "analyze":
             try:
                 w = _load_matrix(args.input)
-            except (InputError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # InputError, JSON and decoding errors
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             rep = analyze(

@@ -3,10 +3,11 @@
 Everything here is deliberately written against different algorithms than
 the main modules: ranks by inserting rows one at a time into an integer
 echelon basis that pivots from the right (cross-multiplication, then gcd
-division), kernels and solves by cross-multiplication Gauss-Jordan with gcd
-reduction (no Bareiss division, no rational RREF), hull membership by
-Caratheodory-style subset enumeration (no simplex), visibility by
-exhaustive partition search, mixed-sign circuits by subset enumeration.
+division; no Bareiss division, no rational RREF), kernels and solves by the
+same row insertion, with a unit tag carried along to record each relation,
+hull membership by Caratheodory-style subset enumeration (no simplex),
+visibility by exhaustive partition search, mixed-sign circuits by subset
+enumeration.
 The subset enumerations get each subset's rank by extending its parent
 subset's basis with one row instead of eliminating the subset afresh.
 These routes generate ground truth for the randomized suites; a bug cannot
@@ -40,6 +41,18 @@ _CIRCUIT_LIMIT = 16
 # -- independent exact linear algebra ----------------------------------------
 
 
+def _reduce(basis: list[tuple[int, list[int]]], row: Sequence[int]) -> list[int]:
+    """``row`` reduced against ``basis`` by integer cross-multiplication;
+    the result is 0 at every pivot column of the basis."""
+    reduced = list(row)
+    for col, b in basis:
+        f = reduced[col]
+        if f:
+            p = b[col]
+            reduced = [p * a - f * x for a, x in zip(reduced, b)]
+    return reduced
+
+
 def _insert_row(
     basis: list[tuple[int, list[int]]], row: Sequence[int]
 ) -> Optional[list[tuple[int, list[int]]]]:
@@ -47,16 +60,11 @@ def _insert_row(
 
     The basis is a list of (pivot column, row) pairs, pivots descending;
     each row's pivot is its rightmost nonzero column.  The new row is
-    reduced against them by integer cross-multiplication, divided by its
-    gcd and inserted in pivot order.  ``basis`` itself is not modified, so
-    a subset's basis can extend its parent subset's.
+    reduced against them (``_reduce``), divided by its gcd and inserted in
+    pivot order.  ``basis`` itself is not modified, so a subset's basis can
+    extend its parent subset's.
     """
-    reduced = list(row)
-    for col, b in basis:
-        f = reduced[col]
-        if f:
-            p = b[col]
-            reduced = [p * a - f * x for a, x in zip(reduced, b)]
+    reduced = _reduce(basis, row)
     col = len(reduced) - 1
     while col >= 0 and not reduced[col]:
         col -= 1
@@ -84,101 +92,74 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _gauss_jordan_integer(aug: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of ``aug`` in place over its first
-    ``ncols`` columns; returns the pivot columns.
+def _dependencies(vectors: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """One relation per vector in the span of the vectors before it.
 
-    Rows are combined by integer cross-multiplication and divided by the
-    gcd of their entries, so they stay integral and no rational arithmetic
-    runs.  Pivot rows come first; each has a nonzero entry at its pivot
-    and 0 in every other pivot column, so it is a multiple of the reduced
-    row-echelon row.  Columns past ``ncols`` are carried along.
+    The vectors are inserted in order, each tagged on the left with its
+    own unit vector; pivots are taken from the right, so they stay in the
+    data columns while the data is nonzero.  A vector whose data reduces
+    to 0 is not inserted, and its tag, divided by its own entry, is its
+    relation: 1 at its own index, nonzero elsewhere only at earlier
+    inserted vectors, sum_j rel_j * vectors[j] = 0.  The inserted vectors
+    are the greedy left-to-right basis, so the relations form the kernel
+    basis of the matrix with these vectors as columns that is read off
+    its reduced row-echelon form.
     """
-    n = len(aug)
-    where: list[int] = []
-    for col in range(ncols):
-        row = len(where)
-        piv = None
-        for i in range(row, n):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        prow = aug[row]
-        p = prow[col]
-        for i in range(n):
-            f = aug[i][col]
-            if i != row and f:
-                new = [a * p - f * b for a, b in zip(aug[i], prow)]
-                g = math.gcd(*new)
-                aug[i] = [x // g for x in new] if g > 1 else new
-        where.append(col)
-    return where
+    k = len(vectors)
+    basis: list[tuple[int, list[int]]] = []
+    relations = []
+    for i, v in enumerate(vectors):
+        tagged = [0] * k + list(v)
+        tagged[i] = 1
+        reduced = _reduce(basis, tagged)
+        if any(reduced[k:]):
+            # Reducing it again inside _insert_row changes nothing.
+            basis = _insert_row(basis, reduced) or basis
+        else:
+            own = reduced[i]
+            relations.append([Fraction(t, own) for t in reduced[:k]])
+    return relations
 
 
-def _solve_integer(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+def _checked(
+    relation: list[Fraction], vectors: Sequence[Sequence[int]]
+) -> list[Fraction]:
+    """``relation``, after checking in integers (over the lcm of its
+    denominators) that sum_i relation_i * vectors[i] = 0."""
+    scale = math.lcm(*(c.denominator for c in relation))
+    ints = [c.numerator * (scale // c.denominator) for c in relation]
+    for j in range(len(vectors[0])):
+        if sum(c * v[j] for c, v in zip(ints, vectors)):
+            raise ArithmeticError("relation does not annihilate the vectors")
+    return relation
+
+
+def _express(
+    target: Sequence[int], vectors: Sequence[Sequence[int]]
 ) -> Optional[list[Fraction]]:
-    """One exact solution of an integer system, or None if inconsistent.
+    """Coefficients c with sum_i c_i * vectors[i] = target, or None.
 
-    The right-hand side rides along the elimination as an extra column;
-    unknowns without a pivot are set to 0.
+    c is the target's relation over the greedy basis of the vectors,
+    negated (0 off that basis), and re-checked in integers.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(aug[0]) - 1 if aug else 0
-    where = _gauss_jordan_integer(aug, ncols)
-    for i in range(len(where), len(aug)):
-        if aug[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(where):
-        x[col] = Fraction(aug[r][ncols], aug[r][col])
-    return x
-
-
-def _integer_kernel(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column f: 1 at f,
-    0 at the other free columns, read off the integer elimination."""
-    aug = [list(r) for r in rows]
-    where = _gauss_jordan_integer(aug, ncols)
-    basis = []
-    for f in range(ncols):
-        if f in where:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, col in enumerate(where):
-            v[col] = Fraction(-aug[r][f], aug[r][col])
-        basis.append(v)
-    return basis
+    vectors = [*vectors, target]
+    relations = _dependencies(vectors)
+    if not relations or not relations[-1][-1]:
+        return None
+    return [-c for c in _checked(relations[-1], vectors)[:-1]]
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
-    """The kernel vector of the transpose system, 1 at the last index.
+    """The relation v with sum_i v_i * rows[i] = 0 and 1 at the last index.
 
-    Finds v with sum_i v_i * rows[i] = 0 from one integer elimination of
-    the transposed rows; only called when the corank is exactly one.
-    Returns None when the kernel vector is 0 at the last index (or the
-    corank is not one).  The relation is re-checked in integers.
+    Returns None unless the rows have exactly one relation and it sits at
+    the last index (a relation elsewhere is 0 there).  The relation is
+    re-checked in integers.
     """
-    k = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    kernel = _integer_kernel([[r[j] for r in rows] for j in range(ncols)], k)
-    if len(kernel) != 1 or kernel[0][-1] == 0:
+    relations = _dependencies(rows)
+    if len(relations) != 1 or not relations[0][-1]:
         return None
-    last = kernel[0][-1]
-    v = [c / last for c in kernel[0]]
-    scale = math.lcm(*(c.denominator for c in v))
-    ints = [c.numerator * (scale // c.denominator) for c in v]
-    if any(
-        sum(c * row[j] for c, row in zip(ints, rows)) for j in range(ncols)
-    ):
-        raise ArithmeticError("kernel vector does not annihilate the rows")
-    return v
+    return _checked(relations[0], rows)
 
 
 # -- components ---------------------------------------------------------------
@@ -337,12 +318,9 @@ def brute_mixed_circuit(w: WeightMatrix) -> Optional[tuple[int, ...]]:
     for size in range(1, w.n + 1):
         for mask in _masks_of_size(w.n, size):
             members = [i for i in range(w.n) if mask >> i & 1]
-            rows = [entries[i] for i in members]
-            if _rank_crossmul(rows) != size - 1:
-                continue
-            v = _kernel_vector(rows)
+            v = _kernel_vector([entries[i] for i in members])
             if v is None or any(c == 0 for c in v):
-                continue  # a proper subset is already dependent
+                continue  # nullity not one, or a proper subset is dependent
             if all(c > 0 for c in v) or all(c < 0 for c in v):
                 continue
             scale = math.lcm(*(c.denominator for c in v))
@@ -423,13 +401,12 @@ def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
     d = len(pts[0])
     if any(all(x == 0 for x in p) for p in pts):
         return True
-    idx = range(len(pts))
+    lifted = [p + (1,) for p in pts]
+    origin = (0,) * d + (1,)
     for size in range(1, d + 2):
-        for combo in itertools.combinations(idx, size):
+        for combo in itertools.combinations(lifted, size):
             # Solve sum c_i p_i = 0, sum c_i = 1 on the subset.
-            cols = [[pts[i][j] for i in combo] for j in range(d)] + [[1] * size]
-            rhs = [0] * d + [1]
-            sol = _lstsq_exact(cols, rhs, size)
+            sol = _express(origin, combo)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
@@ -468,32 +445,12 @@ def _cone_combination(
     d = len(target)
     if all(t == 0 for t in target):
         return []
-    idx = list(range(len(pts)))
     for size in range(1, d + 1):
-        for combo in itertools.combinations(idx, size):
-            cols = [[pts[i][j] for i in combo] for j in range(d)]
-            rhs = list(target)
-            sol = _lstsq_exact(cols, rhs, size)
+        for combo in itertools.combinations(pts, size):
+            sol = _express(target, combo)
             if sol is not None and all(c >= 0 for c in sol):
-                return [(pts[i], c) for i, c in zip(combo, sol)]
+                return list(zip(combo, sol))
     return None
-
-
-def _lstsq_exact(
-    rows: list[list[int]], rhs: list[int], nvars: int
-) -> Optional[list[Fraction]]:
-    """Exact solution of a (possibly overdetermined) linear system."""
-    if nvars == 0:
-        return [] if all(v == 0 for v in rhs) else None
-    sol = _solve_integer(rows, rhs)
-    if sol is None:
-        return None
-    scale = math.lcm(*(c.denominator for c in sol))
-    nums = [c.numerator * (scale // c.denominator) for c in sol]
-    for row, b in zip(rows, rhs):
-        if sum(c * v for c, v in zip(nums, row)) != b * scale:
-            return None
-    return sol
 
 
 # -- tangent spaces and sampling -----------------------------------------------
@@ -538,12 +495,10 @@ def random_fiber_point(
         while v == 0:
             v = rng.randint(-4, 4)
         x[i - 1] = Fraction(v)
-    # Tangent rows: direction j moves coordinate i by S[i][j] * x_i.
-    tangent = [
-        [int(x[i] * w.matrix.entries[i][j]) for i in range(w.n)]
-        for j in range(w.r)
-    ]
-    basis = _integer_kernel(tangent, w.n)
+    # Direction j moves coordinate i by S[i][j] * x_i, so phi annihilates
+    # the tangent space iff it is a relation among the scaled weights.
+    scaled = [[int(xi) * s for s in row] for xi, row in zip(x, w.matrix.entries)]
+    basis = _dependencies(scaled)
     phi = [Fraction(0)] * w.n
     for vec in basis:
         c = rng.randint(-3, 3)

@@ -90,6 +90,25 @@ class TestAnalyze:
         assert code == 2
         assert "parse error" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys):
+        code, _, err = run(["analyze", "[" * 50000], capsys)
+        assert code == 2
+        assert err.startswith("parse error:")
+        assert "nested too deeply" in err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        digits = "7" * 5000
+        code, _, err = run(["analyze", f"[[{digits}]]"], capsys)
+        assert code == 2
+        assert err.startswith("parse error:")
+        path = tmp_path / "weights.csv"
+        path.write_text(f"1, 0\n2, -{digits}\n")
+        code, _, err = run(["analyze", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("parse error: line 2, field 2:")
+        assert f"{sys.get_int_max_str_digits()} digits" in err
+        assert digits not in err
+
     def test_float_hint_adds_but_never_replaces(self, capsys):
         _, out, _ = run(
             ["analyze", "[[1],[-1]]", "--format", "json", "--float-hint"],
@@ -225,6 +244,20 @@ class TestKac:
         code, _, err = run(["kac", spec], capsys)
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "E7 twist=1 scan --delta-ge",
+            "E7 twist=1 scan --check-order-not-div",
+            "E7 twist=1 scan --delta-ge 3 --check-order-not-div",
+        ],
+    )
+    def test_option_without_value_exits_2(self, spec, capsys):
+        code, out, err = run(["kac", spec], capsys)
+        assert code == 2
+        assert "parse error" in err and "needs a value" in err
+        assert out == ""
 
 
 def test_worker_count_is_clamped():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -153,7 +154,12 @@ class TestIntMatrix:
 
 
 class TestAgainstOracle:
-    """The fast elimination against the oracle's integer eliminations."""
+    """The fast elimination against the oracle's row insertion.
+
+    The ranks agree, and the kernel basis equals, entry for entry, the
+    relations among the columns that the oracle's tagged insertion reads
+    off (both are the echelon-normalized basis, 1 at each free column).
+    """
 
     @given(huge_matrices)
     @settings(max_examples=150, deadline=None)
@@ -164,5 +170,38 @@ class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_oracle(self, rows):
         m = mat(rows)
-        expected = [tuple(v) for v in oracle._integer_kernel(rows, m.cols)]
+        columns = [[row[j] for row in rows] for j in range(m.cols)]
+        expected = [tuple(v) for v in oracle._dependencies(columns)]
         assert exactlin.kernel_basis(m) == expected
+
+
+class TestOracleDependencies:
+    """The oracle's relation reader, checked in integers."""
+
+    @given(huge_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_relations_annihilate_and_are_echelon_normalized(self, rows):
+        relations = oracle._dependencies(rows)
+        assert len(relations) == len(rows) - oracle._rank_crossmul(rows)
+        owns = [max(i for i, c in enumerate(rel) if c) for rel in relations]
+        assert owns == sorted(set(owns))
+        for own, rel in zip(owns, relations):
+            assert rel[own] == 1
+            assert all(rel[j] == 0 for j in owns if j != own)
+            scale = math.lcm(*(c.denominator for c in rel))
+            ints = [int(c * scale) for c in rel]
+            for j in range(len(rows[0])):
+                assert sum(c * row[j] for c, row in zip(ints, rows)) == 0
+
+    @given(huge_matrices, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_express_reproduces_a_combination(self, rows, data):
+        coeffs = data.draw(
+            st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows))
+        )
+        target = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                  for j in range(len(rows[0]))]
+        sol = oracle._express(target, rows)
+        assert sol is not None
+        for j, t in enumerate(target):
+            assert sum(c * row[j] for c, row in zip(sol, rows)) == t

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,22 @@ from moment_fiber.torus import NotVisible, PairPoint, VisibleDecomposition, Weig
 
 def wm(rows):
     return WeightMatrix.from_rows(rows)
+
+
+def test_oracle_imports_no_fast_path():
+    # The oracles stay independent of the elimination and simplex they check.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{a.name}".lstrip(".") for a in node.names)
+    parts = {p for name in imported for p in name.split(".")}
+    assert imported, "no imports found"
+    assert not parts & {"exactlin", "polytope"}, sorted(imported)
 
 
 class TestBruteComponents:
