@@ -9,12 +9,7 @@ carries a certificate (a convex combination, a separating one-parameter
 subgroup, a block relation) that verifies independently.
 """
 
-from .errors import (
-    CapabilityError,
-    InputError,
-    NotVisibleError,
-    UnsupportedDiagramError,
-)
+from .errors import CapabilityError, InputError, NotVisibleError
 from .exactlin import IntMatrix, RatVector, kernel_basis, rank, row_select
 from .polytope import (
     HullCertificate,
@@ -86,7 +81,6 @@ __all__ = [
     "PairPoint",
     "RatVector",
     "RootSystem",
-    "UnsupportedDiagramError",
     "VinbergClassicalInput",
     "VisibleDecomposition",
     "WeightMatrix",

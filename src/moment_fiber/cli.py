@@ -5,8 +5,9 @@ Subcommands:
 * ``moment-fiber analyze INPUT``: full structural report for a weight
   matrix, with certificates; INPUT is a path (JSON or CSV), inline JSON,
   or ``-`` for stdin.
-* ``moment-fiber kac SPEC...``: grading data for one Kac diagram, or a
-  labeling scan (``scan --delta-ge N [--check-order-not-div A,B]``).
+* ``moment-fiber kac SPEC...``: grading data for one Kac diagram, twisted
+  or not, or a labeling scan (``scan --delta-ge N
+  [--check-order-not-div A,B]``).
 * ``moment-fiber selftest``: randomized oracle-vs-fast-path suites.
 
 Exit codes: 0 success (also when the reader closes the output pipe
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
-from .errors import CapabilityError, InputError, UnsupportedDiagramError
+from .errors import CapabilityError, InputError
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -193,9 +194,23 @@ def analyze(
 # -- input parsing -------------------------------------------------------------
 
 
+def _too_many_digits(digits: str) -> str:
+    return (
+        f"an integer of {len(digits)} digits exceeds the limit of"
+        f" {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # only the length limit rejects a JSON integer
+        raise InputError(_too_many_digits(text.lstrip("-"))) from None
+
+
 def _parse_weights_json(text: str) -> torus.WeightMatrix:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise InputError("JSON input is nested too deeply") from None
     if isinstance(data, list):
@@ -223,9 +238,8 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
                 digits = tok[1:] if tok[:1] in "+-" else tok
                 if digits.isdecimal():  # only the length limit rejects it
                     raise InputError(
-                        f"line {lineno}, field {colno}: an integer of"
-                        f" {len(digits)} digits exceeds the limit of"
-                        f" {sys.get_int_max_str_digits()} digits"
+                        f"line {lineno}, field {colno}:"
+                        f" {_too_many_digits(digits)}"
                     ) from None
                 raise InputError(
                     f"line {lineno}, field {colno}: {tok!r} is not an integer"
@@ -260,21 +274,11 @@ def _load_matrix(spec: str) -> torus.WeightMatrix:
 
 
 _KAC_NODE_ORDER_DOC = """\
-Label order per type (affine node always last):
-  A..D, F, G : alpha_1 .. alpha_n, alpha_0
-  E6         : arm alpha_1, alpha_3, alpha_4, alpha_5, alpha_6, branch
-               alpha_2, then alpha_0
-  E7 / E8    : arm alpha_1, alpha_3, .., alpha_n, branch alpha_2, alpha_0
-  twisted    : folded chain away from the affine node, then the affine node
+Kac label order (affine node alpha_0 always last):
+  untwisted : Bourbaki alpha_1 .. alpha_n, then alpha_0
+  twisted   : alpha_1 .. alpha_l as numbered in Kac's Tables Aff 2 and
+              Aff 3, then alpha_0
 """
-
-
-def _input_order(family: str, rank: int, twist: int, count: int) -> list[int]:
-    """Positions: input label index -> internal index (alpha_1..l, affine)."""
-    if twist == 1 and family == "E":
-        arm = [0] + list(range(2, rank))  # alpha_1, alpha_3..alpha_n
-        return arm + [1, rank]  # branch alpha_2, then affine
-    return list(range(count))
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -332,17 +336,13 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def cmd_kac(tokens: Sequence[str], allow_twisted_table: bool = False) -> dict:
+def cmd_kac(tokens: Sequence[str]) -> dict:
     flat: list[str] = []
     for tok in tokens:
         flat.extend(tok.split())
     family, rank, twist, labels, opts = _diagram_from_tokens(flat)
     if opts["scan"]:
-        if twist != 1:
-            raise UnsupportedDiagramError(
-                "labeling scans over twisted diagrams are not supported"
-            )
-        hits = theta.levi_order_scan(family, rank, min_delta=opts["delta_ge"])
+        hits = theta.levi_order_scan(family, rank, opts["delta_ge"], twist)
         violations = [
             h for h in hits
             if any(h.order % q == 0 for q in opts["not_div"])
@@ -370,29 +370,16 @@ def cmd_kac(tokens: Sequence[str], allow_twisted_table: bool = False) -> dict:
     if labels == "all-ones" or labels is None:
         d = theta.KacDiagram.all_ones(family, rank, twist)
     else:
-        order = _input_order(family, rank, twist, len(labels))
-        if len(order) != len(labels):
-            raise InputError(
-                f"{family}{rank}^({twist}) needs {len(order)} labels,"
-                f" got {len(labels)}"
-            )
-        internal = [0] * len(labels)
-        for pos, lab in enumerate(labels):
-            internal[order[pos]] = lab
-        d = theta.KacDiagram.of(family, rank, internal, twist=twist)
-    gd = theta.graded_dims(d, allow_twisted_table=allow_twisted_table)
-    out = {
+        d = theta.KacDiagram.of(family, rank, labels, twist=twist)
+    gd = theta.graded_dims(d)
+    return {
         "type": f"{family}{rank}",
         "twist": twist,
         "labels": list(d.labels),
         "order": gd.order,
         "delta": gd.delta,
+        "dims": list(gd.dims),
     }
-    if gd.complete:
-        out["dims"] = list(gd.dims)
-    else:
-        out["dims_degree_0_1"] = list(gd.dims[:2])
-    return out
 
 
 # -- selftest -------------------------------------------------------------------
@@ -480,17 +467,20 @@ def run_selftest(
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
     """Oracle-vs-fast-path randomized suites; returns (ok, messages)."""
-    shards = _worker_count(min(jobs, count))  # no idle workers
+    # The shards depend on --jobs and --count only, so every host checks
+    # the same matrices; the host's CPU count bounds only the processes.
+    shards = min(jobs, count)
     per, extra = divmod(count, shards)
     args = [
         (seed + 1000 * i, per + (i < extra), max_n, max_r, max_entry)
         for i in range(shards)
     ]
-    if shards == 1:
-        results = [_selftest_chunk(args[0])]
+    processes = _worker_count(shards)
+    if processes == 1:
+        results = [_selftest_chunk(a) for a in args]
     else:
         import multiprocessing  # only here: it costs about 1 MB to import
-        with multiprocessing.Pool(processes=shards) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(_selftest_chunk, args)
     failures = [msg for chunk in results for msg in chunk]
     lines = [
@@ -596,9 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kac", help="Kac diagram gradings and scans")
     pk.add_argument("spec", nargs=argparse.REMAINDER,
-                    help="e.g. E6 twist=1 labels=1,1,0,1,1,1,1")
+                    help="e.g. E6 twist=1 labels=1,1,1,0,1,1,1")
     pk.add_argument("--format", choices=FORMATS, default="text")
-    pk.add_argument("--allow-twisted-table", action="store_true")
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
     ps.add_argument("--seed", type=int, default=0)
@@ -657,11 +646,9 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                                 "argument --format: needs one of"
                                 f" {', '.join(FORMATS)}, got {args.format!r}"
                             )
-                    elif tok == "--allow-twisted-table":
-                        args.allow_twisted_table = True
                     else:
                         spec.append(tok)
-                out = cmd_kac(spec, allow_twisted_table=args.allow_twisted_table)
+                out = cmd_kac(spec)
             except InputError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE

@@ -6,13 +6,9 @@ class InputError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """A request the library deliberately refuses (size caps, unsupported
-    diagram labelings, operations whose preconditions fail)."""
+    """A request the library deliberately refuses: an operation whose
+    precondition fails, such as a trivial action or an oracle size cap."""
 
 
 class NotVisibleError(CapabilityError):
     """Raised by operations that require a visible weight matrix."""
-
-
-class UnsupportedDiagramError(CapabilityError):
-    """Raised for Kac-diagram labelings outside the supported range."""

@@ -1,19 +1,27 @@
 """Root systems, Kac-diagram gradings, and classical-case dimension counts.
 
-A Kac diagram is an affine (possibly twisted) Dynkin diagram with one
-{0,1} label per node.  It determines a cyclic grading of the corresponding
-simple Lie algebra; this module computes the grading order, the graded
-dimension vector for untwisted diagrams, the scans over all labelings used
-by the rank-one classification, and the closed dimension-difference
-formulas for the four classical families of gradings.
+A Kac diagram is an affine (possibly twisted) Dynkin diagram X_N^(k) with
+one {0,1} label per node.  It determines a cyclic grading of the simple
+Lie algebra X_N; this module computes the grading order, the graded
+dimension vector, the scans over all labelings used by the rank-one
+classification, and the closed dimension-difference formulas for the four
+classical families of gradings.
+
+Every grading, twisted or not, comes from one routine (Kac,
+*Infinite-Dimensional Lie Algebras*, 8.3 and Thm 8.6): X_N splits into
+eigenvectors of the diagram automorphism mu of order k, each with its
+root restricted to the mu-fixed Cartan, and the labels give each
+eigenvector its degree.  For k = 1, mu is the identity and the
+eigenvectors are the root vectors and the Cartan.
 
 Cartan matrices and marks are embedded static data (Bourbaki numbering);
-all roots are generated from the Cartan matrix by string closure and the
-embedded marks are cross-checked against the computed highest root.
+all roots are generated from the Cartan matrix by string closure, and the
+embedded marks are cross-checked against the computed highest root
+(untwisted) or the highest weight of the exp(2 pi i / k) eigenspace.
 
-Node order for labels: the finite nodes alpha_1..alpha_l first, the affine
-node last.  For twisted diagrams the finite nodes are those of the folded
-diagram, in chain order away from the affine node.
+Node order for labels: the finite nodes alpha_1..alpha_l first, the
+affine node alpha_0 last.  Untwisted diagrams use Bourbaki's numbering,
+twisted ones that of Kac's Tables Aff 2 and Aff 3.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional
 
 from . import exactlin
-from .errors import InputError, UnsupportedDiagramError
+from .errors import InputError
 
 Root = tuple[int, ...]
 
@@ -138,13 +147,9 @@ def _validate_type(family: str, rank: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def build_root_system(family: str, rank: int) -> RootSystem:
-    """Generate the full root system by string closure from the Cartan
-    matrix; the embedded marks must match the computed highest root."""
-    _validate_type(family, rank)
-    cartan = _cartan_matrix(family, rank)
-    n = rank
+def _positive_roots(cartan: list[list[int]]) -> set[Root]:
+    """Positive roots of a finite-type Cartan matrix, by string closure."""
+    n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     positive: set[Root] = set(simple)
     frontier = list(simple)
@@ -170,16 +175,30 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                         positive.add(cand)
                         new.append(cand)
         frontier = new
-    highest = max(positive, key=lambda r: (sum(r), r))
+    return positive
+
+
+def _roots(family: str, rank: int) -> tuple[Root, ...]:
+    """All roots of the type, positive ones first; no rank-range check."""
+    positive = _positive_roots(_cartan_matrix(family, rank))
+    return tuple(sorted(positive)) + tuple(
+        sorted(tuple(-x for x in r) for r in positive)
+    )
+
+
+@lru_cache(maxsize=None)
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """Generate the full root system by string closure from the Cartan
+    matrix; the embedded marks must match the computed highest root."""
+    _validate_type(family, rank)
+    roots = _roots(family, rank)
+    highest = max(roots, key=lambda r: (sum(r), r))
     marks = _FINITE_MARKS[family](rank)
     if tuple(highest) != tuple(marks):
         raise ArithmeticError(
             f"embedded marks for {family}{rank} disagree with the computed"
             f" highest root {highest}"
         )
-    roots = tuple(sorted(positive)) + tuple(
-        sorted(tuple(-x for x in r) for r in positive)
-    )
     return RootSystem(
         family=family,
         rank=rank,
@@ -234,14 +253,6 @@ class KacDiagram:
     def name(self) -> str:
         return f"{self.family}{self.rank}^({self.twist})"
 
-    @property
-    def node_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def is_all_ones(self) -> bool:
-        return all(v == 1 for v in self.labels)
-
 
 def _marks_for(family: str, rank: int, twist: int) -> tuple[int, ...]:
     if twist == 1:
@@ -261,109 +272,121 @@ def kac_order(d: KacDiagram) -> int:
     return d.twist * sum(a * v for a, v in zip(marks, d.labels))
 
 
+# -- gradings from the folded root system --------------------------------------
+
+
+def _folded_nodes(
+    family: str, rank: int, twist: int
+) -> tuple[Optional[tuple[int, ...]], ...]:
+    """Per label position, the mu-orbit of simple roots of X_N (0-based
+    Bourbaki) that the node folds from, or None for the node E_0 whose
+    root vector is a lowest weight vector of the exp(2 pi i / k)
+    eigenspace.  mu maps each orbit entry to the next one."""
+    n = len(_marks_for(family, rank, twist)) - 1
+    if twist == 1:
+        return tuple((i,) for i in range(rank)) + (None,)
+    if family == "A" and rank % 2 == 0:  # A_2n: E_0 is the mark-1 node n
+        return tuple((n - p - 1, n + p) for p in range(1, n)) + (None, (n - 1, n))
+    if family == "A":  # A_(2n-1)
+        return tuple((p - 1, 2 * n - 1 - p) for p in range(1, n)) + ((n - 1,), None)
+    if twist == 2 and family == "D":  # D_(n+1)
+        return tuple((p - 1,) for p in range(1, n)) + ((n - 1, n), None)
+    if family == "E":
+        return ((0, 5), (2, 4), (3,), (1,), None)
+    return ((0, 2, 3), (1,), None)  # D4^(3)
+
+
+@lru_cache(maxsize=None)
+def _eigenvectors(
+    family: str, rank: int, twist: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A basis of X_N of eigenvectors of the diagram automorphism mu of
+    order k = twist, as pairs (j, restricted root): mu acts by
+    exp(2 pi i j / k), and the restricted root holds, per label position,
+    the root's coefficient sum over that node's orbit (0 at E_0)."""
+    marks = _marks_for(family, rank, twist)
+    nodes = _folded_nodes(family, rank, twist)
+    orbits = [p for p in nodes if p is not None]
+    back = list(range(rank))  # mu^-1 on the simple roots
+    for p in orbits:
+        for i, a in enumerate(p):
+            back[a] = p[i - 1]
+    # The Cartan: an orbit of s simple coroots spans one vector in each
+    # j that is a multiple of k/s.
+    zero = (0,) * len(nodes)
+    out = [(j, zero) for p in orbits for j in range(0, twist, twist // len(p))]
+    # A root fixed by mu has eigenvalue -1 when two nodes of one orbit are
+    # joined (A_2n), else 1.  A free orbit of k roots spans one vector in
+    # each j; the k roots carry them, one each, in sorted order.
+    cartan = _cartan_matrix(family, rank)
+    fixed_j = int(any(cartan[a][b] for p in orbits for a in p for b in p if a != b))
+    for root in _roots(family, rank):
+        orbit = [root]
+        while len(orbit) < twist:
+            orbit.append(tuple(orbit[-1][a] for a in back))
+        j = fixed_j if orbit.count(root) == twist else sorted(orbit).index(root)
+        out.append((j, tuple(0 if p is None else sum(root[i] for i in p) for p in nodes)))
+    # The highest restricted weight with j = 1 is the marks of the other
+    # nodes, and E_0 has mark 1 (for k = 1: the highest root).
+    top = max((c for j, c in out if j == 1 % twist), key=lambda c: (sum(c), c))
+    if top != tuple(0 if p is None else a for p, a in zip(nodes, marks)) or (
+        marks[nodes.index(None)] != 1
+    ):
+        raise ArithmeticError(
+            f"embedded marks for {family}{rank}^({twist}) disagree with the"
+            f" folded root system's highest weight {top}"
+        )
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GradedDims:
-    """Dimension vector of the cyclic grading defined by a Kac diagram.
-
-    For untwisted diagrams ``dims`` covers every degree mod ``order``
-    (``complete`` is True).  For twisted all-ones diagrams only degrees
-    0 and 1 are produced.
-    """
+    """Dimension vector of the cyclic grading defined by a Kac diagram:
+    ``dims[j]`` is the dimension of degree j mod ``order``."""
 
     order: int
     dims: tuple[int, ...]
-    complete: bool = True
-
-    def dim(self, j: int) -> int:
-        if self.complete:
-            return self.dims[j % self.order]
-        if j % self.order in (0, 1):
-            return self.dims[j % self.order]
-        raise UnsupportedDiagramError(
-            "only degrees 0 and 1 are available for this diagram"
-        )
 
     @property
     def delta(self) -> int:
         """dim in degree 1 minus dim in degree 0."""
-        return self.dim(1) - self.dim(0)
+        return self.dims[1 % self.order] - self.dims[0]
 
 
-# The one richer twisted record the library will hand out (behind a flag):
-# the remaining exceptional normal rank-one diagram, with its degree-0/1
-# dimensions taken from the classification tables.
-TWISTED_TABLE_RECORDS: dict[KacDiagram, tuple[int, int]] = {}
+def _degrees(d: KacDiagram, m: int):
+    """(degree mod m, restricted root) of each eigenvector: an eigenvector
+    (j, c) of mu has degree j m / k + sum_P c_P s_P (Kac, Thm 8.6)."""
+    step = m // d.twist
+    for j, coords in _eigenvectors(d.family, d.rank, d.twist):
+        yield (j * step + sum(map(mul, coords, d.labels))) % m, coords
 
 
-def _register_twisted_records() -> None:
-    d = KacDiagram.of("E", 6, (1, 0, 1, 1, 1), twist=2)
-    # 0-labelled part is a single node (three-dimensional algebra) plus a
-    # three-dimensional centre; degree 1 exceeds degree 0 by one.
-    TWISTED_TABLE_RECORDS[d] = (6, 7)
-
-
-_register_twisted_records()
-
-
-def graded_dims(d: KacDiagram, allow_twisted_table: bool = False) -> GradedDims:
-    """Graded dimensions for a Kac diagram.
-
-    Untwisted: the degree of a root sum(k_i alpha_i) is sum(k_i v_i) mod m;
-    the degree-0 part additionally carries the Cartan subalgebra.  Twisted
-    diagrams are supported for the all-ones labeling (degrees 0 and 1 are
-    forced: Cartan in degree 0, one line per node in degree 1) and, behind
-    ``allow_twisted_table``, for the embedded table records.
-    """
+def graded_dims(d: KacDiagram) -> GradedDims:
+    """Graded dimensions of the grading of X_N by a Kac diagram X_N^(k),
+    twisted or not: one per eigenvector of the diagram automorphism, in
+    the degree its restricted root and eigenvalue give.  For k = 1 a root
+    sum(k_i alpha_i) has degree sum(k_i s_i) mod m, and the Cartan
+    subalgebra sits in degree 0."""
     m = kac_order(d)
-    if d.twist != 1:
-        if d.is_all_ones:
-            l = d.node_count - 1
-            return GradedDims(order=m, dims=(l, l + 1), complete=False)
-        if allow_twisted_table and d in TWISTED_TABLE_RECORDS:
-            return GradedDims(
-                order=m, dims=TWISTED_TABLE_RECORDS[d], complete=False
-            )
-        raise UnsupportedDiagramError(
-            f"twisted diagram {d.name()} with labels {d.labels} is outside"
-            " the supported range (all-ones only)"
-        )
-    rs = build_root_system(d.family, d.rank)
     dims = [0] * m
-    dims[0] += d.rank
-    finite_labels = d.labels[:-1]
-    for root in rs.roots:
-        deg = sum(k * v for k, v in zip(root, finite_labels)) % m
+    for deg, _ in _degrees(d, m):
         dims[deg] += 1
-    gd = GradedDims(order=m, dims=tuple(dims), complete=True)
-    _check_graded(rs, gd)
-    return gd
-
-
-def _check_graded(rs: RootSystem, gd: GradedDims) -> None:
-    if sum(gd.dims) != len(rs.roots) + rs.rank:
+    if sum(dims) != len(_eigenvectors(d.family, d.rank, d.twist)):
         raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
-    for j in range(gd.order):
-        if gd.dims[j] != gd.dims[-j % gd.order]:
-            raise ArithmeticError("graded dimensions are not symmetric")
+    if any(dims[j] != dims[-j % m] for j in range(m)):
+        raise ArithmeticError("graded dimensions are not symmetric")
+    return GradedDims(order=m, dims=tuple(dims))
 
 
 def zero_part_semisimple_rank(d: KacDiagram) -> int:
-    """Rank of the degree-0 root subsystem (untwisted diagrams).
+    """Rank of the degree-0 root subsystem: the span of the restricted
+    roots of degree 0.
 
     Equals the number of 0-labelled nodes: the semisimple part of the
     degree-0 subalgebra is read off the 0-labelled subdiagram.
     """
-    if d.twist != 1:
-        raise UnsupportedDiagramError("only untwisted diagrams supported")
     m = kac_order(d)
-    rs = build_root_system(d.family, d.rank)
-    finite_labels = d.labels[:-1]
-    degree_zero = [
-        root
-        for root in rs.roots
-        if sum(k * v for k, v in zip(root, finite_labels)) % m == 0
-    ]
-    return exactlin.rank_rows(degree_zero) if degree_zero else 0
+    return exactlin.rank_rows([c for deg, c in _degrees(d, m) if deg == 0])
 
 
 # -- labeling scans -------------------------------------------------------------
@@ -377,11 +400,8 @@ def _all_labelings(node_count: int):
 def rank1_dim_filter(family: str, rank: int, twist: int = 1) -> list[KacDiagram]:
     """All {0,1}-labelings whose grading gains exactly one dimension from
     degree 0 to degree 1."""
-    if twist != 1:
-        raise UnsupportedDiagramError(
-            "labeling scans over twisted diagrams are not supported"
-        )
-    return [h.diagram for h in levi_order_scan(family, rank, 1) if h.delta == 1]
+    hits = levi_order_scan(family, rank, 1, twist)
+    return [h.diagram for h in hits if h.delta == 1]
 
 
 @dataclass(frozen=True)
@@ -392,14 +412,14 @@ class ScanHit:
 
 
 def levi_order_scan(
-    family: str, rank: int, min_delta: int = 2
+    family: str, rank: int, min_delta: int = 2, twist: int = 1
 ) -> list[ScanHit]:
-    """All untwisted {0,1}-labelings with degree-1 excess at least
+    """All {0,1}-labelings of the diagram with degree-1 excess at least
     ``min_delta``, together with their grading orders."""
-    marks = _marks_for(family, rank, 1)
+    marks = _marks_for(family, rank, twist)
     out = []
     for labels in _all_labelings(len(marks)):
-        d = KacDiagram(family, rank, 1, labels)
+        d = KacDiagram(family, rank, twist, labels)
         gd = graded_dims(d)
         if gd.delta >= min_delta:
             out.append(ScanHit(diagram=d, order=gd.order, delta=gd.delta))

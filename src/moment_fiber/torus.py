@@ -42,7 +42,8 @@ class WeightMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightMatrix":
-        return cls(IntMatrix.from_rows(rows))
+        rows = list(rows)  # no rows: __post_init__ names the shape rule
+        return cls(IntMatrix.from_rows(rows, None if rows else 0))
 
     @property
     def n(self) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -96,6 +98,24 @@ class TestAnalyze:
         assert err.startswith("parse error:")
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize("spec", ["[]", '{"weights": []}'])
+    def test_empty_matrix_exits_2(self, spec, capsys):
+        code, _, err = run(["analyze", spec], capsys)
+        assert code == 2
+        # the message "[[]]" gets, not one about a column-count argument
+        assert err == (
+            "parse error: weight matrix needs n >= 1 rows and r >= 1 columns\n"
+        )
+
+    def test_json_integer_past_the_digit_limit_names_it(self, capsys):
+        digits = "7" * 5000
+        code, _, err = run(["analyze", f'{{"weights": [[1], [-{digits}]]}}'], capsys)
+        assert code == 2
+        assert err == (
+            "parse error: an integer of 5000 digits exceeds the limit of"
+            f" {sys.get_int_max_str_digits()} digits\n"
+        )
+
     def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
         digits = "7" * 5000
         code, _, err = run(["analyze", f"[[{digits}]]"], capsys)
@@ -151,7 +171,7 @@ class TestAnalyze:
 class TestKac:
     def test_rank_one_diagram_string(self, capsys):
         code, out, _ = run(
-            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1", "--format", "json"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -183,30 +203,84 @@ class TestKac:
         assert rep["scan"]["violations"] == []
         assert rep["scan"]["hits"]
 
-    def test_unsupported_twisted_exits_3(self, capsys):
-        code, _, err = run(["kac", "E6 twist=2 labels=1,0,1,1,1"], capsys)
-        assert code == 3
-        assert "refused" in err
-
-    def test_twisted_scan_exits_3(self, capsys):
-        code, out, err = run(["kac", "E6 twist=2 scan"], capsys)
-        assert code == 3
-        assert "refused" in err
-        assert out == ""
-
-    def test_twisted_table_flag(self, capsys):
+    def test_twisted_labels(self, capsys):
         code, out, _ = run(
-            [
-                "kac",
-                "E6 twist=2 labels=1,0,1,1,1 --allow-twisted-table",
-                "--format",
-                "json",
-            ],
-            capsys,
+            ["kac", "E6 twist=2 labels=1,0,1,1,1", "--format", "json"], capsys
         )
         assert code == 0
         rep = json.loads(out)
-        assert rep["order"] == 12 and rep["delta"] == 1
+        assert (rep["order"], rep["delta"]) == (12, 1)
+        assert rep["dims"] == [6, 7, 7, 6, 6, 7, 6, 7, 6, 6, 7, 7]
+
+    def test_twisted_scan(self, capsys):
+        code, out, err = run(
+            ["kac", "E6 twist=2 scan --delta-ge 1", "--format", "json"], capsys
+        )
+        assert code == 0 and err == ""
+        hits = json.loads(out)["scan"]["hits"]
+        assert [(h["labels"], h["order"], h["delta"]) for h in hits] == [
+            ([0, 0, 1, 0, 0], 4, 2),
+            ([0, 0, 0, 1, 0], 2, 6),
+            ([0, 0, 1, 0, 1], 6, 3),
+            ([1, 0, 1, 0, 1], 10, 1),
+            ([1, 0, 1, 1, 1], 12, 1),
+            ([1, 1, 1, 1, 1], 18, 1),
+        ]
+
+    def test_twisted_table_flag(self, capsys):
+        # The computed grading needs no flag, and the flag is gone.
+        code, _, err = run(
+            ["kac", "E6 twist=2 labels=1,0,1,1,1 --allow-twisted-table"], capsys
+        )
+        assert code == 2
+        assert "unrecognized kac token '--allow-twisted-table'" in err
+        code, out, _ = run(
+            ["kac", "E6 twist=2 labels=1,0,1,1,1", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["dims"][:2] == [6, 7]
+
+    @pytest.mark.parametrize(
+        "spec", ["E6 twist=1", "E7 twist=1", "E6 twist=2", "A6 twist=2"]
+    )
+    def test_scan_hits_read_back_through_labels(self, spec, capsys):
+        # Scans print labels in the order labels= reads them.
+        code, out, _ = run(
+            ["kac", f"{spec} scan --delta-ge 1", "--format", "json"], capsys
+        )
+        assert code == 0
+        hits = json.loads(out)["scan"]["hits"]
+        assert hits
+        for hit in hits:
+            labels = ",".join(map(str, hit["labels"]))
+            code, out, _ = run(
+                ["kac", f"{spec} labels={labels}", "--format", "json"], capsys
+            )
+            assert code == 0
+            rep = json.loads(out)
+            assert (rep["labels"], rep["order"], rep["delta"]) == (
+                hit["labels"], hit["order"], hit["delta"]
+            )
+
+    def test_readme_examples(self, capsys):
+        # Each `moment-fiber kac` line of the README's CLI block runs and
+        # gives what its comment says.
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = [
+                line for line in fh if line.startswith('moment-fiber kac "')
+            ]
+        assert len(lines) >= 4
+        for line in lines:
+            command, _, comment = line.partition("#")
+            code, out, _ = run(shlex.split(command)[1:] + ["--format", "json"], capsys)
+            assert code == 0, line
+            rep = json.loads(out)
+            for key, value in re.findall(r"(order|delta) (-?\d+)", comment):
+                assert rep[key] == int(value), line
+            dims = re.search(r"dims \(([\d, ]+)\)", comment)
+            if dims:
+                assert rep["dims"] == [int(v) for v in dims[1].split(",")], line
 
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(["kac", "Q9 labels=1"], capsys)
@@ -215,9 +289,9 @@ class TestKac:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1", "--format", "xml"],
-            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1 --format xml"],
-            ["kac", "E6 twist=1 labels=1,1,0,1,1,1,1", "--format"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format", "xml"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1 --format xml"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format"],
         ],
     )
     def test_bad_format_exits_2(self, argv, capsys):
@@ -408,6 +482,38 @@ class TestSelftest:
         assert "selftest: 5 matrices" in out
         assert shard_counts == [3, 2]
         assert len(drawn) == 5
+
+    def test_shards_do_not_depend_on_the_host(self, monkeypatch):
+        # --jobs 4 checks the same four shards on a 1-CPU and an 8-CPU host.
+        import multiprocessing
+
+        class SerialPool:
+            def __init__(self, processes):
+                assert processes <= 4
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        shards = {}
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(
+                cli, "_selftest_chunk",
+                lambda args: shards.setdefault(cpus, []).append(args) or [],
+            )
+            ok, _ = cli.run_selftest(7, count=200, jobs=4)
+            assert ok
+        assert shards[1] == shards[8]
+        assert [a[:2] for a in shards[1]] == [
+            (7, 50), (1007, 50), (2007, 50), (3007, 50)
+        ]
 
     def test_at_most_two_ranks_per_matrix(self, monkeypatch):
         # The smooth-witness suite checks local freeness once per matrix,

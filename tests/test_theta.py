@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from moment_fiber import oracle, theta
-from moment_fiber.errors import InputError, UnsupportedDiagramError
+from moment_fiber.errors import InputError
 from moment_fiber.theta import (
     KacDiagram,
     VinbergClassicalInput,
@@ -50,6 +50,52 @@ NONNORMAL_DIAGRAMS = {
 }
 NONNORMAL_ORDERS = {9, 14, 24, 20, 15}
 NORMAL_UNTWISTED = {("G", 2): (0, 1, 1), ("F", 4): (1, 1, 0, 1, 1)}
+
+TWISTED = sorted(theta._TWISTED_MARKS)
+
+# Degrees 0 and 1 of E6^(2) with labels (1,0,1,1,1), as the classification
+# tables list them.
+E6_TWISTED_TABLE_DIMS = (6, 7)
+
+
+def twisted_cartan(family, rank, twist):
+    """The affine Cartan matrix a_ij = <alpha_i^vee, alpha_j> of Kac's
+    Tables Aff 2 and Aff 3, rows and columns in label order (alpha_1..
+    alpha_l, alpha_0)."""
+    size = len(theta._TWISTED_MARKS[family, rank, twist])
+    l = size - 1
+    a = [[2 * (i == j) for j in range(size)] for i in range(size)]
+
+    def bond(i, j, a_ij=-1, a_ji=-1):  # Kac's node numbers, 0 = alpha_0
+        i, j = (i - 1) % size, (j - 1) % size
+        a[i][j], a[j][i] = a_ij, a_ji
+
+    if (family, rank) == ("A", 2):  # A_2^(2)
+        bond(0, 1, -4, -1)
+    elif family == "A" and rank % 2 == 0:  # A_2l^(2): a chain 0 - 1 - .. - l
+        bond(0, 1, -2, -1)
+        for i in range(1, l - 1):
+            bond(i, i + 1)
+        bond(l - 1, l, -2, -1)
+    elif family == "A":  # A_(2l-1)^(2): 0 and 1 both joined to 2
+        bond(0, 2)
+        for i in range(1, l - 1):
+            bond(i, i + 1)
+        bond(l - 1, l, -2, -1)
+    elif twist == 2 and family == "D":  # D_(l+1)^(2): a chain 0 - 1 - .. - l
+        bond(0, 1, -2, -1)
+        for i in range(1, l - 1):
+            bond(i, i + 1)
+        bond(l, l - 1, -2, -1)
+    elif family == "E":  # E6^(2): a chain 0 - 1 - 2 - 3 - 4
+        bond(0, 1)
+        bond(1, 2)
+        bond(2, 3, -2, -1)
+        bond(3, 4)
+    else:  # D4^(3): a chain 0 - 1 - 2
+        bond(0, 1)
+        bond(1, 2, -3, -1)
+    return a
 
 
 class TestRootSystems:
@@ -156,22 +202,77 @@ class TestGradedDims:
 
     def test_twisted_all_ones(self):
         gd = graded_dims(KacDiagram.all_ones("A", 5, twist=2))
-        assert not gd.complete
-        assert (gd.dim(0), gd.dim(1)) == (3, 4)
-        with pytest.raises(UnsupportedDiagramError):
-            gd.dim(2)
+        assert gd.order == 10
+        assert gd.dims == (3, 4) * 5
 
-    def test_twisted_general_labels_refused(self):
+    def test_twisted_general_labels(self):
+        # The 0-labelled nodes alpha_2, alpha_4 of D5^(2) are not joined:
+        # degree 0 is A1 x A1 plus a two-dimensional centre.
         d = KacDiagram.of("D", 5, (1, 0, 1, 0, 1), twist=2)
-        with pytest.raises(UnsupportedDiagramError):
-            graded_dims(d)
+        gd = graded_dims(d)
+        assert (gd.order, gd.dims) == (6, (8, 9, 6, 7, 6, 9))
+        assert theta.zero_part_semisimple_rank(d) == 2
 
     def test_twisted_table_record(self):
         d = KacDiagram.of("E", 6, (1, 0, 1, 1, 1), twist=2)
-        with pytest.raises(UnsupportedDiagramError):
-            graded_dims(d)
-        gd = graded_dims(d, allow_twisted_table=True)
+        gd = graded_dims(d)
         assert gd.order == 12 and gd.delta == 1
+        assert gd.dims[:2] == E6_TWISTED_TABLE_DIMS
+        assert gd.dims == (6, 7, 7, 6, 6, 7, 6, 7, 6, 6, 7, 7)
+
+
+class TestTwistedGradings:
+    """Every labeling of every twisted diagram against two oracles: the
+    0-labelled subdiagram of Kac's twisted affine Cartan matrix, and the
+    inner grading of X_N that sigma^k gives."""
+
+    @pytest.mark.parametrize("family,rank,twist", TWISTED)
+    def test_marks_are_the_null_vector(self, family, rank, twist):
+        a = twisted_cartan(family, rank, twist)
+        marks = theta._TWISTED_MARKS[family, rank, twist]
+        assert all(sum(x * m for x, m in zip(row, marks)) == 0 for row in a)
+
+    @pytest.mark.parametrize("family,rank,twist", TWISTED)
+    def test_degree_zero_is_the_zero_labelled_subdiagram(
+        self, family, rank, twist
+    ):
+        a = twisted_cartan(family, rank, twist)
+        for labels in theta._all_labelings(len(a)):
+            zero = [i for i, v in enumerate(labels) if v == 0]
+            # string closure reads <alpha_j, alpha_i^vee>: the transpose
+            sub = [[a[j][i] for j in zero] for i in zero]
+            roots = 2 * len(theta._positive_roots(sub))
+            centre = len(labels) - len(zero) - 1
+            d = KacDiagram(family, rank, twist, labels)
+            assert graded_dims(d).dims[0] == roots + len(zero) + centre, labels
+            assert theta.zero_part_semisimple_rank(d) == len(zero), labels
+
+    @pytest.mark.parametrize("family,rank,twist", TWISTED)
+    def test_coarsening_is_the_inner_grading(self, family, rank, twist):
+        # sigma^k is inner: summed by residue mod m/k, the degrees are
+        # those of the grading of X_N where a root sum(k_i alpha_i) has
+        # degree sum(k_i s_P(i)) and the Cartan sits in degree 0.
+        nodes = theta._folded_nodes(family, rank, twist)
+        position = {i: p for p, orbit in enumerate(nodes) if orbit for i in orbit}
+        positive = theta._positive_roots(theta._cartan_matrix(family, rank))
+        for labels in theta._all_labelings(len(nodes)):
+            gd = graded_dims(KacDiagram(family, rank, twist, labels))
+            q = gd.order // twist
+            expected = [rank] + [0] * (q - 1)
+            for root in positive:
+                deg = sum(k * labels[position[i]] for i, k in enumerate(root))
+                expected[deg % q] += 1
+                expected[-deg % q] += 1
+            assert [sum(gd.dims[r::q]) for r in range(q)] == expected, labels
+
+    @pytest.mark.parametrize("family,rank,twist", TWISTED)
+    def test_all_ones_total_and_symmetry(self, family, rank, twist):
+        gd = graded_dims(KacDiagram.all_ones(family, rank, twist))
+        l = len(theta._TWISTED_MARKS[family, rank, twist]) - 1
+        assert gd.dims[:2] == (l, l + 1)
+        positive = theta._positive_roots(theta._cartan_matrix(family, rank))
+        assert sum(gd.dims) == 2 * len(positive) + rank
+        assert all(gd.dims[j] == gd.dims[-j % gd.order] for j in range(gd.order))
 
 
 class TestScans:
@@ -205,9 +306,16 @@ class TestScans:
             d.labels for d in rank1_dim_filter("E", 7)
         )
 
-    def test_twisted_scan_refused(self):
-        with pytest.raises(UnsupportedDiagramError):
-            rank1_dim_filter("A", 4, twist=2)
+    def test_twisted_scan(self):
+        # Labels (alpha_1, alpha_2, alpha_0) of A4^(2), marks (2, 1, 2).
+        hits = levi_order_scan("A", 4, min_delta=1, twist=2)
+        assert [(h.diagram.labels, h.order, h.delta) for h in hits] == [
+            ((0, 1, 0), 2, 4),
+            ((0, 1, 1), 6, 1),
+            ((1, 1, 1), 10, 1),
+        ]
+        got = [d.labels for d in rank1_dim_filter("A", 4, twist=2)]
+        assert got == [(0, 1, 1), (1, 1, 1)]
 
 
 class TestVinberg:
