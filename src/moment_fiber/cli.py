@@ -40,6 +40,12 @@ EXIT_CAPABILITY = 3
 FORMATS = ("json", "text")
 
 
+def _dumps(obj: Any) -> str:
+    """The CLI's one JSON style: one compact line, keys sorted, so the C
+    encoder runs.  Pipe it through ``python -m json.tool`` to indent it."""
+    return json.dumps(obj, sort_keys=True)
+
+
 def _frac_str(x: Fraction) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
@@ -72,15 +78,14 @@ class AnalysisReport:
     nonvisible_witness: Optional[dict]
     reduction_support: list
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
         return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        # The fields already hold only JSON types, so the report's own
+        # field dict is dumped as is: no deep copy.
+        return _dumps(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -653,7 +658,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             if args.format == "json":
-                print(json.dumps(out, indent=2, sort_keys=True))
+                print(_dumps(out))
             else:
                 for key, val in out.items():
                     print(f"{key}: {val}")

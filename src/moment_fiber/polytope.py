@@ -13,11 +13,13 @@ A caller that already holds a certificate, such as the torus layer's
 non-visible witness, checks it with ``verify_certificate`` and needs no
 simplex run.
 
-The engine is a fraction-free phase-one simplex with Bland's rule: an
-integer tableau over one common denominator, pivoted by the same Bareiss
-step as the elimination, ``exactlin.pivot``.  The Outside functional is the
-Farkas dual read off the final tableau.  Repeated points are kept: Inside
-coefficients are reported per input position.
+The engine is a fraction-free phase-one simplex priced by Dantzig's rule
+(most negative reduced cost), falling back to Bland's rule after a
+degenerate pivot so that it cannot cycle: an integer tableau over one
+common denominator, pivoted by the same Bareiss step as the elimination,
+``exactlin.pivot``.  The Outside functional is the Farkas dual read off
+the final tableau.  Repeated points are kept: Inside coefficients are
+reported per input position.
 """
 
 from __future__ import annotations
@@ -85,10 +87,19 @@ def _phase_one(
     dual for the original row orientation: y.A <= 0 componentwise and
     y.b > 0.
 
+    Pricing is Dantzig's rule: the entering column has the most negative
+    reduced cost, the smallest index among ties.  After a degenerate pivot
+    (the leaving row's rhs is 0) it is Bland's rule, the smallest index
+    with a negative reduced cost, until the next nondegenerate pivot.  A
+    cycle would consist of degenerate pivots only, which Bland's rule
+    cannot repeat, so the loop terminates.  The leaving row is the
+    smallest ratio, ties to the smallest basic index, under both rules.
+
     The tableau is integer rows over one common denominator d; each step
     is ``exactlin.pivot``, whose pivot becomes the next d.  Pivots are
-    positive, so d > 0 and every sign test, Bland choice and
-    cross-multiplied ratio test matches the rational tableau's.
+    positive, so d > 0, every reduced cost is an integer over the same d,
+    and every sign test, cost comparison and cross-multiplied ratio test
+    matches the rational tableau's.
     """
     nrows = len(rhs)
     ncols = len(columns)
@@ -109,9 +120,15 @@ def _phase_one(
     )
     basis = [ncols + i for i in range(nrows)]
     d = 1
+    bland = False
     while True:
-        # Bland: smallest eligible index.
-        enter = next((j for j in range(ncols + nrows) if tab[-1][j] < 0), -1)
+        costs = tab[-1][:-1]
+        if bland:
+            enter = next((j for j, c in enumerate(costs) if c < 0), -1)
+        else:
+            # Dantzig: most negative reduced cost, smallest index on ties.
+            least = min(costs)
+            enter = costs.index(least) if least < 0 else -1
         if enter < 0:
             break
         leave = -1
@@ -127,6 +144,7 @@ def _phase_one(
         if leave < 0:
             # Cannot happen for this phase-one system (artificials bound it).
             raise ArithmeticError("unbounded phase-one simplex")
+        bland = tab[leave][-1] == 0  # degenerate: Bland until it is not
         d = pivot(tab, leave, enter, d)
         basis[leave] = enter
 

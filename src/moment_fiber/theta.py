@@ -63,6 +63,18 @@ _FINITE_MARKS = {
     "G": lambda n: (3, 2),
 }
 
+# dim X_N from the closed formulas, for every rank (twisted diagrams fold
+# A_2n, A_(2n-1) and D_(n+1) past the range above).
+_ALGEBRA_DIM = {
+    "A": lambda n: n * (n + 2),
+    "B": lambda n: n * (2 * n + 1),
+    "C": lambda n: n * (2 * n + 1),
+    "D": lambda n: n * (2 * n - 1),
+    "E": lambda n: {6: 78, 7: 133, 8: 248}[n],
+    "F": lambda n: 52,
+    "G": lambda n: 14,
+}
+
 # Twisted affine diagrams: (family, rank, twist) -> marks in node order
 # (alpha_1..alpha_l, affine node).  l+1 is the node count.
 _TWISTED_MARKS: dict[tuple[str, int, int], tuple[int, ...]] = {}
@@ -371,7 +383,7 @@ def graded_dims(d: KacDiagram) -> GradedDims:
     dims = [0] * m
     for deg, _ in _degrees(d, m):
         dims[deg] += 1
-    if sum(dims) != len(_eigenvectors(d.family, d.rank, d.twist)):
+    if sum(dims) != _ALGEBRA_DIM[d.family](d.rank):
         raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
     if any(dims[j] != dims[-j % m] for j in range(m)):
         raise ArithmeticError("graded dimensions are not symmetric")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -159,6 +160,27 @@ class TestAnalyze:
         rep = cli.analyze(torus.WeightMatrix.from_rows([[1], [1], [-2]]))
         assert cli.AnalysisReport.from_json(rep.to_json()) == rep
 
+    def test_corpus_reports_keep_the_schema(self, corpus):
+        # The shallow field dict dumps to the deep copy's JSON, on one
+        # line, and dumping it leaves the report as a fresh analysis has it.
+        for w in corpus:
+            rep = cli.analyze(w, max_components=4096)
+            text = rep.to_json()
+            assert "\n" not in text
+            assert json.loads(text) == json.loads(
+                json.dumps(dataclasses.asdict(rep))
+            )
+            assert rep == cli.analyze(w, max_components=4096)
+
+    def test_json_is_one_sorted_line(self, capsys):
+        code, out, _ = run(
+            ["analyze", "[[1],[1],[-2]]", "--format", "json"], capsys
+        )
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        rep = json.loads(out)
+        assert out == json.dumps(rep, sort_keys=True) + "\n"
+
     def test_color_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MOMENT_FIBER_COLOR", "1")
         _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
@@ -187,6 +209,13 @@ class TestKac:
         rep = json.loads(out)
         assert rep["order"] == 3
         assert rep["dims"] == [2, 3, 3]
+
+    def test_json_is_one_sorted_line(self, capsys):
+        # The same JSON style as ``analyze``.
+        for spec in ["A2 twist=1 labels=1,1,1", "E6 twist=2 scan --delta-ge 1"]:
+            code, out, _ = run(["kac", spec, "--format", "json"], capsys)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
     def test_scan_with_divisibility_check(self, capsys):
         code, out, _ = run(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_fiber import oracle, polytope
+from moment_fiber import oracle, polytope, torus
 from moment_fiber.errors import InputError
 from moment_fiber.polytope import HullQuery, Inside, Outside
 
@@ -287,3 +287,106 @@ def test_arbitrary_coefficients_match_fraction_reference(pts, relint, coeffs):
         assert polytope.verify_certificate(q, c, relint) == reference_verify(
             q, c, relint
         ), (pts, c, relint)
+
+
+def _check_phase_one(columns, rhs):
+    """Run ``_phase_one`` and check its answer exactly: A x = b with x >= 0,
+    or a Farkas dual y with y.A <= 0 and y.b > 0."""
+    x, y = polytope._phase_one(columns, rhs)
+    if x is not None:
+        assert y is None and all(v >= 0 for v in x)
+        for i, b in enumerate(rhs):
+            assert sum(v * col[i] for v, col in zip(x, columns)) == b
+    else:
+        assert all(sum(map(int.__mul__, y, col)) <= 0 for col in columns)
+        assert sum(map(int.__mul__, y, rhs)) > 0
+    return x is not None
+
+
+class TestDegeneratePhaseOne:
+    """Inputs whose pivots tie or leave the objective unchanged, where
+    Dantzig's rule alone could cycle and Bland's rule takes over."""
+
+    @pytest.mark.parametrize(
+        "columns, rhs, feasible",
+        [
+            ([(1, 0), (0, 1)], [0, 0], True),  # every rhs 0
+            ([(1, -1), (-1, 1)], [0, 0], True),
+            ([(1, 1, 0), (1, 1, 0), (0, 0, 0)], [0, 0, 0], True),  # zero row
+            ([(1, 2), (1, 2), (1, 2)], [2, 4], True),  # repeated columns
+            ([(0, 0), (0, 0)], [0, 0], True),  # zero columns
+            ([(0, 0), (1, 0)], [0, 1], False),
+            ([(1, 0), (1, 0), (0, 0)], [1, 1], False),
+            ([(1, -1, 0), (-1, 1, 0), (2, -2, 0)], [0, 0, 1], False),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0)], [1, 1, 0], True),
+        ],
+    )
+    def test_terminates_with_an_exact_answer(self, columns, rhs, feasible):
+        assert _check_phase_one(columns, rhs) == feasible
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.tuples(
+                st.lists(
+                    st.sampled_from([(0,) * m, (1,) + (0,) * (m - 1)])
+                    | st.tuples(*([st.integers(-2, 2)] * m)),
+                    min_size=1,
+                    max_size=7,
+                ),
+                st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=m, max_size=m),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_degenerate_systems(self, system):
+        columns, rhs = system
+        # Repeat a column so that ratio and cost ties are common.
+        _check_phase_one(columns + columns[:1], rhs)
+
+
+def _recording_pivot(log):
+    """``exactlin.pivot`` that logs, per pivot, the entering column, the
+    reduced costs it was chosen from and whether the pivot is degenerate."""
+    inner = polytope.pivot
+
+    def rec(tab, leave, enter, d):
+        log.append((enter, tab[-1][:-1], tab[leave][-1] == 0))
+        return inner(tab, leave, enter, d)
+
+    return rec
+
+
+def test_corpus_pricing_and_bland_fallback(corpus, monkeypatch):
+    # Every pivot on the corpus's stability queries enters by Dantzig's
+    # rule, or by Bland's right after a degenerate pivot; the matrices on
+    # which the fallback fires still get a verified certificate.
+    fired = 0
+    for w in corpus:
+        log = []
+        monkeypatch.setattr(polytope, "pivot", _recording_pivot(log))
+        stable, cert = torus.is_stable(w)
+        monkeypatch.undo()
+        degenerate = False
+        for enter, costs, degenerate_now in log:
+            if degenerate:
+                assert enter == next(j for j, c in enumerate(costs) if c < 0)
+            else:
+                assert enter == costs.index(min(costs)) and costs[enter] < 0
+            degenerate = degenerate_now
+        if not any(entry[2] for entry in log):
+            continue
+        fired += 1
+        query = HullQuery.of(list(w.matrix.entries))
+        assert polytope.verify_certificate(query, cert, True)
+        assert stable == isinstance(cert, Inside)
+    assert fired >= 30
+
+
+def test_corpus_stable_verdicts_match_oracle(corpus):
+    small = [w for w in corpus if w.n <= 7]
+    assert len(small) >= 300
+    for w in small:
+        pts = list(w.matrix.entries)
+        stable, cert = torus.is_stable(w)
+        assert stable == oracle.brute_zero_in_relative_interior(pts), pts
+        assert polytope.verify_certificate(HullQuery.of(pts), cert, True)

@@ -166,6 +166,18 @@ class TestGradedDims:
             assert gd.dims[0] == rank
             assert gd.dims[1] == rank + 1
 
+    def test_dimension_check_can_fail(self, monkeypatch):
+        # Losing one Cartan vector keeps the dims symmetric, so only the
+        # comparison with dim X_N from its closed formula can see it.
+        full = theta._eigenvectors
+        monkeypatch.setattr(theta, "_eigenvectors", lambda *key: full(*key)[1:])
+        for d in [
+            KacDiagram.all_ones("E", 6),
+            KacDiagram.of("E", 6, (1, 0, 1, 1, 1), twist=2),
+        ]:
+            with pytest.raises(ArithmeticError, match="sum to dim"):
+                graded_dims(d)
+
     def test_rank_one_tables_gain_one_dimension(self):
         for (family, rank), labelings in NONNORMAL_DIAGRAMS.items():
             for labels in labelings:
