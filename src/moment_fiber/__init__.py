@@ -9,7 +9,7 @@ carries a certificate (a convex combination, a separating one-parameter
 subgroup, a block relation) that verifies independently.
 """
 
-from .errors import CapabilityError, InputError, NotVisibleError
+from .errors import CapabilityError, InputError
 from .exactlin import IntMatrix, RatVector, kernel_basis, rank, row_select
 from .polytope import (
     HullCertificate,
@@ -33,41 +33,35 @@ from .theta import (
     vinberg_delta,
 )
 from .torus import (
+    Analysis,
     Block,
     ClosedPairWitness,
-    ComponentSet,
     NotVisible,
     PairPoint,
     VisibleDecomposition,
     WeightMatrix,
-    cartan_subspace,
     classify_element,
     classify_stratum,
-    components,
     global_modality,
     is_locally_free,
     is_stable,
     kernel_of_action,
     modality,
     moment_eval,
-    nonvisible_closed_witness,
     pair_closed_orbit,
     reduce_to_effective,
-    reduction_support,
     smooth_witness,
-    split_indices,
     stabilizer_dim,
     stratum_orbit_dim,
-    visible_decomposition,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Block",
     "CapabilityError",
     "ClosedPairWitness",
-    "ComponentSet",
     "GradedDims",
     "HullCertificate",
     "HullQuery",
@@ -76,7 +70,6 @@ __all__ = [
     "IntMatrix",
     "KacDiagram",
     "NotVisible",
-    "NotVisibleError",
     "Outside",
     "PairPoint",
     "RatVector",
@@ -85,10 +78,8 @@ __all__ = [
     "VisibleDecomposition",
     "WeightMatrix",
     "build_root_system",
-    "cartan_subspace",
     "classify_element",
     "classify_stratum",
-    "components",
     "global_modality",
     "graded_dims",
     "integral_subgroup",
@@ -100,19 +91,15 @@ __all__ = [
     "levi_order_scan",
     "modality",
     "moment_eval",
-    "nonvisible_closed_witness",
     "pair_closed_orbit",
     "rank",
     "rank1_dim_filter",
     "reduce_to_effective",
-    "reduction_support",
     "row_select",
     "smooth_witness",
-    "split_indices",
     "stabilizer_dim",
     "stratum_orbit_dim",
     "vinberg_delta",
-    "visible_decomposition",
     "zero_in_hull",
     "zero_in_relative_interior",
 ]

@@ -99,17 +99,18 @@ def analyze(
 ) -> AnalysisReport:
     """Run every structural decision procedure on one weight matrix.
 
-    One elimination (the fundamental circuits of the weights) feeds the
-    rank, splits, components, visibility, Cartan vectors and witness.
+    One ``torus.Analysis`` (the fundamental circuits of the weights, then
+    one check of the decomposition or witness they give) feeds the rank,
+    splits, components, visibility, Cartan vectors and witness; the
+    stability simplex is the only other procedure run.
     """
-    core = torus._circuits(w)
-    rank = core.rank
-    i_d, i_f = core.dependent, core.free
-    comp = torus._components(w, core, max_components)
+    a = torus.Analysis.of(w)
+    rank, i_d, i_f = a.rank, a.dependent, a.free
     stable, stable_cert = torus.is_stable(w)
-    dec = torus._visible_decomposition(w, core)
-    visible = isinstance(dec, torus.VisibleDecomposition)
-    cartan = [list(v) for v in torus._cartan_vectors(w, dec)] if visible else None
+    dec = a.decomposition
+    visible = a.witness is None
+    cartan = [list(v) for v in a.cartan_vectors] if visible else None
+    comps = a.components(max_components)
 
     properties: dict[str, dict] = {}
     properties["locally_free"] = {
@@ -155,40 +156,33 @@ def analyze(
             "note": "polarity is certified here only through visibility",
         }
     properties["irreducible"] = {
-        "value": comp.irreducible,
+        "value": not i_f,
         "justification": {"free_indices": sorted(i_f)},
     }
     properties["normal"] = {
-        "value": comp.normal,
+        "value": not i_f,
         "justification": {
             "equivalent_to_irreducible": True,
             "free_indices": sorted(i_f),
         },
     }
 
-    witness_dict = None
-    if not visible:
-        wit = torus._nonvisible_witness(w, core)
-        assert wit is not None
-        witness_dict = {
-            "x": [_frac_str(v) for v in wit.pair.x],
-            "phi": [_frac_str(v) for v in wit.pair.phi],
-            "relation": list(wit.relation),
-        }
+    wit = a.witness
+    witness_dict = None if visible else {
+        "x": [_frac_str(v) for v in wit.pair.x],
+        "phi": [_frac_str(v) for v in wit.pair.phi],
+        "relation": list(wit.relation),
+    }
 
     return AnalysisReport(
         input={"weights": [list(r) for r in w.matrix.entries]},
         rank=rank,
-        fiber_dimension=comp.fiber_dimension,
+        fiber_dimension=a.fiber_dimension,
         splits={"dependent": sorted(i_d), "free": sorted(i_f)},
         properties=properties,
         components={
-            "count": comp.count,
-            "list": (
-                [sorted(c) for c in comp.components]
-                if comp.components is not None
-                else None
-            ),
+            "count": 1 << len(i_f),
+            "list": None if comps is None else [sorted(c) for c in comps],
         },
         cartan_subspace=cartan,
         nonvisible_witness=witness_dict,
@@ -331,6 +325,8 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
                 opts["not_div"] = [
                     _parse_int(v, tok) for v in value.split(",") if v
                 ]
+                if any(q <= 0 for q in opts["not_div"]):
+                    raise InputError(f"{tok} needs positive divisors, got {value!r}")
         else:
             raise InputError(f"unrecognized kac token {tok!r}")
     return family, rank, twist, labels, opts
@@ -418,24 +414,23 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
 
     for _ in range(count):
         w = _random_weight_matrix(rng, max_n, max_r, max_entry)
-        core = torus._circuits(w)  # one elimination feeds every suite
-        comp = torus._components(w, core, None)
+        a = torus.Analysis.of(w)  # one elimination feeds every suite
         if w.n <= 12:
+            comps = a.components()
             brute = oracle.brute_components(w)
-            if set(comp.components or ()) != set(brute):
+            if set(comps) != set(brute):
                 fail("component mismatch", w)
-            if comp.count != 1 << len(core.free):
+            if len(comps) != len(brute):
                 fail("component count", w)
-        v_fast = torus._visible_decomposition(w, core)
+        dec = a.decomposition
+        visible = isinstance(dec, torus.VisibleDecomposition)
         if w.n <= 7:
             v_brute = oracle.brute_visible(w)
-            fast_ok = isinstance(v_fast, torus.VisibleDecomposition)
-            brute_ok = isinstance(v_brute, torus.VisibleDecomposition)
-            if fast_ok != brute_ok:
+            if visible != isinstance(v_brute, torus.VisibleDecomposition):
                 fail("visibility verdict mismatch", w)
-            elif fast_ok and oracle.check_decomposition(w, v_fast) is not None:
+            elif visible and oracle.check_decomposition(w, dec) is not None:
                 fail("decomposition verification", w)
-        if w.n <= 6 and torus.is_locally_free(w):
+        if w.n <= 6 and a.rank == w.r:
             for mask in range(1 << w.n):
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
                 p = torus._smooth_witness(w, subset)
@@ -443,10 +438,9 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
                     fail("smooth witness off fiber", w)
                 elif torus.stabilizer_dim(w, p) != 0:
                     fail("smooth witness stabilizer", w)
-                elif oracle.tangent_dim(w, p) != comp.fiber_dimension:
+                elif oracle.tangent_dim(w, p) != a.fiber_dimension:
                     fail("smooth witness tangent dimension", w)
-        wit = torus._nonvisible_witness(w, core)
-        if (wit is None) != isinstance(v_fast, torus.VisibleDecomposition):
+        if (a.witness is None) != visible:
             fail("nonvisible witness presence", w)
 
         d = rng.randint(1, 4)

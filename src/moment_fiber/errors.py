@@ -9,6 +9,3 @@ class CapabilityError(RuntimeError):
     """A request the library deliberately refuses: an operation whose
     precondition fails, such as a trivial action or an oracle size cap."""
 
-
-class NotVisibleError(CapabilityError):
-    """Raised by operations that require a visible weight matrix."""

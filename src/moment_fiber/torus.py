@@ -3,27 +3,32 @@
 A rank-r torus acting diagonally on n coordinate lines is encoded by the
 n x r integer weight matrix S (row i is the weight of the i-th line).
 Everything about the zero fiber of the moment map on V + V* is decided
-exactly from S: strata dimensions and modality, the irreducible components
-of the fiber, irreducibility/normality, stability, the visibility
-decomposition, Cartan subspaces, orbit closedness of every fiber point (one
-hull query on the doubled weights), the support of the symplectic
-reduction, and explicit smooth points.
+exactly from S.  The facts read off the circuits of S come together in one
+``Analysis``, built by one elimination of tS: the splits I_d/I_f (I_d is
+the support of the symplectic reduction), the fiber's dimension and
+irreducible components (normal iff I_f is empty), the visibility
+decomposition or a non-visible witness, and the Cartan vectors.  Separate
+functions give strata dimensions and modality, stability, orbit
+closedness of every fiber point (one hull query on the doubled weights)
+and explicit smooth points.
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
 (hull combinations, separating cocharacters, block relations) verify by
 exact rational arithmetic.  Most hull certificates come from the simplex
 in ``polytope``; the non-visible witness's two are built from its circuit
-and only checked, so ``analyze`` runs one simplex per matrix (stability).
+and only checked, so ``analyze`` runs one simplex per matrix (stability)
+and two eliminations: the circuits and the check of the decomposition or
+witness they give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
-from .errors import CapabilityError, InputError, NotVisibleError
+from .errors import CapabilityError, InputError
 from .exactlin import IntMatrix, RatVector
 from .polytope import HullQuery, Inside, Outside
 
@@ -73,17 +78,6 @@ class PairPoint:
         return cls(
             tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in phi)
         )
-
-
-@dataclass(frozen=True)
-class ComponentSet:
-    """Irreducible components of the moment-map zero fiber."""
-
-    components: Optional[tuple[Stratum, ...]]  # None when capped to a count
-    count: int
-    fiber_dimension: int
-    irreducible: bool
-    normal: bool
 
 
 @dataclass(frozen=True)
@@ -229,38 +223,92 @@ def global_modality(w: WeightMatrix) -> int:
     return w.n - exactlin.rank(w.matrix)
 
 
-# -- fundamental circuits -------------------------------------------------------
+# -- one analysis per weight matrix --------------------------------------------
 
 
 @dataclass(frozen=True)
-class _Circuits:
-    """Everything the splits, visibility and witness need, from one
-    elimination of tS.
+class Analysis:
+    """Every fact the circuits of the weights decide, from one elimination.
 
-    The pivot columns of tS are the greedy row basis B of S.  Each kernel
-    vector of tS is the fundamental circuit C(e, B) of one row e outside B:
-    coefficient 1 at e, the largest index of its support.  ``mixed`` is a
-    mixed-sign circuit vector, or None when every fundamental circuit is
-    positive and no two of them meet (exactly the visible case).
+    ``Analysis.of(w)`` runs one ``kernel_basis`` of tS.  Its pivot columns
+    are the greedy row basis B of S, and each kernel vector is the
+    fundamental circuit C(e, B) of one row e outside B: coefficient 1 at
+    e, the largest index of its support.  From these circuits:
+
+    * I_d (``dependent``) is the union of their supports, I_f (``free``)
+      the rest, and rank S = n - #circuits.
+    * The zero fiber has dimension 2n - rank S; its components are the
+      supersets of I_d, so it is irreducible, and normal, iff I_f = {}.
+    * The action is visible iff no circuit has a mixed-sign relation.  A
+      mixed fundamental circuit, or two positive ones meeting, give such a
+      circuit, and it builds the non-visible ``witness``.  Otherwise the
+      circuits are disjoint and positive: they are the blocks of the
+      ``decomposition``, with I_0 = I_f.  Both certificates are checked
+      before they are returned, the decomposition by one more rank and
+      the witness by one more elimination.
     """
 
+    n: int
     rank: int
     dependent: Stratum  # I_d: rows in some circuit
     free: Stratum  # I_f: rows in no circuit
-    vectors: tuple[RatVector, ...]
-    mixed: Optional[RatVector]
+    decomposition: VisibleDecomposition | NotVisible
+    witness: Optional[ClosedPairWitness]  # None exactly when visible
 
+    @classmethod
+    def of(cls, w: WeightMatrix) -> "Analysis":
+        vectors = exactlin.kernel_basis(exactlin.transpose(w.matrix))
+        dependent = frozenset().union(*(support(v) for v in vectors))
+        free = frozenset(range(1, w.n + 1)) - dependent
+        mixed = _mixed_circuit(vectors)
+        if mixed is None:
+            blocks = []
+            for v in vectors:
+                members = sorted(support(v))
+                blocks.append(
+                    Block(frozenset(members), tuple(v[i - 1] for i in members))
+                )
+            blocks.sort(key=lambda b: min(b.indices))
+            dec = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
+            _verify_decomposition(w, dec)
+            return cls(w.n, w.n - len(vectors), dependent, free, dec, None)
+        dec = NotVisible(
+            f"circuit {sorted(support(mixed))} has a mixed-sign relation,"
+            " so 0 is not interior to its hull"
+        )
+        witness = _nonvisible_witness(w, mixed)
+        return cls(w.n, w.n - len(vectors), dependent, free, dec, witness)
 
-def _circuits(w: WeightMatrix) -> _Circuits:
-    vectors = tuple(exactlin.kernel_basis(exactlin.transpose(w.matrix)))
-    dependent = frozenset().union(*(support(v) for v in vectors))
-    return _Circuits(
-        rank=w.n - len(vectors),
-        dependent=dependent,
-        free=frozenset(range(1, w.n + 1)) - dependent,
-        vectors=vectors,
-        mixed=_mixed_circuit(vectors),
-    )
+    @property
+    def fiber_dimension(self) -> int:
+        return 2 * self.n - self.rank
+
+    @property
+    def cartan_vectors(self) -> Optional[list[tuple[int, ...]]]:
+        """Indicator vectors of the blocks, n - rank S of them; they span a
+        Cartan subspace.  None when the action is not visible."""
+        if isinstance(self.decomposition, NotVisible):
+            return None
+        return [
+            tuple(1 if i in b.indices else 0 for i in range(1, self.n + 1))
+            for b in self.decomposition.blocks
+        ]
+
+    def components(
+        self, max_components: Optional[int] = None
+    ) -> Optional[tuple[Stratum, ...]]:
+        """Index sets of the irreducible components of the zero fiber: the
+        2^#I_f supersets of I_d, ordered by size, then members.  None when
+        that count exceeds ``max_components``."""
+        free = sorted(self.free)
+        count = 1 << len(free)
+        if max_components is not None and count > max_components:
+            return None
+        out = [
+            self.dependent | {free[b] for b in range(len(free)) if pick >> b & 1}
+            for pick in range(count)
+        ]
+        return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
 def _mixed_circuit(vectors: Sequence[RatVector]) -> Optional[RatVector]:
@@ -287,11 +335,35 @@ def _mixed_circuit(vectors: Sequence[RatVector]) -> Optional[RatVector]:
     return None
 
 
-def split_indices(w: WeightMatrix) -> tuple[Stratum, Stratum]:
-    """(I_d, I_f): indices whose deletion keeps / drops the rank of S,
-    i.e. the rows in some circuit of the weights and the rest."""
-    core = _circuits(w)
-    return core.dependent, core.free
+def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
+    """Check a visibility decomposition exactly, with one rank; raise
+    ArithmeticError on a fault.
+
+    I_0 and the blocks must partition {1..n}, and each block's relation
+    must be strictly positive and vanish, so the block's largest row lies
+    in the span of its other rows.  Then D = I_0 + each block minus its
+    largest row is independent iff I_0 is independent, each block b has
+    rank |b| - 1, and the spans meet in a direct sum equal to span S.
+    """
+    rows = w.matrix.entries
+    parts = [sorted(dec.fixed)] + [sorted(b.indices) for b in dec.blocks]
+    if sorted(i for part in parts for i in part) != list(range(1, w.n + 1)):
+        raise ArithmeticError("I_0 and the blocks do not partition {1..n}")
+    basis = parts[0]
+    for b, members in zip(dec.blocks, parts[1:]):
+        rel = b.relation
+        if not members or len(rel) != len(members) or any(c <= 0 for c in rel):
+            raise ArithmeticError(
+                f"block {members} needs one positive coefficient per index"
+            )
+        for j in range(w.r):
+            if sum(c * rows[i - 1][j] for c, i in zip(rel, members)) != 0:
+                raise ArithmeticError(f"block {members} relation does not vanish")
+        basis = basis + members[:-1]
+    if exactlin.rank_rows([rows[i - 1] for i in basis]) != len(basis):
+        raise ArithmeticError(
+            "I_0 and the blocks less their largest rows are dependent"
+        )
 
 
 def is_locally_free(w: WeightMatrix) -> bool:
@@ -319,47 +391,6 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
         )
     rows = tuple(tuple(row[j] for j in keep) for row in w.matrix.entries)
     return WeightMatrix(IntMatrix(rows, len(keep)))
-
-
-# -- components of the zero fiber -------------------------------------------
-
-
-def components(
-    w: WeightMatrix, max_components: Optional[int] = None
-) -> ComponentSet:
-    """Irreducible components of the zero fiber.
-
-    The component index sets are exactly the supersets of I_d, so there are
-    2^#I_f of them; the full list is enumerated unless ``max_components``
-    caps it (the count is always reported).
-    """
-    return _components(w, _circuits(w), max_components)
-
-
-def _components(
-    w: WeightMatrix, core: _Circuits, max_components: Optional[int]
-) -> ComponentSet:
-    count = 1 << len(core.free)
-    comps: Optional[tuple[Stratum, ...]] = None
-    if max_components is None or count <= max_components:
-        free = sorted(core.free)
-        out = []
-        for pick in range(count):
-            extra = {free[b] for b in range(len(free)) if pick >> b & 1}
-            out.append(frozenset(core.dependent | extra))
-        comps = tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
-    return ComponentSet(
-        components=comps,
-        count=count,
-        fiber_dimension=2 * w.n - core.rank,
-        irreducible=not core.free,
-        normal=not core.free,
-    )
-
-
-def reduction_support(w: WeightMatrix) -> Stratum:
-    """I_d: the symplectic reduction only sees these coordinate lines."""
-    return _circuits(w).dependent
 
 
 # -- element classification --------------------------------------------------
@@ -400,84 +431,6 @@ def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
         HullQuery.of(list(w.matrix.entries))
     )
     return isinstance(cert, Inside), cert
-
-
-# -- visibility ---------------------------------------------------------------
-
-
-def visible_decomposition(
-    w: WeightMatrix,
-) -> Union[VisibleDecomposition, NotVisible]:
-    """Partition {1..n} = I_0 + I_1 + ... certifying visibility, or a reason.
-
-    The action is visible iff no circuit of the weights has a mixed-sign
-    relation.  The fundamental circuits against the greedy row basis
-    decide it: a mixed one, or two positive ones sharing an index, yield a
-    mixed-sign circuit; otherwise they are disjoint and positive, and they
-    are the blocks, with their relations, and I_0 = I_f.  The three
-    partition conditions are then verified directly and are the sole
-    source of truth.
-    """
-    return _visible_decomposition(w, _circuits(w))
-
-
-def _visible_decomposition(
-    w: WeightMatrix, core: _Circuits
-) -> Union[VisibleDecomposition, NotVisible]:
-    if core.mixed is not None:
-        return NotVisible(
-            f"circuit {sorted(support(core.mixed))} has a mixed-sign relation,"
-            " so 0 is not interior to its hull"
-        )
-    blocks = []
-    for v in core.vectors:
-        members = sorted(support(v))
-        blocks.append(
-            Block(
-                indices=frozenset(members),
-                relation=tuple(v[i - 1] for i in members),
-            )
-        )
-    blocks.sort(key=lambda b: min(b.indices))
-
-    # Direct verification of the three partition conditions.
-    i_f = core.free
-    rank_total = exactlin.rank(w.matrix)
-    rank_fixed = exactlin.rank_rows(weights_of(w, i_f))
-    if rank_fixed != len(i_f):
-        return NotVisible("free part I_0 is not linearly independent")
-    rank_sum = rank_fixed
-    for b in blocks:
-        rank_b = exactlin.rank_rows(weights_of(w, b.indices))
-        if rank_b != len(b.indices) - 1:
-            return NotVisible(
-                f"block {sorted(b.indices)} has rank {rank_b}, "
-                f"expected {len(b.indices) - 1}"
-            )
-        rank_sum += rank_b
-    if rank_sum != rank_total:
-        return NotVisible("block spans do not meet the total span in direct sum")
-    return VisibleDecomposition(fixed=i_f, blocks=tuple(blocks))
-
-
-def cartan_subspace(w: WeightMatrix) -> list[tuple[int, ...]]:
-    """Indicator vectors of the positive blocks; they span a Cartan
-    subspace, one vector per block, n - rank(S) in total."""
-    dec = visible_decomposition(w)
-    if isinstance(dec, NotVisible):
-        raise NotVisibleError(
-            f"weight matrix is not visible: {dec.reason}"
-        )
-    return _cartan_vectors(w, dec)
-
-
-def _cartan_vectors(
-    w: WeightMatrix, dec: VisibleDecomposition
-) -> list[tuple[int, ...]]:
-    return [
-        tuple(1 if i in b.indices else 0 for i in range(1, w.n + 1))
-        for b in dec.blocks
-    ]
 
 
 # -- orbit closure for fiber points ------------------------------------------
@@ -541,32 +494,21 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     return _destabilizer(w, p, cert.functional)
 
 
-def nonvisible_closed_witness(
-    w: WeightMatrix,
-) -> Optional[ClosedPairWitness]:
-    """On non-visible input: a closed-orbit fiber point with nilpotent x.
+def _nonvisible_witness(w: WeightMatrix, mixed: RatVector) -> ClosedPairWitness:
+    """A closed-orbit fiber point with nilpotent x, from a mixed circuit.
 
-    Built from a mixed-sign circuit of the weights: x is the indicator of
-    the positive part P of its relation, phi of the negative part N.  The
-    circuit is itself both certificates, so no hull search runs: the
-    absolute values of the relation are a strictly positive combination of
-    the doubled weights (the orbit is closed), and P, a proper subset of a
-    circuit, is independent, so S_P t = 1 has a solution t pairing
-    positively with every weight on supp(x) (x is nilpotent).  Both are
-    checked with ``polytope.verify_certificate``.  Returns None when the
-    action is visible.
+    x is the indicator of the positive part P of the circuit's relation,
+    phi of the negative part N.  The circuit is itself both certificates,
+    so no hull search runs: the absolute values of the relation are a
+    strictly positive combination of the doubled weights (the orbit is
+    closed), and P, a proper subset of a circuit, is independent, so
+    S_P t = 1 has a solution t pairing positively with every weight on
+    supp(x) (x is nilpotent).  Both are checked by
+    ``_verify_nonvisible_witness``.
     """
-    return _nonvisible_witness(w, _circuits(w))
-
-
-def _nonvisible_witness(
-    w: WeightMatrix, core: _Circuits
-) -> Optional[ClosedPairWitness]:
-    if core.mixed is None:
-        return None
     # The circuit vector is 1 at its largest index, so clearing the
     # denominators leaves a primitive integer relation.
-    rel = exactlin.clear_denominators(core.mixed)
+    rel = exactlin.clear_denominators(mixed)
     x = tuple(Fraction(1) if c > 0 else Fraction(0) for c in rel)
     phi = tuple(Fraction(1) if c < 0 else Fraction(0) for c in rel)
     witness = ClosedPairWitness(pair=PairPoint(x, phi), relation=rel)

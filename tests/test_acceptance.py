@@ -44,11 +44,11 @@ def test_criterion_01_component_formula_equivalence(corpus):
     with criterion(1, "components match brute force and count 2^#I_f", 60):
         assert len(corpus) >= 500
         for w in corpus:
-            got = torus.components(w)
+            a = torus.Analysis.of(w)
+            got = a.components()
             brute = oracle.brute_components(w)
-            _, i_f = torus.split_indices(w)
-            assert set(got.components) == set(brute), w.matrix.entries
-            assert got.count == len(brute) == 1 << len(i_f), w.matrix.entries
+            assert set(got) == set(brute), w.matrix.entries
+            assert len(got) == len(brute) == 1 << len(a.free), w.matrix.entries
 
 
 def test_criterion_02_irreducibility_consistency(corpus):
@@ -64,9 +64,11 @@ def test_criterion_02_irreducibility_consistency(corpus):
                 == full_rank
                 for i in range(1, w.n + 1)
             )
-            comp = torus.components(w, max_components=0)
-            assert comp.irreducible == no_drop == comp.normal, w.matrix.entries
-            assert comp.fiber_dimension == 2 * w.n - full_rank, w.matrix.entries
+            a = torus.Analysis.of(w)
+            irreducible = a.components(max_components=1) is not None
+            normal = not a.free  # the paper's criterion: I_f is empty
+            assert irreducible == no_drop == normal, w.matrix.entries
+            assert a.fiber_dimension == 2 * w.n - full_rank, w.matrix.entries
 
 
 def test_criterion_03_smooth_witnesses(corpus):
@@ -79,7 +81,7 @@ def test_criterion_03_smooth_witnesses(corpus):
                 eff = torus.reduce_to_effective(w)
             except CapabilityError:
                 continue  # trivial action: no positive-rank effective form
-            fiber_dim = torus.components(eff, max_components=0).fiber_dimension
+            fiber_dim = torus.Analysis.of(eff).fiber_dimension
             for mask in range(1 << eff.n):
                 subset = {i + 1 for i in range(eff.n) if mask >> i & 1}
                 p = torus.smooth_witness(eff, subset)
@@ -95,7 +97,8 @@ def test_criterion_04_visibility_oracle_equivalence(corpus):
         small = [w for w in corpus if w.n <= 7]
         assert len(small) >= 300
         for w in small:
-            fast = torus.visible_decomposition(w)
+            a = torus.Analysis.of(w)
+            fast = a.decomposition
             brute = oracle.brute_visible(w)
             fast_ok = isinstance(fast, VisibleDecomposition)
             assert fast_ok == isinstance(brute, VisibleDecomposition), (
@@ -105,8 +108,7 @@ def test_criterion_04_visibility_oracle_equivalence(corpus):
                 assert oracle.check_decomposition(w, fast) is None, (
                     w.matrix.entries
                 )
-                _, i_f = torus.split_indices(w)
-                assert fast.fixed == i_f, w.matrix.entries
+                assert fast.fixed == a.free, w.matrix.entries
 
 
 def test_criterion_05_certificate_exclusivity():
@@ -143,15 +145,13 @@ def test_criterion_06_stability_irreducibility_triple(corpus):
     with criterion(6, "stable iff I_f empty iff irreducible, visible case", 60):
         seen = 0
         for w in corpus:
-            if not isinstance(
-                torus.visible_decomposition(w), VisibleDecomposition
-            ):
+            a = torus.Analysis.of(w)
+            if not isinstance(a.decomposition, VisibleDecomposition):
                 continue
             seen += 1
             stable, cert = torus.is_stable(w)
-            _, i_f = torus.split_indices(w)
-            irr = torus.components(w, max_components=0).irreducible
-            assert stable == (len(i_f) == 0) == irr, w.matrix.entries
+            irr = a.components(max_components=1) is not None
+            assert stable == (len(a.free) == 0) == irr, w.matrix.entries
             assert polytope.verify_certificate(
                 HullQuery.of(list(w.matrix.entries)), cert, True
             )
@@ -162,10 +162,9 @@ def test_criterion_07_nonvisible_witnesses(corpus):
     with criterion(7, "closed-pair witnesses exactly on non-visible input", 120):
         nonvisible = 0
         for w in corpus:
-            wit = torus.nonvisible_closed_witness(w)
-            visible = isinstance(
-                torus.visible_decomposition(w), VisibleDecomposition
-            )
+            a = torus.Analysis.of(w)
+            wit = a.witness
+            visible = isinstance(a.decomposition, VisibleDecomposition)
             assert (wit is None) == visible, w.matrix.entries
             if wit is None:
                 continue

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import moment_fiber
 from moment_fiber import cli, exactlin, torus
 
 
@@ -189,6 +190,24 @@ class TestAnalyze:
         _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
         assert "\x1b[" not in out
 
+    def test_readme_library_quick_start(self):
+        # The README's python block runs, and every "# -> VALUE" comment
+        # is the value of the expression on its line.
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = dict(vars(moment_fiber))
+        checked = 0
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            if comment.strip().startswith("->"):
+                expected = eval(comment.strip()[2:], namespace)
+                assert eval(code, namespace) == expected, line
+                checked += 1
+            else:
+                exec(code, namespace)
+        assert checked >= 10
+
 
 class TestKac:
     def test_rank_one_diagram_string(self, capsys):
@@ -341,6 +360,8 @@ class TestKac:
             "E7 twist=1 scan --delta-ge x",
             "E7 twist=1 scan --check-order-not-div a",
             "E7 twist=1 scan --jobs x",
+            "E8 scan --check-order-not-div 0",
+            "E8 scan --check-order-not-div 9,-2",
         ],
     )
     def test_non_integer_option_exits_2(self, spec, capsys):
@@ -450,21 +471,13 @@ class TestSelftest:
     def test_mutation_is_detected(self, capsys, monkeypatch):
         # Harness check: a wrong fast path must be reported with the
         # offending matrix echoed.
-        real = torus._components
+        real = torus.Analysis.components
 
-        def broken(w, core, max_components):
-            out = real(w, core, max_components)
-            if w.n >= 2:
-                return type(out)(
-                    components=out.components[:-1] if out.components else None,
-                    count=out.count + 1,
-                    fiber_dimension=out.fiber_dimension,
-                    irreducible=out.irreducible,
-                    normal=out.normal,
-                )
-            return out
+        def broken(self, max_components=None):
+            out = real(self, max_components)
+            return out[:-1] if self.n >= 2 and out else out
 
-        monkeypatch.setattr(cli.torus, "_components", broken)
+        monkeypatch.setattr(cli.torus.Analysis, "components", broken)
         code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
         assert code == 1
         assert "FAIL" in out
@@ -558,11 +571,14 @@ class TestSelftest:
 
     def test_one_circuit_core_per_matrix(self, monkeypatch):
         # Components, visibility and the witness share one elimination.
-        calls = []
-        real = torus._circuits
+        calls, kernels = [], []
+        real, real_kernel = torus.Analysis.of, exactlin.kernel_basis
         monkeypatch.setattr(
-            torus, "_circuits", lambda w: calls.append(w) or real(w)
+            torus.Analysis, "of", lambda w: calls.append(w) or real(w)
+        )
+        monkeypatch.setattr(
+            exactlin, "kernel_basis", lambda m: kernels.append(m) or real_kernel(m)
         )
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
-        assert len(calls) == 30
+        assert len(calls) == len(kernels) == 30

@@ -104,7 +104,7 @@ class TestBruteVisible:
 
     def test_check_decomposition_rejects_bad_relation(self):
         w = wm([[1], [-1]])
-        dec = torus.visible_decomposition(w)
+        dec = torus.Analysis.of(w).decomposition
         assert oracle.check_decomposition(w, dec) is None
         tampered = VisibleDecomposition(
             fixed=dec.fixed,

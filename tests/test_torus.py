@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from moment_fiber import cli, exactlin, oracle, polytope, torus
-from moment_fiber.errors import CapabilityError, InputError, NotVisibleError
+from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.polytope import Inside, Outside
 from moment_fiber.torus import (
     Closed,
@@ -95,24 +95,20 @@ class TestStrataNumbers:
             fn(BLOCK_PLUS_FREE, subset)
 
 
+def splits(w):
+    a = torus.Analysis.of(w)
+    return a.dependent, a.free
+
+
 class TestSplitIndices:
     def test_examples(self):
-        assert torus.split_indices(LINE_AND_FIXED) == (
-            frozenset({2}),
-            frozenset({1}),
-        )
-        assert torus.split_indices(OPPOSITE) == (
-            frozenset({1, 2}),
-            frozenset(),
-        )
-        assert torus.split_indices(IDENTITY2) == (
-            frozenset(),
-            frozenset({1, 2}),
-        )
+        assert splits(LINE_AND_FIXED) == (frozenset({2}), frozenset({1}))
+        assert splits(OPPOSITE) == (frozenset({1, 2}), frozenset())
+        assert splits(IDENTITY2) == (frozenset(), frozenset({1, 2}))
 
     def test_dependent_part_is_union_of_relation_supports(self, small_corpus):
         for w in small_corpus:
-            i_d, _ = torus.split_indices(w)
+            i_d = torus.Analysis.of(w).dependent
             basis = exactlin.kernel_basis(exactlin.transpose(w.matrix))
             supports = set()
             for v in basis:
@@ -122,34 +118,35 @@ class TestSplitIndices:
 
 class TestComponents:
     def test_free_index_doubles(self):
-        c = torus.components(LINE_AND_FIXED)
-        assert set(c.components) == {frozenset({2}), frozenset({1, 2})}
-        assert c.fiber_dimension == 3
-        assert not c.irreducible and not c.normal
+        a = torus.Analysis.of(LINE_AND_FIXED)
+        assert a.components() == (frozenset({2}), frozenset({1, 2}))
+        assert a.fiber_dimension == 3
+        assert a.free == frozenset({1})  # neither irreducible nor normal
 
     def test_opposite_pair_irreducible(self):
-        c = torus.components(OPPOSITE)
-        assert c.components == (frozenset({1, 2}),)
-        assert c.fiber_dimension == 3
-        assert c.irreducible and c.normal
+        a = torus.Analysis.of(OPPOSITE)
+        assert a.components() == (frozenset({1, 2}),)
+        assert a.fiber_dimension == 3
+        assert not a.free  # irreducible and normal
 
     def test_equal_weights_irreducible_but_unstable(self):
         w = wm([[1], [1]])
-        c = torus.components(w)
-        assert c.components == (frozenset({1, 2}),)
-        assert c.irreducible and c.normal
+        a = torus.Analysis.of(w)
+        assert a.components() == (frozenset({1, 2}),)
+        assert not a.free
         assert not torus.is_stable(w)[0]
 
     def test_cap_keeps_count(self):
-        c = torus.components(IDENTITY2, max_components=2)
-        assert c.components is None and c.count == 4
+        a = torus.Analysis.of(IDENTITY2)
+        assert a.components(max_components=3) is None
+        assert len(a.components(max_components=4)) == 4
 
     def test_matches_brute_force(self, small_corpus):
         for w in small_corpus:
-            got = torus.components(w)
+            got = torus.Analysis.of(w).components()
             expected = oracle.brute_components(w)
-            assert set(got.components) == set(expected)
-            assert got.count == len(expected)
+            assert set(got) == set(expected)
+            assert len(got) == len(expected)
 
 
 class TestLocallyFreeAndKernel:
@@ -253,7 +250,7 @@ class TestStability:
 
 class TestVisibility:
     def test_block_plus_free(self):
-        dec = torus.visible_decomposition(BLOCK_PLUS_FREE)
+        dec = torus.Analysis.of(BLOCK_PLUS_FREE).decomposition
         assert isinstance(dec, VisibleDecomposition)
         assert dec.fixed == frozenset({3})
         assert len(dec.blocks) == 1
@@ -262,12 +259,12 @@ class TestVisibility:
         assert b.relation == (Fraction(1), Fraction(1))
 
     def test_triple_not_visible(self):
-        dec = torus.visible_decomposition(TRIPLE)
+        dec = torus.Analysis.of(TRIPLE).decomposition
         assert isinstance(dec, NotVisible)
         assert dec.reason
 
     def test_opposite_pair(self):
-        dec = torus.visible_decomposition(OPPOSITE)
+        dec = torus.Analysis.of(OPPOSITE).decomposition
         assert isinstance(dec, VisibleDecomposition)
         assert dec.fixed == frozenset()
         assert [b.indices for b in dec.blocks] == [frozenset({1, 2})]
@@ -276,7 +273,7 @@ class TestVisibility:
         for w in small_corpus:
             if w.n > 7:
                 continue
-            fast = torus.visible_decomposition(w)
+            fast = torus.Analysis.of(w).decomposition
             brute = oracle.brute_visible(w)
             assert isinstance(fast, VisibleDecomposition) == isinstance(
                 brute, VisibleDecomposition
@@ -289,27 +286,104 @@ class TestVisibility:
                 assert oracle.check_decomposition(w, fast) is None
 
 
+    @pytest.mark.parametrize(
+        "rows, fixed, blocks, message",
+        [
+            # A corrupted relation on a block of size 2 and of size 3.
+            ([[1, 0], [-1, 0], [0, 1]], {3}, [({1, 2}, (1, 2))], "vanish"),
+            ([[1, 0], [0, 1], [-1, -1]], set(), [({1, 2, 3}, (1, 1, 2))], "vanish"),
+            # Two blocks merged into one: the relation still vanishes.
+            (
+                [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                set(),
+                [({1, 2, 3, 4}, (1, 1, 1, 1))],
+                "dependent",
+            ),
+            # A block member moved into I_0, which becomes dependent.
+            ([[1], [-1], [0]], {3}, [({1, 2}, (1, 1))], "dependent"),
+            ([[1, 0], [-1, 0], [0, 1]], {1, 2, 3}, [], "dependent"),
+            ([[1, 0], [-1, 0], [0, 1]], {2, 3}, [({1}, (1,))], "vanish"),
+            # Non-positive coefficients on relations that still vanish.
+            ([[1], [-1]], set(), [({1, 2}, (-1, -1))], "positive"),
+            ([[1], [-1], [0]], set(), [({1, 2}, (1, 1)), ({3}, (0,))], "positive"),
+            # A relation of the wrong length, and parts that overlap or
+            # miss an index.
+            ([[1], [-1]], set(), [({1, 2}, (1,))], "positive"),
+            ([[1], [-1], [0]], {3}, [({1, 2}, (1, 1)), ({3}, (1,))], "partition"),
+            ([[1, 0], [-1, 0], [0, 1]], set(), [({1, 2}, (1, 1))], "partition"),
+        ],
+    )
+    def test_tampered_decomposition_is_rejected(
+        self, rows, fixed, blocks, message
+    ):
+        w = wm(rows)
+        dec = VisibleDecomposition(
+            fixed=frozenset(fixed),
+            blocks=tuple(
+                torus.Block(frozenset(i), tuple(Fraction(c) for c in rel))
+                for i, rel in blocks
+            ),
+        )
+        with pytest.raises(ArithmeticError, match=message):
+            torus._verify_decomposition(w, dec)
+        assert oracle.check_decomposition(w, dec) is not None
+
+    def test_scaled_relation_coefficients_are_rejected(self, corpus):
+        # Doubling any one coefficient of a block with two or more nonzero
+        # rows breaks its relation; the check and the oracle both say so.
+        checked = 0
+        for w in corpus:
+            dec = torus.Analysis.of(w).decomposition
+            if not isinstance(dec, VisibleDecomposition):
+                continue
+            torus._verify_decomposition(w, dec)
+            for k, b in enumerate(dec.blocks):
+                for j in range(len(b.relation) if len(b.indices) > 1 else 0):
+                    rel = list(b.relation)
+                    rel[j] *= 2
+                    blocks = list(dec.blocks)
+                    blocks[k] = torus.Block(b.indices, tuple(rel))
+                    bad = VisibleDecomposition(dec.fixed, tuple(blocks))
+                    with pytest.raises(ArithmeticError, match="vanish"):
+                        torus._verify_decomposition(w, bad)
+                    assert oracle.check_decomposition(w, bad) is not None
+                    checked += 1
+        assert checked >= 20
+
+    def test_two_eliminations_per_analysis(self, corpus, monkeypatch):
+        # The circuits, then one rank for a decomposition or one solve for
+        # a witness: every other fact is read off the circuits.
+        calls = []
+        real = exactlin.echelon
+        monkeypatch.setattr(
+            exactlin, "echelon", lambda *a: calls.append(1) or real(*a)
+        )
+        for w in corpus:
+            before = len(calls)
+            torus.Analysis.of(w)
+            assert len(calls) - before == 2, w.matrix.entries
+
+
 class TestCartanSubspace:
     def test_opposite(self):
-        assert torus.cartan_subspace(OPPOSITE) == [(1, 1)]
+        assert torus.Analysis.of(OPPOSITE).cartan_vectors == [(1, 1)]
 
     def test_block_plus_free(self):
-        assert torus.cartan_subspace(BLOCK_PLUS_FREE) == [(1, 1, 0)]
+        assert torus.Analysis.of(BLOCK_PLUS_FREE).cartan_vectors == [(1, 1, 0)]
 
     def test_identity_rank_zero(self):
-        assert torus.cartan_subspace(IDENTITY2) == []
+        assert torus.Analysis.of(IDENTITY2).cartan_vectors == []
 
-    def test_not_visible_raises(self):
-        with pytest.raises(NotVisibleError):
-            torus.cartan_subspace(TRIPLE)
+    def test_not_visible_has_none(self):
+        assert torus.Analysis.of(TRIPLE).cartan_vectors is None
 
     def test_count_and_tangent_confinement(self, small_corpus):
         rng = random.Random(8)
         for w in small_corpus[:80]:
-            dec = torus.visible_decomposition(w)
+            dec = torus.Analysis.of(w).decomposition
             if not isinstance(dec, VisibleDecomposition):
                 continue
-            vectors = torus.cartan_subspace(w)
+            vectors = torus.Analysis.of(w).cartan_vectors
             rank = torus.stratum_orbit_dim(w, range(1, w.n + 1))
             assert len(vectors) == w.n - rank
             if not vectors:
@@ -445,21 +519,15 @@ class TestPairClosedOrbit:
         # (1, 0) separates the doubled points, and its flow kills x_1; the
         # hull query needs no circuit of the weights.
         w = wm([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        calls = []
-        circuits = torus._circuits
-        monkeypatch.setattr(
-            torus, "_circuits", lambda m: calls.append(m) or circuits(m)
-        )
-
         def forbidden(*args):
-            raise AssertionError("closedness needs no visibility")
+            raise AssertionError("closedness needs no circuits")
 
-        monkeypatch.setattr(torus, "_visible_decomposition", forbidden)
+        monkeypatch.setattr(torus.Analysis, "of", forbidden)
+        monkeypatch.setattr(exactlin, "kernel_basis", forbidden)
         res = torus.pair_closed_orbit(w, PairPoint.of((1, 0, 1, 1), (0,) * 4))
         assert isinstance(res, NotClosed)
         assert res.cocharacter == (1, 0)
         assert res.limit == PairPoint.of((0, 0, 1, 1), (0,) * 4)
-        assert len(calls) == 0
 
     def test_free_part_of_a_support_is_outside_its_blocks(self, small_corpus):
         # For a visible matrix and a support avoiding I_f, the rows' own
@@ -473,7 +541,7 @@ class TestPairClosedOrbit:
                 [0, 0, -1, 0], [0, 0, 0, 1]]),
         ]
         for w in small_corpus + several_blocks:
-            dec = torus.visible_decomposition(w)
+            dec = torus.Analysis.of(w).decomposition
             if w.n > 8 or isinstance(dec, NotVisible):
                 continue
             dependent = sorted(set(range(1, w.n + 1)) - dec.fixed)
@@ -483,14 +551,14 @@ class TestPairClosedOrbit:
                 )
                 members = sorted(supp)
                 sub = WeightMatrix(exactlin.row_select(w.matrix, members))
-                free = {members[i - 1] for i in torus.split_indices(sub)[1]}
+                free = {members[i - 1] for i in torus.Analysis.of(sub).free}
                 inside = [b.indices for b in dec.blocks if b.indices <= supp]
                 assert free == supp.difference(*inside), (w, supp)
 
 
 class TestNonvisibleWitness:
     def test_triple(self):
-        wit = torus.nonvisible_closed_witness(TRIPLE)
+        wit = torus.Analysis.of(TRIPLE).witness
         assert wit is not None
         p = wit.pair
         assert torus.moment_eval(TRIPLE, p) == (Fraction(0),)
@@ -507,19 +575,19 @@ class TestNonvisibleWitness:
         assert value == 1
 
     def test_visible_returns_none(self):
-        assert torus.nonvisible_closed_witness(OPPOSITE) is None
-        assert torus.nonvisible_closed_witness(IDENTITY2) is None
+        assert torus.Analysis.of(OPPOSITE).witness is None
+        assert torus.Analysis.of(IDENTITY2).witness is None
 
     def test_mixed_fundamental_circuit(self):
         # C(2, {1}) relates rows 1 and 2 with opposite signs.
-        wit = torus.nonvisible_closed_witness(TRIPLE)
+        wit = torus.Analysis.of(TRIPLE).witness
         assert wit.relation == (-1, 1, 0)
         assert wit.pair == PairPoint.of((0, 1, 0), (1, 0, 0))
 
     def test_two_positive_circuits_sharing_a_basis_row(self):
         # C(2) = (1, 1, 0) and C(3) = (2, 0, 1) are positive and meet in
         # row 1; eliminating it leaves the mixed circuit {2, 3}.
-        wit = torus.nonvisible_closed_witness(wm([[1], [-1], [-2]]))
+        wit = torus.Analysis.of(wm([[1], [-1], [-2]])).witness
         assert wit.relation == (0, -2, 1)
         assert wit.pair == PairPoint.of((0, 0, 1), (0, 1, 0))
 
@@ -527,8 +595,8 @@ class TestNonvisibleWitness:
         w = wm([
             [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0], [0, 0, 1],
         ])
-        assert torus.nonvisible_closed_witness(w) is None
-        dec = torus.visible_decomposition(w)
+        assert torus.Analysis.of(w).witness is None
+        dec = torus.Analysis.of(w).decomposition
         assert dec.fixed == frozenset({6})
         assert [(b.indices, b.relation) for b in dec.blocks] == [
             (frozenset({1, 2}), (Fraction(1), Fraction(1))),
@@ -540,14 +608,14 @@ class TestNonvisibleWitness:
         for w in corpus:
             if w.n > 12:
                 continue
-            wit = torus.nonvisible_closed_witness(w)
+            wit = torus.Analysis.of(w).witness
             assert (wit is None) == (oracle.brute_mixed_circuit(w) is None), (
                 w.matrix.entries
             )
 
     def test_every_witness_is_a_mixed_circuit(self, corpus):
         for w in corpus:
-            wit = torus.nonvisible_closed_witness(w)
+            wit = torus.Analysis.of(w).witness
             if wit is None:
                 continue
             supp = sorted(torus.support(wit.relation))
@@ -562,7 +630,7 @@ class TestNonvisibleWitness:
         # The hull searches stay the reference for the built certificates.
         checked = 0
         for w in corpus:
-            wit = torus.nonvisible_closed_witness(w)
+            wit = torus.Analysis.of(w).witness
             if wit is None:
                 continue
             assert isinstance(torus.pair_closed_orbit(w, wit.pair), Closed), (
@@ -627,24 +695,24 @@ class TestNonvisibleWitness:
 
 class TestReductionSupport:
     def test_examples(self):
-        assert torus.reduction_support(LINE_AND_FIXED) == frozenset({2})
-        assert torus.reduction_support(OPPOSITE) == frozenset({1, 2})
-        assert torus.reduction_support(IDENTITY2) == frozenset()
+        assert torus.Analysis.of(LINE_AND_FIXED).dependent == frozenset({2})
+        assert torus.Analysis.of(OPPOSITE).dependent == frozenset({1, 2})
+        assert torus.Analysis.of(IDENTITY2).dependent == frozenset()
 
     def test_restriction_has_no_free_part(self, small_corpus):
         for w in small_corpus:
-            i_d = torus.reduction_support(w)
+            i_d = torus.Analysis.of(w).dependent
             if not i_d:
                 continue
             sub = torus.WeightMatrix(
                 exactlin.row_select(w.matrix, i_d)
             )
-            assert torus.split_indices(sub)[1] == frozenset()
+            assert torus.Analysis.of(sub).free == frozenset()
             # The two reductions have equal expected dimension.
             assert 2 * sub.n - 2 * torus.stratum_orbit_dim(
                 sub, range(1, sub.n + 1)
             ) == 2 * len(i_d) + 2 * len(
-                torus.split_indices(w)[1]
+                torus.Analysis.of(w).free
             ) - 2 * torus.stratum_orbit_dim(w, range(1, w.n + 1))
 
 
@@ -674,7 +742,7 @@ class TestSmoothWitness:
             if all(x == 0 for row in w.matrix.entries for x in row):
                 continue
             eff = torus.reduce_to_effective(w)
-            fiber_dim = torus.components(eff).fiber_dimension
+            fiber_dim = torus.Analysis.of(eff).fiber_dimension
             for mask in range(1 << eff.n):
                 subset = {i + 1 for i in range(eff.n) if mask >> i & 1}
                 p = torus.smooth_witness(eff, subset)
@@ -721,15 +789,13 @@ class TestStabilityIrreducibilityTriple:
     def test_on_visible_matrices(self, small_corpus):
         seen = 0
         for w in small_corpus:
-            if not isinstance(
-                torus.visible_decomposition(w), VisibleDecomposition
-            ):
+            a = torus.Analysis.of(w)
+            if not isinstance(a.decomposition, VisibleDecomposition):
                 continue
             seen += 1
             stable = torus.is_stable(w)[0]
-            _, i_f = torus.split_indices(w)
-            irr = torus.components(w).irreducible
-            assert stable == (not i_f) == irr
+            irr = len(a.components()) == 1
+            assert stable == (not a.free) == irr
         assert seen >= 10
 
 
@@ -761,3 +827,11 @@ print(sum(r() is not None for r in refs))
         check=True,
     ).stdout
     assert out.split() == ["2"]  # only the copy still in sys.modules
+
+
+def test_every_public_name_resolves():
+    import moment_fiber
+
+    assert len(set(moment_fiber.__all__)) == len(moment_fiber.__all__)
+    for name in moment_fiber.__all__:
+        assert getattr(moment_fiber, name, None) is not None, name
