@@ -40,12 +40,9 @@ from .torus import (
     PairPoint,
     VisibleDecomposition,
     WeightMatrix,
-    classify_element,
     classify_stratum,
-    global_modality,
     is_locally_free,
     is_stable,
-    kernel_of_action,
     modality,
     moment_eval,
     pair_closed_orbit,
@@ -78,16 +75,13 @@ __all__ = [
     "VisibleDecomposition",
     "WeightMatrix",
     "build_root_system",
-    "classify_element",
     "classify_stratum",
-    "global_modality",
     "graded_dims",
     "integral_subgroup",
     "is_locally_free",
     "is_stable",
     "kac_order",
     "kernel_basis",
-    "kernel_of_action",
     "levi_order_scan",
     "modality",
     "moment_eval",

@@ -250,20 +250,20 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
 
 
 def _load_matrix(spec: str) -> torus.WeightMatrix:
+    """The weight matrix named by ``spec``: inline JSON, ``-`` for stdin,
+    or a path.  The text is JSON when it opens with a bracket or the path
+    ends in ``.json``, and CSV otherwise."""
     stripped = spec.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return _parse_weights_json(stripped)
-    if stripped == "-":
+    if stripped.startswith(("{", "[")):
+        text = stripped
+    elif stripped == "-":
         text = sys.stdin.read()
-        t = text.lstrip()
-        if t.startswith("{") or t.startswith("["):
-            return _parse_weights_json(text)
-        return _parse_weights_csv(text)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {spec}: {exc}") from None
+    else:
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {spec}: {exc}") from None
     if spec.endswith(".json") or text.lstrip().startswith(("{", "[")):
         return _parse_weights_json(text)
     return _parse_weights_csv(text)
@@ -466,6 +466,10 @@ def run_selftest(
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
     """Oracle-vs-fast-path randomized suites; returns (ok, messages)."""
+    if min(count, jobs, max_n, max_r) < 1 or max_entry < 0:
+        raise InputError(
+            "selftest needs count, jobs, max_n and max_r >= 1 and max_entry >= 0"
+        )
     # The shards depend on --jobs and --count only, so every host checks
     # the same matrices; the host's CPU count bounds only the processes.
     shards = min(jobs, count)

@@ -14,10 +14,13 @@ root restricted to the mu-fixed Cartan, and the labels give each
 eigenvector its degree.  For k = 1, mu is the identity and the
 eigenvectors are the root vectors and the Cartan.
 
-Cartan matrices and marks are embedded static data (Bourbaki numbering);
-all roots are generated from the Cartan matrix by string closure, and the
+Cartan matrices and marks are embedded static data: one table, ``_MARKS``,
+holds the marks of all 55 supported diagrams (32 untwisted, 23 twisted),
+so validating a diagram or computing its order needs no root system.
+All roots are generated from the Cartan matrix by string closure, and the
 embedded marks are cross-checked against the computed highest root
-(untwisted) or the highest weight of the exp(2 pi i / k) eigenspace.
+(``build_root_system``) and, by every grading, against the highest weight
+of the exp(2 pi i / k) eigenspace.
 
 Node order for labels: the finite nodes alpha_1..alpha_l first, the
 affine node alpha_0 last.  Untwisted diagrams use Bourbaki's numbering,
@@ -37,34 +40,34 @@ from .errors import InputError
 
 Root = tuple[int, ...]
 
-_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-_RANK_RANGE = {
-    "A": range(1, 9),
-    "B": range(2, 9),
-    "C": range(2, 9),
-    "D": range(4, 9),
-    "E": range(6, 9),
-    "F": range(4, 5),
-    "G": range(2, 3),
+# Marks of every supported affine diagram X_N^(k), in node order
+# (alpha_1..alpha_l, affine node last); l + 1 is the node count.  The
+# untwisted marks are the highest root's coefficients, then 1; the
+# twisted ones are read from Kac's Tables Aff 2 and Aff 3.
+_MARKS: dict[tuple[str, int, int], tuple[int, ...]] = {
+    ("E", 6, 1): (1, 2, 2, 3, 2, 1, 1),
+    ("E", 7, 1): (2, 2, 3, 4, 3, 2, 1, 1),
+    ("E", 8, 1): (2, 3, 4, 6, 5, 4, 3, 2, 1),
+    ("F", 4, 1): (2, 3, 4, 2, 1),
+    ("G", 2, 1): (3, 2, 1),
+    ("A", 2, 2): (1, 2),
+    ("E", 6, 2): (2, 3, 2, 1, 1),
+    ("D", 4, 3): (2, 1, 1),
 }
-
-_FINITE_MARKS = {
-    "A": lambda n: (1,) * n,
-    "B": lambda n: (1,) + (2,) * (n - 1),
-    "C": lambda n: (2,) * (n - 1) + (1,),
-    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
-    "E": lambda n: {
-        6: (1, 2, 2, 3, 2, 1),
-        7: (2, 2, 3, 4, 3, 2, 1),
-        8: (2, 3, 4, 6, 5, 4, 3, 2),
-    }[n],
-    "F": lambda n: (2, 3, 4, 2),
-    "G": lambda n: (3, 2),
-}
+for _n in range(1, 9):
+    _MARKS["A", _n, 1] = (1,) * (_n + 1)
+for _n in range(2, 9):
+    _MARKS["B", _n, 1] = (1,) + (2,) * (_n - 1) + (1,)
+    _MARKS["C", _n, 1] = (2,) * (_n - 1) + (1, 1)
+    _MARKS["A", 2 * _n, 2] = (2,) * (_n - 1) + (1, 2)  # A_2n^(2)
+    _MARKS["D", _n + 1, 2] = (1,) * (_n + 1)  # D_(n+1)^(2): folded B_n
+for _n in range(3, 9):  # A_(2n-1)^(2): folded C_n
+    _MARKS["A", 2 * _n - 1, 2] = (1,) + (2,) * (_n - 2) + (1, 1)
+for _n in range(4, 9):
+    _MARKS["D", _n, 1] = (1,) + (2,) * (_n - 3) + (1, 1, 1)
 
 # dim X_N from the closed formulas, for every rank (twisted diagrams fold
-# A_2n, A_(2n-1) and D_(n+1) past the range above).
+# A_2n, A_(2n-1) and D_(n+1) past the untwisted ranks).
 _ALGEBRA_DIM = {
     "A": lambda n: n * (n + 2),
     "B": lambda n: n * (2 * n + 1),
@@ -74,20 +77,6 @@ _ALGEBRA_DIM = {
     "F": lambda n: 52,
     "G": lambda n: 14,
 }
-
-# Twisted affine diagrams: (family, rank, twist) -> marks in node order
-# (alpha_1..alpha_l, affine node).  l+1 is the node count.
-_TWISTED_MARKS: dict[tuple[str, int, int], tuple[int, ...]] = {}
-_TWISTED_MARKS[("A", 2, 2)] = (1, 2)
-for _n in range(2, 9):  # A_{2n}^{(2)}: marks 2,...,2,1 plus affine mark 2
-    _TWISTED_MARKS[("A", 2 * _n, 2)] = (2,) * (_n - 1) + (1, 2)
-for _n in range(3, 9):  # A_{2n-1}^{(2)}: folded C_n
-    _TWISTED_MARKS[("A", 2 * _n - 1, 2)] = (1,) + (2,) * (_n - 2) + (1, 1)
-for _n in range(2, 9):  # D_{n+1}^{(2)}: folded B_n, all marks 1
-    _TWISTED_MARKS[("D", _n + 1, 2)] = (1,) * (_n + 1)
-_TWISTED_MARKS[("E", 6, 2)] = (2, 3, 2, 1, 1)
-_TWISTED_MARKS[("D", 4, 3)] = (2, 1, 1)
-
 
 def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     """C[i][j] = <alpha_i, alpha_j^vee>, 0-indexed Bourbaki numbering."""
@@ -150,15 +139,6 @@ class RootSystem:
         return sum(self.affine_marks)
 
 
-def _validate_type(family: str, rank: int) -> None:
-    if family not in _FAMILIES:
-        raise InputError(f"unknown family {family!r}")
-    if rank not in _RANK_RANGE[family]:
-        raise InputError(
-            f"rank {rank} outside the supported range for type {family}"
-        )
-
-
 def _positive_roots(cartan: list[list[int]]) -> set[Root]:
     """Positive roots of a finite-type Cartan matrix, by string closure."""
     n = len(cartan)
@@ -202,11 +182,10 @@ def _roots(family: str, rank: int) -> tuple[Root, ...]:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Generate the full root system by string closure from the Cartan
     matrix; the embedded marks must match the computed highest root."""
-    _validate_type(family, rank)
+    marks = _marks_for(family, rank, 1)[:-1]
     roots = _roots(family, rank)
     highest = max(roots, key=lambda r: (sum(r), r))
-    marks = _FINITE_MARKS[family](rank)
-    if tuple(highest) != tuple(marks):
+    if highest != marks:
         raise ArithmeticError(
             f"embedded marks for {family}{rank} disagree with the computed"
             f" highest root {highest}"
@@ -267,15 +246,12 @@ class KacDiagram:
 
 
 def _marks_for(family: str, rank: int, twist: int) -> tuple[int, ...]:
-    if twist == 1:
-        _validate_type(family, rank)
-        return build_root_system(family, rank).affine_marks
-    key = (family, rank, twist)
-    if key not in _TWISTED_MARKS:
+    marks = _MARKS.get((family, rank, twist))
+    if marks is None:
         raise InputError(
-            f"no twisted affine diagram {family}{rank}^({twist}) is supported"
+            f"no Kac diagram {family}{rank}^({twist}) is supported"
         )
-    return _TWISTED_MARKS[key]
+    return marks
 
 
 def kac_order(d: KacDiagram) -> int:

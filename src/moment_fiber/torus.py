@@ -8,9 +8,9 @@ exactly from S.  The facts read off the circuits of S come together in one
 the support of the symplectic reduction), the fiber's dimension and
 irreducible components (normal iff I_f is empty), the visibility
 decomposition or a non-visible witness, and the Cartan vectors.  Separate
-functions give strata dimensions and modality, stability, orbit
-closedness of every fiber point (one hull query on the doubled weights)
-and explicit smooth points.
+functions give strata dimensions, modality and classification, stability,
+orbit closedness of every fiber point (one hull query on the doubled
+weights) and explicit smooth points.
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
 (hull combinations, separating cocharacters, block relations) verify by
@@ -218,11 +218,6 @@ def modality(w: WeightMatrix, subset: Iterable[int]) -> int:
     return len(rows) - exactlin.rank_rows(rows)
 
 
-def global_modality(w: WeightMatrix) -> int:
-    """n - rank(S): modality of the whole representation."""
-    return w.n - exactlin.rank(w.matrix)
-
-
 # -- one analysis per weight matrix --------------------------------------------
 
 
@@ -371,12 +366,6 @@ def is_locally_free(w: WeightMatrix) -> bool:
     return exactlin.rank(w.matrix) == w.r
 
 
-def kernel_of_action(w: WeightMatrix) -> list[RatVector]:
-    """Basis of {t : S t = 0}; empty iff the action is effective
-    at the Lie-algebra level."""
-    return exactlin.kernel_basis(w.matrix)
-
-
 def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
     """Select a maximal independent set of columns of S: its pivot columns.
 
@@ -397,14 +386,16 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
 
 
 def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
-    """Orbit geometry along a nonempty stratum, with dual certificates.
+    """Orbit geometry along a stratum, with dual certificates.
 
     Nilpotent iff 0 is outside the hull of the stratum's weights;
-    semisimple iff 0 is in the relative interior; mixed otherwise.
+    semisimple iff 0 is in the relative interior; mixed otherwise.  The
+    empty stratum is the origin, ``ZeroOrbit``.  An element v of V is
+    classified by its stratum: ``classify_stratum(w, support(v))``.
     """
     idx = sorted(set(subset))
     if not idx:
-        raise InputError("classify_stratum needs a nonempty support")
+        return ZeroOrbit()
     q = HullQuery.of(weights_of(w, idx))
     hull = polytope.zero_in_hull(q)
     if isinstance(hull, Outside):
@@ -413,16 +404,6 @@ def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
     if isinstance(interior, Inside):
         return Semisimple(interior)
     return Mixed(hull=hull, interior=interior)
-
-
-def classify_element(w: WeightMatrix, v: Sequence) -> Classification:
-    """Classification of an element of V by its support stratum."""
-    if len(v) != w.n:
-        raise InputError(f"vector length does not match n={w.n}")
-    supp = support(v)
-    if not supp:
-        return ZeroOrbit()
-    return classify_stratum(w, supp)
 
 
 def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
@@ -436,62 +417,33 @@ def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
 # -- orbit closure for fiber points ------------------------------------------
 
 
-def pair_semisimple_certificate(
-    w: WeightMatrix, p: PairPoint
-) -> polytope.HullCertificate:
-    """Hull certificate for the doubled weight system of a pair point.
+def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
+    """Is the orbit of a fiber point closed?
 
-    The pair's orbit is closed iff 0 lies in the relative interior of the
-    hull of {s_i : x_i != 0} together with {-s_i : phi_i != 0}; this is
-    the element classification applied to (x, phi) inside V + V*.
+    Hilbert-Mumford for tori: closed iff 0 lies in the relative interior
+    of the hull of the doubled weights {s_i : x_i != 0} + {-s_i : phi_i
+    != 0}.  One hull query decides it and checks its certificate.  An
+    Inside combination makes the orbit closed; an Outside functional is
+    a destabilizing cocharacter, and its flow at t -> 0 keeps the
+    coordinates whose weights it pairs to 0: the limit point.
     """
+    if any(v != 0 for v in moment_eval(w, p)):
+        raise InputError("point is not in the zero fiber")
     pts = [w.weight(i) for i in sorted(support(p.x))] + [
         tuple(-v for v in w.weight(i)) for i in sorted(support(p.phi))
     ]
     if not pts:
-        return Inside(())  # the origin: trivially closed
-    return polytope.zero_in_relative_interior(HullQuery.of(pts))
-
-
-def _destabilizer(
-    w: WeightMatrix, p: PairPoint, lam: tuple[int, ...]
-) -> NotClosed:
-    """The cocharacter lam, checked to destabilize p, and the limit of its
-    flow at t -> 0."""
+        return Closed(combination=Inside(()))  # the origin
+    cert = polytope.zero_in_relative_interior(HullQuery.of(pts))
+    if isinstance(cert, Inside):
+        return Closed(combination=cert)
+    lam = cert.functional
     exps = [sum(s * c for s, c in zip(row, lam)) for row in w.matrix.entries]
-    strict = False
-    for x, phi, e in zip(p.x, p.phi, exps):
-        if x != 0:
-            if e < 0:
-                raise ArithmeticError("destabilizer diverges on x")
-            strict = strict or e > 0
-        if phi != 0:
-            if e > 0:
-                raise ArithmeticError("destabilizer diverges on phi")
-            strict = strict or e < 0
-    if not strict:
-        raise ArithmeticError("destabilizer fixes the point")
     limit = PairPoint(
         tuple(v if e == 0 else Fraction(0) for v, e in zip(p.x, exps)),
         tuple(v if e == 0 else Fraction(0) for v, e in zip(p.phi, exps)),
     )
     return NotClosed(cocharacter=lam, limit=limit)
-
-
-def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
-    """Is the orbit of a fiber point closed?
-
-    Decided for every fiber point by the Hilbert-Mumford hull query on the
-    doubled weights (``pair_semisimple_certificate``): an Inside
-    combination makes the orbit closed, and an Outside functional is a
-    destabilizing cocharacter.
-    """
-    if any(v != 0 for v in moment_eval(w, p)):
-        raise InputError("point is not in the zero fiber")
-    cert = pair_semisimple_certificate(w, p)
-    if isinstance(cert, Inside):
-        return Closed(combination=cert)
-    return _destabilizer(w, p, cert.functional)
 
 
 def _nonvisible_witness(w: WeightMatrix, mixed: RatVector) -> ClosedPairWitness:

@@ -171,7 +171,7 @@ def test_criterion_07_nonvisible_witnesses(corpus):
             nonvisible += 1
             p = wit.pair
             assert all(v == 0 for v in torus.moment_eval(w, p))
-            cls = torus.classify_element(w, p.x)
+            cls = torus.classify_stratum(w, torus.support(p.x))
             assert isinstance(cls, torus.Nilpotent)
             assert polytope.verify_certificate(
                 HullQuery.of(
@@ -200,9 +200,7 @@ def test_criterion_07_nonvisible_witnesses(corpus):
                     value *= p.phi[i] ** (-c)
             assert value == 1
             # The pair itself has a closed orbit.
-            assert isinstance(
-                torus.pair_semisimple_certificate(w, p), Inside
-            )
+            assert isinstance(torus.pair_closed_orbit(w, p), torus.Closed)
         assert nonvisible >= 20
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 import moment_fiber
 from moment_fiber import cli, exactlin, torus
+from moment_fiber.errors import InputError
 
 
 def run(argv, capsys):
@@ -68,6 +70,18 @@ class TestAnalyze:
         path.write_text('{"weights": [[1], [-1]]}')
         code, out, _ = run(["analyze", str(path), "--format", "json"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1, 0\n-1, 0\n0, 1\n", '  {"weights": [[1, 0], [-1, 0], [0, 1]]}'],
+    )
+    def test_stdin(self, text, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(["analyze", "-", "--format", "json"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["input"]["weights"] == [[1, 0], [-1, 0], [0, 1]]
+        assert rep["properties"]["visible"]["value"] is True
 
     def test_malformed_json_exits_2(self, capsys):
         code, _, err = run(["analyze", '{"weights": [[1], [1}'], capsys)
@@ -482,6 +496,17 @@ class TestSelftest:
         assert code == 1
         assert "FAIL" in out
         assert "weights=" in out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"count": 0}, {"count": -5}, {"jobs": 0}, {"jobs": -1},
+            {"max_n": 0}, {"max_r": 0}, {"max_entry": -1},
+        ],
+    )
+    def test_out_of_range_arguments_are_rejected(self, bad):
+        with pytest.raises(InputError):
+            cli.run_selftest(0, **bad)
 
     def test_parallel_shards(self, capsys):
         code, out, _ = run(

@@ -51,7 +51,7 @@ NONNORMAL_DIAGRAMS = {
 NONNORMAL_ORDERS = {9, 14, 24, 20, 15}
 NORMAL_UNTWISTED = {("G", 2): (0, 1, 1), ("F", 4): (1, 1, 0, 1, 1)}
 
-TWISTED = sorted(theta._TWISTED_MARKS)
+TWISTED = sorted(key for key in theta._MARKS if key[2] > 1)
 
 # Degrees 0 and 1 of E6^(2) with labels (1,0,1,1,1), as the classification
 # tables list them.
@@ -62,7 +62,7 @@ def twisted_cartan(family, rank, twist):
     """The affine Cartan matrix a_ij = <alpha_i^vee, alpha_j> of Kac's
     Tables Aff 2 and Aff 3, rows and columns in label order (alpha_1..
     alpha_l, alpha_0)."""
-    size = len(theta._TWISTED_MARKS[family, rank, twist])
+    size = len(theta._MARKS[family, rank, twist])
     l = size - 1
     a = [[2 * (i == j) for j in range(size)] for i in range(size)]
 
@@ -113,6 +113,11 @@ class TestRootSystems:
         # Roots come in opposite pairs.
         roots = set(rs.roots)
         assert all(tuple(-x for x in r) in roots for r in roots)
+
+    def test_one_marks_row_per_supported_diagram(self):
+        untwisted = sorted(key[:2] for key in theta._MARKS if key[2] == 1)
+        assert untwisted == sorted(SUPPORTED)
+        assert len(TWISTED) == 23
 
     def test_invalid_types(self):
         with pytest.raises(InputError):
@@ -241,7 +246,7 @@ class TestTwistedGradings:
     @pytest.mark.parametrize("family,rank,twist", TWISTED)
     def test_marks_are_the_null_vector(self, family, rank, twist):
         a = twisted_cartan(family, rank, twist)
-        marks = theta._TWISTED_MARKS[family, rank, twist]
+        marks = theta._MARKS[family, rank, twist]
         assert all(sum(x * m for x, m in zip(row, marks)) == 0 for row in a)
 
     @pytest.mark.parametrize("family,rank,twist", TWISTED)
@@ -280,7 +285,7 @@ class TestTwistedGradings:
     @pytest.mark.parametrize("family,rank,twist", TWISTED)
     def test_all_ones_total_and_symmetry(self, family, rank, twist):
         gd = graded_dims(KacDiagram.all_ones(family, rank, twist))
-        l = len(theta._TWISTED_MARKS[family, rank, twist]) - 1
+        l = len(theta._MARKS[family, rank, twist]) - 1
         assert gd.dims[:2] == (l, l + 1)
         positive = theta._positive_roots(theta._cartan_matrix(family, rank))
         assert sum(gd.dims) == 2 * len(positive) + rank

@@ -68,9 +68,9 @@ class TestStrataNumbers:
         assert torus.modality(TRIPLE, set()) == 0
 
     def test_global_modality(self):
-        assert torus.global_modality(OPPOSITE) == 1
-        assert torus.global_modality(IDENTITY2) == 0
-        assert torus.global_modality(LINE_AND_FIXED) == 1
+        cases = ((OPPOSITE, 1), (IDENTITY2, 0), (LINE_AND_FIXED, 1))
+        for w, expected in cases:
+            assert torus.modality(w, range(1, w.n + 1)) == expected
 
     def test_modality_is_kernel_dimension(self, small_corpus):
         for w in small_corpus[:60]:
@@ -156,11 +156,11 @@ class TestLocallyFreeAndKernel:
         assert torus.is_locally_free(IDENTITY2)
 
     def test_kernel_of_action(self):
-        k = torus.kernel_of_action(wm([[1, 0], [-1, 0]]))
+        k = exactlin.kernel_basis(wm([[1, 0], [-1, 0]]).matrix)
         assert len(k) == 1
         assert k[0][0] == 0 and k[0][1] != 0
-        assert torus.kernel_of_action(IDENTITY2) == []
-        k2 = torus.kernel_of_action(wm([[2, 4]]))
+        assert exactlin.kernel_basis(IDENTITY2.matrix) == []
+        k2 = exactlin.kernel_basis(wm([[2, 4]]).matrix)
         assert len(k2) == 1
         assert 2 * k2[0][0] + 4 * k2[0][1] == 0
 
@@ -205,23 +205,21 @@ class TestClassification:
             polytope.HullQuery.of([(1,), (0,)]), c.interior, True
         )
 
-    def test_empty_stratum_rejected(self):
-        with pytest.raises(InputError):
-            torus.classify_stratum(OPPOSITE, set())
+    def test_empty_stratum_is_the_origin(self):
+        assert torus.classify_stratum(OPPOSITE, set()) == ZeroOrbit()
 
     def test_classify_element(self):
-        assert isinstance(
-            torus.classify_element(OPPOSITE, (1, 1)), Semisimple
-        )
-        assert isinstance(
-            torus.classify_element(OPPOSITE, (1, 0)), Nilpotent
-        )
-        assert isinstance(torus.classify_element(OPPOSITE, (0, 0)), ZeroOrbit)
+        def classify(v):
+            return torus.classify_stratum(OPPOSITE, torus.support(v))
+
+        assert isinstance(classify((1, 1)), Semisimple)
+        assert isinstance(classify((1, 0)), Nilpotent)
+        assert isinstance(classify((0, 0)), ZeroOrbit)
 
     def test_origin_is_both_semisimple_and_nilpotent(self):
-        cls = torus.classify_element(OPPOSITE, (0, 0))
+        cls = torus.classify_stratum(OPPOSITE, torus.support((0, 0)))
         assert cls.is_semisimple and cls.is_nilpotent
-        nil = torus.classify_element(OPPOSITE, (1, 0))
+        nil = torus.classify_stratum(OPPOSITE, torus.support((1, 0)))
         assert nil.is_nilpotent and not nil.is_semisimple
         mixed = torus.classify_stratum(LINE_AND_FIXED, {1, 2})
         assert not mixed.is_nilpotent and not mixed.is_semisimple
@@ -234,7 +232,7 @@ class TestClassification:
             kinds = set()
             for seed in (1, 2, 3):
                 p = oracle.random_fiber_point(w, subset, seed)
-                kinds.add(type(torus.classify_element(w, p.x)))
+                kinds.add(type(torus.classify_stratum(w, torus.support(p.x))))
             assert len(kinds) == 1
 
 
@@ -403,6 +401,13 @@ class TestCartanSubspace:
                 )
 
 
+def _doubled_weights(w, p):
+    """{s_i : x_i != 0} then {-s_i : phi_i != 0}, in index order."""
+    return [w.weight(i) for i in sorted(torus.support(p.x))] + [
+        tuple(-v for v in w.weight(i)) for i in sorted(torus.support(p.phi))
+    ]
+
+
 def _tangent_rows(w, x):
     return [
         [x[i] * w.matrix.entries[i][j] for i in range(w.n)]
@@ -473,10 +478,14 @@ class TestPairClosedOrbit:
                         assert exps[i] <= 0
                         strict |= exps[i] < 0
                 assert strict
-            elif isinstance(res, Closed):
-                assert isinstance(
-                    torus.pair_semisimple_certificate(w, p), Inside
+                assert res.limit == PairPoint(
+                    tuple(0 if e else v for v, e in zip(p.x, exps)),
+                    tuple(0 if e else v for v, e in zip(p.phi, exps)),
                 )
+            elif isinstance(res, Closed):
+                q = polytope.HullQuery.of(_doubled_weights(w, p))
+                cert = polytope.zero_in_relative_interior(q)
+                assert isinstance(cert, Inside)
 
     def test_verdict_matches_brute_relative_interior(self, corpus):
         # Hilbert-Mumford against the subset-enumeration oracle.  The first
@@ -491,10 +500,7 @@ class TestPairClosedOrbit:
                 mask = rng.randrange(1, 1 << w.n) if k else 0
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
                 p = oracle.random_fiber_point(w, subset, rng.randrange(10**6))
-                pts = [w.weight(i) for i in sorted(torus.support(p.x))] + [
-                    tuple(-v for v in w.weight(i))
-                    for i in sorted(torus.support(p.phi))
-                ]
+                pts = _doubled_weights(w, p)
                 res = torus.pair_closed_orbit(w, p)
                 cases += 1
                 if not pts:  # the origin
@@ -529,6 +535,16 @@ class TestPairClosedOrbit:
         assert res.cocharacter == (1, 0)
         assert res.limit == PairPoint.of((0, 0, 1, 1), (0,) * 4)
 
+    def test_rejected_certificate_raises(self, monkeypatch):
+        # The hull query checks its own destabilizer: with every
+        # certificate rejected, a point that is not closed raises.
+        w = wm([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        monkeypatch.setattr(
+            polytope, "verify_certificate", lambda *a, **k: False
+        )
+        with pytest.raises(ArithmeticError):
+            torus.pair_closed_orbit(w, PairPoint.of((1, 0, 1, 1), (0,) * 4))
+
     def test_free_part_of_a_support_is_outside_its_blocks(self, small_corpus):
         # For a visible matrix and a support avoiding I_f, the rows' own
         # free part is the support minus the blocks it contains.  Few
@@ -562,7 +578,9 @@ class TestNonvisibleWitness:
         assert wit is not None
         p = wit.pair
         assert torus.moment_eval(TRIPLE, p) == (Fraction(0),)
-        assert isinstance(torus.classify_element(TRIPLE, p.x), Nilpotent)
+        assert isinstance(
+            torus.classify_stratum(TRIPLE, torus.support(p.x)), Nilpotent
+        )
         # The relation is a genuine mixed-sign dependency.
         assert any(c > 0 for c in wit.relation)
         assert any(c < 0 for c in wit.relation)
@@ -637,7 +655,7 @@ class TestNonvisibleWitness:
                 w.matrix.entries
             )
             assert isinstance(
-                torus.classify_element(w, wit.pair.x), Nilpotent
+                torus.classify_stratum(w, torus.support(wit.pair.x)), Nilpotent
             ), w.matrix.entries
             checked += 1
         assert checked > 100
@@ -771,8 +789,8 @@ class TestModalityInvariants:
     def test_monotone_and_global_max(self, small_corpus):
         rng = random.Random(5)
         for w in small_corpus[:60]:
-            full = torus.global_modality(w)
-            assert full == torus.modality(w, range(1, w.n + 1))
+            full = torus.modality(w, range(1, w.n + 1))
+            assert full == w.n - exactlin.rank(w.matrix)
             best = 0
             for mask in range(1 << w.n):  # exhaustive, n <= 10 in corpus
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
