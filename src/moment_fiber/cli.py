@@ -46,9 +46,8 @@ def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _frac_str(x: Fraction) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def _frac_str(x: Fraction | int) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _cert_dict(cert: polytope.HullCertificate, float_hint: bool) -> dict:
@@ -302,6 +301,7 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
     twist = 1
     labels: list[int] | None = None
     opts: dict[str, Any] = {"scan": False, "delta_ge": 2, "not_div": []}
+    scan_options: list[str] = []
     it = iter(tokens[1:])
     for tok in it:
         if tok.startswith("twist="):
@@ -319,6 +319,7 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
             value = next(it, None)
             if value is None:
                 raise InputError(f"{tok} needs a value")
+            scan_options.append(tok)
             if tok == "--delta-ge":
                 opts["delta_ge"] = _parse_int(value, tok)
             else:
@@ -329,6 +330,10 @@ def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int
                     raise InputError(f"{tok} needs positive divisors, got {value!r}")
         else:
             raise InputError(f"unrecognized kac token {tok!r}")
+    if opts["scan"] and labels is not None:
+        raise InputError("scan runs over every labeling; drop labels= and all-ones")
+    if not opts["scan"] and scan_options:
+        raise InputError(f"{scan_options[0]} applies only to scan")
     return family, rank, twist, labels, opts
 
 

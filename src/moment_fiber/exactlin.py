@@ -163,7 +163,7 @@ def transpose(m: IntMatrix) -> IntMatrix:
     return IntMatrix(cols, m.rows)
 
 
-def clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector by the positive lcm of denominators."""
-    scale = math.lcm(*(Fraction(x).denominator for x in v)) if v else 1
-    return tuple(int(Fraction(x) * scale) for x in v)
+    scale = math.lcm(*(x.denominator for x in v)) if v else 1
+    return tuple(x.numerator * (scale // x.denominator) for x in v)

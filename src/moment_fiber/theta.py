@@ -9,10 +9,17 @@ classical families of gradings.
 
 Every grading, twisted or not, comes from one routine (Kac,
 *Infinite-Dimensional Lie Algebras*, 8.3 and Thm 8.6): X_N splits into
-eigenvectors of the diagram automorphism mu of order k, each with its
-root restricted to the mu-fixed Cartan, and the labels give each
-eigenvector its degree.  For k = 1, mu is the identity and the
-eigenvectors are the root vectors and the Cartan.
+eigenvectors (j, c) of the diagram automorphism mu of order k, on which
+mu acts by exp(2 pi i j / k), with c the root restricted to the
+mu-fixed Cartan.  Under labels s_P on nodes of mark a_P, the grading
+has order m = k sum_P a_P s_P and such an eigenvector has degree
+j m / k + sum_P c_P s_P mod m.  That degree is linear in the labels: per
+node P, one column holds c_P + j a_P for every eigenvector, a labeling's
+degrees are the sum of its labelled columns mod m, and their histogram
+is its graded dimension vector.  The scans walk the labelings in
+Gray-code order, so each step adds or subtracts one column from one
+running vector.  For k = 1, mu is the identity and the eigenvectors are
+the root vectors and the Cartan.
 
 Cartan matrices and marks are embedded static data: one table, ``_MARKS``,
 holds the marks of all 55 supported diagrams (32 untwisted, 23 twisted),
@@ -29,10 +36,12 @@ twisted ones that of Kac's Tables Aff 2 and Aff 3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, mod, sub
 from typing import Iterable, Optional
 
 from . import exactlin
@@ -341,12 +350,40 @@ class GradedDims:
         return self.dims[1 % self.order] - self.dims[0]
 
 
-def _degrees(d: KacDiagram, m: int):
-    """(degree mod m, restricted root) of each eigenvector: an eigenvector
-    (j, c) of mu has degree j m / k + sum_P c_P s_P (Kac, Thm 8.6)."""
-    step = m // d.twist
-    for j, coords in _eigenvectors(d.family, d.rank, d.twist):
-        yield (j * step + sum(map(mul, coords, d.labels))) % m, coords
+def _columns(family: str, rank: int, twist: int) -> list[tuple[int, ...]]:
+    """Per label position P with mark a_P, the column of c_P + j a_P over
+    the eigenvectors (j, c) of mu.  The labelled columns sum to
+    j m / k + sum_P c_P s_P, as m / k = sum_P a_P s_P: each eigenvector's
+    degree before reduction mod m (Kac, Thm 8.6)."""
+    marks = _marks_for(family, rank, twist)
+    vectors = _eigenvectors(family, rank, twist)
+    return [tuple(c[p] + j * a for j, c in vectors) for p, a in enumerate(marks)]
+
+
+def _degree_vector(sums: Iterable[int], m: int) -> list[int]:
+    """Each eigenvector's degree mod m, from its labelled-column sum."""
+    return list(map(mod, sums, repeat(m)))
+
+
+def _histogram(family: str, rank: int, m: int, degrees: list[int]) -> list[int]:
+    """Dimension per degree mod m, checked against dim X_N and against the
+    symmetry j <-> -j of every grading."""
+    counts = Counter(degrees)
+    dims = [counts[j] for j in range(m)]
+    if sum(dims) != _ALGEBRA_DIM[family](rank):
+        raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
+    if dims[1:] != dims[:0:-1]:
+        raise ArithmeticError("graded dimensions are not symmetric")
+    return dims
+
+
+def _grading(d: KacDiagram) -> tuple[int, list[int]]:
+    """The order m of the grading and each eigenvector's degree: the sum
+    of the labelled columns, mod m."""
+    m = kac_order(d)
+    columns = _columns(d.family, d.rank, d.twist)
+    labelled = [c for c, v in zip(columns, d.labels) if v]
+    return m, _degree_vector(map(sum, zip(*labelled)), m)
 
 
 def graded_dims(d: KacDiagram) -> GradedDims:
@@ -355,15 +392,8 @@ def graded_dims(d: KacDiagram) -> GradedDims:
     the degree its restricted root and eigenvalue give.  For k = 1 a root
     sum(k_i alpha_i) has degree sum(k_i s_i) mod m, and the Cartan
     subalgebra sits in degree 0."""
-    m = kac_order(d)
-    dims = [0] * m
-    for deg, _ in _degrees(d, m):
-        dims[deg] += 1
-    if sum(dims) != _ALGEBRA_DIM[d.family](d.rank):
-        raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
-    if any(dims[j] != dims[-j % m] for j in range(m)):
-        raise ArithmeticError("graded dimensions are not symmetric")
-    return GradedDims(order=m, dims=tuple(dims))
+    m, degrees = _grading(d)
+    return GradedDims(order=m, dims=tuple(_histogram(d.family, d.rank, m, degrees)))
 
 
 def zero_part_semisimple_rank(d: KacDiagram) -> int:
@@ -373,16 +403,14 @@ def zero_part_semisimple_rank(d: KacDiagram) -> int:
     Equals the number of 0-labelled nodes: the semisimple part of the
     degree-0 subalgebra is read off the 0-labelled subdiagram.
     """
-    m = kac_order(d)
-    return exactlin.rank_rows([c for deg, c in _degrees(d, m) if deg == 0])
+    vectors = _eigenvectors(d.family, d.rank, d.twist)
+    _, degrees = _grading(d)
+    return exactlin.rank_rows(
+        [c for deg, (_, c) in zip(degrees, vectors) if deg == 0]
+    )
 
 
 # -- labeling scans -------------------------------------------------------------
-
-
-def _all_labelings(node_count: int):
-    for mask in range(1, 1 << node_count):
-        yield tuple(mask >> i & 1 for i in range(node_count))
 
 
 def rank1_dim_filter(family: str, rank: int, twist: int = 1) -> list[KacDiagram]:
@@ -403,15 +431,40 @@ def levi_order_scan(
     family: str, rank: int, min_delta: int = 2, twist: int = 1
 ) -> list[ScanHit]:
     """All {0,1}-labelings of the diagram with degree-1 excess at least
-    ``min_delta``, together with their grading orders."""
+    ``min_delta``, together with their grading orders, in increasing
+    label mask (label i at bit i).
+
+    The labelings are walked in Gray-code order, so each step flips one
+    label and adds or subtracts its column from the one running vector
+    of label sums.
+    """
     marks = _marks_for(family, rank, twist)
-    out = []
-    for labels in _all_labelings(len(marks)):
-        d = KacDiagram(family, rank, twist, labels)
-        gd = graded_dims(d)
-        if gd.delta >= min_delta:
-            out.append(ScanHit(diagram=d, order=gd.order, delta=gd.delta))
-    return out
+    columns = _columns(family, rank, twist)
+    sums = [0] * len(columns[0])
+    mask = order = 0
+    found = []
+    for step in range(1, 1 << len(marks)):
+        p = (step & -step).bit_length() - 1  # the label this step flips
+        mask ^= 1 << p
+        if mask >> p & 1:
+            sums = list(map(add, sums, columns[p]))
+            order += marks[p]
+        else:
+            sums = list(map(sub, sums, columns[p]))
+            order -= marks[p]
+        m = twist * order
+        dims = _histogram(family, rank, m, _degree_vector(sums, m))
+        delta = dims[1 % m] - dims[0]
+        if delta >= min_delta:
+            found.append((mask, m, delta))
+    return [
+        ScanHit(
+            KacDiagram(family, rank, twist, tuple(mask >> i & 1 for i in range(len(marks)))),
+            order=m,
+            delta=delta,
+        )
+        for mask, m, delta in sorted(found)
+    ]
 
 
 # -- classical gradings: closed dimension formulas ------------------------------

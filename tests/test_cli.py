@@ -384,6 +384,24 @@ class TestKac:
         assert "parse error" in err
 
     @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("E6 labels=1,0,1 scan", "drop labels="),
+            ("E6 scan labels=1,1,1,0,1,1,1", "drop labels="),
+            ("E6 twist=2 all-ones scan --delta-ge 1", "drop labels="),
+            ("E6 labels=1,1,1,0,1,1,1 --delta-ge 3", "--delta-ge applies only"),
+            ("E6 all-ones --check-order-not-div 9", "--check-order-not-div applies"),
+            ("E7 --delta-ge 2 --check-order-not-div 9,14", "--delta-ge applies"),
+        ],
+    )
+    def test_spec_parts_a_command_would_ignore_exit_2(self, spec, message, capsys):
+        # A scan reads no labels, and only a scan reads the scan options.
+        code, out, err = run(["kac", spec], capsys)
+        assert code == 2
+        assert "parse error" in err and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "spec",
         [
             "E7 twist=1 scan --delta-ge",

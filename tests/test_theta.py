@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 import pytest
 
 from moment_fiber import oracle, theta
 from moment_fiber.errors import InputError
 from moment_fiber.theta import (
+    GradedDims,
     KacDiagram,
     VinbergClassicalInput,
     build_root_system,
@@ -56,6 +58,12 @@ TWISTED = sorted(key for key in theta._MARKS if key[2] > 1)
 # Degrees 0 and 1 of E6^(2) with labels (1,0,1,1,1), as the classification
 # tables list them.
 E6_TWISTED_TABLE_DIMS = (6, 7)
+
+
+def labelings(size):
+    """Every {0,1}-labeling of ``size`` nodes with a nonzero label, in
+    increasing mask (label i at bit i): the order of a scan's hits."""
+    return [tuple(m >> i & 1 for i in range(size)) for m in range(1, 1 << size)]
 
 
 def twisted_cartan(family, rank, twist):
@@ -182,6 +190,9 @@ class TestGradedDims:
         ]:
             with pytest.raises(ArithmeticError, match="sum to dim"):
                 graded_dims(d)
+            # The scan runs the same check on its own degrees.
+            with pytest.raises(ArithmeticError, match="sum to dim"):
+                levi_order_scan(d.family, d.rank, min_delta=-10**6, twist=d.twist)
 
     def test_rank_one_tables_gain_one_dimension(self):
         for (family, rank), labelings in NONNORMAL_DIAGRAMS.items():
@@ -254,7 +265,7 @@ class TestTwistedGradings:
         self, family, rank, twist
     ):
         a = twisted_cartan(family, rank, twist)
-        for labels in theta._all_labelings(len(a)):
+        for labels in labelings(len(a)):
             zero = [i for i, v in enumerate(labels) if v == 0]
             # string closure reads <alpha_j, alpha_i^vee>: the transpose
             sub = [[a[j][i] for j in zero] for i in zero]
@@ -272,7 +283,7 @@ class TestTwistedGradings:
         nodes = theta._folded_nodes(family, rank, twist)
         position = {i: p for p, orbit in enumerate(nodes) if orbit for i in orbit}
         positive = theta._positive_roots(theta._cartan_matrix(family, rank))
-        for labels in theta._all_labelings(len(nodes)):
+        for labels in labelings(len(nodes)):
             gd = graded_dims(KacDiagram(family, rank, twist, labels))
             q = gd.order // twist
             expected = [rank] + [0] * (q - 1)
@@ -281,6 +292,15 @@ class TestTwistedGradings:
                 expected[deg % q] += 1
                 expected[-deg % q] += 1
             assert [sum(gd.dims[r::q]) for r in range(q)] == expected, labels
+
+    @pytest.mark.parametrize("family,rank,twist", TWISTED)
+    def test_scan_is_the_grading_of_every_labeling(self, family, rank, twist):
+        hits = levi_order_scan(family, rank, min_delta=-10**6, twist=twist)
+        expected = []
+        for labels in labelings(len(theta._MARKS[family, rank, twist])):
+            gd = graded_dims(KacDiagram(family, rank, twist, labels))
+            expected.append((labels, gd.order, gd.delta))
+        assert [(h.diagram.labels, h.order, h.delta) for h in hits] == expected
 
     @pytest.mark.parametrize("family,rank,twist", TWISTED)
     def test_all_ones_total_and_symmetry(self, family, rank, twist):
@@ -293,6 +313,24 @@ class TestTwistedGradings:
 
 
 class TestScans:
+    @pytest.mark.parametrize("family,rank", SUPPORTED)
+    def test_untwisted_scan_is_the_root_grading(self, family, rank):
+        # A route through neither _eigenvectors nor the scan: each root
+        # sum(k_i alpha_i) in degree sum(k_i s_i) mod m, the Cartan in 0.
+        rs = build_root_system(family, rank)
+        hits = levi_order_scan(family, rank, min_delta=-10**6)
+        expected = []
+        for labels in labelings(rank + 1):
+            m = sum(map(mul, rs.affine_marks, labels))
+            dims = [0] * m
+            dims[0] = rank
+            for root in rs.roots:
+                dims[sum(map(mul, root, labels[:-1])) % m] += 1
+            gd = GradedDims(order=m, dims=tuple(dims))
+            assert graded_dims(KacDiagram.of(family, rank, labels)) == gd, labels
+            expected.append((labels, m, gd.delta))
+        assert [(h.diagram.labels, h.order, h.delta) for h in hits] == expected
+
     def test_rank1_filter_contains_known_diagrams(self):
         got = {d.labels for d in rank1_dim_filter("E", 6)}
         assert (1,) * 7 in got
