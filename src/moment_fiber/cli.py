@@ -6,12 +6,16 @@ Subcommands:
   matrix, with certificates; INPUT is a path (JSON or CSV), inline JSON,
   or ``-`` for stdin.
 * ``moment-fiber kac SPEC...``: grading data for one Kac diagram, twisted
-  or not, or a labeling scan (``scan --delta-ge N
-  [--check-order-not-div A,B]``).
+  or not, or a labeling scan.  SPEC is ``TYPE [twist=T] [labels=L |
+  all-ones]`` or ``TYPE [twist=T] scan [--delta-ge N]
+  [--check-order-not-div A,B]``, the parts after TYPE in any order.  Each
+  part may appear at most once, and a list is comma-separated integers
+  with no empty field.
 * ``moment-fiber selftest``: randomized oracle-vs-fast-path suites.
 
 Exit codes: 0 success (also when the reader closes the output pipe
-early), 1 selftest mismatch, 2 input parse error, 3 capability refusal.
+early), 1 selftest mismatch, 2 input parse error (a repeated kac spec part
+or an empty list field too), 3 capability refusal.
 All rationals are emitted as exact "p/q" strings; ``--float-hint`` adds
 decimal approximations alongside, never replacing.
 Set MOMENT_FIBER_COLOR=0|1 to force colored text output off or on.
@@ -286,55 +290,49 @@ def _parse_int(text: str, what: str) -> int:
         raise InputError(f"{what} needs an integer, got {text!r}") from None
 
 
-def _diagram_from_tokens(tokens: Sequence[str]) -> tuple[str, int, int, list[int] | None, dict]:
-    """Parse 'E6 twist=1 labels=..' token streams; returns scan options too."""
-    if not tokens:
-        raise InputError("kac needs a diagram spec, e.g. 'A2 twist=1 labels=1,1,1'")
-    head = tokens[0].strip()
-    if len(head) < 2 or head[0].upper() not in "ABCDEFG":
-        raise InputError(f"cannot parse type {head!r} (expected e.g. E6, A2)")
-    family = head[0].upper()
+def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        rank = int(head[1:])
+        return [int(v) for v in text.split(",")]
     except ValueError:
-        raise InputError(f"cannot parse rank in {head!r}") from None
-    twist = 1
-    labels: list[int] | None = None
-    opts: dict[str, Any] = {"scan": False, "delta_ge": 2, "not_div": []}
-    scan_options: list[str] = []
-    it = iter(tokens[1:])
-    for tok in it:
-        if tok.startswith("twist="):
-            twist = _parse_int(tok.split("=", 1)[1], "twist=")
-        elif tok.startswith("labels="):
-            try:
-                labels = [int(v) for v in tok.split("=", 1)[1].split(",") if v != ""]
-            except ValueError:
-                raise InputError(f"bad labels in {tok!r}") from None
-        elif tok == "all-ones":
-            labels = "all-ones"  # type: ignore[assignment]
-        elif tok == "scan":
-            opts["scan"] = True
-        elif tok in ("--delta-ge", "--check-order-not-div"):
-            value = next(it, None)
-            if value is None:
-                raise InputError(f"{tok} needs a value")
-            scan_options.append(tok)
-            if tok == "--delta-ge":
-                opts["delta_ge"] = _parse_int(value, tok)
-            else:
-                opts["not_div"] = [
-                    _parse_int(v, tok) for v in value.split(",") if v
-                ]
-                if any(q <= 0 for q in opts["not_div"]):
-                    raise InputError(f"{tok} needs positive divisors, got {value!r}")
+        raise InputError(
+            f"{what} needs comma-separated integers, got {text!r}"
+        ) from None
+
+
+_KAC_SCAN_OPTIONS = ("--delta-ge", "--check-order-not-div")
+
+
+def _kac_parts(words: Sequence[str]) -> dict[str, str]:
+    """One pass over the words of a kac spec: ``{part: text}``, where the
+    head word is the ``type`` part, ``twist=`` and ``labels=`` carry the
+    text after ``=``, a scan option the word after it, and the flags
+    ``scan`` and ``all-ones`` the empty text.  Each part appears at most
+    once, and no part goes unread by the command it selects."""
+    if not words:
+        raise InputError("kac needs a diagram spec, e.g. 'A2 twist=1 labels=1,1,1'")
+    parts = {"type": words[0]}
+    it = iter(words[1:])
+    for word in it:
+        part, eq, text = word.partition("=")
+        if (eq and part in ("twist", "labels")) or word in ("scan", "all-ones"):
+            pass
+        elif word in _KAC_SCAN_OPTIONS:
+            text = next(it, None)
+            if text is None:
+                raise InputError(f"{word} needs a value")
         else:
-            raise InputError(f"unrecognized kac token {tok!r}")
-    if opts["scan"] and labels is not None:
+            raise InputError(f"unrecognized kac token {word!r}")
+        if part in parts:
+            raise InputError(f"{part} is given more than once")
+        parts[part] = text
+    if "scan" in parts and ("labels" in parts or "all-ones" in parts):
         raise InputError("scan runs over every labeling; drop labels= and all-ones")
-    if not opts["scan"] and scan_options:
-        raise InputError(f"{scan_options[0]} applies only to scan")
-    return family, rank, twist, labels, opts
+    if "labels" in parts and "all-ones" in parts:
+        raise InputError("labels= and all-ones both set the labels; keep one")
+    for part in parts:
+        if part in _KAC_SCAN_OPTIONS and "scan" not in parts:
+            raise InputError(f"{part} applies only to scan")
+    return parts
 
 
 def _worker_count(jobs: int) -> int:
@@ -343,49 +341,46 @@ def _worker_count(jobs: int) -> int:
 
 
 def cmd_kac(tokens: Sequence[str]) -> dict:
-    flat: list[str] = []
-    for tok in tokens:
-        flat.extend(tok.split())
-    family, rank, twist, labels, opts = _diagram_from_tokens(flat)
-    if opts["scan"]:
-        hits = theta.levi_order_scan(family, rank, opts["delta_ge"], twist)
-        violations = [
-            h for h in hits
-            if any(h.order % q == 0 for q in opts["not_div"])
-        ]
-        return {
-            "type": f"{family}{rank}",
-            "twist": twist,
-            "scan": {
-                "min_delta": opts["delta_ge"],
-                "hits": [
-                    {
-                        "labels": list(h.diagram.labels),
-                        "order": h.order,
-                        "delta": h.delta,
-                    }
-                    for h in hits
-                ],
-                "order_not_divisible_by": opts["not_div"],
-                "violations": [
-                    {"labels": list(h.diagram.labels), "order": h.order}
-                    for h in violations
-                ],
-            },
+    parts = _kac_parts([word for tok in tokens for word in tok.split()])
+    head = parts["type"]
+    family = head[0].upper()
+    rank = _parse_int(head[1:], f"the rank in {head!r}")
+    twist = _parse_int(parts.get("twist", "1"), "twist=")
+    out: dict[str, Any] = {"type": f"{family}{rank}", "twist": twist}
+    if "scan" in parts:
+        min_delta = _parse_int(parts.get("--delta-ge", "2"), "--delta-ge")
+        option = "--check-order-not-div"
+        not_div = _parse_ints(parts[option], option) if option in parts else []
+        if any(q <= 0 for q in not_div):
+            raise InputError(f"{option} needs positive divisors, got {parts[option]!r}")
+        hits = theta.levi_order_scan(family, rank, min_delta, twist)
+        out["scan"] = {
+            "min_delta": min_delta,
+            "hits": [
+                {
+                    "labels": list(h.diagram.labels),
+                    "order": h.order,
+                    "delta": h.delta,
+                }
+                for h in hits
+            ],
+            "order_not_divisible_by": not_div,
+            "violations": [
+                {"labels": list(h.diagram.labels), "order": h.order}
+                for h in hits if any(h.order % q == 0 for q in not_div)
+            ],
         }
-    if labels == "all-ones" or labels is None:
-        d = theta.KacDiagram.all_ones(family, rank, twist)
-    else:
+        return out
+    if "labels" in parts:
+        labels = _parse_ints(parts["labels"], "labels=")
         d = theta.KacDiagram.of(family, rank, labels, twist=twist)
+    else:
+        d = theta.KacDiagram.all_ones(family, rank, twist)
     gd = theta.graded_dims(d)
-    return {
-        "type": f"{family}{rank}",
-        "twist": twist,
-        "labels": list(d.labels),
-        "order": gd.order,
-        "delta": gd.delta,
-        "dims": list(gd.dims),
-    }
+    out.update(
+        labels=list(d.labels), order=gd.order, delta=gd.delta, dims=list(gd.dims)
+    )
+    return out
 
 
 # -- selftest -------------------------------------------------------------------

@@ -397,6 +397,8 @@ def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
     Duplicates do not change the hull, so only distinct points enter the
     enumeration; a zero point settles the query immediately.
     """
+    if not points:
+        raise InputError("hull query needs at least one point")
     pts = sorted(set(tuple(p) for p in points))
     d = len(pts[0])
     if any(all(x == 0 for x in p) for p in pts):

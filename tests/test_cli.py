@@ -344,6 +344,22 @@ class TestKac:
             if dims:
                 assert rep["dims"] == [int(v) for v in dims[1].split(",")], line
 
+    def test_format_in_each_position(self, capsys):
+        # argparse reads --format before the spec; after it, or inside
+        # its one word, it is pulled out by hand.
+        spec = "E6 twist=2 labels=1,0,1,1,1"
+        outs = []
+        for argv in (
+            ["kac", "--format", "json", spec],
+            ["kac", spec, "--format", "json"],
+            ["kac", f"{spec} --format json"],
+        ):
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["order"] == 12
+
     def test_bad_spec_exits_2(self, capsys):
         code, _, _ = run(["kac", "Q9 labels=1"], capsys)
         assert code == 2
@@ -392,10 +408,23 @@ class TestKac:
             ("E6 labels=1,1,1,0,1,1,1 --delta-ge 3", "--delta-ge applies only"),
             ("E6 all-ones --check-order-not-div 9", "--check-order-not-div applies"),
             ("E7 --delta-ge 2 --check-order-not-div 9,14", "--delta-ge applies"),
+            ("A2 labels=1,1,1 labels=0,0,1", "labels is given more than once"),
+            ("A2 twist=1 twist=2 labels=1,1", "twist is given more than once"),
+            ("A2 scan --delta-ge 5 --delta-ge -3", "--delta-ge is given more"),
+            ("A2 scan scan", "scan is given more than once"),
+            ("A2 all-ones all-ones", "all-ones is given more than once"),
+            ("A2 labels=1,1,1 all-ones", "labels= and all-ones both set"),
+            ("A2 labels=1,,1,1", "labels= needs comma-separated integers"),
+            ("A2 labels=1,1,1,", "labels= needs comma-separated integers"),
+            (
+                "A2 scan --check-order-not-div 3,,2",
+                "--check-order-not-div needs comma-separated integers",
+            ),
         ],
     )
     def test_spec_parts_a_command_would_ignore_exit_2(self, spec, message, capsys):
-        # A scan reads no labels, and only a scan reads the scan options.
+        # A scan reads no labels, only a scan reads the scan options, and
+        # a repeated part or an empty list field would hide a value.
         code, out, err = run(["kac", spec], capsys)
         assert code == 2
         assert "parse error" in err and message in err

@@ -171,6 +171,8 @@ class TestBruteRelativeInterior:
     def test_empty_point_set_rejected(self):
         with pytest.raises(InputError):
             oracle.brute_zero_in_relative_interior([])
+        with pytest.raises(InputError):
+            oracle.brute_zero_in_hull([])
 
 
 class TestTangentDim:
