@@ -10,7 +10,7 @@ subgroup, a block relation) that verifies independently.
 """
 
 from .errors import CapabilityError, InputError
-from .exactlin import IntMatrix, RatVector, kernel_basis, rank, row_select
+from .exactlin import RatVector
 from .polytope import (
     HullCertificate,
     HullQuery,
@@ -23,9 +23,7 @@ from .polytope import (
 from .theta import (
     GradedDims,
     KacDiagram,
-    RootSystem,
     VinbergClassicalInput,
-    build_root_system,
     graded_dims,
     kac_order,
     levi_order_scan,
@@ -64,32 +62,26 @@ __all__ = [
     "HullQuery",
     "InputError",
     "Inside",
-    "IntMatrix",
     "KacDiagram",
     "NotVisible",
     "Outside",
     "PairPoint",
     "RatVector",
-    "RootSystem",
     "VinbergClassicalInput",
     "VisibleDecomposition",
     "WeightMatrix",
-    "build_root_system",
     "classify_stratum",
     "graded_dims",
     "integral_subgroup",
     "is_locally_free",
     "is_stable",
     "kac_order",
-    "kernel_basis",
     "levi_order_scan",
     "modality",
     "moment_eval",
     "pair_closed_orbit",
-    "rank",
     "rank1_dim_filter",
     "reduce_to_effective",
-    "row_select",
     "smooth_witness",
     "stabilizer_dim",
     "stratum_orbit_dim",

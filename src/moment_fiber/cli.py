@@ -310,7 +310,10 @@ def _kac_parts(words: Sequence[str]) -> dict[str, str]:
     once, and no part goes unread by the command it selects."""
     if not words:
         raise InputError("kac needs a diagram spec, e.g. 'A2 twist=1 labels=1,1,1'")
-    parts = {"type": words[0]}
+    head = words[0]
+    if head in ("scan", "all-ones", *_KAC_SCAN_OPTIONS) or "=" in head:
+        raise InputError(f"the spec must start with the diagram type, not {head!r}")
+    parts = {"type": head}
     it = iter(words[1:])
     for word in it:
         part, eq, text = word.partition("=")
@@ -341,7 +344,11 @@ def _worker_count(jobs: int) -> int:
 
 
 def cmd_kac(tokens: Sequence[str]) -> dict:
-    parts = _kac_parts([word for tok in tokens for word in tok.split()])
+    """The kac output for a spec given as one or more strings of words."""
+    return _kac_output(_kac_parts([word for tok in tokens for word in tok.split()]))
+
+
+def _kac_output(parts: dict[str, str]) -> dict:
     head = parts["type"]
     family = head[0].upper()
     rank = _parse_int(head[1:], f"the rank in {head!r}")
@@ -590,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kac", help="Kac diagram gradings and scans")
     pk.add_argument("spec", nargs=argparse.REMAINDER,
                     help="e.g. E6 twist=1 labels=1,1,1,0,1,1,1")
-    pk.add_argument("--format", choices=FORMATS, default="text")
+    pk.add_argument("--format", choices=FORMATS, action="append")
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
     ps.add_argument("--seed", type=int, default=0)
@@ -634,28 +641,29 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                 _render_report_text(rep, sys.stdout)
             return EXIT_OK
         if args.command == "kac":
-            # REMAINDER swallows trailing options; pull ours back out.
-            flat: list[str] = []
-            for tok in args.spec:
-                flat.extend(tok.split())
-            spec: list[str] = []
-            it = iter(flat)
+            # REMAINDER swallows trailing options: split the spec into
+            # words once and pull --format back out.
+            formats, words = args.format or [], []
+            it = iter([word for tok in args.spec for word in tok.split()])
+            for word in it:
+                if word == "--format":
+                    formats.append(next(it, ""))
+                else:
+                    words.append(word)
+            if len(formats) > 1:
+                parser.error("argument --format: given more than once")
+            fmt = formats[0] if formats else "text"
+            if fmt not in FORMATS:
+                parser.error(
+                    f"argument --format: needs one of {', '.join(FORMATS)},"
+                    f" got {fmt!r}"
+                )
             try:
-                for tok in it:
-                    if tok == "--format":
-                        args.format = next(it, "")
-                        if args.format not in FORMATS:
-                            parser.error(
-                                "argument --format: needs one of"
-                                f" {', '.join(FORMATS)}, got {args.format!r}"
-                            )
-                    else:
-                        spec.append(tok)
-                out = cmd_kac(spec)
+                out = _kac_output(_kac_parts(words))
             except InputError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            if args.format == "json":
+            if fmt == "json":
                 print(_dumps(out))
             else:
                 for key, val in out.items():

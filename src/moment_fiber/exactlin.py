@@ -6,8 +6,9 @@ update rule of Bareiss (1968); the simplex in ``polytope`` runs on the
 same step.  Entries stay integers, and the reduced row-echelon form
 over Q is read off at the end by one division by a common denominator.
 
-Row indices in the public API are 1-based, matching the weight-matrix
-conventions used throughout the package (rows are numbered 1..n).
+Every routine takes plain integer rows.  The only 1-based row index is
+``IntMatrix.row``, after the package's convention that weight rows are
+numbered 1..n; ``IntMatrix`` itself only checks weight-matrix input.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
 RatVector = tuple[Fraction, ...]
 
-USING_COMPILED_KERNEL = False  # pure Python only; kept for report metadata
+USING_COMPILED_KERNEL = False  # pure Python only; read by perfbench's meta line
 
 
 def pivot(a: list[list[int]], k: int, c: int, prev: int) -> int:
@@ -83,11 +84,7 @@ def rank_rows(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable rectangular matrix with exact integer entries.
-
-    Zero-row matrices are legal (``cols`` is then carried explicitly);
-    they arise from empty row selections and have rank 0.
-    """
+    """Rectangular exact integer rows: the checked ``WeightMatrix`` input."""
 
     entries: tuple[tuple[int, ...], ...]
     cols: int
@@ -100,17 +97,6 @@ class IntMatrix:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise InputError(f"non-integer entry {x!r}")
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[Iterable[int]], cols: int | None = None
-    ) -> "IntMatrix":
-        entries = tuple(tuple(row) for row in rows)
-        if cols is None:
-            if not entries:
-                raise InputError("zero-row matrix needs an explicit column count")
-            cols = len(entries[0])
-        return cls(entries, cols)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -122,45 +108,26 @@ class IntMatrix:
         return self.entries[i - 1]
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of ``m`` over the rationals."""
-    return rank_rows(m.entries)
-
-
-def kernel_basis(m: IntMatrix) -> list[RatVector]:
-    """Basis of the right kernel {v : M v = 0}, echelon-normalized.
+def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[RatVector]:
+    """Basis of the right kernel {v : M v = 0} of rows M, echelon-normalized.
 
     One vector per free column f: 1 at f, 0 at the other free columns, and
     minus the reduced row-echelon entries in column f at the pivots.  The
-    basis size is always ``cols - rank``, every vector satisfies M v = 0
+    basis size is always ``ncols - rank``, every vector satisfies M v = 0
     exactly, and the output is deterministic.
     """
-    a, pivots, d = echelon(m.entries, m.cols)
+    a, pivots, d = echelon(rows, ncols)
     pivot_set = set(pivots)
     basis = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for row, p in zip(a, pivots):
             v[p] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return basis
-
-
-def row_select(m: IntMatrix, indices: Iterable[int]) -> IntMatrix:
-    """Submatrix of the rows in ``indices`` (1-based), original order kept."""
-    idx = sorted(set(indices))
-    for i in idx:
-        if not 1 <= i <= m.rows:
-            raise InputError(f"row index {i} out of range 1..{m.rows}")
-    return IntMatrix(tuple(m.entries[i - 1] for i in idx), m.cols)
-
-
-def transpose(m: IntMatrix) -> IntMatrix:
-    cols = tuple(tuple(row[j] for row in m.entries) for j in range(m.cols))
-    return IntMatrix(cols, m.rows)
 
 
 def clear_denominators(v: Sequence[Fraction | int]) -> tuple[int, ...]:

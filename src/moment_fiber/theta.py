@@ -24,10 +24,10 @@ the root vectors and the Cartan.
 Cartan matrices and marks are embedded static data: one table, ``_MARKS``,
 holds the marks of all 55 supported diagrams (32 untwisted, 23 twisted),
 so validating a diagram or computing its order needs no root system.
-All roots are generated from the Cartan matrix by string closure, and the
-embedded marks are cross-checked against the computed highest root
-(``build_root_system``) and, by every grading, against the highest weight
-of the exp(2 pi i / k) eigenspace.
+All roots are generated from the Cartan matrix by string closure.  Every
+grading cross-checks the embedded marks against the highest weight of the
+exp(2 pi i / k) eigenspace (for k = 1, the highest root); the tests also
+check the untwisted marks against the highest root of ``_roots``.
 
 Node order for labels: the finite nodes alpha_1..alpha_l first, the
 affine node alpha_0 last.  Untwisted diagrams use Bourbaki's numbering,
@@ -127,27 +127,6 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return c
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """All roots of a finite simple type, as coefficient vectors over the
-    simple-root basis, plus the marks of the associated affine diagram."""
-
-    family: str
-    rank: int
-    roots: tuple[Root, ...]
-    finite_marks: tuple[int, ...]
-    highest_root: Root
-
-    @property
-    def affine_marks(self) -> tuple[int, ...]:
-        """Marks in node order (alpha_1..alpha_n, affine node)."""
-        return self.finite_marks + (1,)
-
-    @property
-    def coxeter_number(self) -> int:
-        return sum(self.affine_marks)
-
-
 def _positive_roots(cartan: list[list[int]]) -> set[Root]:
     """Positive roots of a finite-type Cartan matrix, by string closure."""
     n = len(cartan)
@@ -184,27 +163,6 @@ def _roots(family: str, rank: int) -> tuple[Root, ...]:
     positive = _positive_roots(_cartan_matrix(family, rank))
     return tuple(sorted(positive)) + tuple(
         sorted(tuple(-x for x in r) for r in positive)
-    )
-
-
-@lru_cache(maxsize=None)
-def build_root_system(family: str, rank: int) -> RootSystem:
-    """Generate the full root system by string closure from the Cartan
-    matrix; the embedded marks must match the computed highest root."""
-    marks = _marks_for(family, rank, 1)[:-1]
-    roots = _roots(family, rank)
-    highest = max(roots, key=lambda r: (sum(r), r))
-    if highest != marks:
-        raise ArithmeticError(
-            f"embedded marks for {family}{rank} disagree with the computed"
-            f" highest root {highest}"
-        )
-    return RootSystem(
-        family=family,
-        rank=rank,
-        roots=roots,
-        finite_marks=marks,
-        highest_root=highest,
     )
 
 

@@ -47,8 +47,8 @@ class WeightMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightMatrix":
-        rows = list(rows)  # no rows: __post_init__ names the shape rule
-        return cls(IntMatrix.from_rows(rows, None if rows else 0))
+        rows = tuple(map(tuple, rows))  # none: __post_init__ names the rule
+        return cls(IntMatrix(rows, len(rows[0]) if rows else 0))
 
     @property
     def n(self) -> int:
@@ -252,7 +252,7 @@ class Analysis:
 
     @classmethod
     def of(cls, w: WeightMatrix) -> "Analysis":
-        vectors = exactlin.kernel_basis(exactlin.transpose(w.matrix))
+        vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
         dependent = frozenset().union(*(support(v) for v in vectors))
         free = frozenset(range(1, w.n + 1)) - dependent
         mixed = _mixed_circuit(vectors)
@@ -363,7 +363,7 @@ def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
 
 def is_locally_free(w: WeightMatrix) -> bool:
     """True iff rank(S) = r, i.e. generic orbits have full dimension."""
-    return exactlin.rank(w.matrix) == w.r
+    return exactlin.rank_rows(w.matrix.entries) == w.r
 
 
 def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
@@ -522,7 +522,7 @@ def smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
     indicator of its complement.  Requires a locally free action."""
     if not is_locally_free(w):
         raise CapabilityError(
-            f"rank(S)={exactlin.rank(w.matrix)} < r={w.r}: the"
+            f"rank(S)={exactlin.rank_rows(w.matrix.entries)} < r={w.r}: the"
             " action has a positive-dimensional kernel; reduce it first"
             " (reduce_to_effective)"
         )

@@ -364,17 +364,30 @@ class TestKac:
         code, _, _ = run(["kac", "Q9 labels=1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["scan E6", "twist=2 E6 scan", "all-ones A2"])
+    def test_spec_must_start_with_the_type(self, spec, capsys):
+        code, out, err = run(["kac", spec], capsys)
+        assert code == 2
+        head = spec.split()[0]
+        assert "start with the diagram type" in err and repr(head) in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format", "xml"],
             ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1 --format xml"],
             ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format"],
+            ["kac", "--format", "json", "A2 all-ones", "--format", "text"],
+            ["kac", "A2 all-ones --format json --format text"],
+            ["kac", "--format", "json", "--format", "text", "A2 all-ones"],
+            ["kac", "A2 all-ones", "--format", "json", "--format", "json"],
         ],
     )
     def test_bad_format_exits_2(self, argv, capsys):
         # The options after the spec are re-parsed by hand; they must be
-        # checked like analyze's --format.
+        # checked like analyze's --format.  A second --format, wherever it
+        # stands, would silently override the first.
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out = capsys.readouterr()
@@ -633,9 +646,9 @@ class TestSelftest:
         # The smooth-witness suite checks local freeness once per matrix,
         # not once per subset.
         calls = []
-        real = exactlin.rank
+        real = torus.is_locally_free
         monkeypatch.setattr(
-            exactlin, "rank", lambda m: calls.append(m) or real(m)
+            torus, "is_locally_free", lambda w: calls.append(w) or real(w)
         )
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
@@ -649,7 +662,7 @@ class TestSelftest:
             torus.Analysis, "of", lambda w: calls.append(w) or real(w)
         )
         monkeypatch.setattr(
-            exactlin, "kernel_basis", lambda m: kernels.append(m) or real_kernel(m)
+            exactlin, "kernel_basis", lambda *a: kernels.append(a) or real_kernel(*a)
         )
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
