@@ -10,7 +10,6 @@ subgroup, a block relation) that verifies independently.
 """
 
 from .errors import CapabilityError, InputError
-from .exactlin import RatVector
 from .polytope import (
     HullCertificate,
     HullQuery,
@@ -36,6 +35,7 @@ from .torus import (
     ClosedPairWitness,
     NotVisible,
     PairPoint,
+    RatVector,
     VisibleDecomposition,
     WeightMatrix,
     classify_stratum,

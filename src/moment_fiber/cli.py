@@ -586,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="analyze a weight matrix")
     pa.add_argument("input", help="path, inline JSON, or - for stdin")
-    pa.add_argument("--format", choices=FORMATS, default="text")
+    pa.add_argument("--format", choices=FORMATS, action="append")
     pa.add_argument("--max-components", type=_at_least(0), default=4096,
                     help="cap on the enumerated component list; the count"
                     " is always reported")
@@ -620,11 +620,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return status
 
 
+def _one_format(parser: argparse.ArgumentParser, formats: list[str]) -> str:
+    """The ``--format`` given at most once, "text" if none; else exit 2."""
+    if len(formats) > 1:
+        parser.error("argument --format: given more than once")
+    fmt = formats[0] if formats else "text"
+    if fmt not in FORMATS:
+        parser.error(
+            f"argument --format: needs one of {', '.join(FORMATS)}, got {fmt!r}"
+        )
+    return fmt
+
+
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
+            fmt = _one_format(parser, args.format or [])
             try:
                 w = _load_matrix(args.input)
             except ValueError as exc:  # InputError, JSON and decoding errors
@@ -635,7 +648,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                 max_components=args.max_components,
                 float_hint=args.float_hint,
             )
-            if args.format == "json":
+            if fmt == "json":
                 print(rep.to_json())
             else:
                 _render_report_text(rep, sys.stdout)
@@ -650,14 +663,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                     formats.append(next(it, ""))
                 else:
                     words.append(word)
-            if len(formats) > 1:
-                parser.error("argument --format: given more than once")
-            fmt = formats[0] if formats else "text"
-            if fmt not in FORMATS:
-                parser.error(
-                    f"argument --format: needs one of {', '.join(FORMATS)},"
-                    f" got {fmt!r}"
-                )
+            fmt = _one_format(parser, formats)
             try:
                 out = _kac_output(_kac_parts(words))
             except InputError as exc:

@@ -1,26 +1,17 @@
-"""Exact rational linear algebra on integer matrices.
+"""Exact linear algebra over Q on integer rows, in integers only.
 
 Ranks, kernels and pivot columns all come from one routine, ``echelon``:
 fraction-free Gauss-Jordan elimination whose step, ``pivot``, is the
 update rule of Bareiss (1968); the simplex in ``polytope`` runs on the
-same step.  Entries stay integers, and the reduced row-echelon form
-over Q is read off at the end by one division by a common denominator.
-
-Every routine takes plain integer rows.  The only 1-based row index is
-``IntMatrix.row``, after the package's convention that weight rows are
-numbered 1..n; ``IntMatrix`` itself only checks weight-matrix input.
+same step.  Every routine takes plain integer rows, indexed from 0, and
+returns integers: the reduced row-echelon form over Q is the integer
+form over its common denominator, and a kernel vector is an integer
+circuit.  No ``Fraction`` is built here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
-
-from .errors import InputError
-
-RatVector = tuple[Fraction, ...]
 
 USING_COMPILED_KERNEL = False  # pure Python only; read by perfbench's meta line
 
@@ -82,55 +73,24 @@ def rank_rows(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Rectangular exact integer rows: the checked ``WeightMatrix`` input."""
+def kernel_basis(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> list[tuple[int, ...]]:
+    """Integer basis of the right kernel {v : M v = 0} of rows M.
 
-    entries: tuple[tuple[int, ...], ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise InputError("matrix is not rectangular")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"non-integer entry {x!r}")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        """Row number i (1-based)."""
-        if not 1 <= i <= self.rows:
-            raise InputError(f"row index {i} out of range 1..{self.rows}")
-        return self.entries[i - 1]
-
-
-def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[RatVector]:
-    """Basis of the right kernel {v : M v = 0} of rows M, echelon-normalized.
-
-    One vector per free column f: 1 at f, 0 at the other free columns, and
-    minus the reduced row-echelon entries in column f at the pivots.  The
-    basis size is always ``ncols - rank``, every vector satisfies M v = 0
-    exactly, and the output is deterministic.
+    One vector per free column f of ``echelon``'s (a, d): |d| at f, 0 at
+    the other free columns, -sign(d) * a[k][f] at the pivot of row k.  It
+    is the echelon-normalized rational vector (1 at f) times |d|, so it is
+    positive at f, the largest index of its support.  The basis size is
+    ``ncols - rank``, and every vector satisfies M v = 0 exactly.
     """
     a, pivots, d = echelon(rows, ncols)
-    pivot_set = set(pivots)
+    sign = 1 if d > 0 else -1
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = abs(d)
         for row, p in zip(a, pivots):
-            v[p] = Fraction(-row[f], d)
+            v[p] = -sign * row[f]
         basis.append(tuple(v))
     return basis
-
-
-def clear_denominators(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector by the positive lcm of denominators."""
-    scale = math.lcm(*(x.denominator for x in v)) if v else 1
-    return tuple(x.numerator * (scale // x.denominator) for x in v)

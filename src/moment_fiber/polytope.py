@@ -31,7 +31,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InputError
-from .exactlin import clear_denominators, pivot
+from .exactlin import pivot
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,15 @@ def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
     Positive scaling keeps all pairing signs, so the result separates the
     same queries.  The entries are then divided by their gcd.
     """
-    ints = clear_denominators(functional)
+    _, ints = _scaled(functional)
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)
+
+
+def _scaled(v: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(L, L * v) for L the lcm of the denominators of v, 1 if v is empty."""
+    scale = math.lcm(*(x.denominator for x in v))
+    return scale, [x.numerator * (scale // x.denominator) for x in v]
 
 
 def verify_certificate(
@@ -229,8 +235,7 @@ def verify_certificate(
                 return False
         elif any(c < 0 for c in coeffs):
             return False
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        scale, ints = _scaled(coeffs)
         if not relative_interior and sum(ints) != scale:
             return False
         return all(sum(map(mul, ints, col)) == 0 for col in zip(*q.points))

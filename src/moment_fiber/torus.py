@@ -29,10 +29,16 @@ from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
 from .errors import CapabilityError, InputError
-from .exactlin import IntMatrix, RatVector
 from .polytope import HullQuery, Inside, Outside
 
 Stratum = frozenset[int]
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """The bare integer rows of a ``WeightMatrix``, which checks them."""
+
+    entries: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,24 +48,36 @@ class WeightMatrix:
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
-        if self.matrix.rows < 1 or self.matrix.cols < 1:
+        rows = self.matrix.entries
+        for row in rows:  # shape and entries first: they name the fault
+            if len(row) != len(rows[0]):
+                raise InputError("matrix is not rectangular")
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(f"non-integer entry {x!r}")
+        if not rows or not rows[0]:
             raise InputError("weight matrix needs n >= 1 rows and r >= 1 columns")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightMatrix":
-        rows = tuple(map(tuple, rows))  # none: __post_init__ names the rule
-        return cls(IntMatrix(rows, len(rows[0]) if rows else 0))
+        return cls(IntMatrix(tuple(map(tuple, rows))))
 
     @property
     def n(self) -> int:
-        return self.matrix.rows
+        return len(self.matrix.entries)
 
     @property
     def r(self) -> int:
-        return self.matrix.cols
+        return len(self.matrix.entries[0])
 
     def weight(self, i: int) -> tuple[int, ...]:
-        return self.matrix.row(i)
+        """Row number i (1-based)."""
+        if not 1 <= i <= self.n:
+            raise InputError(f"row index {i} out of range 1..{self.n}")
+        return self.matrix.entries[i - 1]
+
+
+RatVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -226,9 +244,9 @@ class Analysis:
     """Every fact the circuits of the weights decide, from one elimination.
 
     ``Analysis.of(w)`` runs one ``kernel_basis`` of tS.  Its pivot columns
-    are the greedy row basis B of S, and each kernel vector is the
-    fundamental circuit C(e, B) of one row e outside B: coefficient 1 at
-    e, the largest index of its support.  From these circuits:
+    are the greedy row basis B of S, and each kernel vector is an integer
+    relation on the fundamental circuit C(e, B) of one row e outside B,
+    positive at e, the largest index of its support.  From these circuits:
 
     * I_d (``dependent``) is the union of their supports, I_f (``free``)
       the rest, and rank S = n - #circuits.
@@ -260,9 +278,9 @@ class Analysis:
             blocks = []
             for v in vectors:
                 members = sorted(support(v))
-                blocks.append(
-                    Block(frozenset(members), tuple(v[i - 1] for i in members))
-                )
+                top = v[members[-1] - 1]
+                rel = tuple(Fraction(v[i - 1], top) for i in members)
+                blocks.append(Block(frozenset(members), rel))
             blocks.sort(key=lambda b: min(b.indices))
             dec = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
             _verify_decomposition(w, dec)
@@ -306,17 +324,19 @@ class Analysis:
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
-def _mixed_circuit(vectors: Sequence[RatVector]) -> Optional[RatVector]:
-    """A mixed-sign circuit met while scanning the fundamental circuits in
-    order, or None when they are all positive and pairwise disjoint.
+def _mixed_circuit(
+    vectors: Sequence[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """A mixed-sign integer circuit met while scanning the fundamental
+    circuits in order, or None when they are positive and disjoint.
 
-    A mixed fundamental circuit is returned as it is.  For positive u, v
-    meeting in the basis row b, v - (v_b / u_b) u is a dependency on
-    {e_u, e_v} + B - b.  That set has nullity 1, so the support is a
-    circuit (Oxley, Matroid Theory, 1.1), with -v_b / u_b at e_u and 1 at
-    e_v.
+    A mixed fundamental circuit is returned as it is.  Positive u, v meet
+    only in basis rows; for the first, b, u_b v - v_b u is an integer
+    dependency on {e_u, e_v} + B - b.  That set has nullity 1, so the
+    support is a circuit (Oxley, Matroid Theory, 1.1), with -v_b u_{e_u} < 0
+    at e_u and u_b v_{e_v} > 0 at e_v.
     """
-    owner: dict[int, RatVector] = {}  # row -> first circuit through it
+    owner: dict[int, tuple[int, ...]] = {}  # row -> first circuit through it
     for v in vectors:
         if any(c < 0 for c in v):
             return v
@@ -325,8 +345,7 @@ def _mixed_circuit(vectors: Sequence[RatVector]) -> Optional[RatVector]:
                 continue
             u = owner.setdefault(i, v)
             if u is not v:
-                ratio = c / u[i]
-                return tuple(a - ratio * b for a, b in zip(v, u))
+                return tuple(u[i] * a - c * b for a, b in zip(v, u))
     return None
 
 
@@ -379,7 +398,7 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
             " effective form with a positive-rank torus"
         )
     rows = tuple(tuple(row[j] for j in keep) for row in w.matrix.entries)
-    return WeightMatrix(IntMatrix(rows, len(keep)))
+    return WeightMatrix(IntMatrix(rows))
 
 
 # -- element classification --------------------------------------------------
@@ -446,7 +465,9 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     return NotClosed(cocharacter=lam, limit=limit)
 
 
-def _nonvisible_witness(w: WeightMatrix, mixed: RatVector) -> ClosedPairWitness:
+def _nonvisible_witness(
+    w: WeightMatrix, mixed: tuple[int, ...]
+) -> ClosedPairWitness:
     """A closed-orbit fiber point with nilpotent x, from a mixed circuit.
 
     x is the indicator of the positive part P of the circuit's relation,
@@ -458,9 +479,9 @@ def _nonvisible_witness(w: WeightMatrix, mixed: RatVector) -> ClosedPairWitness:
     supp(x) (x is nilpotent).  Both are checked by
     ``_verify_nonvisible_witness``.
     """
-    # The circuit vector is 1 at its largest index, so clearing the
-    # denominators leaves a primitive integer relation.
-    rel = exactlin.clear_denominators(mixed)
+    # The circuit is an integer relation; divided by the gcd of its
+    # entries it is the primitive one.
+    rel = polytope.integral_subgroup(mixed)
     x = tuple(Fraction(1) if c > 0 else Fraction(0) for c in rel)
     phi = tuple(Fraction(1) if c < 0 else Fraction(0) for c in rel)
     witness = ClosedPairWitness(pair=PairPoint(x, phi), relation=rel)
@@ -520,11 +541,11 @@ def smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
     """A fiber point over the stratum of ``subset`` with trivial
     infinitesimal stabilizer: x the indicator of the subset, phi the
     indicator of its complement.  Requires a locally free action."""
-    if not is_locally_free(w):
+    rank = exactlin.rank_rows(w.matrix.entries)
+    if rank < w.r:
         raise CapabilityError(
-            f"rank(S)={exactlin.rank_rows(w.matrix.entries)} < r={w.r}: the"
-            " action has a positive-dimensional kernel; reduce it first"
-            " (reduce_to_effective)"
+            f"rank(S)={rank} < r={w.r}: the action has a positive-dimensional"
+            " kernel; reduce it first (reduce_to_effective)"
         )
     return _smooth_witness(w, subset)
 

@@ -382,12 +382,14 @@ class TestKac:
             ["kac", "A2 all-ones --format json --format text"],
             ["kac", "--format", "json", "--format", "text", "A2 all-ones"],
             ["kac", "A2 all-ones", "--format", "json", "--format", "json"],
+            ["analyze", "[[1],[-1]]", "--format", "json", "--format", "text"],
+            ["analyze", "[[1],[-1]]", "--format", "json", "--format", "json"],
         ],
     )
     def test_bad_format_exits_2(self, argv, capsys):
-        # The options after the spec are re-parsed by hand; they must be
-        # checked like analyze's --format.  A second --format, wherever it
-        # stands, would silently override the first.
+        # The options after a kac spec are re-parsed by hand; they must be
+        # checked like analyze's --format.  A second --format, for either
+        # command and wherever it stands, would silently override the first.
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out = capsys.readouterr()
@@ -644,12 +646,14 @@ class TestSelftest:
 
     def test_at_most_two_ranks_per_matrix(self, monkeypatch):
         # The smooth-witness suite checks local freeness once per matrix,
-        # not once per subset.
+        # not once per subset.  Both public calls that rank the whole
+        # matrix for that check are counted.
         calls = []
-        real = torus.is_locally_free
-        monkeypatch.setattr(
-            torus, "is_locally_free", lambda w: calls.append(w) or real(w)
-        )
+        for name in ("is_locally_free", "smooth_witness"):
+            real = getattr(torus, name)
+            monkeypatch.setattr(
+                torus, name, lambda *a, real=real: calls.append(a) or real(*a)
+            )
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
         assert len(calls) <= 2 * 30

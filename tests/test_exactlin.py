@@ -113,9 +113,24 @@ class TestKernel:
             for row in rows:
                 assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
+    @given(huge_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_entries_are_int(self, rows):
+        for v in exactlin.kernel_basis(rows, ncols(rows)):
+            assert all(type(c) is int for c in v)
+
+    def test_negative_denominator_scaled_by_its_absolute_value(self):
+        # echelon's d is -1 and -6 here; each circuit is |d| at its free
+        # column, so it stays positive at its largest index.
+        assert exactlin.echelon([[-1, 1]], 2)[2] == -1
+        assert exactlin.kernel_basis([[-1, 1]], 2) == [(1, 1)]
+        rows = [[2, 0, 1], [0, -3, 1]]
+        assert exactlin.echelon(rows, 3)[2] == -6
+        assert exactlin.kernel_basis(rows, 3) == [(-3, 2, 6)]
+
 
 class TestIntMatrix:
-    """``IntMatrix`` checks every ``WeightMatrix`` input."""
+    """``WeightMatrix.__post_init__`` checks every ``IntMatrix`` it holds."""
 
     def test_ragged_rejected(self):
         with pytest.raises(InputError):
@@ -130,13 +145,21 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             WeightMatrix.from_rows([[entry], [-1]])
 
+    def test_shape_checked_before_size(self):
+        # An empty first row makes r = 0, but the ragged shape is the fault.
+        with pytest.raises(InputError, match="matrix is not rectangular"):
+            WeightMatrix.from_rows([[], [1]])
+        with pytest.raises(InputError, match="n >= 1 rows and r >= 1"):
+            WeightMatrix.from_rows([[]])
+
 
 class TestAgainstOracle:
     """The fast elimination against the oracle's row insertion.
 
-    The ranks agree, and the kernel basis equals, entry for entry, the
-    relations among the columns that the oracle's tagged insertion reads
-    off (both are the echelon-normalized basis, 1 at each free column).
+    The ranks agree, and the integer kernel basis, each vector divided by
+    its entry at its largest index, equals entry for entry the relations
+    among the columns that the oracle's tagged insertion reads off (both
+    are then the echelon-normalized basis, 1 at each free column).
     """
 
     @given(huge_matrices)
@@ -149,7 +172,12 @@ class TestAgainstOracle:
     def test_kernel_matches_oracle(self, rows):
         columns = [[row[j] for row in rows] for j in range(ncols(rows))]
         expected = [tuple(v) for v in oracle._dependencies(columns)]
-        assert exactlin.kernel_basis(rows, ncols(rows)) == expected
+        normalized = []
+        for v in exactlin.kernel_basis(rows, ncols(rows)):
+            top = v[max(i for i, c in enumerate(v) if c)]
+            assert top > 0
+            normalized.append(tuple(Fraction(c, top) for c in v))
+        assert normalized == expected
 
 
 class TestOracleDependencies:

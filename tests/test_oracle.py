@@ -132,12 +132,13 @@ class TestKernelVector:
             if exactlin.rank_rows(rows) != k - 1:
                 continue
             (u,) = exactlin.kernel_basis(list(zip(*rows)), k)
+            assert u[max(i for i, c in enumerate(u) if c)] > 0, rows
             v = oracle._kernel_vector(rows)
             if u[-1] == 0:
                 assert v is None, rows
                 unnormalisable += 1
                 continue
-            assert v == [c / u[-1] for c in u], rows
+            assert v == [Fraction(c, u[-1]) for c in u], rows
             assert v[-1] == 1
             for j in range(r):
                 assert sum(c * row[j] for c, row in zip(v, rows)) == 0
