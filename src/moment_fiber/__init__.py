@@ -46,7 +46,6 @@ from .torus import (
     pair_closed_orbit,
     reduce_to_effective,
     smooth_witness,
-    stabilizer_dim,
     stratum_orbit_dim,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "rank1_dim_filter",
     "reduce_to_effective",
     "smooth_witness",
-    "stabilizer_dim",
     "stratum_orbit_dim",
     "vinberg_delta",
     "zero_in_hull",

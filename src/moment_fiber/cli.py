@@ -440,10 +440,10 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
         if w.n <= 6 and a.rank == w.r:
             for mask in range(1 << w.n):
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-                p = torus._smooth_witness(w, subset)
+                p = a.smooth_witness(subset)
                 if any(v != 0 for v in torus.moment_eval(w, p)):
                     fail("smooth witness off fiber", w)
-                elif torus.stabilizer_dim(w, p) != 0:
+                elif a.stabilizer_dim(p) != 0:
                     fail("smooth witness stabilizer", w)
                 elif oracle.tangent_dim(w, p) != a.fiber_dimension:
                     fail("smooth witness tangent dimension", w)

@@ -3,20 +3,21 @@
 Everything here is deliberately written against different algorithms than
 the main modules: ranks by inserting rows one at a time into an integer
 echelon basis that pivots from the right (cross-multiplication, then gcd
-division; no Bareiss division, no rational RREF), kernels and solves by the
-same row insertion, with a unit tag carried along to record each relation,
-hull membership by Caratheodory-style subset enumeration (no simplex),
-visibility by exhaustive partition search, mixed-sign circuits by subset
-enumeration.
-The subset enumerations get each subset's rank by extending its parent
-subset's basis with one row instead of eliminating the subset afresh.
+division; no Bareiss division, no rational RREF), kernels by the same row
+insertion, with a unit tag carried along to record each relation, hull
+membership by Caratheodory subset search (no simplex), visibility by
+exhaustive partition search, mixed-sign circuits by subset enumeration.
+The subset searches extend their parent subset's basis by one row instead
+of eliminating each subset afresh; the hull and block searches insert
+tagged rows and read a combination off a reduced tag.  The hull searches
+visit independent subsets only (Caratheodory), and the component walk
+ends a branch whose nullity can no longer reach n - rank S.
 These routes generate ground truth for the randomized suites; a bug cannot
 be shared with the code they check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -54,9 +55,10 @@ def _reduce(basis: list[tuple[int, list[int]]], row: Sequence[int]) -> list[int]
 
 
 def _insert_row(
-    basis: list[tuple[int, list[int]]], row: Sequence[int]
+    basis: list[tuple[int, list[int]]], row: Sequence[int], tags: int = 0
 ) -> Optional[list[tuple[int, list[int]]]]:
-    """``basis`` extended by ``row``, or None if the row is in its span.
+    """``basis`` extended by ``row``, or None if the row's data, its
+    columns from ``tags`` on, is in the span of the basis's data.
 
     The basis is a list of (pivot column, row) pairs, pivots descending;
     each row's pivot is its rightmost nonzero column.  The new row is
@@ -66,9 +68,9 @@ def _insert_row(
     """
     reduced = _reduce(basis, row)
     col = len(reduced) - 1
-    while col >= 0 and not reduced[col]:
+    while col >= tags and not reduced[col]:
         col -= 1
-    if col < 0:
+    if col < tags:
         return None
     g = math.gcd(*reduced)
     if g > 1:
@@ -88,6 +90,8 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
     """
     basis: list[tuple[int, list[int]]] = []
     for row in rows:
+        if len(basis) == len(row):
+            break  # full column rank: no further row can raise it
         basis = _insert_row(basis, row) or basis
     return len(basis)
 
@@ -134,21 +138,6 @@ def _checked(
     return relation
 
 
-def _express(
-    target: Sequence[int], vectors: Sequence[Sequence[int]]
-) -> Optional[list[Fraction]]:
-    """Coefficients c with sum_i c_i * vectors[i] = target, or None.
-
-    c is the target's relation over the greedy basis of the vectors,
-    negated (0 off that basis), and re-checked in integers.
-    """
-    vectors = [*vectors, target]
-    relations = _dependencies(vectors)
-    if not relations or not relations[-1][-1]:
-        return None
-    return [-c for c in _checked(relations[-1], vectors)[:-1]]
-
-
 def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
     """The relation v with sum_i v_i * rows[i] = 0 and 1 at the last index.
 
@@ -166,7 +155,8 @@ def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
 
 
 def brute_components(w: WeightMatrix) -> list[Stratum]:
-    """All subsets I with rank(S) - rank(S_I) = n - #I, by enumeration."""
+    """All subsets I with rank(S) - rank(S_I) = n - #I, by enumeration:
+    the subsets whose nullity #I - rank(S_I) is that of all n rows."""
     if w.n > _COMPONENT_LIMIT:
         raise CapabilityError(
             f"brute component enumeration refused for n={w.n} > "
@@ -174,14 +164,19 @@ def brute_components(w: WeightMatrix) -> list[Stratum]:
         )
     entries = w.matrix.entries
     n = w.n
-    total = _rank_crossmul(entries)
+    need = n - _rank_crossmul(entries)  # the nullity of every component
     out = []
 
     def walk(i: int, basis: list, chosen: tuple[int, ...]) -> None:
         """Every subset of rows i+1..n added to ``chosen``; ``basis``
-        spans the rows in ``chosen``."""
+        spans the rows in ``chosen``.  Each further row raises the
+        nullity #I - rank S_I by at most one, so a branch that cannot
+        reach ``need`` ends at once."""
+        nullity = len(chosen) - len(basis)
+        if nullity + n - i < need:
+            return
         if i == n:
-            if total - len(basis) == n - len(chosen):
+            if nullity == need:
                 out.append(frozenset(chosen))
             return
         walk(i + 1, basis, chosen)
@@ -209,16 +204,19 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     entries = w.matrix.entries
     n = w.n
     total_rank = _rank_crossmul(entries)
+    tagged = [[int(j == i) for j in range(n)] + list(row)
+              for i, row in enumerate(entries)]
 
     basis_of_mask: dict[int, list] = {0: []}
 
     def mask_basis(mask: int) -> list:
-        """The mask minus its lowest row's basis, with that row inserted."""
+        """The tagged basis of the mask minus its lowest row, extended by
+        that row unless its data lies in the span."""
         if mask not in basis_of_mask:
             low = mask & -mask
             parent = mask_basis(mask ^ low)
-            row = entries[low.bit_length() - 1]
-            basis_of_mask[mask] = _insert_row(parent, row) or parent
+            row = tagged[low.bit_length() - 1]
+            basis_of_mask[mask] = _insert_row(parent, row, n) or parent
         return basis_of_mask[mask]
 
     def mask_rank(mask: int) -> int:
@@ -227,17 +225,24 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     block_relation: dict[int, Optional[tuple[Fraction, ...]]] = {}
 
     def valid_block(mask: int) -> Optional[tuple[Fraction, ...]]:
-        """Positive full-support relation on the mask's rows, if unique."""
+        """Positive full-support relation on the mask's rows, if unique.
+
+        It is unique with full support exactly when the rows above the
+        lowest are independent, the lowest reduces to 0 against them, and
+        the reduced tag, the relation, has one sign on every member.
+        """
         if mask not in block_relation:
-            rows = [entries[i] for i in range(n) if mask >> i & 1]
+            low = mask & -mask
+            above = mask_basis(mask ^ low)
+            members = [i for i in range(n) if mask >> i & 1]
             rel = None
-            if mask_rank(mask) == len(rows) - 1:
-                v = _kernel_vector(rows)
-                if v is not None and all(c != 0 for c in v):
-                    if v[0] < 0:
-                        v = [-c for c in v]
-                    if all(c > 0 for c in v):
-                        rel = tuple(v)
+            if len(above) == len(members) - 1:
+                reduced = _reduce(above, tagged[low.bit_length() - 1])
+                tag = [reduced[i] for i in members]
+                if not any(reduced[n:]) and (
+                    all(c > 0 for c in tag) or all(c < 0 for c in tag)
+                ):
+                    rel = tuple(Fraction(c, tag[-1]) for c in tag)
             block_relation[mask] = rel
         return block_relation[mask]
 
@@ -391,27 +396,28 @@ def check_decomposition(
 # -- hull membership -----------------------------------------------------------
 
 
-def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
-    """0 in CH(points) by Caratheodory enumeration of small subsets.
-
-    Duplicates do not change the hull, so only distinct points enter the
-    enumeration; a zero point settles the query immediately.
-    """
-    if not points:
-        raise InputError("hull query needs at least one point")
+def _distinct(points: Sequence[Sequence[int]], what: str) -> list[tuple[int, ...]]:
+    """The distinct points, sorted; duplicates do not change a hull or a
+    cone.  InputError if there are none or their dimensions differ."""
     pts = sorted(set(tuple(p) for p in points))
-    d = len(pts[0])
-    if any(all(x == 0 for x in p) for p in pts):
+    if not pts:
+        raise InputError(f"{what} needs at least one point")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise InputError(f"{what} points have mismatched dimensions")
+    return pts
+
+
+def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
+    """0 in CH(points): the lifted target (0, 1) is a nonnegative
+    combination of the lifted points (p, 1), found by ``_cone_support``.
+
+    A zero point settles the query immediately.
+    """
+    pts = _distinct(points, "hull query")
+    if any(not any(p) for p in pts):
         return True
-    lifted = [p + (1,) for p in pts]
-    origin = (0,) * d + (1,)
-    for size in range(1, d + 2):
-        for combo in itertools.combinations(lifted, size):
-            # Solve sum c_i p_i = 0, sum c_i = 1 on the subset.
-            sol = _express(origin, combo)
-            if sol is not None and all(c >= 0 for c in sol):
-                return True
-    return False
+    origin = (0,) * len(pts[0]) + (1,)
+    return _cone_support(origin, [p + (1,) for p in pts]) is not None
 
 
 def brute_zero_in_relative_interior(points: Sequence[Sequence[int]]) -> bool:
@@ -423,36 +429,53 @@ def brute_zero_in_relative_interior(points: Sequence[Sequence[int]]) -> bool:
     needed: one relation through a nonzero point already puts 0 in the
     hull, and a set of zero points is its own hull.
     """
-    if not points:
-        raise InputError("relative-interior query needs at least one point")
-    unique = sorted(set(tuple(p) for p in points))
-    covered: set[tuple[int, ...]] = set()
-    for p in unique:
-        if p in covered or all(x == 0 for x in p):
+    pts = _distinct(points, "relative-interior query")
+    covered: set[int] = set()
+    for i, p in enumerate(pts):
+        if i in covered or not any(p):
             continue
-        combo = _cone_combination(tuple(-x for x in p), unique)
-        if combo is None:
+        positive = _cone_support(tuple(-x for x in p), pts)
+        if positive is None:
             return False
-        covered.add(p)
-        for point, coeff in combo:
-            if coeff > 0:
-                covered.add(point)
+        covered |= positive | {i}
     return True
 
 
-def _cone_combination(
-    target: tuple[int, ...], pts: Sequence[tuple[int, ...]]
-) -> Optional[list[tuple[tuple[int, ...], Fraction]]]:
-    """Nonnegative combination of points equal to target, or None."""
-    d = len(target)
-    if all(t == 0 for t in target):
-        return []
-    for size in range(1, d + 1):
-        for combo in itertools.combinations(pts, size):
-            sol = _express(target, combo)
-            if sol is not None and all(c >= 0 for c in sol):
-                return list(zip(combo, sol))
-    return None
+def _cone_support(
+    target: Sequence[int], vectors: Sequence[Sequence[int]]
+) -> Optional[set[int]]:
+    """Indices of the vectors with a positive coefficient in a nonnegative
+    combination equal to the nonzero ``target``, or None if none exists.
+
+    By conic Caratheodory a linearly independent subset suffices, and on it
+    the coefficients are unique.  Depth-first, each subset extends its
+    parent's basis of tagged rows [0, e_j | v_j] by one vector; a vector in
+    the span is skipped with all its supersets.  The target [1, 0 | t],
+    reduced along, reads [alpha, gamma | 0] once t is in the span: then
+    alpha * t = -sum_j gamma_j v_j, nonnegative iff every gamma_j * alpha
+    <= 0, and by uniqueness no superset does better.
+    """
+    k = len(vectors)
+    tags = k + 1  # alpha, then one tag per vector
+    rows = [[0] * tags + list(v) for v in vectors]
+    for j, row in enumerate(rows):
+        row[j + 1] = 1
+
+    def grow(first: int, basis: list, reduced: list[int]) -> Optional[set[int]]:
+        for j in range(first, k):
+            child = _insert_row(basis, rows[j], tags)
+            if child is None:
+                continue
+            left = _reduce(child, reduced)
+            if any(left[tags:]):
+                got = grow(j + 1, child, left)
+                if got is not None:
+                    return got
+            elif all(g * left[0] <= 0 for g in left[1:tags]):
+                return {i for i in range(k) if left[i + 1]}
+        return None
+
+    return grow(0, [], [1] + [0] * k + list(target))
 
 
 # -- tangent spaces and sampling -----------------------------------------------

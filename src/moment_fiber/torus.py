@@ -7,10 +7,10 @@ exactly from S.  The facts read off the circuits of S come together in one
 ``Analysis``, built by one elimination of tS: the splits I_d/I_f (I_d is
 the support of the symplectic reduction), the fiber's dimension and
 irreducible components (normal iff I_f is empty), the visibility
-decomposition or a non-visible witness, and the Cartan vectors.  Separate
-functions give strata dimensions, modality and classification, stability,
-orbit closedness of every fiber point (one hull query on the doubled
-weights) and explicit smooth points.
+decomposition or a non-visible witness, the Cartan vectors, and explicit
+smooth points with their stabilizers.  Separate functions give strata
+dimensions, modality and classification, stability and orbit closedness
+of every fiber point (one hull query on the doubled weights).
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
 (hull combinations, separating cocharacters, block relations) verify by
@@ -78,6 +78,7 @@ class WeightMatrix:
 
 
 RatVector = tuple[Fraction, ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every smooth witness
 
 
 @dataclass(frozen=True)
@@ -259,9 +260,14 @@ class Analysis:
       ``decomposition``, with I_0 = I_f.  Both certificates are checked
       before they are returned, the decomposition by one more rank and
       the witness by one more elimination.
+
+    The ``WeightMatrix`` it was built from stays as ``weights``, so the
+    smooth points come from here too: ``smooth_witness`` reads local
+    freeness off ``rank``, and ``stabilizer_dim`` ranks no rows for a
+    point supported on all of {1..n}, such as every smooth witness.
     """
 
-    n: int
+    weights: WeightMatrix
     rank: int
     dependent: Stratum  # I_d: rows in some circuit
     free: Stratum  # I_f: rows in no circuit
@@ -284,13 +290,17 @@ class Analysis:
             blocks.sort(key=lambda b: min(b.indices))
             dec = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
             _verify_decomposition(w, dec)
-            return cls(w.n, w.n - len(vectors), dependent, free, dec, None)
+            return cls(w, w.n - len(vectors), dependent, free, dec, None)
         dec = NotVisible(
             f"circuit {sorted(support(mixed))} has a mixed-sign relation,"
             " so 0 is not interior to its hull"
         )
         witness = _nonvisible_witness(w, mixed)
-        return cls(w.n, w.n - len(vectors), dependent, free, dec, witness)
+        return cls(w, w.n - len(vectors), dependent, free, dec, witness)
+
+    @property
+    def n(self) -> int:
+        return self.weights.n
 
     @property
     def fiber_dimension(self) -> int:
@@ -322,6 +332,40 @@ class Analysis:
             for pick in range(count)
         ]
         return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+    def smooth_witness(self, subset: Iterable[int]) -> PairPoint:
+        """A fiber point over the stratum of ``subset`` with trivial
+        infinitesimal stabilizer: x the indicator of the subset, phi the
+        indicator of its complement.  Its joint support is {1..n}, so
+        ``stabilizer_dim`` reads r - rank S = 0 off ``rank``.  Requires a
+        locally free action, rank S = r."""
+        w = self.weights
+        if self.rank < w.r:
+            raise CapabilityError(
+                f"rank(S)={self.rank} < r={w.r}: the action has a"
+                " positive-dimensional kernel; reduce it first"
+                " (reduce_to_effective)"
+            )
+        chosen = set(subset)
+        for i in sorted(chosen):
+            if not 1 <= i <= w.n:
+                raise InputError(f"row index {i} out of range 1..{w.n}")
+        x = tuple(_ONE if i in chosen else _ZERO for i in range(1, w.n + 1))
+        phi = tuple(_ZERO if i in chosen else _ONE for i in range(1, w.n + 1))
+        return PairPoint(x, phi)
+
+    def stabilizer_dim(self, p: PairPoint) -> int:
+        """Dimension of the joint infinitesimal stabilizer of (x, phi):
+        r - rank of the weights on supp(x) | supp(phi).  A point supported
+        on all of {1..n} reads the rank off ``rank``; a smaller support
+        ranks its rows."""
+        w = self.weights
+        if len(p.x) != w.n or len(p.phi) != w.n:
+            raise InputError(f"pair point length does not match n={w.n}")
+        if all(x or phi for x, phi in zip(p.x, p.phi)):
+            return w.r - self.rank
+        supp = support(p.x) | support(p.phi)
+        return w.r - exactlin.rank_rows(weights_of(w, supp))
 
 
 def _mixed_circuit(
@@ -538,31 +582,5 @@ def _verify_nonvisible_witness(
 
 
 def smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
-    """A fiber point over the stratum of ``subset`` with trivial
-    infinitesimal stabilizer: x the indicator of the subset, phi the
-    indicator of its complement.  Requires a locally free action."""
-    rank = exactlin.rank_rows(w.matrix.entries)
-    if rank < w.r:
-        raise CapabilityError(
-            f"rank(S)={rank} < r={w.r}: the action has a positive-dimensional"
-            " kernel; reduce it first (reduce_to_effective)"
-        )
-    return _smooth_witness(w, subset)
-
-
-def _smooth_witness(w: WeightMatrix, subset: Iterable[int]) -> PairPoint:
-    """``smooth_witness`` for a caller that has checked local freeness."""
-    chosen = set(subset)
-    weights_of(w, chosen)  # rejects indices outside 1..n
-    x = tuple(Fraction(1 if i in chosen else 0) for i in range(1, w.n + 1))
-    phi = tuple(Fraction(0 if i in chosen else 1) for i in range(1, w.n + 1))
-    return PairPoint(x, phi)
-
-
-def stabilizer_dim(w: WeightMatrix, p: PairPoint) -> int:
-    """Dimension of the joint infinitesimal stabilizer of (x, phi):
-    r - rank of the weights on supp(x) | supp(phi)."""
-    if len(p.x) != w.n or len(p.phi) != w.n:
-        raise InputError(f"pair point length does not match n={w.n}")
-    supp = support(p.x) | support(p.phi)
-    return w.r - exactlin.rank_rows(weights_of(w, supp))
+    """``Analysis.of(w).smooth_witness(subset)``."""
+    return Analysis.of(w).smooth_witness(subset)

@@ -77,13 +77,13 @@ def test_criterion_03_smooth_witnesses(corpus):
                 eff = torus.reduce_to_effective(w)
             except CapabilityError:
                 continue  # trivial action: no positive-rank effective form
-            fiber_dim = torus.Analysis.of(eff).fiber_dimension
+            a = torus.Analysis.of(eff)
             for mask in range(1 << eff.n):
                 subset = {i + 1 for i in range(eff.n) if mask >> i & 1}
-                p = torus.smooth_witness(eff, subset)
+                p = a.smooth_witness(subset)
                 assert all(v == 0 for v in torus.moment_eval(eff, p))
-                assert torus.stabilizer_dim(eff, p) == 0
-                assert oracle.tangent_dim(eff, p) == fiber_dim
+                assert a.stabilizer_dim(p) == 0
+                assert oracle.tangent_dim(eff, p) == a.fiber_dimension
                 checked += 1
         assert checked > 10_000
 

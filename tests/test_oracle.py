@@ -78,6 +78,26 @@ class TestBruteComponents:
             checked += 1
         assert checked >= 300
 
+    def test_pruned_walk_matches_every_subset(self):
+        # The walk drops a branch once its nullity cannot reach
+        # n - rank S; filtering all 2^n subsets, each ranked afresh by the
+        # oracle's own insertion, must give the same list.
+        rng = random.Random(18)
+        for _ in range(300):
+            n, r = rng.randint(1, 7), rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[rng.randrange(n)] = [0] * r
+            total = oracle._rank_crossmul(rows)
+            expected = [
+                frozenset(subset)
+                for size in range(n + 1)
+                for subset in itertools.combinations(range(1, n + 1), size)
+                if total - oracle._rank_crossmul([rows[i - 1] for i in subset])
+                == n - size
+            ]
+            assert oracle.brute_components(wm(rows)) == expected, rows
+
 
 class TestBruteVisible:
     def test_block_plus_free(self):
@@ -89,6 +109,31 @@ class TestBruteVisible:
     def test_triple_not_visible(self):
         assert isinstance(
             oracle.brute_visible(wm([[1], [1], [-2]])), NotVisible
+        )
+
+    def test_pinned_outputs(self):
+        # TRIPLE has no valid partition; BLOCK_PLUS_FREE's block relation
+        # is its reduced tag over the last member's, here 1 * s1 + 1 * s2.
+        assert oracle.brute_visible(wm([[1], [1], [-2]])) == NotVisible(
+            "exhaustive partition search: no partition satisfies the"
+            " independence, unique-positive-relation and direct-sum"
+            " conditions"
+        )
+        assert oracle.brute_visible(
+            wm([[1, 0], [-1, 0], [0, 1]])
+        ) == VisibleDecomposition(
+            fixed=frozenset({3}),
+            blocks=(
+                torus.Block(frozenset({1, 2}), (Fraction(1), Fraction(1))),
+            ),
+        )
+        got = oracle.brute_visible(wm([[2, 0], [0, 1], [-1, 0], [0, -3]]))
+        assert got == VisibleDecomposition(
+            fixed=frozenset(),
+            blocks=(
+                torus.Block(frozenset({1, 3}), (Fraction(1, 2), Fraction(1))),
+                torus.Block(frozenset({2, 4}), (Fraction(3), Fraction(1))),
+            ),
         )
 
     def test_zero_weight_is_own_block(self):
@@ -173,6 +218,39 @@ class TestBruteRelativeInterior:
             oracle.brute_zero_in_relative_interior([])
         with pytest.raises(InputError):
             oracle.brute_zero_in_hull([])
+
+    @pytest.mark.parametrize(
+        "points", [[(1,), (-1, 2)], [(1, 2), ()], [(0, 0), (0,)]]
+    )
+    def test_ragged_point_set_rejected(self, points):
+        with pytest.raises(InputError, match="mismatched dimensions"):
+            oracle.brute_zero_in_relative_interior(points)
+        with pytest.raises(InputError, match="mismatched dimensions"):
+            oracle.brute_zero_in_hull(points)
+
+
+class TestBruteHull:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1,), (2,), (-1,)],  # 0 = (1 + -1) / 2; {1, 2, -1} is dependent
+            [(1, 0), (-1, 0), (0, 1)],
+            [(1,), (1,), (-1,), (-1,)],  # duplicated points
+            [(2, 1), (2, 1), (-2, -1)],
+        ],
+    )
+    def test_zero_only_in_a_dependent_set(self, points):
+        assert oracle.brute_zero_in_hull(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(1,), (2,)], [(1, 0), (0, 1), (1, 1)], [(1, 1), (1, 1)], [(1, -1), (2, 0)]],
+    )
+    def test_zero_outside(self, points):
+        assert not oracle.brute_zero_in_hull(points)
+
+    def test_zero_point(self):
+        assert oracle.brute_zero_in_hull([(3, 1), (0, 0)])
 
 
 class TestTangentDim:

@@ -734,9 +734,11 @@ class TestReductionSupport:
 
 class TestSmoothWitness:
     def test_single_index(self):
-        p = torus.smooth_witness(OPPOSITE, {1})
+        a = torus.Analysis.of(OPPOSITE)
+        p = a.smooth_witness({1})
         assert p == PairPoint.of((1, 0), (0, 1))
-        assert torus.stabilizer_dim(OPPOSITE, p) == 0
+        assert p == torus.smooth_witness(OPPOSITE, {1})
+        assert a.stabilizer_dim(p) == 0
 
     def test_full_support(self):
         p = torus.smooth_witness(OPPOSITE, {1, 2})
@@ -758,29 +760,55 @@ class TestSmoothWitness:
             if all(x == 0 for row in w.matrix.entries for x in row):
                 continue
             eff = torus.reduce_to_effective(w)
-            fiber_dim = torus.Analysis.of(eff).fiber_dimension
+            a = torus.Analysis.of(eff)
             for mask in range(1 << eff.n):
                 subset = {i + 1 for i in range(eff.n) if mask >> i & 1}
-                p = torus.smooth_witness(eff, subset)
+                p = a.smooth_witness(subset)
                 assert all(
                     v == 0 for v in torus.moment_eval(eff, p)
                 )
-                assert torus.stabilizer_dim(eff, p) == 0
-                assert oracle.tangent_dim(eff, p) == fiber_dim
+                assert a.stabilizer_dim(p) == 0
+                assert oracle.tangent_dim(eff, p) == a.fiber_dimension
+
+
+def stabilizer_dim(w, p):
+    return torus.Analysis.of(w).stabilizer_dim(p)
 
 
 class TestStabilizerDim:
     def test_examples(self):
-        assert torus.stabilizer_dim(
-            OPPOSITE, PairPoint.of((1, 0), (0, 1))
-        ) == 0
-        assert torus.stabilizer_dim(OPPOSITE, PairPoint.of((0, 0), (0, 0))) == 1
+        assert stabilizer_dim(OPPOSITE, PairPoint.of((1, 0), (0, 1))) == 0
+        assert stabilizer_dim(OPPOSITE, PairPoint.of((0, 0), (0, 0))) == 1
         w = wm([[1, 0], [-1, 0]])
-        assert torus.stabilizer_dim(w, PairPoint.of((1, 1), (0, 0))) == 1
+        assert stabilizer_dim(w, PairPoint.of((1, 1), (0, 0))) == 1
 
     def test_origin_has_full_stabilizer(self):
         w = wm([[1, 2], [3, 4]])
-        assert torus.stabilizer_dim(w, PairPoint.of((0, 0), (0, 0))) == w.r
+        assert stabilizer_dim(w, PairPoint.of((0, 0), (0, 0))) == w.r
+
+    def test_partial_support_ranks_its_rows(self):
+        # Only row 1 is in the support: rank 1 of r = 2 leaves 1, where
+        # the whole matrix has rank 2.
+        w = wm([[1, 0], [0, 1]])
+        assert stabilizer_dim(w, PairPoint.of((1, 0), (0, 0))) == 1
+        assert stabilizer_dim(w, PairPoint.of((0, 1), (1, 0))) == 0
+        w = wm([[1, 0], [2, 0], [0, 1]])
+        assert stabilizer_dim(w, PairPoint.of((1, 1, 0), (0, 0, 0))) == 1
+
+    def test_full_support_matches_a_fresh_rank(self, small_corpus):
+        for w in small_corpus[:60]:
+            a = torus.Analysis.of(w)
+            p = PairPoint.of((1,) * w.n, (0,) * w.n)
+            assert a.stabilizer_dim(p) == w.r - exactlin.rank_rows(
+                w.matrix.entries
+            )
+
+    def test_length_mismatch_rejected(self):
+        a = torus.Analysis.of(OPPOSITE)
+        with pytest.raises(InputError):
+            a.stabilizer_dim(PairPoint.of((1,), (0,)))
+        with pytest.raises(InputError):
+            a.stabilizer_dim(PairPoint.of((1, 0), (0, 1, 0)))
 
 
 class TestModalityInvariants:
