@@ -441,11 +441,14 @@ def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
             for mask in range(1 << w.n):
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
                 p = a.smooth_witness(subset)
-                if any(v != 0 for v in torus.moment_eval(w, p)):
+                try:  # the oracle evaluates the moment map at p first
+                    tangent = oracle.tangent_dim(w, p)
+                except InputError:
                     fail("smooth witness off fiber", w)
-                elif a.stabilizer_dim(p) != 0:
+                    continue
+                if a.stabilizer_dim(p) != 0:
                     fail("smooth witness stabilizer", w)
-                elif oracle.tangent_dim(w, p) != a.fiber_dimension:
+                elif tangent != a.fiber_dimension:
                     fail("smooth witness tangent dimension", w)
         if (a.witness is None) != visible:
             fail("nonvisible witness presence", w)

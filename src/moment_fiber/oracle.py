@@ -8,10 +8,11 @@ insertion, with a unit tag carried along to record each relation, hull
 membership by Caratheodory subset search (no simplex), visibility by
 exhaustive partition search, mixed-sign circuits by subset enumeration.
 The subset searches extend their parent subset's basis by one row instead
-of eliminating each subset afresh; the hull and block searches insert
-tagged rows and read a combination off a reduced tag.  The hull searches
-visit independent subsets only (Caratheodory), and the component walk
-ends a branch whose nullity can no longer reach n - rank S.
+of eliminating each subset afresh, and reads a relation off a reduced
+tag: one reader, ``_subset_circuits``, serves the visibility and circuit
+searches.  Relations are integer vectors, each checked in integers.  The
+hull searches visit independent subsets only (Caratheodory), and the
+component walk ends a branch whose nullity can no longer reach n - rank S.
 These routes generate ground truth for the randomized suites; a bug cannot
 be shared with the code they check.
 """
@@ -96,18 +97,35 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _dependencies(vectors: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+def _annihilating(relation: Sequence[int], vectors: Sequence[Sequence[int]]):
+    """``relation``, after checking in integers that sum_i relation_i *
+    vectors[i] = 0."""
+    for j in range(len(vectors[0])):
+        if sum(c * v[j] for c, v in zip(relation, vectors)):
+            raise ArithmeticError("relation does not annihilate the vectors")
+    return relation
+
+
+def _primitive(relation: Sequence[int], own: int) -> list[int]:
+    """``relation`` divided by its gcd and signed positive at index ``own``."""
+    g = math.gcd(*relation)
+    if relation[own] < 0:
+        g = -g
+    return [c // g for c in relation]
+
+
+def _dependencies(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """One relation per vector in the span of the vectors before it.
 
     The vectors are inserted in order, each tagged on the left with its
     own unit vector; pivots are taken from the right, so they stay in the
     data columns while the data is nonzero.  A vector whose data reduces
-    to 0 is not inserted, and its tag, divided by its own entry, is its
-    relation: 1 at its own index, nonzero elsewhere only at earlier
-    inserted vectors, sum_j rel_j * vectors[j] = 0.  The inserted vectors
-    are the greedy left-to-right basis, so the relations form the kernel
-    basis of the matrix with these vectors as columns that is read off
-    its reduced row-echelon form.
+    to 0 is not inserted, and its tag, made primitive and positive at its
+    own index, is its relation: nonzero elsewhere only at earlier inserted
+    vectors, sum_j rel_j * vectors[j] = 0.  The inserted vectors are the
+    greedy left-to-right basis, so the relations divided by their own
+    entries form the kernel basis of the matrix with these vectors as
+    columns that is read off its reduced row-echelon form.
     """
     k = len(vectors)
     basis: list[tuple[int, list[int]]] = []
@@ -120,35 +138,50 @@ def _dependencies(vectors: Sequence[Sequence[int]]) -> list[list[Fraction]]:
             # Reducing it again inside _insert_row changes nothing.
             basis = _insert_row(basis, reduced) or basis
         else:
-            own = reduced[i]
-            relations.append([Fraction(t, own) for t in reduced[:k]])
+            relations.append(_annihilating(_primitive(reduced[:k], i), vectors))
     return relations
 
 
-def _checked(
-    relation: list[Fraction], vectors: Sequence[Sequence[int]]
-) -> list[Fraction]:
-    """``relation``, after checking in integers (over the lcm of its
-    denominators) that sum_i relation_i * vectors[i] = 0."""
-    scale = math.lcm(*(c.denominator for c in relation))
-    ints = [c.numerator * (scale // c.denominator) for c in relation]
-    for j in range(len(vectors[0])):
-        if sum(c * v[j] for c, v in zip(ints, vectors)):
-            raise ArithmeticError("relation does not annihilate the vectors")
-    return relation
+def _subset_circuits(entries: Sequence[Sequence[int]]):
+    """``(basis, circuit)``, two readers of the row subsets of ``entries``
+    given as bitmasks, each memoized per mask.
 
-
-def _kernel_vector(rows: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
-    """The relation v with sum_i v_i * rows[i] = 0 and 1 at the last index.
-
-    Returns None unless the rows have exactly one relation and it sits at
-    the last index (a relation elsewhere is 0 there).  The relation is
-    re-checked in integers.
+    ``basis(mask)`` is the tagged basis of the mask less its lowest row,
+    extended by that row unless its data lies in the span.  ``circuit(mask)``
+    is the integer relation of length n on the mask's rows if they form a
+    circuit, else None.  They do exactly when the rows above the lowest are
+    independent, the lowest reduces to 0 against them, and its reduced tag,
+    the relation, is nonzero on every member.
     """
-    relations = _dependencies(rows)
-    if len(relations) != 1 or not relations[0][-1]:
-        return None
-    return _checked(relations[0], rows)
+    n = len(entries)
+    tagged = [[int(j == i) for j in range(n)] + list(row)
+              for i, row in enumerate(entries)]
+    bases: dict[int, list] = {0: []}
+    circuits: dict[int, Optional[list[int]]] = {}
+
+    def basis(mask: int) -> list:
+        if mask not in bases:
+            low = mask & -mask
+            parent = basis(mask ^ low)
+            row = tagged[low.bit_length() - 1]
+            bases[mask] = _insert_row(parent, row, n) or parent
+        return bases[mask]
+
+    def circuit(mask: int) -> Optional[list[int]]:
+        if mask not in circuits:
+            low = mask & -mask
+            above = basis(mask ^ low)
+            members = [i for i in range(n) if mask >> i & 1]
+            rel = None
+            if len(above) == len(members) - 1:
+                reduced = _reduce(above, tagged[low.bit_length() - 1])
+                tag = reduced[:n]
+                if not any(reduced[n:]) and all(tag[i] for i in members):
+                    rel = _annihilating(tag, entries)
+            circuits[mask] = rel
+        return circuits[mask]
+
+    return basis, circuit
 
 
 # -- components ---------------------------------------------------------------
@@ -201,69 +234,34 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
         raise CapabilityError(
             f"brute visibility search refused for n={w.n} > {_VISIBLE_LIMIT}"
         )
-    entries = w.matrix.entries
     n = w.n
-    total_rank = _rank_crossmul(entries)
-    tagged = [[int(j == i) for j in range(n)] + list(row)
-              for i, row in enumerate(entries)]
+    basis, circuit = _subset_circuits(w.matrix.entries)
 
-    basis_of_mask: dict[int, list] = {0: []}
-
-    def mask_basis(mask: int) -> list:
-        """The tagged basis of the mask minus its lowest row, extended by
-        that row unless its data lies in the span."""
-        if mask not in basis_of_mask:
-            low = mask & -mask
-            parent = mask_basis(mask ^ low)
-            row = tagged[low.bit_length() - 1]
-            basis_of_mask[mask] = _insert_row(parent, row, n) or parent
-        return basis_of_mask[mask]
-
-    def mask_rank(mask: int) -> int:
-        return len(mask_basis(mask))
-
-    block_relation: dict[int, Optional[tuple[Fraction, ...]]] = {}
-
-    def valid_block(mask: int) -> Optional[tuple[Fraction, ...]]:
-        """Positive full-support relation on the mask's rows, if unique.
-
-        It is unique with full support exactly when the rows above the
-        lowest are independent, the lowest reduces to 0 against them, and
-        the reduced tag, the relation, has one sign on every member.
-        """
-        if mask not in block_relation:
-            low = mask & -mask
-            above = mask_basis(mask ^ low)
-            members = [i for i in range(n) if mask >> i & 1]
-            rel = None
-            if len(above) == len(members) - 1:
-                reduced = _reduce(above, tagged[low.bit_length() - 1])
-                tag = [reduced[i] for i in members]
-                if not any(reduced[n:]) and (
-                    all(c > 0 for c in tag) or all(c < 0 for c in tag)
-                ):
-                    rel = tuple(Fraction(c, tag[-1]) for c in tag)
-            block_relation[mask] = rel
-        return block_relation[mask]
+    def valid_block(mask: int) -> bool:
+        """The mask's rows carry a unique relation, nonzero on every member
+        and of one sign: a circuit that is not mixed."""
+        rel = circuit(mask)
+        return rel is not None and not min(rel) < 0 < max(rel)
 
     full = (1 << n) - 1
+    total_rank = len(basis(full))
 
     def search(
         unassigned: int, fixed: int, blocks: list[int]
     ) -> Optional[tuple[int, list[int]]]:
         if unassigned == 0:
-            rank_sum = mask_rank(fixed)
+            rank_sum = len(basis(fixed))
             if rank_sum != bin(fixed).count("1"):
                 return None
             for b in blocks:
-                rank_sum += mask_rank(b)
+                rank_sum += len(basis(b))
             if rank_sum != total_rank:
                 return None
             return fixed, blocks
         low = unassigned & -unassigned
         # Branch 1: lowest unassigned element joins I_0.
         cand_fixed = fixed | low
-        if mask_rank(cand_fixed) == bin(cand_fixed).count("1"):
+        if len(basis(cand_fixed)) == bin(cand_fixed).count("1"):
             got = search(unassigned ^ low, cand_fixed, blocks)
             if got is not None:
                 return got
@@ -272,7 +270,7 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
         sub = rest
         while True:  # all submasks of rest, visited so blocks ascend
             block = low | (rest ^ sub)
-            if valid_block(block) is not None:
+            if valid_block(block):
                 got = search(unassigned ^ block, fixed, blocks + [block])
                 if got is not None:
                     return got
@@ -291,14 +289,10 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     fixed_mask, block_masks = got
     blocks = []
     for mask in sorted(block_masks, key=lambda m: m & -m):
-        rel = valid_block(mask)
-        assert rel is not None
-        blocks.append(
-            Block(
-                indices=frozenset(i + 1 for i in range(n) if mask >> i & 1),
-                relation=rel,
-            )
-        )
+        rel, top = circuit(mask), mask.bit_length() - 1
+        members = [i for i in range(n) if mask >> i & 1]
+        relation = tuple(Fraction(rel[i], rel[top]) for i in members)
+        blocks.append(Block(frozenset(i + 1 for i in members), relation))
     blocks.sort(key=lambda b: min(b.indices))
     return VisibleDecomposition(
         fixed=frozenset(i + 1 for i in range(n) if fixed_mask >> i & 1),
@@ -311,28 +305,20 @@ def brute_mixed_circuit(w: WeightMatrix) -> Optional[tuple[int, ...]]:
 
     Subsets are scanned by increasing size, then bitmask.  A subset of
     nullity exactly one is a circuit iff its relation involves every index;
-    the first circuit whose relation has mixed signs is returned as an
-    integer vector of length n.  None means every circuit is same-signed,
-    which is the visible case.
+    the first circuit whose relation has mixed signs is returned as a
+    primitive integer vector of length n, positive at its largest member.
+    None means every circuit is same-signed, which is the visible case.
     """
     if w.n > _CIRCUIT_LIMIT:
         raise CapabilityError(
             f"brute circuit scan refused for n={w.n} > {_CIRCUIT_LIMIT}"
         )
-    entries = w.matrix.entries
+    circuit = _subset_circuits(w.matrix.entries)[1]
     for size in range(1, w.n + 1):
         for mask in _masks_of_size(w.n, size):
-            members = [i for i in range(w.n) if mask >> i & 1]
-            v = _kernel_vector([entries[i] for i in members])
-            if v is None or any(c == 0 for c in v):
-                continue  # nullity not one, or a proper subset is dependent
-            if all(c > 0 for c in v) or all(c < 0 for c in v):
-                continue
-            scale = math.lcm(*(c.denominator for c in v))
-            rel = [0] * w.n
-            for i, c in zip(members, v):
-                rel[i] = int(c * scale)
-            return tuple(rel)
+            rel = circuit(mask)
+            if rel is not None and min(rel) < 0 < max(rel):
+                return tuple(_primitive(rel, mask.bit_length() - 1))
     return None
 
 
@@ -398,13 +384,17 @@ def check_decomposition(
 
 def _distinct(points: Sequence[Sequence[int]], what: str) -> list[tuple[int, ...]]:
     """The distinct points, sorted; duplicates do not change a hull or a
-    cone.  InputError if there are none or their dimensions differ."""
-    pts = sorted(set(tuple(p) for p in points))
+    cone.  InputError if there are none, their dimensions differ or a
+    coordinate is not an integer."""
+    pts = [tuple(p) for p in points]
     if not pts:
         raise InputError(f"{what} needs at least one point")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise InputError(f"{what} points have mismatched dimensions")
-    return pts
+    for p in pts:
+        if len(p) != len(pts[0]):
+            raise InputError(f"{what} points have mismatched dimensions")
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in p):
+            raise InputError(f"{what} point {p!r} is not integral")
+    return sorted(set(pts))
 
 
 def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
@@ -510,26 +500,21 @@ def random_fiber_point(
     tangent space at x, so the moment map vanishes by construction.
     """
     rng = random.Random(seed)
-    chosen = sorted(set(subset))
-    for i in chosen:
-        if not 1 <= i <= w.n:
-            raise InputError(f"index {i} out of range 1..{w.n}")
-    x = [Fraction(0)] * w.n
-    for i in chosen:
-        v = 0
-        while v == 0:
-            v = rng.randint(-4, 4)
-        x[i - 1] = Fraction(v)
+    x = [0] * w.n
+    for i in sorted(set(subset)):
+        w.weight(i)  # InputError unless i is a row index 1..n
+        while not x[i - 1]:
+            x[i - 1] = rng.randint(-4, 4)
     # Direction j moves coordinate i by S[i][j] * x_i, so phi annihilates
     # the tangent space iff it is a relation among the scaled weights.
-    scaled = [[int(xi) * s for s in row] for xi, row in zip(x, w.matrix.entries)]
-    basis = _dependencies(scaled)
+    scaled = [[xi * s for s in row] for xi, row in zip(x, w.matrix.entries)]
     phi = [Fraction(0)] * w.n
-    for vec in basis:
+    for rel in _dependencies(scaled):
         c = rng.randint(-3, 3)
-        for i in range(w.n):
-            phi[i] += c * vec[i]
-    point = PairPoint(tuple(x), tuple(phi))
+        own = next(t for t in reversed(rel) if t)  # the entry at its own index
+        for i, t in enumerate(rel):
+            phi[i] += Fraction(c * t, own)
+    point = PairPoint.of(x, phi)
     if any(v != 0 for v in moment_eval(w, point)):  # pragma: no cover
         raise ArithmeticError("sampled point left the fiber")
     return point

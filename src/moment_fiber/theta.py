@@ -188,8 +188,9 @@ class KacDiagram:
                 f"{self.name()} needs {len(marks)} labels, got"
                 f" {len(self.labels)}"
             )
-        if any(v not in (0, 1) for v in self.labels):
-            raise InputError("labels must be 0 or 1")
+        for v in self.labels:
+            if not isinstance(v, int) or isinstance(v, bool) or v not in (0, 1):
+                raise InputError(f"labels must be the integers 0 or 1, got {v!r}")
         if not any(self.labels):
             raise InputError("at least one label must be nonzero")
 
@@ -201,7 +202,7 @@ class KacDiagram:
         labels: Iterable[int],
         twist: int = 1,
     ) -> "KacDiagram":
-        return cls(family, rank, twist, tuple(int(v) for v in labels))
+        return cls(family, rank, twist, tuple(labels))
 
     @classmethod
     def all_ones(cls, family: str, rank: int, twist: int = 1) -> "KacDiagram":

@@ -71,9 +71,9 @@ class WeightMatrix:
         return len(self.matrix.entries[0])
 
     def weight(self, i: int) -> tuple[int, ...]:
-        """Row number i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise InputError(f"row index {i} out of range 1..{self.n}")
+        """Row number i (1-based); InputError unless i is an int in 1..n."""
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n:
+            raise InputError(f"row index {i!r} is not an integer in 1..{self.n}")
         return self.matrix.entries[i - 1]
 
 
@@ -347,9 +347,8 @@ class Analysis:
                 " (reduce_to_effective)"
             )
         chosen = set(subset)
-        for i in sorted(chosen):
-            if not 1 <= i <= w.n:
-                raise InputError(f"row index {i} out of range 1..{w.n}")
+        for i in chosen:
+            w.weight(i)  # InputError unless i is a row index 1..n
         x = tuple(_ONE if i in chosen else _ZERO for i in range(1, w.n + 1))
         phi = tuple(_ZERO if i in chosen else _ONE for i in range(1, w.n + 1))
         return PairPoint(x, phi)

@@ -559,6 +559,42 @@ class TestSelftest:
         assert "FAIL" in out
         assert "weights=" in out
 
+    def test_off_fiber_smooth_witness_is_reported(self, capsys, monkeypatch):
+        # The tangent oracle's own moment-map check is the fiber check:
+        # x = phi = e_i at a nonzero weight row i is off the fiber.
+        def off_fiber(self, subset):
+            i = next(k for k in range(self.n) if any(self.weights.weight(k + 1)))
+            unit = [int(k == i) for k in range(self.n)]
+            return torus.PairPoint.of(unit, unit)
+
+        monkeypatch.setattr(cli.torus.Analysis, "smooth_witness", off_fiber)
+        code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
+        assert code == 1
+        assert "smooth witness off fiber: seed=3 weights=" in out
+
+    def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
+        # The tangent oracle's fiber check is the only evaluation at a
+        # smooth witness (the non-visible witness check makes others).
+        points, evaluated = [], []
+        real_point, real_eval = torus.Analysis.smooth_witness, torus.moment_eval
+
+        def witness(self, subset):
+            points.append(real_point(self, subset))
+            return points[-1]
+
+        def moment_eval(w, p):
+            evaluated.append(p)  # kept alive, so no id is reused
+            return real_eval(w, p)
+
+        monkeypatch.setattr(torus.Analysis, "smooth_witness", witness)
+        monkeypatch.setattr(torus, "moment_eval", moment_eval)
+        monkeypatch.setattr(cli.oracle, "moment_eval", moment_eval)
+        ok, _ = cli.run_selftest(0, count=30)
+        assert ok
+        ids = {id(p) for p in points}
+        hits = sorted(id(p) for p in evaluated if id(p) in ids)
+        assert points and hits == sorted(ids)
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -165,11 +165,12 @@ class TestBruteVisible:
 
 class TestKernelVector:
     def test_corank_one_relation(self):
-        # Cases with a zero last coordinate come from rows whose last one
-        # is outside the span of the others.
+        # The circuit reader on all k rows of corank one: their one kernel
+        # vector, up to scale, when it has no zero entry, else None.
+        # Zero entries come from rows outside the span of the others.
         rng = random.Random(5)
-        normalised = unnormalisable = 0
-        while normalised < 200 or unnormalisable < 50:
+        circuits = partial = 0
+        while circuits < 200 or partial < 50:
             k, r = rng.randint(1, 6), rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
             if k >= 3 and rng.random() < 0.3:
@@ -178,16 +179,16 @@ class TestKernelVector:
                 continue
             (u,) = exactlin.kernel_basis(list(zip(*rows)), k)
             assert u[max(i for i, c in enumerate(u) if c)] > 0, rows
-            v = oracle._kernel_vector(rows)
-            if u[-1] == 0:
+            v = oracle._subset_circuits(rows)[1]((1 << k) - 1)
+            if 0 in u:
                 assert v is None, rows
-                unnormalisable += 1
+                partial += 1
                 continue
-            assert v == [Fraction(c, u[-1]) for c in u], rows
-            assert v[-1] == 1
+            assert all(type(c) is int for c in v), rows
+            assert [c * u[-1] for c in v] == [c * v[-1] for c in u], rows
             for j in range(r):
                 assert sum(c * row[j] for c, row in zip(v, rows)) == 0
-            normalised += 1
+            circuits += 1
 
 
 class TestBruteMixedCircuit:
@@ -226,6 +227,17 @@ class TestBruteRelativeInterior:
         with pytest.raises(InputError, match="mismatched dimensions"):
             oracle.brute_zero_in_relative_interior(points)
         with pytest.raises(InputError, match="mismatched dimensions"):
+            oracle.brute_zero_in_hull(points)
+
+    @pytest.mark.parametrize(
+        "points", [[(0.5,), (-1,)], [("a",), (1,)], [(True,), (-1,)]]
+    )
+    def test_non_integer_point_rejected(self, points):
+        # As HullQuery.of does; these used to end in a TypeError or be
+        # read as integers.
+        with pytest.raises(InputError, match="not integral"):
+            oracle.brute_zero_in_relative_interior(points)
+        with pytest.raises(InputError, match="not integral"):
             oracle.brute_zero_in_hull(points)
 
 

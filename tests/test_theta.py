@@ -167,6 +167,14 @@ class TestKacOrder:
         with pytest.raises(InputError):
             KacDiagram.of("B", 3, (1, 1, 1), twist=2)  # no such diagram
 
+    @pytest.mark.parametrize("label", [1.7, True, "1"])
+    def test_labels_must_be_ints(self, label):
+        # Each used to pass as the label 1.
+        with pytest.raises(InputError, match="integers 0 or 1"):
+            KacDiagram.of("A", 2, [label, 1, 1])
+        with pytest.raises(InputError, match="integers 0 or 1"):
+            KacDiagram("A", 2, 1, (label, 1, 1))
+
 
 class TestGradedDims:
     def test_a2_all_ones(self):

@@ -80,7 +80,9 @@ class TestStrataNumbers:
                     exactlin.kernel_basis(list(zip(*sub)), len(sub))
                 )
 
-    @pytest.mark.parametrize("subset", [{0}, {4}, {1, 4}, {-1}])
+    @pytest.mark.parametrize(
+        "subset", [{0}, {4}, {1, 4}, {-1}, {1.0}, {True}, {2.5}]
+    )
     @pytest.mark.parametrize(
         "fn",
         [
@@ -88,6 +90,10 @@ class TestStrataNumbers:
             torus.modality,
             torus.classify_stratum,
             torus.smooth_witness,
+            pytest.param(
+                lambda w, s: oracle.random_fiber_point(w, s, seed=0),
+                id="random_fiber_point",
+            ),
         ],
     )
     def test_out_of_range_index_rejected(self, fn, subset):
