@@ -13,12 +13,16 @@ tag: one reader, ``_subset_circuits``, serves the visibility and circuit
 searches.  Relations are integer vectors, each checked in integers.  The
 hull searches visit independent subsets only (Caratheodory), and the
 component walk ends a branch whose nullity can no longer reach n - rank S.
+The tangent oracle ranks a Jacobian's sorted columns through a one-entry
+memo, because every smooth witness of a matrix has the rows of S as its
+Jacobian columns.
 These routes generate ground truth for the randomized suites; a bug cannot
 be shared with the code they check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -478,16 +482,26 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
     S[i][j] * phi_i, column n+i is S[i][j] * x_i.  Columns whose factor is
     0 vanish and are dropped; the others are scaled by the positive
     denominator of their factor (rank is unchanged), i.e. built from its
-    numerator, and eliminated by ``_rank_crossmul``.
+    numerator, and eliminated by ``_rank_crossmul``.  The columns are
+    sorted and ranked through a one-entry memo, because every smooth
+    witness of a matrix has the rows of S as its Jacobian columns.
     """
-    if any(v != 0 for v in moment_eval(w, p)):
+    if any(moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
-    cols = [
-        [s * f.numerator for s in row]
-        for row, f in zip(w.matrix.entries * 2, p.phi + p.x)
-        if f
-    ]
-    return 2 * w.n - _rank_crossmul(cols)
+    cols = []
+    for row, f in zip(w.matrix.entries * 2, p.phi + p.x):
+        a = f.numerator
+        if a:
+            cols.append(tuple([s * a for s in row]))
+    cols.sort()
+    return 2 * w.n - _rank_columns(tuple(cols))
+
+
+@functools.lru_cache(maxsize=1)
+def _rank_columns(cols: tuple[tuple[int, ...], ...]) -> int:
+    """``_rank_crossmul`` of the sorted columns, memoized for the last
+    Jacobian only: consecutive smooth witnesses of one matrix share it."""
+    return _rank_crossmul(cols)
 
 
 def random_fiber_point(
@@ -501,8 +515,10 @@ def random_fiber_point(
     """
     rng = random.Random(seed)
     x = [0] * w.n
-    for i in sorted(set(subset)):
+    chosen = set(subset)
+    for i in chosen:
         w.weight(i)  # InputError unless i is a row index 1..n
+    for i in sorted(chosen):
         while not x[i - 1]:
             x[i - 1] = rng.randint(-4, 4)
     # Direction j moves coordinate i by S[i][j] * x_i, so phi annihilates

@@ -201,7 +201,11 @@ def support(vec: Sequence) -> Stratum:
 
 
 def weights_of(w: WeightMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
-    return [w.weight(i) for i in sorted(set(subset))]
+    """The weight rows of ``subset`` in index order.  Every index is
+    checked by ``WeightMatrix.weight`` before the sort, so a mix of types
+    raises InputError, not TypeError."""
+    rows = {i: w.weight(i) for i in set(subset)}
+    return [rows[i] for i in sorted(rows)]
 
 
 # -- moment map and strata ---------------------------------------------------
@@ -214,11 +218,12 @@ def moment_eval(w: WeightMatrix, p: PairPoint) -> RatVector:
     Only the lines with x_i and phi_i both nonzero are summed; the other
     terms vanish.  Every component is a Fraction, 0 included.
     """
-    if len(p.x) != w.n or len(p.phi) != w.n:
-        raise InputError(f"pair point length does not match n={w.n}")
-    out = [Fraction(0)] * w.r
+    n = w.n
+    if len(p.x) != n or len(p.phi) != n:
+        raise InputError(f"pair point length does not match n={n}")
+    out = [_ZERO] * w.r
     for row, x, phi in zip(w.matrix.entries, p.x, p.phi):
-        if x != 0 and phi != 0:
+        if x and phi:
             xphi = x * phi
             for j, s in enumerate(row):
                 out[j] += s * xphi
@@ -349,8 +354,9 @@ class Analysis:
         chosen = set(subset)
         for i in chosen:
             w.weight(i)  # InputError unless i is a row index 1..n
-        x = tuple(_ONE if i in chosen else _ZERO for i in range(1, w.n + 1))
-        phi = tuple(_ZERO if i in chosen else _ONE for i in range(1, w.n + 1))
+        lines = range(1, w.n + 1)
+        x = tuple([_ONE if i in chosen else _ZERO for i in lines])
+        phi = tuple([_ZERO if i in chosen else _ONE for i in lines])
         return PairPoint(x, phi)
 
     def stabilizer_dim(self, p: PairPoint) -> int:
@@ -359,8 +365,9 @@ class Analysis:
         on all of {1..n} reads the rank off ``rank``; a smaller support
         ranks its rows."""
         w = self.weights
-        if len(p.x) != w.n or len(p.phi) != w.n:
-            raise InputError(f"pair point length does not match n={w.n}")
+        n = w.n
+        if len(p.x) != n or len(p.phi) != n:
+            raise InputError(f"pair point length does not match n={n}")
         if all(x or phi for x, phi in zip(p.x, p.phi)):
             return w.r - self.rank
         supp = support(p.x) | support(p.phi)
@@ -455,10 +462,10 @@ def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
     empty stratum is the origin, ``ZeroOrbit``.  An element v of V is
     classified by its stratum: ``classify_stratum(w, support(v))``.
     """
-    idx = sorted(set(subset))
-    if not idx:
+    rows = weights_of(w, subset)
+    if not rows:
         return ZeroOrbit()
-    q = HullQuery.of(weights_of(w, idx))
+    q = HullQuery.of(rows)
     hull = polytope.zero_in_hull(q)
     if isinstance(hull, Outside):
         return Nilpotent(hull)

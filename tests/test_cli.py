@@ -595,6 +595,43 @@ class TestSelftest:
         hits = sorted(id(p) for p in evaluated if id(p) in ids)
         assert points and hits == sorted(ids)
 
+    def test_one_oracle_rank_per_smooth_witness_matrix(self, monkeypatch):
+        # Every smooth witness of a matrix has the rows of S as its
+        # Jacobian columns, so the tangent oracle ranks once per matrix
+        # entering the suite (n <= 6, locally free), not once per point.
+        oracle = cli.oracle
+        real_of, real_tangent, real_rank = (
+            torus.Analysis.of, oracle.tangent_dim, oracle._rank_crossmul
+        )
+        analyses, points, inside, ranks = [], [], [False], []
+
+        def of(w):
+            analyses.append(real_of(w))
+            return analyses[-1]
+
+        def tangent_dim(w, p):
+            points.append(p)
+            inside[0] = True
+            try:
+                return real_tangent(w, p)
+            finally:
+                inside[0] = False
+
+        def rank(rows):
+            if inside[0]:
+                ranks.append(rows)
+            return real_rank(rows)
+
+        monkeypatch.setattr(torus.Analysis, "of", of)
+        monkeypatch.setattr(oracle, "tangent_dim", tangent_dim)
+        monkeypatch.setattr(oracle, "_rank_crossmul", rank)
+        oracle._rank_columns.cache_clear()
+        ok, _ = cli.run_selftest(0, count=30)
+        assert ok
+        matrices = sum(a.n <= 6 and a.rank == a.weights.r for a in analyses)
+        assert 0 < matrices < len(points)
+        assert len(ranks) == matrices
+
     @pytest.mark.parametrize(
         "bad",
         [

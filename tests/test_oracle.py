@@ -282,6 +282,25 @@ class TestTangentDim:
         with pytest.raises(InputError):
             oracle.tangent_dim(wm([[1], [0]]), PairPoint.of((1, 0), (1, 0)))
 
+    def test_memo_is_keyed_on_the_whole_jacobian(self):
+        # A and B share n and the column count but not the rank; then two
+        # supports on A.  Each answer is the direct rank of its own columns.
+        a = wm([[1, 0], [0, 1], [-1, -1]])
+        b = wm([[1, 0], [-1, 0], [2, 0]])
+        smooth = PairPoint.of((1, 0, 0), (0, 1, 1))
+        single = PairPoint.of((1, 0, 0), (0, 0, 0))
+        oracle._rank_columns.cache_clear()
+        got = []
+        for w, p in [(a, smooth), (b, smooth), (a, smooth), (a, single)]:
+            cols = [
+                [s * f.numerator for s in row]
+                for row, f in zip(w.matrix.entries * 2, p.phi + p.x)
+                if f
+            ]
+            got.append(oracle.tangent_dim(w, p))
+            assert got[-1] == 2 * w.n - oracle._rank_crossmul(cols)
+        assert got == [4, 5, 4, 5]
+
 
 class TestRandomFiberPoint:
     def test_support_and_fiber(self):

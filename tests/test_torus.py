@@ -81,7 +81,7 @@ class TestStrataNumbers:
                 )
 
     @pytest.mark.parametrize(
-        "subset", [{0}, {4}, {1, 4}, {-1}, {1.0}, {True}, {2.5}]
+        "subset", [{0}, {4}, {1, 4}, {-1}, {1.0}, {True}, {2.5}, {1, "a"}]
     )
     @pytest.mark.parametrize(
         "fn",
