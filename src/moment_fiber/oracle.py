@@ -7,12 +7,13 @@ division; no Bareiss division, no rational RREF), kernels by the same row
 insertion, with a unit tag carried along to record each relation, hull
 membership by Caratheodory subset search (no simplex), visibility by
 exhaustive partition search, mixed-sign circuits by subset enumeration.
-The subset searches extend their parent subset's basis by one row instead
-of eliminating each subset afresh, and reads a relation off a reduced
-tag: one reader, ``_subset_circuits``, serves the visibility and circuit
-searches.  Relations are integer vectors, each checked in integers.  The
-hull searches visit independent subsets only (Caratheodory), and the
-component walk ends a branch whose nullity can no longer reach n - rank S.
+One reader of row subsets, ``_subset_circuits``, serves the visibility
+and circuit searches, the kernels and the decomposition check: a subset's
+basis extends that of the subset less its highest row, so a prefix has
+the greedy basis, and a relation is read off a reduced tag.  Relations
+are integer vectors, each checked in integers.  The hull searches visit
+independent subsets only (Caratheodory), and the component walk ends a
+branch whose nullity can no longer reach n - rank S.
 The tangent oracle ranks a Jacobian's sorted columns through a one-entry
 memo, because every smooth witness of a matrix has the rows of S as its
 Jacobian columns.
@@ -121,41 +122,33 @@ def _primitive(relation: Sequence[int], own: int) -> list[int]:
 def _dependencies(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     """One relation per vector in the span of the vectors before it.
 
-    The vectors are inserted in order, each tagged on the left with its
-    own unit vector; pivots are taken from the right, so they stay in the
-    data columns while the data is nonzero.  A vector whose data reduces
-    to 0 is not inserted, and its tag, made primitive and positive at its
-    own index, is its relation: nonzero elsewhere only at earlier inserted
-    vectors, sum_j rel_j * vectors[j] = 0.  The inserted vectors are the
-    greedy left-to-right basis, so the relations divided by their own
-    entries form the kernel basis of the matrix with these vectors as
+    Read off the prefix masks of ``_subset_circuits``, whose bases are the
+    greedy left-to-right basis: a vector in the span of the vectors before
+    it has its reduced tag as relation, made primitive and positive at its
+    own index, nonzero elsewhere only at earlier basis vectors, and
+    sum_j rel_j * vectors[j] = 0.  Divided by their own entries, the
+    relations form the kernel basis of the matrix with these vectors as
     columns that is read off its reduced row-echelon form.
     """
-    k = len(vectors)
-    basis: list[tuple[int, list[int]]] = []
-    relations = []
-    for i, v in enumerate(vectors):
-        tagged = [0] * k + list(v)
-        tagged[i] = 1
-        reduced = _reduce(basis, tagged)
-        if any(reduced[k:]):
-            # Reducing it again inside _insert_row changes nothing.
-            basis = _insert_row(basis, reduced) or basis
-        else:
-            relations.append(_annihilating(_primitive(reduced[:k], i), vectors))
-    return relations
+    relation = _subset_circuits(vectors)[2]
+    tags = [(i, relation((1 << i) - 1, i)) for i in range(len(vectors))]
+    return [_primitive(tag, i) for i, tag in tags if tag is not None]
 
 
 def _subset_circuits(entries: Sequence[Sequence[int]]):
-    """``(basis, circuit)``, two readers of the row subsets of ``entries``
-    given as bitmasks, each memoized per mask.
+    """``(basis, circuit, relation)``, readers of the row subsets of
+    ``entries`` given as bitmasks; bases and circuits are memoized per mask.
 
-    ``basis(mask)`` is the tagged basis of the mask less its lowest row,
-    extended by that row unless its data lies in the span.  ``circuit(mask)``
-    is the integer relation of length n on the mask's rows if they form a
-    circuit, else None.  They do exactly when the rows above the lowest are
-    independent, the lowest reduces to 0 against them, and its reduced tag,
-    the relation, is nonzero on every member.
+    Rows are tagged on the left with their unit vectors, and pivots taken
+    from the right stay in the data columns while the data is nonzero.
+    ``basis(mask)`` extends the basis of the mask less its highest row by
+    that row unless its data lies in the span, so a prefix mask has the
+    greedy left-to-right basis.  ``relation(mask, i)`` is row i's tag
+    reduced against ``basis(mask)``, checked in integers, or None if its
+    data does not reduce to 0.  ``circuit(mask)`` is the relation of the
+    highest row against the others if they are independent and it is
+    nonzero on every member, else None: exactly when the rows form a
+    circuit.
     """
     n = len(entries)
     tagged = [[int(j == i) for j in range(n)] + list(row)
@@ -165,27 +158,30 @@ def _subset_circuits(entries: Sequence[Sequence[int]]):
 
     def basis(mask: int) -> list:
         if mask not in bases:
-            low = mask & -mask
-            parent = basis(mask ^ low)
-            row = tagged[low.bit_length() - 1]
-            bases[mask] = _insert_row(parent, row, n) or parent
+            top = mask.bit_length() - 1
+            parent = basis(mask ^ 1 << top)
+            bases[mask] = _insert_row(parent, tagged[top], n) or parent
         return bases[mask]
+
+    def relation(mask: int, i: int) -> Optional[list[int]]:
+        reduced = _reduce(basis(mask), tagged[i])
+        if any(reduced[n:]):
+            return None
+        return _annihilating(reduced[:n], entries)
 
     def circuit(mask: int) -> Optional[list[int]]:
         if mask not in circuits:
-            low = mask & -mask
-            above = basis(mask ^ low)
-            members = [i for i in range(n) if mask >> i & 1]
+            top = mask.bit_length() - 1
+            below = mask ^ 1 << top
             rel = None
-            if len(above) == len(members) - 1:
-                reduced = _reduce(above, tagged[low.bit_length() - 1])
-                tag = reduced[:n]
-                if not any(reduced[n:]) and all(tag[i] for i in members):
-                    rel = _annihilating(tag, entries)
+            if len(basis(below)) == bin(below).count("1"):
+                tag = relation(below, top)
+                if tag is not None and all(tag[i] for i in range(n) if mask >> i & 1):
+                    rel = tag
             circuits[mask] = rel
         return circuits[mask]
 
-    return basis, circuit
+    return basis, circuit, relation
 
 
 # -- components ---------------------------------------------------------------
@@ -239,7 +235,7 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
             f"brute visibility search refused for n={w.n} > {_VISIBLE_LIMIT}"
         )
     n = w.n
-    basis, circuit = _subset_circuits(w.matrix.entries)
+    basis, circuit, _ = _subset_circuits(w.matrix.entries)
 
     def valid_block(mask: int) -> bool:
         """The mask's rows carry a unique relation, nonzero on every member
@@ -350,35 +346,35 @@ def check_decomposition(
     """
     entries = w.matrix.entries
     n = w.n
-    seen: set[int] = set()
-    parts = [sorted(dec.fixed)] + [sorted(b.indices) for b in dec.blocks]
+    basis = _subset_circuits(entries)[0]
+    parts = [dec.fixed] + [b.indices for b in dec.blocks]
     for part in parts:
         for i in part:
-            if i in seen or not 1 <= i <= n:
+            if not isinstance(i, int) or isinstance(i, bool):
+                return f"index {i!r} is not an integer"
+    seen, masks = 0, []
+    for part in parts:
+        start = seen
+        for i in sorted(part):
+            if not 1 <= i <= n or seen >> (i - 1) & 1:
                 return f"index {i} repeated or out of range"
-            seen.add(i)
-    if len(seen) != n:
+            seen |= 1 << (i - 1)
+        masks.append(seen ^ start)
+    if seen != (1 << n) - 1:
         return "partition does not cover {1..n}"
-    fixed_rows = [entries[i - 1] for i in sorted(dec.fixed)]
-    if _rank_crossmul(fixed_rows) != len(fixed_rows):
+    if len(basis(masks[0])) != len(dec.fixed):
         return "I_0 is not independent"
-    rank_sum = len(fixed_rows)
-    for b in dec.blocks:
+    for b, mask in zip(dec.blocks, masks[1:]):
         rows = [entries[i - 1] for i in sorted(b.indices)]
-        if _rank_crossmul(rows) != len(rows) - 1:
+        if len(basis(mask)) != len(rows) - 1:
             return f"block {sorted(b.indices)} has the wrong rank"
         if len(b.relation) != len(rows):
             return f"block {sorted(b.indices)} relation length mismatch"
         if any(c <= 0 for c in b.relation):
             return f"block {sorted(b.indices)} relation is not positive"
-        for j in range(w.r):
-            s = sum(
-                (c * row[j] for c, row in zip(b.relation, rows)), Fraction(0)
-            )
-            if s != 0:
-                return f"block {sorted(b.indices)} relation does not vanish"
-        rank_sum += len(rows) - 1
-    if rank_sum != _rank_crossmul(entries):
+        if any(sum(c * x for c, x in zip(b.relation, col)) for col in zip(*rows)):
+            return f"block {sorted(b.indices)} relation does not vanish"
+    if sum(len(basis(mask)) for mask in masks) != len(basis(seen)):
         return "spans are not in direct sum"
     return None
 

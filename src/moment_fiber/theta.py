@@ -259,7 +259,8 @@ def _eigenvectors(
     """A basis of X_N of eigenvectors of the diagram automorphism mu of
     order k = twist, as pairs (j, restricted root): mu acts by
     exp(2 pi i j / k), and the restricted root holds, per label position,
-    the root's coefficient sum over that node's orbit (0 at E_0)."""
+    the root's coefficient sum over that node's orbit (0 at E_0).  Their
+    number, the sum of every grading's dimensions, is checked to be dim X_N."""
     marks = _marks_for(family, rank, twist)
     nodes = _folded_nodes(family, rank, twist)
     orbits = [p for p in nodes if p is not None]
@@ -282,6 +283,8 @@ def _eigenvectors(
             orbit.append(tuple(orbit[-1][a] for a in back))
         j = fixed_j if orbit.count(root) == twist else sorted(orbit).index(root)
         out.append((j, tuple(0 if p is None else sum(root[i] for i in p) for p in nodes)))
+    if len(out) != _ALGEBRA_DIM[family](rank):
+        raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
     # The highest restricted weight with j = 1 is the marks of the other
     # nodes, and E_0 has mark 1 (for k = 1: the highest root).
     top = max((c for j, c in out if j == 1 % twist), key=lambda c: (sum(c), c))
@@ -324,13 +327,11 @@ def _degree_vector(sums: Iterable[int], m: int) -> list[int]:
     return list(map(mod, sums, repeat(m)))
 
 
-def _histogram(family: str, rank: int, m: int, degrees: list[int]) -> list[int]:
-    """Dimension per degree mod m, checked against dim X_N and against the
-    symmetry j <-> -j of every grading."""
+def _histogram(m: int, degrees: list[int]) -> list[int]:
+    """Dimension per degree mod m, checked against the symmetry j <-> -j
+    of every grading; their sum, dim X_N, is checked by ``_eigenvectors``."""
     counts = Counter(degrees)
     dims = [counts[j] for j in range(m)]
-    if sum(dims) != _ALGEBRA_DIM[family](rank):
-        raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
     if dims[1:] != dims[:0:-1]:
         raise ArithmeticError("graded dimensions are not symmetric")
     return dims
@@ -352,7 +353,7 @@ def graded_dims(d: KacDiagram) -> GradedDims:
     sum(k_i alpha_i) has degree sum(k_i s_i) mod m, and the Cartan
     subalgebra sits in degree 0."""
     m, degrees = _grading(d)
-    return GradedDims(order=m, dims=tuple(_histogram(d.family, d.rank, m, degrees)))
+    return GradedDims(order=m, dims=tuple(_histogram(m, degrees)))
 
 
 def zero_part_semisimple_rank(d: KacDiagram) -> int:
@@ -412,7 +413,7 @@ def levi_order_scan(
             sums = list(map(sub, sums, columns[p]))
             order -= marks[p]
         m = twist * order
-        dims = _histogram(family, rank, m, _degree_vector(sums, m))
+        dims = _histogram(m, _degree_vector(sums, m))
         delta = dims[1 % m] - dims[0]
         if delta >= min_delta:
             found.append((mask, m, delta))

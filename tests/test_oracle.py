@@ -162,6 +162,18 @@ class TestBruteVisible:
         )
         assert oracle.check_decomposition(w, tampered) is not None
 
+    @pytest.mark.parametrize(
+        "fixed, bad",
+        [({1.5}, 1.5), ({3.0}, 3.0), ({"a"}, "a"), ({1, "a"}, "a"), ({True}, True)],
+    )
+    def test_check_decomposition_rejects_non_integer_index(self, fixed, bad):
+        # Every index is checked before a part is sorted or masked, by the
+        # rule of WeightMatrix.weight: an int, and not a bool.
+        w = wm([[1], [-1], [0]])
+        block = torus.Block(frozenset({1, 2}), (Fraction(1), Fraction(1)))
+        dec = VisibleDecomposition(fixed=frozenset(fixed), blocks=(block,))
+        assert oracle.check_decomposition(w, dec) == f"index {bad!r} is not an integer"
+
 
 class TestKernelVector:
     def test_corank_one_relation(self):

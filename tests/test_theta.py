@@ -188,17 +188,27 @@ class TestGradedDims:
             assert gd.dims[1] == rank + 1
 
     def test_dimension_check_can_fail(self, monkeypatch):
-        # Losing one Cartan vector keeps the dims symmetric, so only the
-        # comparison with dim X_N from its closed formula can see it.
-        full = theta._eigenvectors
-        monkeypatch.setattr(theta, "_eigenvectors", lambda *key: full(*key)[1:])
+        # A lost root leaves one eigenvector fewer than dim X_N from its
+        # closed formula, caught before any grading is built.
+        full = theta._roots
+        monkeypatch.setattr(theta, "_roots", lambda *key: full(*key)[1:])
+        self.assert_dimension_check_fires()
+
+    def test_wrong_algebra_dim_is_caught(self, monkeypatch):
+        monkeypatch.setitem(theta._ALGEBRA_DIM, "E", lambda n: 79)
+        self.assert_dimension_check_fires()
+
+    @staticmethod
+    def assert_dimension_check_fires():
+        # The check runs once per diagram, in the cached _eigenvectors,
+        # which keeps no result of a call that raised.
+        theta._eigenvectors.cache_clear()
         for d in [
             KacDiagram.all_ones("E", 6),
             KacDiagram.of("E", 6, (1, 0, 1, 1, 1), twist=2),
         ]:
             with pytest.raises(ArithmeticError, match="sum to dim"):
                 graded_dims(d)
-            # The scan runs the same check on its own degrees.
             with pytest.raises(ArithmeticError, match="sum to dim"):
                 levi_order_scan(d.family, d.rank, min_delta=-10**6, twist=d.twist)
 
