@@ -200,8 +200,12 @@ def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Clear denominators of a rational functional into a cocharacter.
 
     Positive scaling keeps all pairing signs, so the result separates the
-    same queries.  The entries are then divided by their gcd.
+    same queries.  The entries are then divided by their gcd.  InputError
+    unless every entry is an int (not a bool) or a Fraction.
     """
+    for v in functional:
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            raise InputError(f"coordinate {v!r} is not an int or a Fraction")
     _, ints = _scaled(functional)
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)

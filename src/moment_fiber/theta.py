@@ -24,10 +24,11 @@ the root vectors and the Cartan.
 Cartan matrices and marks are embedded static data: one table, ``_MARKS``,
 holds the marks of all 55 supported diagrams (32 untwisted, 23 twisted),
 so validating a diagram or computing its order needs no root system.
-All roots are generated from the Cartan matrix by string closure.  Every
-grading cross-checks the embedded marks against the highest weight of the
-exp(2 pi i / k) eigenspace (for k = 1, the highest root); the tests also
-check the untwisted marks against the highest root of ``_roots``.
+All roots are generated from the Cartan matrix by the simple reflections
+that raise the height.  Every grading cross-checks the embedded marks
+against the highest weight of the exp(2 pi i / k) eigenspace (for k = 1,
+the highest root); the tests also check the untwisted marks against the
+highest root of ``_roots``.
 
 Node order for labels: the finite nodes alpha_1..alpha_l first, the
 affine node alpha_0 last.  Untwisted diagrams use Bourbaki's numbering,
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mod, sub
+from operator import add, mod, mul, sub
 from typing import Iterable, Optional
 
 from . import exactlin
@@ -128,33 +129,25 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
 
 
 def _positive_roots(cartan: list[list[int]]) -> set[Root]:
-    """Positive roots of a finite-type Cartan matrix, by string closure."""
+    """Positive roots of a finite-type Cartan matrix: the closure of the
+    simple roots under the simple reflections that raise the height,
+    beta -> beta - <beta, alpha_i^vee> alpha_i where that pairing is
+    negative.  Every positive root arises so (Humphreys, *Introduction to
+    Lie Algebras and Representation Theory*, 10.2-10.3)."""
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    positive: set[Root] = set(simple)
-    frontier = list(simple)
+    frontier = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    positive: set[Root] = set(frontier)
     while frontier:
-        new: list[Root] = []
-        for alpha in frontier:
-            for i in range(n):
-                # alpha + alpha_i is a root iff the alpha_i-string through
-                # alpha extends: p - <alpha, alpha_i^vee> > 0.
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[i] -= 1
-                    if min(down) < 0 or tuple(down) not in positive:
-                        break
-                    p += 1
-                pairing = sum(alpha[j] * cartan[j][i] for j in range(n))
-                if p - pairing > 0:
-                    up = list(alpha)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in positive:
-                        positive.add(cand)
-                        new.append(cand)
-        frontier = new
+        beta = frontier.pop()
+        for i, column in enumerate(zip(*cartan)):
+            pairing = sum(map(mul, beta, column))  # <beta, alpha_i^vee>
+            if pairing < 0:
+                up = list(beta)
+                up[i] -= pairing
+                cand = tuple(up)
+                if cand not in positive:
+                    positive.add(cand)
+                    frontier.append(cand)
     return positive
 
 

@@ -94,6 +94,11 @@ class PairPoint:
 
     @classmethod
     def of(cls, x: Sequence, phi: Sequence) -> "PairPoint":
+        """InputError unless every coordinate is an int (not a bool) or a
+        Fraction."""
+        for v in (*x, *phi):
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                raise InputError(f"coordinate {v!r} is not an int or a Fraction")
         return cls(
             tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in phi)
         )

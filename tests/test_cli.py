@@ -204,6 +204,34 @@ class TestAnalyze:
         _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
         assert "\x1b[" not in out
 
+    def test_text_report(self, capsys, monkeypatch):
+        # Every mark of the text report, the cap note and the witness line.
+        monkeypatch.setenv("MOMENT_FIBER_COLOR", "1")
+        code, out, _ = run(
+            ["analyze", "[[1, 0], [1, 0], [-2, 0], [0, 1]]", "--max-components", "1"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        yes, no, unknown = "\x1b[32myes\x1b[0m", "\x1b[31mno\x1b[0m", "\x1b[33m?\x1b[0m"
+        assert dict(line.split()[:2] for line in lines if line.startswith("  ")) == {
+            "locally_free": yes,
+            "stable": no,
+            "visible": no,
+            "polar": unknown,
+            "irreducible": no,
+            "normal": no,
+        }
+        assert (
+            f"  {'visible':13s} \x1b[31mno\x1b[0m  (circuit [1, 2] has a"
+            " mixed-sign relation, so 0 is not interior to its hull)" in lines
+        )
+        assert "components: 2 (list capped)" in lines
+        assert (
+            "closed-pair witness: {'x': ['0/1', '1/1', '0/1', '0/1'], 'phi':"
+            " ['1/1', '0/1', '0/1', '0/1'], 'relation': [-1, 1, 0, 0]}" in lines
+        )
+
     def test_readme_library_quick_start(self):
         # The README's python block runs, and every "# -> VALUE" comment
         # is the value of the expression on its line.
@@ -242,6 +270,18 @@ class TestKac:
         rep = json.loads(out)
         assert rep["order"] == 3
         assert rep["dims"] == [2, 3, 3]
+
+    def test_text_output(self, capsys):
+        code, out, _ = run(["kac", "A2 all-ones"], capsys)
+        assert code == 0
+        assert out.splitlines() == [
+            "type: A2",
+            "twist: 1",
+            "labels: [1, 1, 1]",
+            "order: 3",
+            "delta: 1",
+            "dims: [2, 3, 3]",
+        ]
 
     def test_json_is_one_sorted_line(self, capsys):
         # The same JSON style as ``analyze``.

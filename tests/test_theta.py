@@ -121,6 +121,18 @@ class TestRootSystems:
         # Roots come in opposite pairs.
         roots = set(roots)
         assert all(tuple(-x for x in r) in roots for r in roots)
+        # s_i permutes the positive roots other than alpha_i (Humphreys,
+        # Lemma 10.2B): s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
+        cartan = theta._cartan_matrix(family, rank)
+        positive = {r for r in roots if sum(r) > 0}
+        for i, column in enumerate(zip(*cartan)):
+            rest = positive - {tuple(int(j == i) for j in range(rank))}
+            images = set()
+            for beta in rest:
+                image = list(beta)
+                image[i] -= sum(map(mul, beta, column))
+                images.add(tuple(image))
+            assert images == rest, i
 
     def test_one_marks_row_per_supported_diagram(self):
         untwisted = sorted(key[:2] for key in theta._MARKS if key[2] == 1)
@@ -285,7 +297,7 @@ class TestTwistedGradings:
         a = twisted_cartan(family, rank, twist)
         for labels in labelings(len(a)):
             zero = [i for i, v in enumerate(labels) if v == 0]
-            # string closure reads <alpha_j, alpha_i^vee>: the transpose
+            # the closure reads <alpha_j, alpha_i^vee>: the transpose
             sub = [[a[j][i] for j in zero] for i in zero]
             roots = 2 * len(theta._positive_roots(sub))
             centre = len(labels) - len(zero) - 1
@@ -418,6 +430,22 @@ class TestVinberg:
                 vinberg_delta(VinbergClassicalInput(case=1, m0=5, k=rolled))
                 == base
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(case=5, m0=1, k=(1,)), "case must be 1..4"),
+            (dict(case=1, m0=0, k=()), "exactly m0 entries"),
+            (dict(case=1, m0=2, k=(1,)), "exactly m0 entries"),
+            (dict(case=1, m0=2, k=(1, -1)), "nonnegative"),
+            (dict(case=2, m0=2, k=(1, 1)), "need the eta signs"),
+            (dict(case=2, m0=2, k=(1, 1), eta=(1, 0)), "must be \\+1 or -1"),
+            (dict(case=3, m0=2, k=(1, 1), eta=(2, 1)), "must be \\+1 or -1"),
+        ],
+    )
+    def test_block_data_validation(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            VinbergClassicalInput(**kwargs)
 
     def test_symmetry_validation(self):
         with pytest.raises(InputError):

@@ -55,6 +55,23 @@ class TestMomentEval:
         with pytest.raises(InputError):
             torus.moment_eval(OPPOSITE, PairPoint.of((1,), (1,)))
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (PairPoint.of, ([None], [1])),
+            (PairPoint.of, ([0.5, 1], [1, 0])),
+            (PairPoint.of, ([1, 0], [True, 0])),
+            (PairPoint.of, (["1/2"], [1])),
+            (polytope.integral_subgroup, ([0.5],)),
+            (polytope.integral_subgroup, ([Fraction(1, 2), True],)),
+        ],
+        ids=["none", "float", "bool", "str", "subgroup-float", "subgroup-bool"],
+    )
+    def test_coordinate_not_int_or_fraction_rejected(self, call, args):
+        # The rule of WeightMatrix: ints and Fractions only, bool excluded.
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            call(*args)
+
 
 class TestStrataNumbers:
     def test_orbit_dim(self):
@@ -315,6 +332,8 @@ class TestVisibility:
             ([[1], [-1]], set(), [({1, 2}, (1,))], "positive"),
             ([[1], [-1], [0]], {3}, [({1, 2}, (1, 1)), ({3}, (1,))], "partition"),
             ([[1, 0], [-1, 0], [0, 1]], set(), [({1, 2}, (1, 1))], "partition"),
+            # Each part is sound, but I_0 and the block share a span.
+            ([[1], [1], [-1]], {1}, [({2, 3}, (1, 1))], "dependent"),
         ],
     )
     def test_tampered_decomposition_is_rejected(
