@@ -345,10 +345,7 @@ def _worker_count(jobs: int) -> int:
 
 def cmd_kac(tokens: Sequence[str]) -> dict:
     """The kac output for a spec given as one or more strings of words."""
-    return _kac_output(_kac_parts([word for tok in tokens for word in tok.split()]))
-
-
-def _kac_output(parts: dict[str, str]) -> dict:
+    parts = _kac_parts([word for tok in tokens for word in tok.split()])
     head = parts["type"]
     family = head[0].upper()
     rank = _parse_int(head[1:], f"the rank in {head!r}")
@@ -668,7 +665,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                     words.append(word)
             fmt = _one_format(parser, formats)
             try:
-                out = _kac_output(_kac_parts(words))
+                out = cmd_kac(words)
             except InputError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE

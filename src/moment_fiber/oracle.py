@@ -229,6 +229,9 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     unique strictly positive relation; the spans must be in direct sum.
     Returns the first success in canonical order (elements assigned
     smallest-first, I_0 before blocks, blocks by increasing bitmask).
+    I_0 grows only while it stays independent, and each new block holds
+    the lowest unassigned row, so a leaf's I_0 is independent and its
+    blocks are in order of their least index without a check or a sort.
     """
     if w.n > _VISIBLE_LIMIT:
         raise CapabilityError(
@@ -250,16 +253,13 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
         unassigned: int, fixed: int, blocks: list[int]
     ) -> Optional[tuple[int, list[int]]]:
         if unassigned == 0:
-            rank_sum = len(basis(fixed))
-            if rank_sum != bin(fixed).count("1"):
-                return None
-            for b in blocks:
-                rank_sum += len(basis(b))
+            rank_sum = sum(len(basis(mask)) for mask in [fixed, *blocks])
             if rank_sum != total_rank:
                 return None
             return fixed, blocks
         low = unassigned & -unassigned
-        # Branch 1: lowest unassigned element joins I_0.
+        # Branch 1: lowest unassigned element joins I_0, if it stays
+        # independent.
         cand_fixed = fixed | low
         if len(basis(cand_fixed)) == bin(cand_fixed).count("1"):
             got = search(unassigned ^ low, cand_fixed, blocks)
@@ -288,12 +288,11 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
         )
     fixed_mask, block_masks = got
     blocks = []
-    for mask in sorted(block_masks, key=lambda m: m & -m):
+    for mask in block_masks:
         rel, top = circuit(mask), mask.bit_length() - 1
         members = [i for i in range(n) if mask >> i & 1]
         relation = tuple(Fraction(rel[i], rel[top]) for i in members)
         blocks.append(Block(frozenset(i + 1 for i in members), relation))
-    blocks.sort(key=lambda b: min(b.indices))
     return VisibleDecomposition(
         fixed=frozenset(i + 1 for i in range(n) if fixed_mask >> i & 1),
         blocks=tuple(blocks),
@@ -314,26 +313,12 @@ def brute_mixed_circuit(w: WeightMatrix) -> Optional[tuple[int, ...]]:
             f"brute circuit scan refused for n={w.n} > {_CIRCUIT_LIMIT}"
         )
     circuit = _subset_circuits(w.matrix.entries)[1]
-    for size in range(1, w.n + 1):
-        for mask in _masks_of_size(w.n, size):
-            rel = circuit(mask)
-            if rel is not None and min(rel) < 0 < max(rel):
-                return tuple(_primitive(rel, mask.bit_length() - 1))
+    # The sort is stable: by size, and within a size by bitmask.
+    for mask in sorted(range(1, 1 << w.n), key=int.bit_count):
+        rel = circuit(mask)
+        if rel is not None and min(rel) < 0 < max(rel):
+            return tuple(_primitive(rel, mask.bit_length() - 1))
     return None
-
-
-def _masks_of_size(n: int, size: int):
-    """Bitmasks of {0..n-1} with ``size`` bits, in increasing numeric order."""
-    if size == 0:
-        yield 0
-        return
-    mask = (1 << size) - 1
-    limit = 1 << n
-    while mask < limit:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
 def check_decomposition(
@@ -508,13 +493,11 @@ def random_fiber_point(
     x gets random small nonzero integers on the subset; phi is a random
     integer combination of an exact basis of the annihilator of the orbit
     tangent space at x, so the moment map vanishes by construction.
+    ``WeightMatrix.index_set`` checks every index of the subset first.
     """
     rng = random.Random(seed)
     x = [0] * w.n
-    chosen = set(subset)
-    for i in chosen:
-        w.weight(i)  # InputError unless i is a row index 1..n
-    for i in sorted(chosen):
+    for i in sorted(w.index_set(subset)):
         while not x[i - 1]:
             x[i - 1] = rng.randint(-4, 4)
     # Direction j moves coordinate i by S[i][j] * x_i, so phi annihilates

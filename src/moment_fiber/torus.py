@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
@@ -75,6 +76,13 @@ class WeightMatrix:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n:
             raise InputError(f"row index {i!r} is not an integer in 1..{self.n}")
         return self.matrix.entries[i - 1]
+
+    def index_set(self, subset: Iterable[int]) -> set[int]:
+        """The indices of ``subset`` as a set, each checked by ``weight``."""
+        chosen = set(subset)
+        for i in chosen:
+            self.weight(i)
+        return chosen
 
 
 RatVector = tuple[Fraction, ...]
@@ -207,10 +215,9 @@ def support(vec: Sequence) -> Stratum:
 
 def weights_of(w: WeightMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
     """The weight rows of ``subset`` in index order.  Every index is
-    checked by ``WeightMatrix.weight`` before the sort, so a mix of types
-    raises InputError, not TypeError."""
-    rows = {i: w.weight(i) for i in set(subset)}
-    return [rows[i] for i in sorted(rows)]
+    checked by ``WeightMatrix.index_set`` before the sort, so a mix of
+    types raises InputError, not TypeError."""
+    return [w.matrix.entries[i - 1] for i in sorted(w.index_set(subset))]
 
 
 # -- moment map and strata ---------------------------------------------------
@@ -332,23 +339,27 @@ class Analysis:
     ) -> Optional[tuple[Stratum, ...]]:
         """Index sets of the irreducible components of the zero fiber: the
         2^#I_f supersets of I_d, ordered by size, then members.  None when
-        that count exceeds ``max_components``."""
+        that count exceeds ``max_components``.
+
+        I_d joins each k-subset of the sorted I_f, k = 0..#I_f.  The
+        k-subsets come in lexicographic order, and so do their unions with
+        the disjoint I_d, so no sort is needed."""
         free = sorted(self.free)
-        count = 1 << len(free)
-        if max_components is not None and count > max_components:
+        if max_components is not None and 1 << len(free) > max_components:
             return None
-        out = [
-            self.dependent | {free[b] for b in range(len(free)) if pick >> b & 1}
-            for pick in range(count)
-        ]
-        return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+        return tuple(
+            self.dependent | set(c)
+            for k in range(len(free) + 1)
+            for c in combinations(free, k)
+        )
 
     def smooth_witness(self, subset: Iterable[int]) -> PairPoint:
         """A fiber point over the stratum of ``subset`` with trivial
         infinitesimal stabilizer: x the indicator of the subset, phi the
         indicator of its complement.  Its joint support is {1..n}, so
         ``stabilizer_dim`` reads r - rank S = 0 off ``rank``.  Requires a
-        locally free action, rank S = r."""
+        locally free action, rank S = r, and indices that
+        ``WeightMatrix.index_set`` accepts."""
         w = self.weights
         if self.rank < w.r:
             raise CapabilityError(
@@ -356,9 +367,7 @@ class Analysis:
                 " positive-dimensional kernel; reduce it first"
                 " (reduce_to_effective)"
             )
-        chosen = set(subset)
-        for i in chosen:
-            w.weight(i)  # InputError unless i is a row index 1..n
+        chosen = w.index_set(subset)
         lines = range(1, w.n + 1)
         x = tuple([_ONE if i in chosen else _ZERO for i in lines])
         phi = tuple([_ZERO if i in chosen else _ONE for i in lines])
@@ -408,11 +417,14 @@ def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
     """Check a visibility decomposition exactly, with one rank; raise
     ArithmeticError on a fault.
 
-    I_0 and the blocks must partition {1..n}, and each block's relation
-    must be strictly positive and vanish, so the block's largest row lies
-    in the span of its other rows.  Then D = I_0 + each block minus its
-    largest row is independent iff I_0 is independent, each block b has
-    rank |b| - 1, and the spans meet in a direct sum equal to span S.
+    I_0 and the blocks must partition {1..n}, and each block must be
+    nonempty with its relation an ``Inside`` certificate for 0 in the
+    relative interior of the block's rows: one strictly positive
+    coefficient per row, with a vanishing weighted sum.  So the block's
+    largest row lies in the span of its other rows.  Then D = I_0 + each
+    block minus its largest row is independent iff I_0 is independent,
+    each block b has rank |b| - 1, and the spans meet in a direct sum
+    equal to span S.
     """
     rows = w.matrix.entries
     parts = [sorted(dec.fixed)] + [sorted(b.indices) for b in dec.blocks]
@@ -420,14 +432,12 @@ def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
         raise ArithmeticError("I_0 and the blocks do not partition {1..n}")
     basis = parts[0]
     for b, members in zip(dec.blocks, parts[1:]):
-        rel = b.relation
-        if not members or len(rel) != len(members) or any(c <= 0 for c in rel):
-            raise ArithmeticError(
-                f"block {members} needs one positive coefficient per index"
-            )
-        for j in range(w.r):
-            if sum(c * rows[i - 1][j] for c, i in zip(rel, members)) != 0:
-                raise ArithmeticError(f"block {members} relation does not vanish")
+        if not members or not polytope.verify_certificate(
+            HullQuery.of([rows[i - 1] for i in members]),
+            Inside(b.relation),
+            relative_interior=True,
+        ):
+            raise ArithmeticError(f"block {members}: no positive, vanishing relation")
         basis = basis + members[:-1]
     if exactlin.rank_rows([rows[i - 1] for i in basis]) != len(basis):
         raise ArithmeticError(

@@ -527,6 +527,26 @@ def test_out_of_range_option_exits_2(argv, capsys):
     assert "must be >=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", '{"w": 1}'], 'JSON input needs {"weights": '),
+        (["analyze", '{"weights": 5}'], "weights must be a list of integer rows"),
+        (["analyze", "TMP/comment.csv"], "empty CSV input"),
+        (["analyze", "TMP/missing.csv"], "cannot read TMP/missing.csv: "),
+        (["kac"], "kac needs a diagram spec"),
+    ],
+)
+def test_parse_error_branches_exit_2(argv, message, tmp_path, capsys):
+    # Each input reaches its own InputError in the parser; main returns
+    # the parse exit code instead of raising.
+    (tmp_path / "comment.csv").write_text("# no rows\n")
+    code, out, err = run([a.replace("TMP", str(tmp_path)) for a in argv], capsys)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: " + message.replace("TMP", str(tmp_path)))
+
+
 def test_closed_pipe_exits_0_without_traceback():
     # The reader's end is closed before the command writes anything.
     read_end, write_end = os.pipe()

@@ -210,6 +210,12 @@ class TestBruteMixedCircuit:
     def test_smallest_circuit_first(self):
         assert oracle.brute_mixed_circuit(wm([[1], [-1], [-2]])) == (0, -2, 1)
 
+    def test_same_size_circuits_by_bitmask(self):
+        # {2, 3} (mask 0b0110) comes before {1, 4} (mask 0b1001), although
+        # its least member is larger.
+        w = wm([[1, 0], [0, 1], [0, 2], [3, 0]])
+        assert oracle.brute_mixed_circuit(w) == (0, -2, 1, 0)
+
     def test_visible_has_none(self):
         assert oracle.brute_mixed_circuit(wm([[1, 0], [-1, 0], [0, 1]])) is None
         assert oracle.brute_mixed_circuit(wm([[0]])) is None

@@ -170,6 +170,7 @@ class TestComponents:
             expected = oracle.brute_components(w)
             assert set(got) == set(expected)
             assert len(got) == len(expected)
+            assert got == tuple(expected)  # the order too: size, then members
 
 
 class TestLocallyFreeAndKernel:
@@ -334,6 +335,8 @@ class TestVisibility:
             ([[1, 0], [-1, 0], [0, 1]], set(), [({1, 2}, (1, 1))], "partition"),
             # Each part is sound, but I_0 and the block share a span.
             ([[1], [1], [-1]], {1}, [({2, 3}, (1, 1))], "dependent"),
+            # An empty block: no hull query, still an ArithmeticError.
+            ([[1], [-1]], set(), [({1, 2}, (1, 1)), (set(), ())], "positive"),
         ],
     )
     def test_tampered_decomposition_is_rejected(
