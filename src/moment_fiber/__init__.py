@@ -39,7 +39,6 @@ from .torus import (
     VisibleDecomposition,
     WeightMatrix,
     classify_stratum,
-    is_locally_free,
     is_stable,
     modality,
     moment_eval,
@@ -72,7 +71,6 @@ __all__ = [
     "classify_stratum",
     "graded_dims",
     "integral_subgroup",
-    "is_locally_free",
     "is_stable",
     "kac_order",
     "levi_order_scan",

@@ -215,6 +215,8 @@ def _parse_weights_json(text: str) -> torus.WeightMatrix:
         data = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise InputError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(str(exc)) from None
     if isinstance(data, list):
         rows = data
     elif isinstance(data, dict) and "weights" in data:
@@ -255,18 +257,22 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
 def _load_matrix(spec: str) -> torus.WeightMatrix:
     """The weight matrix named by ``spec``: inline JSON, ``-`` for stdin,
     or a path.  The text is JSON when it opens with a bracket or the path
-    ends in ``.json``, and CSV otherwise."""
+    ends in ``.json``, and CSV otherwise.  Every fault of the input, a
+    file that cannot be opened or decoded as UTF-8 and malformed JSON
+    too, is an InputError."""
     stripped = spec.strip()
-    if stripped.startswith(("{", "[")):
-        text = stripped
-    elif stripped == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if stripped.startswith(("{", "[")):
+            text = stripped
+        elif stripped == "-":
+            text = sys.stdin.read()
+        else:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {spec}: {exc}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {spec}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise InputError(str(exc)) from None
     if spec.endswith(".json") or text.lstrip().startswith(("{", "[")):
         return _parse_weights_json(text)
     return _parse_weights_csv(text)
@@ -632,19 +638,48 @@ def _one_format(parser: argparse.ArgumentParser, formats: list[str]) -> str:
     return fmt
 
 
+def _read_request(parser: argparse.ArgumentParser, args) -> tuple[str, Any]:
+    """The ``--format`` and what ``analyze`` or ``kac`` reads: the weight
+    matrix, or the kac output computed from the spec; InputError for a
+    malformed one."""
+    if args.command == "analyze":
+        return _one_format(parser, args.format or []), _load_matrix(args.input)
+    # REMAINDER swallows trailing options: split the spec into words once
+    # and pull --format back out.
+    formats, words = args.format or [], []
+    it = iter([word for tok in args.spec for word in tok.split()])
+    for word in it:
+        if word == "--format":
+            formats.append(next(it, ""))
+        else:
+            words.append(word)
+    return _one_format(parser, formats), cmd_kac(words)
+
+
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "selftest":
+            ok, lines = run_selftest(
+                seed=args.seed,
+                count=args.count,
+                max_n=args.max_n,
+                max_r=args.max_r,
+                max_entry=args.max_entry,
+                jobs=args.jobs,
+            )
+            for line in lines:
+                print(line)
+            return EXIT_OK if ok else EXIT_SELFTEST_FAIL
+        try:  # only a fault of the input is a parse error
+            fmt, request = _read_request(parser, args)
+        except InputError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         if args.command == "analyze":
-            fmt = _one_format(parser, args.format or [])
-            try:
-                w = _load_matrix(args.input)
-            except ValueError as exc:  # InputError, JSON and decoding errors
-                print(f"parse error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
             rep = analyze(
-                w,
+                request,
                 max_components=args.max_components,
                 float_hint=args.float_hint,
             )
@@ -652,40 +687,12 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
                 print(rep.to_json())
             else:
                 _render_report_text(rep, sys.stdout)
-            return EXIT_OK
-        if args.command == "kac":
-            # REMAINDER swallows trailing options: split the spec into
-            # words once and pull --format back out.
-            formats, words = args.format or [], []
-            it = iter([word for tok in args.spec for word in tok.split()])
-            for word in it:
-                if word == "--format":
-                    formats.append(next(it, ""))
-                else:
-                    words.append(word)
-            fmt = _one_format(parser, formats)
-            try:
-                out = cmd_kac(words)
-            except InputError as exc:
-                print(f"parse error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-            if fmt == "json":
-                print(_dumps(out))
-            else:
-                for key, val in out.items():
-                    print(f"{key}: {val}")
-            return EXIT_OK
-        ok, lines = run_selftest(
-            seed=args.seed,
-            count=args.count,
-            max_n=args.max_n,
-            max_r=args.max_r,
-            max_entry=args.max_entry,
-            jobs=args.jobs,
-        )
-        for line in lines:
-            print(line)
-        return EXIT_OK if ok else EXIT_SELFTEST_FAIL
+        elif fmt == "json":
+            print(_dumps(request))
+        else:
+            for key, val in request.items():
+                print(f"{key}: {val}")
+        return EXIT_OK
     except CapabilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

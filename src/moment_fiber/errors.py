@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one input-type rule.
+
+Every integer the package takes as input (a weight, a row index, a hull
+coordinate, a Kac label, rank or twist, a Vinberg case, order, dimension
+or sign) must be an int that is not a bool: ``is_int``.  A bool passes
+``isinstance(x, int)`` and would silently count as 0 or 1, and a float
+such as 2.0 compares and hashes equal to an int but breaks ``range``
+and exact arithmetic later.  A value outside the rule is an
+``InputError``.
+"""
 
 
 class InputError(ValueError):
@@ -9,3 +18,7 @@ class CapabilityError(RuntimeError):
     """A request the library deliberately refuses: an operation whose
     precondition fails, such as a trivial action or an oracle size cap."""
 
+
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, is_int
 from .torus import (
     Block,
     NotVisible,
@@ -335,7 +335,7 @@ def check_decomposition(
     parts = [dec.fixed] + [b.indices for b in dec.blocks]
     for part in parts:
         for i in part:
-            if not isinstance(i, int) or isinstance(i, bool):
+            if not is_int(i):
                 return f"index {i!r} is not an integer"
     seen, masks = 0, []
     for part in parts:
@@ -377,7 +377,7 @@ def _distinct(points: Sequence[Sequence[int]], what: str) -> list[tuple[int, ...
     for p in pts:
         if len(p) != len(pts[0]):
             raise InputError(f"{what} points have mismatched dimensions")
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in p):
+        if not all(map(is_int, p)):
             raise InputError(f"{what} point {p!r} is not integral")
     return sorted(set(pts))
 

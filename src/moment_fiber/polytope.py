@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .exactlin import pivot
 
 
@@ -49,7 +49,7 @@ class HullQuery:
         for p in pts:
             if len(p) != dim:
                 raise InputError("hull query points have mismatched dimensions")
-            if any(not isinstance(x, int) or isinstance(x, bool) for x in p):
+            if not all(map(is_int, p)):
                 raise InputError(f"hull query point {p!r} is not integral")
         return cls(pts)
 
@@ -200,15 +200,20 @@ def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Clear denominators of a rational functional into a cocharacter.
 
     Positive scaling keeps all pairing signs, so the result separates the
-    same queries.  The entries are then divided by their gcd.  InputError
-    unless every entry is an int (not a bool) or a Fraction.
+    same queries.  The entries are then divided by their gcd; each is
+    checked by ``check_rational`` first.
     """
-    for v in functional:
-        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-            raise InputError(f"coordinate {v!r} is not an int or a Fraction")
+    check_rational(functional)
     _, ints = _scaled(functional)
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)
+
+
+def check_rational(values: Sequence) -> None:
+    """InputError unless every value is an int (not a bool) or a Fraction."""
+    for v in values:
+        if not (is_int(v) or isinstance(v, Fraction)):
+            raise InputError(f"coordinate {v!r} is not an int or a Fraction")
 
 
 def _scaled(v: Sequence[Fraction | int]) -> tuple[int, list[int]]:

@@ -46,7 +46,7 @@ from operator import add, mod, mul, sub
 from typing import Iterable, Optional
 
 from . import exactlin
-from .errors import InputError
+from .errors import InputError, is_int
 
 Root = tuple[int, ...]
 
@@ -182,7 +182,7 @@ class KacDiagram:
                 f" {len(self.labels)}"
             )
         for v in self.labels:
-            if not isinstance(v, int) or isinstance(v, bool) or v not in (0, 1):
+            if not is_int(v) or v not in (0, 1):
                 raise InputError(f"labels must be the integers 0 or 1, got {v!r}")
         if not any(self.labels):
             raise InputError("at least one label must be nonzero")
@@ -207,7 +207,10 @@ class KacDiagram:
 
 
 def _marks_for(family: str, rank: int, twist: int) -> tuple[int, ...]:
-    marks = _MARKS.get((family, rank, twist))
+    """The diagram's marks; InputError unless it is supported, with an
+    int rank and twist (6.0 and True hash like 6 and 1)."""
+    ints = is_int(rank) and is_int(twist)
+    marks = _MARKS.get((family, rank, twist)) if ints else None
     if marks is None:
         raise InputError(
             f"no Kac diagram {family}{rank}^({twist}) is supported"
@@ -431,6 +434,12 @@ class VinbergClassicalInput:
     symplectic; outer on the special linear algebra.  ``k`` holds the
     eigenspace dimensions over Z_{m0}; ``eta`` records whether +1 and -1
     are eigenvalues (signs +1/-1), fixed to None in case 1.
+
+    The eigenvalue of index j is exp(pi i (2j + s) / m0), with the shift
+    s = 0 when ``eta`` is None or eta[+1] = 1, else s = 1.  Conjugation,
+    the index of minimal real part, the real indices and the parity rule
+    for eta[-1] all follow from s.  ``case``, ``m0``, the entries of
+    ``k`` and the eta signs are ints, not bools.
     """
 
     case: int
@@ -439,21 +448,26 @@ class VinbergClassicalInput:
     eta: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.case not in (1, 2, 3, 4):
+        if not is_int(self.case) or self.case not in (1, 2, 3, 4):
             raise InputError("case must be 1..4")
+        if not is_int(self.m0):
+            raise InputError(f"m0 must be an integer, got {self.m0!r}")
         if self.m0 < 1 or len(self.k) != self.m0:
             raise InputError("k must have exactly m0 entries")
+        if not all(map(is_int, self.k)):
+            raise InputError(f"eigenspace dimensions {self.k!r} are not all integers")
         if any(v < 0 for v in self.k):
             raise InputError("eigenspace dimensions must be nonnegative")
         if self.case == 1:
             return
         if self.eta is None:
             raise InputError("cases 2..4 need the eta signs")
-        eta1, etam1 = self.eta
-        if eta1 not in (1, -1) or etam1 not in (1, -1):
+        if len(self.eta) != 2:
+            raise InputError(f"eta needs two signs, got {self.eta!r}")
+        if any(not is_int(e) or e not in (1, -1) for e in self.eta):
             raise InputError("eta entries must be +1 or -1")
-        expected = 1 if (eta1 == 1) == (self.m0 % 2 == 0) else -1
-        if etam1 != expected:
+        # -1 = exp(pi i (2j + s) / m0) for some j iff m0 - s is even.
+        if self.eta[1] != (1 if (self.m0 - self._shift()) % 2 == 0 else -1):
             raise InputError(
                 "eta[-1] is inconsistent with eta[+1] and the parity of m0"
             )
@@ -467,31 +481,21 @@ class VinbergClassicalInput:
     def eps(self) -> tuple[int, int]:
         return {2: (1, 1), 3: (-1, -1), 4: (1, -1)}[self.case]
 
+    def _shift(self) -> int:
+        """s in the eigenvalues exp(pi i (2j + s) / m0)."""
+        return 0 if not self.eta or self.eta[0] == 1 else 1
+
     def conj(self, j: int) -> int:
-        """Index of the conjugate eigenvalue."""
-        eta1 = self.eta[0] if self.eta else 1
-        if eta1 == 1:
-            return (-j) % self.m0
-        return (-j - 1) % self.m0
+        """Index of the conjugate eigenvalue: 2j + s -> -(2j + s)."""
+        return (-j - self._shift()) % self.m0
 
     def minus_one_index(self) -> int:
-        """Index whose eigenvalue has minimal real part."""
-        eta1 = self.eta[0] if self.eta else 1
-        if eta1 == 1:
-            return self.m0 // 2
-        return (self.m0 - 1) // 2
+        """Index whose eigenvalue has minimal real part: 2j + s nearest m0."""
+        return (self.m0 - self._shift()) // 2
 
     def real_indices(self) -> frozenset[int]:
-        """Indices whose eigenvalue is +1 or -1."""
-        out = set()
-        eta1 = self.eta[0] if self.eta else 1
-        if eta1 == 1:
-            out.add(0)
-            if self.m0 % 2 == 0:
-                out.add(self.m0 // 2)
-        elif self.m0 % 2 == 1:
-            out.add((self.m0 - 1) // 2)
-        return frozenset(out)
+        """Indices whose eigenvalue is +1 or -1: its own conjugate."""
+        return frozenset(j for j in range(self.m0) if self.conj(j) == j)
 
 
 def vinberg_delta(inp: VinbergClassicalInput) -> int:
@@ -506,13 +510,9 @@ def vinberg_delta(inp: VinbergClassicalInput) -> int:
     if inp.case == 1:
         val = 1 - Fraction(diffs, 2)
     else:
-        eps1, epsm1 = inp.eps
-        eta1, etam1 = inp.eta  # type: ignore[misc]
-        val = Fraction(
-            -diffs + 2 * eps1 * eta1 * k[0]
-            + 2 * epsm1 * etam1 * k[inp.minus_one_index()],
-            4,
-        )
+        (eps1, epsm1), (eta1, etam1) = inp.eps, inp.eta  # type: ignore[misc]
+        corr = eps1 * eta1 * k[0] + epsm1 * etam1 * k[inp.minus_one_index()]
+        val = Fraction(-diffs + 2 * corr, 4)
     if val.denominator != 1:
         raise InputError(
             "block data does not describe an integral grading"

@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, is_int
 from .polytope import HullQuery, Inside, Outside
 
 Stratum = frozenset[int]
@@ -54,7 +54,7 @@ class WeightMatrix:
             if len(row) != len(rows[0]):
                 raise InputError("matrix is not rectangular")
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not is_int(x):
                     raise InputError(f"non-integer entry {x!r}")
         if not rows or not rows[0]:
             raise InputError("weight matrix needs n >= 1 rows and r >= 1 columns")
@@ -73,15 +73,17 @@ class WeightMatrix:
 
     def weight(self, i: int) -> tuple[int, ...]:
         """Row number i (1-based); InputError unless i is an int in 1..n."""
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.n:
+        if not is_int(i) or not 1 <= i <= self.n:
             raise InputError(f"row index {i!r} is not an integer in 1..{self.n}")
         return self.matrix.entries[i - 1]
 
     def index_set(self, subset: Iterable[int]) -> set[int]:
-        """The indices of ``subset`` as a set, each checked by ``weight``."""
-        chosen = set(subset)
-        for i in chosen:
+        """The indices of ``subset`` as a set, each checked by ``weight``
+        before it is hashed, so an unhashable entry raises InputError."""
+        chosen: set[int] = set()
+        for i in subset:
             self.weight(i)
+            chosen.add(i)
         return chosen
 
 
@@ -103,10 +105,8 @@ class PairPoint:
     @classmethod
     def of(cls, x: Sequence, phi: Sequence) -> "PairPoint":
         """InputError unless every coordinate is an int (not a bool) or a
-        Fraction."""
-        for v in (*x, *phi):
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
-                raise InputError(f"coordinate {v!r} is not an int or a Fraction")
+        Fraction: ``polytope.check_rational``."""
+        polytope.check_rational((*x, *phi))
         return cls(
             tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in phi)
         )
@@ -223,6 +223,13 @@ def weights_of(w: WeightMatrix, subset: Iterable[int]) -> list[tuple[int, ...]]:
 # -- moment map and strata ---------------------------------------------------
 
 
+def _check_length(w: WeightMatrix, p: PairPoint) -> None:
+    """InputError unless x and phi both have one coordinate per row."""
+    n = w.n
+    if len(p.x) != n or len(p.phi) != n:
+        raise InputError(f"pair point length does not match n={n}")
+
+
 def moment_eval(w: WeightMatrix, p: PairPoint) -> RatVector:
     """Value of the moment map at (x, phi): component j is
     sum_i S[i][j] * x_i * phi_i.
@@ -230,9 +237,7 @@ def moment_eval(w: WeightMatrix, p: PairPoint) -> RatVector:
     Only the lines with x_i and phi_i both nonzero are summed; the other
     terms vanish.  Every component is a Fraction, 0 included.
     """
-    n = w.n
-    if len(p.x) != n or len(p.phi) != n:
-        raise InputError(f"pair point length does not match n={n}")
+    _check_length(w, p)
     out = [_ZERO] * w.r
     for row, x, phi in zip(w.matrix.entries, p.x, p.phi):
         if x and phi:
@@ -379,9 +384,7 @@ class Analysis:
         on all of {1..n} reads the rank off ``rank``; a smaller support
         ranks its rows."""
         w = self.weights
-        n = w.n
-        if len(p.x) != n or len(p.phi) != n:
-            raise InputError(f"pair point length does not match n={n}")
+        _check_length(w, p)
         if all(x or phi for x, phi in zip(p.x, p.phi)):
             return w.r - self.rank
         supp = support(p.x) | support(p.phi)
@@ -443,11 +446,6 @@ def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
         raise ArithmeticError(
             "I_0 and the blocks less their largest rows are dependent"
         )
-
-
-def is_locally_free(w: WeightMatrix) -> bool:
-    """True iff rank(S) = r, i.e. generic orbits have full dimension."""
-    return exactlin.rank_rows(w.matrix.entries) == w.r
 
 
 def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import moment_fiber
-from moment_fiber import cli, exactlin, torus
+from moment_fiber import cli, exactlin, polytope, torus
 from moment_fiber.errors import InputError
 
 
@@ -107,6 +107,24 @@ class TestAnalyze:
         code, _, err = run(["analyze", str(path)], capsys)
         assert code == 2
         assert "parse error" in err
+
+    def test_loader_raises_input_error_for_json_and_decoding(
+        self, tmp_path, monkeypatch
+    ):
+        # The one parse-error exit of main catches InputError only, so the
+        # loader itself turns JSON and UTF-8 faults into one.
+        path = tmp_path / "weights.csv"
+        path.write_bytes(b"1, 0\n\xff\xfe\n")
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8")
+        )
+        for spec, message in [
+            ('{"weights": [[1], [1}', "Expecting ',' delimiter"),
+            (str(path), "'utf-8' codec can't decode byte 0xff"),
+            ("-", "'utf-8' codec can't decode byte 0xff"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                cli._load_matrix(spec)
 
     def test_deeply_nested_json_exits_2(self, capsys):
         code, _, err = run(["analyze", "[" * 50000], capsys)
@@ -631,6 +649,84 @@ class TestSelftest:
         code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
         assert code == 1
         assert "smooth witness off fiber: seed=3 weights=" in out
+
+    @pytest.mark.parametrize(
+        "owner, name, argv",
+        [
+            (
+                torus.Analysis, "smooth_witness",
+                ["selftest", "--count", "10", "--seed", "3"],
+            ),
+            (torus.Analysis, "components", ["analyze", "[[1],[-1]]"]),
+        ],
+        ids=["selftest", "analyze"],
+    )
+    def test_library_input_error_is_not_a_parse_error(
+        self, owner, name, argv, capsys, monkeypatch
+    ):
+        # A well-formed input that a fast path rejects is a bug of the
+        # library: it propagates, and is not reported as "parse error".
+        def broken(*args, **kwargs):
+            raise InputError("mutant")
+
+        monkeypatch.setattr(owner, name, broken)
+        with pytest.raises(InputError, match="mutant"):
+            cli.main(argv)
+        assert "parse error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "owner, name, mutant, kind",
+        [
+            (
+                cli.oracle, "brute_visible",
+                lambda real: lambda w: torus.NotVisible("mutant"),
+                "visibility verdict mismatch: seed=3 weights=",
+            ),
+            (
+                cli.oracle, "check_decomposition",
+                lambda real: lambda w, dec: "mutant",
+                "decomposition verification: seed=3 weights=",
+            ),
+            (
+                torus.Analysis, "stabilizer_dim",
+                lambda real: lambda self, p: real(self, p) + 1,
+                "smooth witness stabilizer: seed=3 weights=",
+            ),
+            (
+                cli.oracle, "tangent_dim",
+                lambda real: lambda w, p: real(w, p) + 1,
+                "smooth witness tangent dimension: seed=3 weights=",
+            ),
+            (
+                torus, "_nonvisible_witness",
+                lambda real: lambda w, mixed: None,
+                "nonvisible witness presence: seed=3 weights=",
+            ),
+            (
+                polytope, "zero_in_hull",
+                lambda real: lambda q: polytope.Outside((0,) * q.dim),
+                "hull certificate: seed=3 points=",
+            ),
+            (
+                cli.oracle, "brute_zero_in_hull",
+                lambda real: lambda pts: not real(pts),
+                "hull verdict: seed=3 points=",
+            ),
+        ],
+        ids=[
+            "visibility", "decomposition", "stabilizer", "tangent",
+            "witness-presence", "hull-certificate", "hull-verdict",
+        ],
+    )
+    def test_each_failure_kind_is_reported(
+        self, owner, name, mutant, kind, capsys, monkeypatch
+    ):
+        # One wrong fast path or oracle per failure kind: selftest must
+        # fail and name the kind with the offending input.
+        monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+        code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
+        assert code == 1
+        assert kind in out
 
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
         # The tangent oracle's fiber check is the only evaluation at a

@@ -447,6 +447,49 @@ class TestVinberg:
         with pytest.raises(InputError, match=message):
             VinbergClassicalInput(**kwargs)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: VinbergClassicalInput(1, 2, (1.5, 0.5)),
+            lambda: VinbergClassicalInput(1, 2.0, (1, 1)),
+            lambda: VinbergClassicalInput(2, 2, (1, 1), (1,)),
+            lambda: VinbergClassicalInput(2, 2, (1, 1), (1, 1, 1)),
+            lambda: VinbergClassicalInput(2, 2, (1, 1), (1.0, 1)),
+            lambda: VinbergClassicalInput(True, 1, (1,)),
+            lambda: KacDiagram.of("E", 6.0, [1] * 7),
+            lambda: KacDiagram.of("A", 2, [1, 1, 1], twist=True),
+            lambda: KacDiagram.all_ones("E", 6.0),
+        ],
+        ids=[
+            "float-k", "float-m0", "short-eta", "long-eta", "float-eta",
+            "bool-case", "float-rank", "bool-twist", "all-ones-float-rank",
+        ],
+    )
+    def test_non_int_input_rejected(self, make):
+        # Each used to be accepted, or to fail later in a TypeError or an
+        # unpacking ValueError: a float or a bool hashes and compares like
+        # an int, so only the type rule catches it.
+        with pytest.raises(InputError):
+            make()
+
+    @pytest.mark.parametrize(
+        "case, m0, k, eta, conj, minus_one, real",
+        [
+            # s = 0: eigenvalues exp(2 pi i j / m0); +1 at 0, -1 at m0 / 2.
+            (2, 4, (1, 1, 1, 1), (1, 1), [0, 3, 2, 1], 2, {0, 2}),
+            (4, 3, (1, 1, 1), (1, -1), [0, 2, 1], 1, {0}),
+            # s = 1: exp(pi i (2j + 1) / m0); -1 at (m0 - 1) / 2 for odd m0.
+            (4, 3, (1, 2, 1), (-1, 1), [2, 1, 0], 1, {1}),
+            (3, 4, (1, 2, 2, 1), (-1, -1), [3, 2, 1, 0], 1, set()),
+            (2, 1, (3,), (-1, 1), [0], 0, {0}),
+        ],
+    )
+    def test_shifted_eigenvalues(self, case, m0, k, eta, conj, minus_one, real):
+        inp = VinbergClassicalInput(case, m0, k, eta)
+        assert [inp.conj(j) for j in range(m0)] == conj
+        assert inp.minus_one_index() == minus_one
+        assert inp.real_indices() == real
+
     def test_symmetry_validation(self):
         with pytest.raises(InputError):
             VinbergClassicalInput(case=2, m0=4, k=(1, 2, 1, 1), eta=(1, 1))

@@ -56,6 +56,25 @@ class TestMomentEval:
             torus.moment_eval(OPPOSITE, PairPoint.of((1,), (1,)))
 
     @pytest.mark.parametrize(
+        "x, phi",
+        [
+            ((1, 1), (1,)),  # supported everywhere it reaches: the rank path
+            ((1,), (1, 1)),
+            ((0, 0), (0,)),  # a zero coordinate: the path that ranks rows
+            ((0,), (0, 0)),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [torus.moment_eval, lambda w, p: torus.Analysis.of(w).stabilizer_dim(p)],
+        ids=["moment_eval", "stabilizer_dim"],
+    )
+    def test_short_x_or_phi_rejected(self, fn, x, phi):
+        with pytest.raises(InputError) as exc:
+            fn(OPPOSITE, PairPoint.of(x, phi))
+        assert str(exc.value) == "pair point length does not match n=2"
+
+    @pytest.mark.parametrize(
         "call, args",
         [
             (PairPoint.of, ([None], [1])),
@@ -98,7 +117,8 @@ class TestStrataNumbers:
                 )
 
     @pytest.mark.parametrize(
-        "subset", [{0}, {4}, {1, 4}, {-1}, {1.0}, {True}, {2.5}, {1, "a"}]
+        "subset",
+        [{0}, {4}, {1, 4}, {-1}, {1.0}, {True}, {2.5}, {1, "a"}, [[1]], [{1}]],
     )
     @pytest.mark.parametrize(
         "fn",
@@ -175,9 +195,14 @@ class TestComponents:
 
 class TestLocallyFreeAndKernel:
     def test_is_locally_free(self):
-        assert torus.is_locally_free(OPPOSITE)
-        assert not torus.is_locally_free(wm([[1, 0], [-1, 0]]))
-        assert torus.is_locally_free(IDENTITY2)
+        # Locally free: the rank of all of S, the full stratum's orbit
+        # dimension, is r.
+        def locally_free(w):
+            return torus.stratum_orbit_dim(w, range(1, w.n + 1)) == w.r
+
+        assert locally_free(OPPOSITE)
+        assert not locally_free(wm([[1, 0], [-1, 0]]))
+        assert locally_free(IDENTITY2)
 
     def test_kernel_of_action(self):
         k = exactlin.kernel_basis([[1, 0], [-1, 0]], 2)
@@ -191,7 +216,8 @@ class TestLocallyFreeAndKernel:
     def test_reduce_to_effective(self):
         w = wm([[1, 0], [-1, 0]])
         eff = torus.reduce_to_effective(w)
-        assert eff.r == 1 and torus.is_locally_free(eff)
+        assert eff.r == 1
+        assert torus.stratum_orbit_dim(eff, range(1, eff.n + 1)) == eff.r
         assert eff.matrix.entries == ((1,), (-1,))
         with pytest.raises(CapabilityError):
             torus.reduce_to_effective(wm([[0, 0]]))
@@ -727,6 +753,30 @@ class TestNonvisibleWitness:
         witness = torus.ClosedPairWitness(PairPoint.of(x, phi), relation)
         with pytest.raises(ArithmeticError, match=message):
             torus._verify_nonvisible_witness(wm(rows), witness)
+
+    @pytest.mark.parametrize(
+        "rejected, message",
+        [
+            (True, "witness orbit failed the closedness check"),
+            (False, "witness x-part is not nilpotent"),
+        ],
+        ids=["closedness", "nilpotency"],
+    )
+    def test_failed_certificate_check_is_reported(
+        self, rejected, message, monkeypatch
+    ):
+        # A genuine mixed circuit's two certificates always verify, so a
+        # checker that rejects one of them stands in for a wrong witness:
+        # closedness is the relative-interior check, nilpotency the hull.
+        real = polytope.verify_certificate
+
+        def checker(q, cert, relative_interior):
+            return relative_interior != rejected and real(q, cert, relative_interior)
+
+        monkeypatch.setattr(polytope, "verify_certificate", checker)
+        with pytest.raises(ArithmeticError) as exc:
+            torus.Analysis.of(TRIPLE)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("n, r", [(40, 12), (80, 20)])
     def test_large_generic_matrices_are_analyzed(self, n, r):
