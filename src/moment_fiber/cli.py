@@ -196,23 +196,26 @@ def analyze(
 # -- input parsing -------------------------------------------------------------
 
 
-def _too_many_digits(digits: str) -> str:
-    return (
-        f"an integer of {len(digits)} digits exceeds the limit of"
-        f" {sys.get_int_max_str_digits()} digits"
-    )
-
-
-def _json_int(text: str) -> int:
+def _read_int(text: str, what: str = "", expected: str = "an integer") -> int:
+    """``int(text)``; else an InputError that starts with ``what``.  An
+    integer past the digit limit is named by its digit count and the
+    limit, never echoed; other text gets ``what needs <expected>, got
+    'text'``.  The one integer reader of the command line."""
     try:
         return int(text)
-    except ValueError:  # only the length limit rejects a JSON integer
-        raise InputError(_too_many_digits(text.lstrip("-"))) from None
+    except ValueError:
+        digits = text[1:] if text[:1] in "+-" else text
+        if digits.isdecimal():  # only the length limit rejects it
+            raise InputError(
+                f"{what}{': ' if what else ''}an integer of {len(digits)} digits"
+                f" exceeds the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
+        raise InputError(f"{what} needs {expected}, got {text!r}") from None
 
 
 def _parse_weights_json(text: str) -> torus.WeightMatrix:
     try:
-        data = json.loads(text, parse_int=_json_int)
+        data = json.loads(text, parse_int=_read_int)
     except RecursionError:
         raise InputError("JSON input is nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -234,21 +237,13 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = []
-        for colno, tok in enumerate(stripped.replace(",", " ").split(), start=1):
-            try:
-                row.append(int(tok))
-            except ValueError:
-                digits = tok[1:] if tok[:1] in "+-" else tok
-                if digits.isdecimal():  # only the length limit rejects it
-                    raise InputError(
-                        f"line {lineno}, field {colno}:"
-                        f" {_too_many_digits(digits)}"
-                    ) from None
-                raise InputError(
-                    f"line {lineno}, field {colno}: {tok!r} is not an integer"
-                ) from None
-        rows.append(row)
+        fields = stripped.replace(",", " ").split()
+        rows.append(
+            [
+                _read_int(tok, f"line {lineno}, field {colno}")
+                for colno, tok in enumerate(fields, start=1)
+            ]
+        )
     if not rows:
         raise InputError("empty CSV input")
     return torus.WeightMatrix.from_rows(rows)
@@ -289,20 +284,10 @@ Kac label order (affine node alpha_0 always last):
 """
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"{what} needs an integer, got {text!r}") from None
-
-
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise InputError(
-            f"{what} needs comma-separated integers, got {text!r}"
-        ) from None
+def _read_ints(text: str, what: str) -> list[int]:
+    return [
+        _read_int(v, what, "comma-separated integers") for v in text.split(",")
+    ]
 
 
 _KAC_SCAN_OPTIONS = ("--delta-ge", "--check-order-not-div")
@@ -354,13 +339,13 @@ def cmd_kac(tokens: Sequence[str]) -> dict:
     parts = _kac_parts([word for tok in tokens for word in tok.split()])
     head = parts["type"]
     family = head[0].upper()
-    rank = _parse_int(head[1:], f"the rank in {head!r}")
-    twist = _parse_int(parts.get("twist", "1"), "twist=")
+    rank = _read_int(head[1:], f"the rank of {head[0]!r}")
+    twist = _read_int(parts.get("twist", "1"), "twist=")
     out: dict[str, Any] = {"type": f"{family}{rank}", "twist": twist}
     if "scan" in parts:
-        min_delta = _parse_int(parts.get("--delta-ge", "2"), "--delta-ge")
+        min_delta = _read_int(parts.get("--delta-ge", "2"), "--delta-ge")
         option = "--check-order-not-div"
-        not_div = _parse_ints(parts[option], option) if option in parts else []
+        not_div = _read_ints(parts[option], option) if option in parts else []
         if any(q <= 0 for q in not_div):
             raise InputError(f"{option} needs positive divisors, got {parts[option]!r}")
         hits = theta.levi_order_scan(family, rank, min_delta, twist)
@@ -382,7 +367,7 @@ def cmd_kac(tokens: Sequence[str]) -> dict:
         }
         return out
     if "labels" in parts:
-        labels = _parse_ints(parts["labels"], "labels=")
+        labels = _read_ints(parts["labels"], "labels=")
         d = theta.KacDiagram.of(family, rank, labels, twist=twist)
     else:
         d = theta.KacDiagram.all_ones(family, rank, twist)

@@ -15,10 +15,16 @@ simplex run.
 
 The engine is a fraction-free phase-one simplex priced by Dantzig's rule
 (most negative reduced cost), falling back to Bland's rule after a
-degenerate pivot so that it cannot cycle: an integer tableau over one
-common denominator, pivoted by the same Bareiss step as the elimination,
-``exactlin.pivot``.  The Outside functional is the Farkas dual read off
-the final tableau.  Repeated points are kept: Inside coefficients are
+degenerate pivot so that it cannot cycle.  It is a revised simplex
+(Dantzig and Orchard-Hays 1954) over one common denominator d: for n
+points in Z^r the integer tableau holds only d times the basis inverse
+and the basic solution, r + 2 integers per row (r + 3 for the hull form,
+whose extra row makes the coefficients sum to 1).  Each step prices the
+input columns against it and pivots by the same Bareiss step as the
+elimination, ``exactlin.pivot``.  Its entries equal those of the full
+(r + 1) x (n + r + 1) tableau, so the choices and certificates are the
+full tableau's.  The Outside functional is the Farkas dual read off the
+artificial columns.  Repeated points are kept: Inside coefficients are
 reported per input position.
 """
 
@@ -94,35 +100,49 @@ def _phase_one(
     cycle would consist of degenerate pivots only, which Bland's rule
     cannot repeat, so the loop terminates.  The leaving row is the
     smallest ratio, ties to the smallest basic index, under both rules.
+    Columns are numbered structural first, then one artificial per row.
 
-    The tableau is integer rows over one common denominator d; each step
-    is ``exactlin.pivot``, whose pivot becomes the next d.  Pivots are
-    positive, so d > 0, every reduced cost is an integer over the same d,
-    and every sign test, cost comparison and cross-multiplied ratio test
-    matches the rational tableau's.
+    The simplex is revised.  With the rows flipped so that b >= 0, B the
+    basis and d the common denominator, the tableau keeps only the rows
+    [d B^-1 | d x_B | slot] and the objective row [artificial reduced
+    costs | -objective | slot], len(b) + 2 integers each; the structural
+    columns stay the untouched input.  A structural column's reduced cost
+    is sum_i (c_i - d) Ahat[i][j], c_i the artificial reduced costs and
+    Ahat the flipped input, and 0 for a basic column.  The entering column
+    d B^-1 Ahat_q goes into the slot and ``exactlin.pivot`` pivots on it,
+    its pivot becoming the next d.  The Bareiss update acts on each column
+    alone, so every entry equals the full tableau's: pivots are positive,
+    d > 0, and every sign test, cost comparison and cross-multiplied ratio
+    test matches the rational tableau's.  The loop stops once the
+    objective is 0, since any further pivot would be degenerate and keep x.
     """
     nrows = len(rhs)
     ncols = len(columns)
     flip = [-1 if b < 0 else 1 for b in rhs]
-    # Tableau rows: [structural columns | artificial columns | rhs].
-    tab = [
-        [columns[j][i] * flip[i] for j in range(ncols)]
-        + [1 if k == i else 0 for k in range(nrows)]
-        + [rhs[i] * flip[i]]
-        for i in range(nrows)
-    ]
-    # Last row, the objective: minimize the sum of artificials; reduced
-    # costs after pricing out the initial basis.
-    tab.append(
-        [-sum(row[j] for row in tab) for j in range(ncols)]
-        + [0] * nrows
-        + [-sum(row[-1] for row in tab)]
-    )
-    basis = [ncols + i for i in range(nrows)]
+    flipped = -1 in flip
+    xb, slot = nrows, nrows + 1
+    # Minimize the sum of the artificials, which form the initial basis.
+    tab = []
+    for i, b in enumerate(rhs):
+        row = [0] * (nrows + 2)
+        row[i], row[xb] = 1, abs(b)
+        tab.append(row)
+    cons = tab[:]
+    obj = [0] * nrows + [-sum(map(abs, rhs)), 0]
+    tab.append(obj)
+    basis = list(range(ncols, ncols + nrows))
+    is_basic = [False] * ncols
     d = 1
     bland = False
-    while True:
-        costs = tab[-1][:-1]
+    while obj[xb]:
+        # The multipliers (c_i - d) with the row flips folded in, so that
+        # they price the unflipped input columns.
+        mult = [(c - d) * f for c, f in zip(obj, flip)]
+        costs = [
+            0 if basic else sum(map(mul, mult, col))
+            for basic, col in zip(is_basic, columns)
+        ]
+        costs += obj[:nrows]
         if bland:
             enter = next((j for j, c in enumerate(costs) if c < 0), -1)
         else:
@@ -131,12 +151,22 @@ def _phase_one(
             enter = costs.index(least) if least < 0 else -1
         if enter < 0:
             break
+        if enter < ncols:
+            col = columns[enter]
+            if flipped:
+                col = list(map(mul, col, flip))
+            for row in cons:
+                row[slot] = sum(map(mul, row, col))
+        else:
+            for row in cons:
+                row[slot] = row[enter - ncols]
+        obj[slot] = costs[enter]
         leave = -1
         for i in range(nrows):
-            a = tab[i][enter]
+            a = tab[i][slot]
             if a > 0 and leave >= 0:
                 # ratio_i - ratio_leave, cross-multiplied by positive divisors.
-                cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                cmp = tab[i][xb] * tab[leave][slot] - tab[leave][xb] * a
                 if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                     leave = i
             elif a > 0:
@@ -144,20 +174,23 @@ def _phase_one(
         if leave < 0:
             # Cannot happen for this phase-one system (artificials bound it).
             raise ArithmeticError("unbounded phase-one simplex")
-        bland = tab[leave][-1] == 0  # degenerate: Bland until it is not
-        d = pivot(tab, leave, enter, d)
+        bland = tab[leave][xb] == 0  # degenerate: Bland until it is not
+        d = pivot(tab, leave, slot, d)
+        cons, obj = tab[:-1], tab[-1]
+        if basis[leave] < ncols:
+            is_basic[basis[leave]] = False
+        if enter < ncols:
+            is_basic[enter] = True
         basis[leave] = enter
 
-    obj = tab[-1]
-    if obj[-1] == 0:
+    if obj[xb] == 0:
         x = [Fraction(0)] * ncols
         for i, b in enumerate(basis):
             if b < ncols:
-                x[b] = Fraction(tab[i][-1], d)
+                x[b] = Fraction(tab[i][xb], d)
         return x, None
-    # Farkas dual from the artificial columns' reduced costs, unflipped and
-    # scaled by d > 0.
-    y = [(d - obj[ncols + i]) * flip[i] for i in range(nrows)]
+    # Farkas dual: minus the multipliers, scaled by d > 0.
+    y = [(d - c) * f for c, f in zip(obj, flip)]
     return None, y
 
 

@@ -459,6 +459,8 @@ class VinbergClassicalInput:
         if any(v < 0 for v in self.k):
             raise InputError("eigenspace dimensions must be nonnegative")
         if self.case == 1:
+            if self.eta is not None:
+                raise InputError(f"case 1 takes no eta signs, got {self.eta!r}")
             return
         if self.eta is None:
             raise InputError("cases 2..4 need the eta signs")

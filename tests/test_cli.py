@@ -472,6 +472,22 @@ class TestKac:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("spec", ["E6 twist={}", "A2 labels=1,{},1"])
+    def test_integer_past_the_digit_limit_is_named_not_echoed(self, spec, capsys):
+        digits = "7" * 5000
+        code, out, err = run(["kac", spec.format(digits)], capsys)
+        assert code == 2 and out == ""
+        assert len(err) < 200
+        assert (
+            "an integer of 5000 digits exceeds the limit of"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) in err
+
+    def test_non_integer_twist_message(self, capsys):
+        code, _, err = run(["kac", "E6 twist=x"], capsys)
+        assert code == 2
+        assert err == "parse error: twist= needs an integer, got 'x'\n"
+
     @pytest.mark.parametrize(
         "spec,message",
         [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_fiber import oracle, polytope, torus
+from moment_fiber import exactlin, oracle, polytope, torus
 from moment_fiber.errors import InputError
 from moment_fiber.polytope import HullQuery, Inside, Outside
 
@@ -289,10 +289,68 @@ def test_arbitrary_coefficients_match_fraction_reference(pts, relint, coeffs):
         ), (pts, c, relint)
 
 
+def _full_tableau_phase_one(columns, rhs):
+    """The full-tableau phase-one simplex that ``_phase_one`` revises: the
+    test-only reference for its (x, y).
+
+    It pivots the whole tableau [structural | artificial | rhs] plus the
+    objective row by ``exactlin.pivot`` and prices by Dantzig's rule, by
+    Bland's right after a degenerate pivot, as ``_phase_one`` does.
+    """
+    nrows = len(rhs)
+    ncols = len(columns)
+    flip = [-1 if b < 0 else 1 for b in rhs]
+    tab = [
+        [columns[j][i] * flip[i] for j in range(ncols)]
+        + [1 if k == i else 0 for k in range(nrows)]
+        + [rhs[i] * flip[i]]
+        for i in range(nrows)
+    ]
+    tab.append(
+        [-sum(row[j] for row in tab) for j in range(ncols)]
+        + [0] * nrows
+        + [-sum(row[-1] for row in tab)]
+    )
+    basis = [ncols + i for i in range(nrows)]
+    d = 1
+    bland = False
+    while True:
+        costs = tab[-1][:-1]
+        if bland:
+            enter = next((j for j, c in enumerate(costs) if c < 0), -1)
+        else:
+            least = min(costs)
+            enter = costs.index(least) if least < 0 else -1
+        if enter < 0:
+            break
+        leave = -1
+        for i in range(nrows):
+            a = tab[i][enter]
+            if a > 0 and leave >= 0:
+                cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * a
+                if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
+                    leave = i
+            elif a > 0:
+                leave = i
+        bland = tab[leave][-1] == 0
+        d = exactlin.pivot(tab, leave, enter, d)
+        basis[leave] = enter
+    obj = tab[-1]
+    if obj[-1] == 0:
+        x = [Fraction(0)] * ncols
+        for i, b in enumerate(basis):
+            if b < ncols:
+                x[b] = Fraction(tab[i][-1], d)
+        return x, None
+    return None, [(d - obj[ncols + i]) * flip[i] for i in range(nrows)]
+
+
 def _check_phase_one(columns, rhs):
     """Run ``_phase_one`` and check its answer exactly: A x = b with x >= 0,
-    or a Farkas dual y with y.A <= 0 and y.b > 0."""
+    or a Farkas dual y with y.A <= 0 and y.b > 0; and the same (x, y) as
+    the full tableau."""
     x, y = polytope._phase_one(columns, rhs)
+    assert (x, y) == _full_tableau_phase_one(columns, rhs)
     if x is not None:
         assert y is None and all(v >= 0 for v in x)
         for i, b in enumerate(rhs):
@@ -344,14 +402,39 @@ class TestDegeneratePhaseOne:
         _check_phase_one(columns + columns[:1], rhs)
 
 
-def _recording_pivot(log):
-    """``exactlin.pivot`` that logs, per pivot, the entering column, the
-    reduced costs it was chosen from and whether the pivot is degenerate."""
-    inner = polytope.pivot
+def _recording_pivot(log, columns, rhs):
+    """``exactlin.pivot`` that logs, per pivot of ``_phase_one`` on
+    (columns, rhs), the entering column, the reduced costs of every column
+    and whether the pivot is degenerate.
 
-    def rec(tab, leave, enter, d):
-        log.append((enter, tab[-1][:-1], tab[leave][-1] == 0))
-        return inner(tab, leave, enter, d)
+    The costs are priced here from the revised tableau [d B^-1 | d x_B |
+    slot] and the input; the entering column is the one whose column
+    d B^-1 A_j and reduced cost fill the slot, the first such j.
+    """
+    inner = polytope.pivot
+    nrows = len(rhs)
+    flipped = [
+        [v if b >= 0 else -v for v, b in zip(col, rhs)] for col in columns
+    ]
+    flipped += [[int(i == k) for i in range(nrows)] for k in range(nrows)]
+
+    def rec(tab, leave, slot, d):
+        # Structural columns cost 0 and artificial ones 1, so the reduced
+        # cost of an artificial column is its objective entry.
+        costs = [
+            sum((c - d) * v for c, v in zip(tab[-1], col))
+            for col in flipped[: len(columns)]
+        ] + tab[-1][:nrows]
+        entering = [row[slot] for row in tab]
+        enter = next(
+            j
+            for j, col in enumerate(flipped)
+            if [sum(map(int.__mul__, row[:nrows], col)) for row in tab[:-1]]
+            + [costs[j]]
+            == entering
+        )
+        log.append((enter, costs, tab[leave][nrows] == 0))
+        return inner(tab, leave, slot, d)
 
     return rec
 
@@ -363,7 +446,9 @@ def test_corpus_pricing_and_bland_fallback(corpus, monkeypatch):
     fired = 0
     for w in corpus:
         log = []
-        monkeypatch.setattr(polytope, "pivot", _recording_pivot(log))
+        pts = list(w.matrix.entries)
+        rhs = [-sum(coords) for coords in zip(*pts)]
+        monkeypatch.setattr(polytope, "pivot", _recording_pivot(log, pts, rhs))
         stable, cert = torus.is_stable(w)
         monkeypatch.undo()
         degenerate = False
@@ -376,10 +461,29 @@ def test_corpus_pricing_and_bland_fallback(corpus, monkeypatch):
         if not any(entry[2] for entry in log):
             continue
         fired += 1
-        query = HullQuery.of(list(w.matrix.entries))
+        query = HullQuery.of(pts)
         assert polytope.verify_certificate(query, cert, True)
         assert stable == isinstance(cert, Inside)
     assert fired >= 30
+
+
+def test_full_tableau_parity(corpus):
+    # The revised tableau returns the full tableau's (x, y): every corpus
+    # stability query in both hull forms, and generic (40, 12) and (80, 20)
+    # relative-interior problems.
+    systems = []
+    for w in corpus:
+        pts = list(w.matrix.entries)
+        systems.append((pts, [-sum(coords) for coords in zip(*pts)]))
+        systems.append(([p + (1,) for p in pts], [0] * w.r + [1]))
+    rng = random.Random(25)
+    for n, r in [(40, 12)] * 4 + [(80, 20)] * 2:
+        pts = [tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(n)]
+        systems.append((pts, [-sum(coords) for coords in zip(*pts)]))
+    for columns, rhs in systems:
+        assert polytope._phase_one(columns, rhs) == _full_tableau_phase_one(
+            columns, rhs
+        ), (columns, rhs)
 
 
 def test_corpus_stable_verdicts_match_oracle(corpus):

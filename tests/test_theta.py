@@ -441,6 +441,10 @@ class TestVinberg:
             (dict(case=2, m0=2, k=(1, 1)), "need the eta signs"),
             (dict(case=2, m0=2, k=(1, 1), eta=(1, 0)), "must be \\+1 or -1"),
             (dict(case=3, m0=2, k=(1, 1), eta=(2, 1)), "must be \\+1 or -1"),
+            # Case 1 has no eta: signs that would shift its eigenvalues,
+            # and ones that are no signs at all.
+            (dict(case=1, m0=3, k=(1, 1, 1), eta=(-1, 1)), "takes no eta"),
+            (dict(case=1, m0=3, k=(1, 1, 1), eta=("x",)), "takes no eta"),
         ],
     )
     def test_block_data_validation(self, kwargs, message):
