@@ -16,8 +16,8 @@ Subcommands:
 Exit codes: 0 success (also when the reader closes the output pipe
 early), 1 selftest mismatch, 2 input parse error (a repeated kac spec part
 or an empty list field too), 3 capability refusal.
-All rationals are emitted as exact "p/q" strings; ``--float-hint`` adds
-decimal approximations alongside, never replacing.
+Every number in an ``analyze`` report is a JSON integer: each
+certificate is an integer vector.
 Set MOMENT_FIBER_COLOR=0|1 to force colored text output off or on.
 """
 
@@ -30,7 +30,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
@@ -50,19 +49,9 @@ def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _frac_str(x: Fraction | int) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _cert_dict(cert: polytope.HullCertificate, float_hint: bool) -> dict:
+def _cert_dict(cert: polytope.HullCertificate) -> dict:
     if isinstance(cert, polytope.Inside):
-        out: dict[str, Any] = {
-            "kind": "inside",
-            "coefficients": [_frac_str(c) for c in cert.coefficients],
-        }
-        if float_hint:
-            out["coefficients_hint"] = [float(c) for c in cert.coefficients]
-        return out
+        return {"kind": "inside", "coefficients": list(cert.coefficients)}
     return {"kind": "outside", "functional": list(cert.functional)}
 
 
@@ -96,9 +85,7 @@ class AnalysisReport:
 
 
 def analyze(
-    w: torus.WeightMatrix,
-    max_components: Optional[int] = None,
-    float_hint: bool = False,
+    w: torus.WeightMatrix, max_components: Optional[int] = None
 ) -> AnalysisReport:
     """Run every structural decision procedure on one weight matrix.
 
@@ -126,19 +113,11 @@ def analyze(
     }
     properties["stable"] = {
         "value": stable,
-        "certificate": _cert_dict(stable_cert, float_hint),
+        "certificate": _cert_dict(stable_cert),
     }
     if visible:
         blocks = [
-            {
-                "indices": sorted(b.indices),
-                "relation": [_frac_str(c) for c in b.relation],
-                **(
-                    {"relation_hint": [float(c) for c in b.relation]}
-                    if float_hint
-                    else {}
-                ),
-            }
+            {"indices": sorted(b.indices), "relation": list(b.relation)}
             for b in dec.blocks
         ]
         properties["visible"] = {
@@ -172,8 +151,8 @@ def analyze(
 
     wit = a.witness
     witness_dict = None if visible else {
-        "x": [_frac_str(v) for v in wit.pair.x],
-        "phi": [_frac_str(v) for v in wit.pair.phi],
+        "x": list(wit.pair.x),
+        "phi": list(wit.pair.phi),
         "relation": list(wit.relation),
     }
 
@@ -200,7 +179,8 @@ def _read_int(text: str, what: str = "", expected: str = "an integer") -> int:
     """``int(text)``; else an InputError that starts with ``what``.  An
     integer past the digit limit is named by its digit count and the
     limit, never echoed; other text gets ``what needs <expected>, got
-    'text'``.  The one integer reader of the command line."""
+    'text'``, the text cut to its first 40 characters and its length.
+    The one integer reader of the command line."""
     try:
         return int(text)
     except ValueError:
@@ -210,7 +190,10 @@ def _read_int(text: str, what: str = "", expected: str = "an integer") -> int:
                 f"{what}{': ' if what else ''}an integer of {len(digits)} digits"
                 f" exceeds the limit of {sys.get_int_max_str_digits()} digits"
             ) from None
-        raise InputError(f"{what} needs {expected}, got {text!r}") from None
+        shown = repr(text[:40])
+        if len(text) > 40:
+            shown += f"... ({len(text)} characters)"
+        raise InputError(f"{what} needs {expected}, got {shown}") from None
 
 
 def _parse_weights_json(text: str) -> torus.WeightMatrix:
@@ -581,9 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--max-components", type=_at_least(0), default=4096,
                     help="cap on the enumerated component list; the count"
                     " is always reported")
-    pa.add_argument("--float-hint", action="store_true",
-                    help="add decimal approximations next to exact"
-                    " rationals (never replacing them)")
 
     pk = sub.add_parser("kac", help="Kac diagram gradings and scans")
     pk.add_argument("spec", nargs=argparse.REMAINDER,
@@ -663,11 +643,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         if args.command == "analyze":
-            rep = analyze(
-                request,
-                max_components=args.max_components,
-                float_hint=args.float_hint,
-            )
+            rep = analyze(request, max_components=args.max_components)
             if fmt == "json":
                 print(rep.to_json())
             else:

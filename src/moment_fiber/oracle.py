@@ -232,6 +232,7 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     I_0 grows only while it stays independent, and each new block holds
     the lowest unassigned row, so a leaf's I_0 is independent and its
     blocks are in order of their least index without a check or a sort.
+    A block's relation is its circuit made primitive and positive.
     """
     if w.n > _VISIBLE_LIMIT:
         raise CapabilityError(
@@ -289,9 +290,9 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     fixed_mask, block_masks = got
     blocks = []
     for mask in block_masks:
-        rel, top = circuit(mask), mask.bit_length() - 1
+        rel = _primitive(circuit(mask), mask.bit_length() - 1)
         members = [i for i in range(n) if mask >> i & 1]
-        relation = tuple(Fraction(rel[i], rel[top]) for i in members)
+        relation = tuple(rel[i] for i in members)
         blocks.append(Block(frozenset(i + 1 for i in members), relation))
     return VisibleDecomposition(
         fixed=frozenset(i + 1 for i in range(n) if fixed_mask >> i & 1),
@@ -521,13 +522,15 @@ def random_fiber_point(
 def vinberg_delta_blocks(inp) -> Fraction:
     """Graded-dimension difference from the block model directly:
     (sum_j k_j k_{j+1} - sum_j k_j^2 + corrections) / 2, with the +1
-    replacing the corrections in the inner type-A case."""
+    replacing the corrections in the inner type-A case: g_1 is the sum of
+    the Hom(V_j, V_{j+1}) and g_0 the traceless part of the sum of the
+    gl(V_j).  For m0 = 1 both are sl(V_0), and the +1 is 0."""
     k = inp.k
     m0 = inp.m0
     cross = sum(k[j] * k[(j + 1) % m0] for j in range(m0))
     squares = sum(v * v for v in k)
     if inp.case == 1:
-        return Fraction(cross - squares + 1)
+        return Fraction(cross - squares + (1 if m0 > 1 else 0))
     eps1, epsm1 = inp.eps
     eta1, etam1 = inp.eta
     corr = eps1 * eta1 * k[0] + epsm1 * etam1 * k[inp.minus_one_index()]

@@ -2,10 +2,11 @@
 
 Both queries — "is 0 in the convex hull of the given integer points?" and
 "is 0 in its relative interior?" — are answered with a certificate that
-``verify_certificate`` checks in integer arithmetic:
+``verify_certificate`` checks exactly:
 
-* ``Inside``: explicit rational combination coefficients, scaled to
-  integers by the lcm of their denominators before they are checked,
+* ``Inside``: explicit combination coefficients: for the relative
+  interior, primitive (gcd 1) positive integers; for the hull, Fractions
+  that sum to 1,
 * ``Outside``: an integral separating functional, i.e. a one-parameter
   subgroup under which every point has (strictly / weakly) positive pairing.
 
@@ -67,10 +68,12 @@ class HullQuery:
 @dataclass(frozen=True)
 class Inside:
     """Combination coefficients witnessing 0 in the (relative interior of
-    the) hull; one coefficient per input point position, a Fraction or an
-    int."""
+    the) hull; one coefficient per input point position.  The simplex
+    gives primitive positive integers for the relative interior and
+    Fractions summing to 1 for the hull; ``verify_certificate`` takes ints
+    and Fractions alike."""
 
-    coefficients: tuple[Fraction | int, ...]
+    coefficients: tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,12 @@ HullCertificate = Inside | Outside  # not Union: its cache pins old imports
 
 def _phase_one(
     columns: Sequence[Sequence[int]], rhs: list[int]
-) -> tuple[list[Fraction] | None, list[int] | None]:
+) -> tuple[list[int] | None, int, list[int] | None]:
     """Feasibility of {A x = b, x >= 0} by fraction-free phase-one simplex.
 
-    ``columns`` holds the integer matrix A column-wise.  Returns (x, None)
-    on feasibility and (None, y) otherwise, where y is an integral Farkas
+    ``columns`` holds the integer matrix A column-wise.  Returns (x, d,
+    None) on feasibility, where the solution is x / d with integers x >= 0
+    and d > 0, and (None, d, y) otherwise, where y is an integral Farkas
     dual for the original row orientation: y.A <= 0 componentwise and
     y.b > 0.
 
@@ -184,14 +188,14 @@ def _phase_one(
         basis[leave] = enter
 
     if obj[xb] == 0:
-        x = [Fraction(0)] * ncols
+        x = [0] * ncols
         for i, b in enumerate(basis):
             if b < ncols:
-                x[b] = Fraction(tab[i][xb], d)
-        return x, None
+                x[b] = tab[i][xb]
+        return x, d, None
     # Farkas dual: minus the multipliers, scaled by d > 0.
     y = [(d - c) * f for c, f in zip(obj, flip)]
-    return None, y
+    return None, d, y
 
 
 def zero_in_hull(q: HullQuery) -> HullCertificate:
@@ -200,13 +204,13 @@ def zero_in_hull(q: HullQuery) -> HullCertificate:
     Inside: coefficients >= 0 summing to 1 with zero weighted sum.
     Outside: integral functional strictly positive on every point.
     """
-    d = q.dim
-    x, y = _phase_one([p + (1,) for p in q.points], [0] * d + [1])
+    dim = q.dim
+    x, d, y = _phase_one([p + (1,) for p in q.points], [0] * dim + [1])
     if x is not None:
-        cert: HullCertificate = Inside(tuple(x))
+        cert: HullCertificate = Inside(tuple(Fraction(v, d) for v in x))
     else:
         assert y is not None
-        cert = Outside(integral_subgroup([-v for v in y[:d]]))
+        cert = Outside(primitive([-v for v in y[:dim]]))
     _check(verify_certificate(q, cert, relative_interior=False))
     return cert
 
@@ -216,15 +220,17 @@ def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
 
     A strictly positive combination exists iff {a >= 1, sum a_i p_i = 0} is
     feasible (the relation set is a cone), so strictness is LP-expressible.
-    Outside: integral functional nonnegative on all points, positive on one.
+    Inside: the primitive positive integers of d (a + 1), for the simplex's
+    solution a = x / d.  Outside: integral functional nonnegative on all
+    points, positive on one.
     """
     rhs = [-sum(coords) for coords in zip(*q.points)]
-    x, y = _phase_one(q.points, rhs)
+    x, d, y = _phase_one(q.points, rhs)
     if x is not None:
-        cert: HullCertificate = Inside(tuple(v + 1 for v in x))
+        cert: HullCertificate = Inside(primitive([v + d for v in x]))
     else:
         assert y is not None
-        cert = Outside(integral_subgroup([-v for v in y]))
+        cert = Outside(primitive([-v for v in y]))
     _check(verify_certificate(q, cert, relative_interior=True))
     return cert
 
@@ -233,11 +239,17 @@ def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Clear denominators of a rational functional into a cocharacter.
 
     Positive scaling keeps all pairing signs, so the result separates the
-    same queries.  The entries are then divided by their gcd; each is
-    checked by ``check_rational`` first.
+    same queries.  The entries are multiplied by the lcm of their
+    denominators, then made ``primitive``; each is checked by
+    ``check_rational`` first.
     """
     check_rational(functional)
-    _, ints = _scaled(functional)
+    scale = math.lcm(*(v.denominator for v in functional))
+    return primitive([v.numerator * (scale // v.denominator) for v in functional])
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """Integers divided by their gcd, so the gcd is 1; all zeros stay."""
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
@@ -249,12 +261,6 @@ def check_rational(values: Sequence) -> None:
             raise InputError(f"coordinate {v!r} is not an int or a Fraction")
 
 
-def _scaled(v: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """(L, L * v) for L the lcm of the denominators of v, 1 if v is empty."""
-    scale = math.lcm(*(x.denominator for x in v))
-    return scale, [x.numerator * (scale // x.denominator) for x in v]
-
-
 def verify_certificate(
     q: HullQuery, cert: HullCertificate, relative_interior: bool
 ) -> bool:
@@ -262,11 +268,9 @@ def verify_certificate(
 
     Inside: one coefficient per point, each > 0 (relative interior) or
     >= 0 summing to 1 (hull), with a vanishing weighted sum.  The
-    coefficients are multiplied by L, the lcm of their denominators, and
-    the checks run on those integers: sum a_i p_i = 0, and sum a_i = L for
-    the hull.  Outside: a functional of length ``q.dim`` pairing > 0 with
-    every point (hull), or >= 0 with every point and > 0 with one
-    (relative interior).
+    coefficients are checked as given, ints or Fractions.  Outside: a
+    functional of length ``q.dim`` pairing > 0 with every point (hull), or
+    >= 0 with every point and > 0 with one (relative interior).
     """
     if isinstance(cert, Inside):
         coeffs = cert.coefficients
@@ -275,12 +279,9 @@ def verify_certificate(
         if relative_interior:
             if any(c <= 0 for c in coeffs):
                 return False
-        elif any(c < 0 for c in coeffs):
+        elif any(c < 0 for c in coeffs) or sum(coeffs) != 1:
             return False
-        scale, ints = _scaled(coeffs)
-        if not relative_interior and sum(ints) != scale:
-            return False
-        return all(sum(map(mul, ints, col)) == 0 for col in zip(*q.points))
+        return all(sum(map(mul, coeffs, col)) == 0 for col in zip(*q.points))
     if len(cert.functional) != q.dim:
         return False
     pairings = [sum(map(mul, cert.functional, p)) for p in q.points]

@@ -503,14 +503,16 @@ class VinbergClassicalInput:
 def vinberg_delta(inp: VinbergClassicalInput) -> int:
     """Degree-1 minus degree-0 dimension from the closed formulas.
 
-    Case 1: 1 - (1/2) sum_j (k_j - k_{j+1})^2.  Cases 2..4: a quarter of
-    -sum_j (k_j - k_{j+1})^2 plus the eps/eta-signed corrections carried
-    by the eigenvalues +1 and -1.
+    Case 1: 1 - (1/2) sum_j (k_j - k_{j+1})^2, where the 1 is the trace
+    that g_0 lacks and g_1 has; for the trivial grading (m0 = 1) g_1 is
+    g_0, so delta is 0.  Cases 2..4: a quarter of -sum_j (k_j -
+    k_{j+1})^2 plus the eps/eta-signed corrections carried by the
+    eigenvalues +1 and -1.
     """
     k, m0 = inp.k, inp.m0
     diffs = sum((k[j] - k[(j + 1) % m0]) ** 2 for j in range(m0))
     if inp.case == 1:
-        val = 1 - Fraction(diffs, 2)
+        val = (1 if m0 > 1 else 0) - Fraction(diffs, 2)
     else:
         (eps1, epsm1), (eta1, etam1) = inp.eps, inp.eta  # type: ignore[misc]
         corr = eps1 * eta1 * k[0] + epsm1 * etam1 * k[inp.minus_one_index()]

@@ -13,8 +13,10 @@ dimensions, modality and classification, stability and orbit closedness
 of every fiber point (one hull query on the doubled weights).
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
-(hull combinations, separating cocharacters, block relations) verify by
-exact rational arithmetic.  Most hull certificates come from the simplex
+verify exactly.  Separating cocharacters, relative-interior combinations,
+block relations and the witness's relation and point are integer
+vectors; only a hull combination (it sums to 1) and a user's
+``PairPoint`` hold Fractions.  Most hull certificates come from the simplex
 in ``polytope``; the non-visible witness's two are built from its circuit
 and only checked, so ``analyze`` runs one simplex per matrix (stability)
 and two eliminations: the circuits and the check of the decomposition or
@@ -87,13 +89,14 @@ class WeightMatrix:
         return chosen
 
 
-RatVector = tuple[Fraction, ...]
-_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every smooth witness
+RatVector = tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
 class PairPoint:
-    """A point (x, phi) of V + V*, coordinates exact rationals.
+    """A point (x, phi) of V + V*, coordinates exact rationals: ints or
+    Fractions.  ``of`` stores user coordinates as Fractions; the library's
+    own smooth and non-visible witnesses have 0/1 int coordinates.
 
     phi is written in the basis dual to the coordinate lines, so its
     weights are the negated rows of S.
@@ -117,12 +120,12 @@ class Block:
     """One positive block of a visibility decomposition.
 
     ``relation`` pairs each index of ``indices`` (sorted) with a strictly
-    positive rational coefficient; the weighted sum of the block's weights
-    vanishes.
+    positive integer coefficient, the entries having gcd 1; the weighted
+    sum of the block's weights vanishes.  It is the block's one circuit.
     """
 
     indices: Stratum
-    relation: tuple[Fraction, ...]
+    relation: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,11 @@ def moment_eval(w: WeightMatrix, p: PairPoint) -> RatVector:
     sum_i S[i][j] * x_i * phi_i.
 
     Only the lines with x_i and phi_i both nonzero are summed; the other
-    terms vanish.  Every component is a Fraction, 0 included.
+    terms vanish.  Every component is exact: an int, or a Fraction when a
+    coordinate is one.
     """
     _check_length(w, p)
-    out = [_ZERO] * w.r
+    out = [0] * w.r
     for row, x, phi in zip(w.matrix.entries, p.x, p.phi):
         if x and phi:
             xphi = x * phi
@@ -306,8 +310,7 @@ class Analysis:
             blocks = []
             for v in vectors:
                 members = sorted(support(v))
-                top = v[members[-1] - 1]
-                rel = tuple(Fraction(v[i - 1], top) for i in members)
+                rel = polytope.primitive([v[i - 1] for i in members])
                 blocks.append(Block(frozenset(members), rel))
             blocks.sort(key=lambda b: min(b.indices))
             dec = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
@@ -374,8 +377,8 @@ class Analysis:
             )
         chosen = w.index_set(subset)
         lines = range(1, w.n + 1)
-        x = tuple([_ONE if i in chosen else _ZERO for i in lines])
-        phi = tuple([_ZERO if i in chosen else _ONE for i in lines])
+        x = tuple([1 if i in chosen else 0 for i in lines])
+        phi = tuple([0 if i in chosen else 1 for i in lines])
         return PairPoint(x, phi)
 
     def stabilizer_dim(self, p: PairPoint) -> int:
@@ -544,9 +547,9 @@ def _nonvisible_witness(
     """
     # The circuit is an integer relation; divided by the gcd of its
     # entries it is the primitive one.
-    rel = polytope.integral_subgroup(mixed)
-    x = tuple(Fraction(1) if c > 0 else Fraction(0) for c in rel)
-    phi = tuple(Fraction(1) if c < 0 else Fraction(0) for c in rel)
+    rel = polytope.primitive(mixed)
+    x = tuple([1 if c > 0 else 0 for c in rel])
+    phi = tuple([1 if c < 0 else 0 for c in rel])
     witness = ClosedPairWitness(pair=PairPoint(x, phi), relation=rel)
     _verify_nonvisible_witness(w, witness)
     return witness
@@ -590,7 +593,7 @@ def _verify_nonvisible_witness(
     t = [0] * w.r
     for row, c in zip(a, pivots):
         t[c] = sign * row[-1]
-    nilpotent = Outside(polytope.integral_subgroup(t))
+    nilpotent = Outside(polytope.primitive(t))
     if not polytope.verify_certificate(
         HullQuery.of([rows[i] for i in pos]), nilpotent, relative_interior=False
     ):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -163,15 +165,13 @@ class TestAnalyze:
         assert f"{sys.get_int_max_str_digits()} digits" in err
         assert digits not in err
 
-    def test_float_hint_adds_but_never_replaces(self, capsys):
-        _, out, _ = run(
-            ["analyze", "[[1],[-1]]", "--format", "json", "--float-hint"],
-            capsys,
-        )
-        rep = json.loads(out)
-        cert = rep["properties"]["stable"]["certificate"]
-        assert cert["coefficients"] == ["1/1", "1/1"]
-        assert cert["coefficients_hint"] == [1.0, 1.0]
+    def test_float_hint_exits_2(self, capsys):
+        # Every report number is an integer, so there is nothing to
+        # approximate: the option is unknown to argparse.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "[[1],[-1]]", "--format", "json", "--float-hint"])
+        assert exc.value.code == 2
+        assert "--float-hint" in capsys.readouterr().err
 
     def test_max_components_cap(self, capsys):
         _, out, _ = run(
@@ -214,6 +214,38 @@ class TestAnalyze:
         rep = json.loads(out)
         assert out == json.dumps(rep, sort_keys=True) + "\n"
 
+    def test_corpus_certificates_are_integer_vectors(self, corpus):
+        # Every certificate number of a JSON report is a JSON int; stable
+        # combinations and block relations are positive and primitive;
+        # witness points are 0/1.  A stable certificate verifies read back
+        # as ints and as Fractions, the way the benchmark reads it.
+        def ints(values):
+            return all(type(v) is int for v in values)
+
+        def positive_primitive(values):
+            return ints(values) and min(values) > 0 and math.gcd(*values) == 1
+
+        for w in corpus:
+            rep = json.loads(cli.analyze(w).to_json())
+            props, points = rep["properties"], rep["input"]["weights"]
+            cert = props["stable"]["certificate"]
+            if cert["kind"] == "inside":
+                coeffs = cert["coefficients"]
+                assert positive_primitive(coeffs), points
+                query = polytope.HullQuery.of(points)
+                for back in (coeffs, [Fraction(c) for c in coeffs]):
+                    inside = polytope.Inside(tuple(back))
+                    assert polytope.verify_certificate(query, inside, True)
+            else:
+                assert ints(cert["functional"]), points
+            if props["visible"]["value"]:
+                for block in props["visible"]["certificate"]["blocks"]:
+                    assert positive_primitive(block["relation"]), points
+            else:
+                wit = rep["nonvisible_witness"]
+                assert ints(wit["relation"] + wit["x"] + wit["phi"]), points
+                assert set(wit["x"]) | set(wit["phi"]) <= {0, 1}, points
+
     def test_color_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MOMENT_FIBER_COLOR", "1")
         _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
@@ -246,8 +278,8 @@ class TestAnalyze:
         )
         assert "components: 2 (list capped)" in lines
         assert (
-            "closed-pair witness: {'x': ['0/1', '1/1', '0/1', '0/1'], 'phi':"
-            " ['1/1', '0/1', '0/1', '0/1'], 'relation': [-1, 1, 0, 0]}" in lines
+            "closed-pair witness: {'x': [0, 1, 0, 0], 'phi':"
+            " [1, 0, 0, 0], 'relation': [-1, 1, 0, 0]}" in lines
         )
 
     def test_readme_library_quick_start(self):
@@ -487,6 +519,13 @@ class TestKac:
         code, _, err = run(["kac", "E6 twist=x"], capsys)
         assert code == 2
         assert err == "parse error: twist= needs an integer, got 'x'\n"
+
+    def test_long_non_integer_is_cut_not_echoed(self, capsys):
+        text = "7" * 5000 + "x"
+        code, out, err = run(["kac", f"E6 twist={text}"], capsys)
+        assert code == 2 and out == ""
+        assert len(err) < 200
+        assert f"got {'7' * 40!r}... (5001 characters)" in err
 
     @pytest.mark.parametrize(
         "spec,message",

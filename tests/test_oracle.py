@@ -131,7 +131,7 @@ class TestBruteVisible:
         assert got == VisibleDecomposition(
             fixed=frozenset(),
             blocks=(
-                torus.Block(frozenset({1, 3}), (Fraction(1, 2), Fraction(1))),
+                torus.Block(frozenset({1, 3}), (1, 2)),
                 torus.Block(frozenset({2, 4}), (Fraction(3), Fraction(1))),
             ),
         )

@@ -291,7 +291,7 @@ def test_arbitrary_coefficients_match_fraction_reference(pts, relint, coeffs):
 
 def _full_tableau_phase_one(columns, rhs):
     """The full-tableau phase-one simplex that ``_phase_one`` revises: the
-    test-only reference for its (x, y).
+    test-only reference for its (x, d, y).
 
     It pivots the whole tableau [structural | artificial | rhs] plus the
     objective row by ``exactlin.pivot`` and prices by Dantzig's rule, by
@@ -337,20 +337,29 @@ def _full_tableau_phase_one(columns, rhs):
         basis[leave] = enter
     obj = tab[-1]
     if obj[-1] == 0:
-        x = [Fraction(0)] * ncols
+        x = [0] * ncols
         for i, b in enumerate(basis):
             if b < ncols:
-                x[b] = Fraction(tab[i][-1], d)
-        return x, None
-    return None, [(d - obj[ncols + i]) * flip[i] for i in range(nrows)]
+                x[b] = tab[i][-1]
+        return x, d, None
+    return None, d, [(d - obj[ncols + i]) * flip[i] for i in range(nrows)]
+
+
+def _solution(result):
+    """(x / d, y) of a phase-one result (x, d, y).  The revised loop stops
+    once the objective is 0, so its d may differ from the full tableau's,
+    but the ratios x / d and the Farkas dual y may not."""
+    x, d, y = result
+    assert d > 0
+    return (None if x is None else [Fraction(v, d) for v in x]), y
 
 
 def _check_phase_one(columns, rhs):
     """Run ``_phase_one`` and check its answer exactly: A x = b with x >= 0,
     or a Farkas dual y with y.A <= 0 and y.b > 0; and the same (x, y) as
     the full tableau."""
-    x, y = polytope._phase_one(columns, rhs)
-    assert (x, y) == _full_tableau_phase_one(columns, rhs)
+    x, y = _solution(polytope._phase_one(columns, rhs))
+    assert (x, y) == _solution(_full_tableau_phase_one(columns, rhs))
     if x is not None:
         assert y is None and all(v >= 0 for v in x)
         for i, b in enumerate(rhs):
@@ -481,8 +490,8 @@ def test_full_tableau_parity(corpus):
         pts = [tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(n)]
         systems.append((pts, [-sum(coords) for coords in zip(*pts)]))
     for columns, rhs in systems:
-        assert polytope._phase_one(columns, rhs) == _full_tableau_phase_one(
-            columns, rhs
+        assert _solution(polytope._phase_one(columns, rhs)) == _solution(
+            _full_tableau_phase_one(columns, rhs)
         ), (columns, rhs)
 
 

@@ -417,6 +417,15 @@ class TestVinberg:
         inp = VinbergClassicalInput(case=2, m0=4, k=(2, 1, 1, 1), eta=(1, 1))
         assert vinberg_delta(inp) == 1
 
+    def test_trivial_grading_has_delta_zero(self):
+        # m0 = 1: g_1 = g_0 = sl_N, so delta is 0, as graded_dims says for
+        # A2 with labels (0, 0, 1), the order-1 grading of sl_3.
+        for n in range(5):
+            inp = VinbergClassicalInput(case=1, m0=1, k=(n,))
+            assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == 0
+        gd = graded_dims(KacDiagram.of("A", 2, (0, 0, 1)))
+        assert (gd.order, gd.dims, gd.delta) == (1, (8,), 0)
+
     def test_matches_block_model(self):
         inp = VinbergClassicalInput(case=3, m0=4, k=(1, 1, 1, 1), eta=(-1, -1))
         assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == 1
