@@ -15,7 +15,6 @@ from .polytope import (
     HullQuery,
     Inside,
     Outside,
-    integral_subgroup,
     zero_in_hull,
     zero_in_relative_interior,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "WeightMatrix",
     "classify_stratum",
     "graded_dims",
-    "integral_subgroup",
     "is_stable",
     "kac_order",
     "levi_order_scan",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, is_int
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -92,15 +92,17 @@ def analyze(
     One ``torus.Analysis`` (the fundamental circuits of the weights, then
     one check of the decomposition or witness they give) feeds the rank,
     splits, components, visibility, Cartan vectors and witness; the
-    stability simplex is the only other procedure run.
+    stability simplex is the only other procedure run.  A
+    ``max_components`` that is neither None nor an int raises InputError
+    before the simplex runs.
     """
     a = torus.Analysis.of(w)
+    comps = a.components(max_components)
     rank, i_d, i_f = a.rank, a.dependent, a.free
     stable, stable_cert = torus.is_stable(w)
     dec = a.decomposition
     visible = a.witness is None
     cartan = [list(v) for v in a.cartan_vectors] if visible else None
-    comps = a.components(max_components)
 
     properties: dict[str, dict] = {}
     properties["locally_free"] = {
@@ -446,10 +448,15 @@ def run_selftest(
     max_entry: int = 5,
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
-    """Oracle-vs-fast-path randomized suites; returns (ok, messages)."""
-    if min(count, jobs, max_n, max_r) < 1 or max_entry < 0:
+    """Oracle-vs-fast-path randomized suites; returns (ok, messages).
+    InputError unless every argument is an int, with count, jobs, max_n
+    and max_r >= 1 and max_entry >= 0."""
+    sizes = (count, jobs, max_n, max_r)
+    ints = all(map(is_int, (seed, max_entry, *sizes)))
+    if not ints or min(sizes) < 1 or max_entry < 0:
         raise InputError(
-            "selftest needs count, jobs, max_n and max_r >= 1 and max_entry >= 0"
+            "selftest needs integer arguments with count, jobs, max_n and"
+            " max_r >= 1 and max_entry >= 0"
         )
     # The shards depend on --jobs and --count only, so every host checks
     # the same matrices; the host's CPU count bounds only the processes.

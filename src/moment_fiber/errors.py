@@ -1,12 +1,13 @@
 """Exception types shared across the package, and its one input-type rule.
 
 Every integer the package takes as input (a weight, a row index, a hull
-coordinate, a Kac label, rank or twist, a Vinberg case, order, dimension
-or sign) must be an int that is not a bool: ``is_int``.  A bool passes
-``isinstance(x, int)`` and would silently count as 0 or 1, and a float
-such as 2.0 compares and hashes equal to an int but breaks ``range``
-and exact arithmetic later.  A value outside the rule is an
-``InputError``.
+coordinate, a Kac label, rank or twist, a scan's minimum delta, a Vinberg
+case, order, dimension or sign, a component cap, and selftest's seed,
+count, sizes and job count) must be an int that is not a bool:
+``is_int``.  A bool passes ``isinstance(x, int)`` and would silently
+count as 0 or 1, and a float such as 2.0 compares and hashes equal to an
+int but breaks ``range`` and exact arithmetic later.  A value outside
+the rule is an ``InputError``.
 """
 
 

@@ -4,9 +4,9 @@ Both queries — "is 0 in the convex hull of the given integer points?" and
 "is 0 in its relative interior?" — are answered with a certificate that
 ``verify_certificate`` checks exactly:
 
-* ``Inside``: explicit combination coefficients: for the relative
-  interior, primitive (gcd 1) positive integers; for the hull, Fractions
-  that sum to 1,
+* ``Inside``: explicit combination coefficients, primitive (gcd 1)
+  integers, one per point: nonnegative for the hull, positive for the
+  relative interior,
 * ``Outside``: an integral separating functional, i.e. a one-parameter
   subgroup under which every point has (strictly / weakly) positive pairing.
 
@@ -69,9 +69,9 @@ class HullQuery:
 class Inside:
     """Combination coefficients witnessing 0 in the (relative interior of
     the) hull; one coefficient per input point position.  The simplex
-    gives primitive positive integers for the relative interior and
-    Fractions summing to 1 for the hull; ``verify_certificate`` takes ints
-    and Fractions alike."""
+    gives primitive integers, nonnegative for the hull and positive for
+    the relative interior; ``verify_certificate`` takes ints and Fractions
+    alike, and c passes iff c / sum(c) is a convex combination."""
 
     coefficients: tuple[int | Fraction, ...]
 
@@ -201,13 +201,15 @@ def _phase_one(
 def zero_in_hull(q: HullQuery) -> HullCertificate:
     """Decide 0 in CH(points); certificate verifies exactly either way.
 
-    Inside: coefficients >= 0 summing to 1 with zero weighted sum.
-    Outside: integral functional strictly positive on every point.
+    Inside: the primitive nonnegative integers of the simplex's solution
+    x / d, whose entries sum to 1: a nonzero combination with zero
+    weighted sum.  Outside: integral functional strictly positive on
+    every point.
     """
     dim = q.dim
-    x, d, y = _phase_one([p + (1,) for p in q.points], [0] * dim + [1])
+    x, _, y = _phase_one([p + (1,) for p in q.points], [0] * dim + [1])
     if x is not None:
-        cert: HullCertificate = Inside(tuple(Fraction(v, d) for v in x))
+        cert: HullCertificate = Inside(primitive(x))
     else:
         assert y is not None
         cert = Outside(primitive([-v for v in y[:dim]]))
@@ -235,30 +237,10 @@ def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
     return cert
 
 
-def integral_subgroup(functional: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Clear denominators of a rational functional into a cocharacter.
-
-    Positive scaling keeps all pairing signs, so the result separates the
-    same queries.  The entries are multiplied by the lcm of their
-    denominators, then made ``primitive``; each is checked by
-    ``check_rational`` first.
-    """
-    check_rational(functional)
-    scale = math.lcm(*(v.denominator for v in functional))
-    return primitive([v.numerator * (scale // v.denominator) for v in functional])
-
-
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """Integers divided by their gcd, so the gcd is 1; all zeros stay."""
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints)
-
-
-def check_rational(values: Sequence) -> None:
-    """InputError unless every value is an int (not a bool) or a Fraction."""
-    for v in values:
-        if not (is_int(v) or isinstance(v, Fraction)):
-            raise InputError(f"coordinate {v!r} is not an int or a Fraction")
 
 
 def verify_certificate(
@@ -267,19 +249,17 @@ def verify_certificate(
     """Exact verification of a certificate against its query.
 
     Inside: one coefficient per point, each > 0 (relative interior) or
-    >= 0 summing to 1 (hull), with a vanishing weighted sum.  The
-    coefficients are checked as given, ints or Fractions.  Outside: a
-    functional of length ``q.dim`` pairing > 0 with every point (hull), or
-    >= 0 with every point and > 0 with one (relative interior).
+    >= 0 and not all 0 (hull), with a vanishing weighted sum; so c passes
+    iff the convex combination c / sum(c) does.  The coefficients are
+    checked as given, ints or Fractions.  Outside: a functional of length
+    ``q.dim`` pairing > 0 with every point (hull), or >= 0 with every
+    point and > 0 with one (relative interior).
     """
     if isinstance(cert, Inside):
         coeffs = cert.coefficients
-        if len(coeffs) != len(q.points):
+        if len(coeffs) != len(q.points) or any(c < 0 for c in coeffs):
             return False
-        if relative_interior:
-            if any(c <= 0 for c in coeffs):
-                return False
-        elif any(c < 0 for c in coeffs) or sum(coeffs) != 1:
+        if not (all(coeffs) if relative_interior else any(coeffs)):
             return False
         return all(sum(map(mul, coeffs, col)) == 0 for col in zip(*q.points))
     if len(cert.functional) != q.dim:

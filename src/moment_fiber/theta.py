@@ -392,8 +392,10 @@ def levi_order_scan(
 
     The labelings are walked in Gray-code order, so each step flips one
     label and adds or subtracts its column from the one running vector
-    of label sums.
+    of label sums.  InputError unless ``min_delta`` is an int.
     """
+    if not is_int(min_delta):
+        raise InputError(f"min_delta needs an integer, got {min_delta!r}")
     marks = _marks_for(family, rank, twist)
     columns = _columns(family, rank, twist)
     sums = [0] * len(columns[0])

@@ -13,14 +13,14 @@ dimensions, modality and classification, stability and orbit closedness
 of every fiber point (one hull query on the doubled weights).
 
 Indices are 1-based: subsets I live inside {1..n}.  All certificates
-verify exactly.  Separating cocharacters, relative-interior combinations,
-block relations and the witness's relation and point are integer
-vectors; only a hull combination (it sums to 1) and a user's
-``PairPoint`` hold Fractions.  Most hull certificates come from the simplex
-in ``polytope``; the non-visible witness's two are built from its circuit
-and only checked, so ``analyze`` runs one simplex per matrix (stability)
-and two eliminations: the circuits and the check of the decomposition or
-witness they give.
+verify exactly, and all are integer vectors: separating cocharacters,
+hull and relative-interior combinations, block relations and the
+witness's relation and point.  A user's ``PairPoint`` keeps its
+coordinates as given, ints or Fractions.  Most hull certificates come
+from the simplex in ``polytope``; the non-visible witness is built from
+its circuit and only checked, so ``analyze`` runs one simplex per matrix
+(stability) and two eliminations: the circuits and the check of the
+decomposition or witness they give.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ RatVector = tuple[int | Fraction, ...]
 @dataclass(frozen=True)
 class PairPoint:
     """A point (x, phi) of V + V*, coordinates exact rationals: ints or
-    Fractions.  ``of`` stores user coordinates as Fractions; the library's
-    own smooth and non-visible witnesses have 0/1 int coordinates.
+    Fractions, kept as given.  The library's own smooth and non-visible
+    witnesses have 0/1 int coordinates.
 
     phi is written in the basis dual to the coordinate lines, so its
     weights are the negated rows of S.
@@ -106,13 +106,14 @@ class PairPoint:
     phi: RatVector
 
     @classmethod
-    def of(cls, x: Sequence, phi: Sequence) -> "PairPoint":
-        """InputError unless every coordinate is an int (not a bool) or a
-        Fraction: ``polytope.check_rational``."""
-        polytope.check_rational((*x, *phi))
-        return cls(
-            tuple(Fraction(v) for v in x), tuple(Fraction(v) for v in phi)
-        )
+    def of(cls, x: Iterable, phi: Iterable) -> "PairPoint":
+        """x and phi read into tuples once, each coordinate kept as given;
+        InputError unless every one is an int (not a bool) or a Fraction."""
+        x, phi = tuple(x), tuple(phi)
+        for v in (*x, *phi):
+            if not (is_int(v) or isinstance(v, Fraction)):
+                raise InputError(f"coordinate {v!r} is not an int or a Fraction")
+        return cls(x, phi)
 
 
 @dataclass(frozen=True)
@@ -347,11 +348,15 @@ class Analysis:
     ) -> Optional[tuple[Stratum, ...]]:
         """Index sets of the irreducible components of the zero fiber: the
         2^#I_f supersets of I_d, ordered by size, then members.  None when
-        that count exceeds ``max_components``.
+        that count exceeds ``max_components``, which is None or an int.
 
         I_d joins each k-subset of the sorted I_f, k = 0..#I_f.  The
         k-subsets come in lexicographic order, and so do their unions with
         the disjoint I_d, so no sort is needed."""
+        if not (max_components is None or is_int(max_components)):
+            raise InputError(
+                f"max_components needs None or an integer, got {max_components!r}"
+            )
         free = sorted(self.free)
         if max_components is not None and 1 << len(free) > max_components:
             return None
@@ -525,8 +530,8 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     lam = cert.functional
     exps = [sum(s * c for s, c in zip(row, lam)) for row in w.matrix.entries]
     limit = PairPoint(
-        tuple(v if e == 0 else Fraction(0) for v, e in zip(p.x, exps)),
-        tuple(v if e == 0 else Fraction(0) for v, e in zip(p.phi, exps)),
+        tuple(v if e == 0 else 0 for v, e in zip(p.x, exps)),
+        tuple(v if e == 0 else 0 for v, e in zip(p.phi, exps)),
     )
     return NotClosed(cocharacter=lam, limit=limit)
 
@@ -537,13 +542,13 @@ def _nonvisible_witness(
     """A closed-orbit fiber point with nilpotent x, from a mixed circuit.
 
     x is the indicator of the positive part P of the circuit's relation,
-    phi of the negative part N.  The circuit is itself both certificates,
-    so no hull search runs: the absolute values of the relation are a
+    phi of the negative part N.  The circuit gives both certificates, so
+    no hull search runs: the absolute values of the relation are a
     strictly positive combination of the doubled weights (the orbit is
     closed), and P, a proper subset of a circuit, is independent, so
     S_P t = 1 has a solution t pairing positively with every weight on
-    supp(x) (x is nilpotent).  Both are checked by
-    ``_verify_nonvisible_witness``.
+    supp(x) (x is nilpotent).  ``_verify_nonvisible_witness`` checks
+    both.
     """
     # The circuit is an integer relation; divided by the gcd of its
     # entries it is the primitive one.
@@ -558,8 +563,17 @@ def _nonvisible_witness(
 def _verify_nonvisible_witness(
     w: WeightMatrix, witness: ClosedPairWitness
 ) -> None:
-    """Build the witness's closedness and nilpotency certificates from its
-    relation and check them exactly; raise ArithmeticError on a fault."""
+    """Check the witness exactly, one check per fact; raise
+    ArithmeticError on a fault.
+
+    The pair lies on the zero fiber, the relation r is a weight
+    dependency, and supp(x) and supp(phi) are its positive part P and
+    negative part N, with P nonempty.  That is already closedness:
+    sum_P |r_i| s_i + sum_N |r_i| (-s_i) = sum r_i s_i = 0 with every
+    coefficient positive, an ``Inside`` certificate on the doubled weights
+    that needs no check of its own.  Nilpotency is the one certificate
+    built and checked: the functional t with S_P t = 1.
+    """
     p, rel = witness.pair, witness.relation
     if any(v != 0 for v in moment_eval(w, p)):
         raise ArithmeticError("witness pair is off the zero fiber")
@@ -575,14 +589,6 @@ def _verify_nonvisible_witness(
         raise ArithmeticError("witness supports differ from the relation")
     if not pos:
         raise ArithmeticError("witness x-part is zero")
-
-    # Closed: |rel| is a strictly positive combination of the doubled weights.
-    doubled = HullQuery.of(
-        [rows[i] for i in pos] + [tuple(-v for v in rows[i]) for i in neg]
-    )
-    closed = Inside(tuple(abs(rel[i]) for i in pos + neg))
-    if not polytope.verify_certificate(doubled, closed, relative_interior=True):
-        raise ArithmeticError("witness orbit failed the closedness check")
 
     # Nilpotent: solve S_P t = 1 by one elimination of [S_P | 1].
     a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos], w.r + 1)

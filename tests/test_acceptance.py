@@ -8,6 +8,7 @@ stated wall-clock budgets are asserted.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -107,15 +108,18 @@ def test_criterion_04_visibility_oracle_equivalence(corpus):
                 assert fast.fixed == a.free, w.matrix.entries
 
 
+def criterion_05_queries():
+    """Criterion 5's 1,000 seeded hull queries, as point lists."""
+    rng = random.Random(QUERY_SEED)
+    for _ in range(1000):
+        d = rng.randint(1, 5)
+        m = rng.randint(1, 8)
+        yield [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(m)]
+
+
 def test_criterion_05_certificate_exclusivity():
     with criterion(5, "hull certificates verify exactly, one branch only", 30):
-        rng = random.Random(QUERY_SEED)
-        for _ in range(1000):
-            d = rng.randint(1, 5)
-            m = rng.randint(1, 8)
-            pts = [
-                tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(m)
-            ]
+        for pts in criterion_05_queries():
             q = HullQuery.of(pts)
             for relative, decide, brute in (
                 (False, polytope.zero_in_hull, oracle.brute_zero_in_hull),
@@ -135,6 +139,32 @@ def test_criterion_05_certificate_exclusivity():
                 # ...and it is the true branch, so by the exact pairing
                 # identity no certificate for the other branch can exist.
                 assert inside == brute(pts), (pts, cert)
+
+
+def test_criterion_05_hull_combinations_are_primitive_integers():
+    # Every hull Inside is nonnegative ints with gcd 1, and its convex
+    # form c / sum(c) verifies too.  A rule that dropped the sign, the
+    # nonzero or the length check would pass one of the bad variants.
+    inside = 0
+    for pts in criterion_05_queries():
+        q = HullQuery.of(pts)
+        cert = polytope.zero_in_hull(q)
+        if not isinstance(cert, Inside):
+            continue
+        inside += 1
+        c = cert.coefficients
+        assert all(type(v) is int and v >= 0 for v in c), pts
+        assert math.gcd(*c) == 1, pts
+        convex = Inside(tuple(Fraction(v, sum(c)) for v in c))
+        assert polytope.verify_certificate(q, convex, False), pts
+        zero, negative = (0,) * len(c), tuple(-v for v in c)
+        for bad in (zero, negative, c + (0,), c[:-1]):
+            for mode in (False, True):
+                assert not polytope.verify_certificate(q, Inside(bad), mode), (
+                    pts,
+                    bad,
+                )
+    assert inside > 100
 
 
 def test_criterion_06_stability_irreducibility_triple(corpus):

@@ -189,6 +189,17 @@ class TestAnalyze:
         assert rep["components"]["count"] == 4
         assert rep["components"]["list"] is None
 
+    @pytest.mark.parametrize("cap", ["2", True, 2.5, 2.0])
+    def test_non_integer_cap_rejected(self, cap, monkeypatch):
+        # The cap is checked before the stability simplex runs.
+        def forbidden(w):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(torus, "is_stable", forbidden)
+        w = torus.WeightMatrix.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(InputError, match="max_components"):
+            cli.analyze(w, max_components=cap)
+
     def test_report_round_trip(self):
         rep = cli.analyze(torus.WeightMatrix.from_rows([[1], [1], [-2]]))
         assert cli.AnalysisReport.from_json(rep.to_json()) == rep
@@ -848,11 +859,15 @@ class TestSelftest:
         [
             {"count": 0}, {"count": -5}, {"jobs": 0}, {"jobs": -1},
             {"max_n": 0}, {"max_r": 0}, {"max_entry": -1},
+            # Every argument is an int by errors.is_int, the seed too.
+            {"seed": "a"}, {"seed": 0.0}, {"count": True}, {"count": 2.0},
+            {"max_n": "8"}, {"max_r": 5.0}, {"max_entry": 1.5},
+            {"jobs": True},
         ],
     )
     def test_out_of_range_arguments_are_rejected(self, bad):
-        with pytest.raises(InputError):
-            cli.run_selftest(0, **bad)
+        with pytest.raises(InputError, match="selftest needs integer arguments"):
+            cli.run_selftest(**{"seed": 0, "count": 2, **bad})
 
     def test_parallel_shards(self, capsys):
         code, out, _ = run(

@@ -23,7 +23,7 @@ queries = st.integers(1, 4).flatmap(
 class TestZeroInHull:
     def test_symmetric_pair(self):
         cert = polytope.zero_in_hull(HullQuery.of([(1,), (-1,)]))
-        assert cert == Inside((Fraction(1, 2), Fraction(1, 2)))
+        assert cert == Inside((1, 1))
 
     def test_all_positive(self):
         cert = polytope.zero_in_hull(HullQuery.of([(1,), (2,)]))
@@ -37,7 +37,7 @@ class TestZeroInHull:
         cert = polytope.zero_in_hull(
             HullQuery.of([(1, 0), (0, 1), (-1, -1)])
         )
-        assert cert == Inside((Fraction(1, 3),) * 3)
+        assert cert == Inside((1, 1, 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -85,22 +85,15 @@ class TestZeroInRelativeInterior:
         assert cert.coefficients[0] > 0
 
 
-class TestIntegralSubgroup:
-    def test_clears_denominators(self):
-        assert polytope.integral_subgroup(
-            [Fraction(1, 2), Fraction(1, 3)]
-        ) == (3, 2)
-
-    def test_already_integral(self):
-        assert polytope.integral_subgroup([Fraction(1)]) == (1,)
-
+class TestPrimitive:
     def test_gcd_reduction(self):
-        assert polytope.integral_subgroup([2, -4]) == (1, -2)
+        assert polytope.primitive([2, -4]) == (1, -2)
+        assert polytope.primitive([0, 0]) == (0, 0)
 
     def test_signs_preserved_on_query(self):
         pts = [(1, 3), (2, -1)]
-        phi = [Fraction(2), Fraction(4)]
-        reduced = polytope.integral_subgroup(phi)
+        phi = [2, 4]
+        reduced = polytope.primitive(phi)
         for p in pts:
             before = sum(f * x for f, x in zip(phi, p))
             after = sum(f * x for f, x in zip(reduced, p))
@@ -193,12 +186,17 @@ class TestVerifyCertificate:
         assert polytope.verify_certificate(q, Outside((1, 0)), False)
 
     def test_int_and_fraction_coefficients(self):
+        # One rule for both modes: c >= 0, not all 0 (all > 0 for the
+        # relative interior), sum c_i p_i = 0; c need not sum to 1.
         q = HullQuery.of([(1,), (1,), (-2,)])
-        assert polytope.verify_certificate(q, Inside((1, 3, 2)), True)
-        assert not polytope.verify_certificate(q, Inside((1, 3, 2)), False)
-        thirds = Inside((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-        assert polytope.verify_certificate(q, thirds, False)
-        assert polytope.verify_certificate(q, thirds, True)
+        for mode in (False, True):
+            assert polytope.verify_certificate(q, Inside((1, 3, 2)), mode)
+            sixths = Inside((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+            assert polytope.verify_certificate(q, sixths, mode)
+            for bad in [(0, 0, 0), (-1, -3, -2), (1, 3, 1), (1, 3)]:
+                assert not polytope.verify_certificate(q, Inside(bad), mode)
+        assert polytope.verify_certificate(q, Inside((2, 0, 1)), False)
+        assert not polytope.verify_certificate(q, Inside((2, 0, 1)), True)
 
 
 def reference_verify(q, cert, relative_interior):
@@ -213,7 +211,7 @@ def reference_verify(q, cert, relative_interior):
                 return False
         if relative_interior:
             return all(c > 0 for c in coeffs)
-        return all(c >= 0 for c in coeffs) and sum(coeffs) == 1
+        return all(c >= 0 for c in coeffs) and any(c != 0 for c in coeffs)
     if len(cert.functional) != q.dim:
         return False
     pairings = [
@@ -239,15 +237,16 @@ def _tamper(coeffs, how, k, delta, scale):
         del v[k]
     elif how == "append":
         v.append(delta)
-    elif how == "scale":  # a positive multiple: unnormalised for the hull
+    elif how == "scale":  # a positive multiple: rational entries
         v = [c * abs(scale) for c in v]
-    elif how == "int":  # clear the denominators: int entries
-        v = list(polytope.integral_subgroup(v)) if any(v) else [0] * len(v)
+    elif how == "convex":  # divided by the sum: the old hull form
+        total = sum(v) or 1
+        v = [Fraction(c, total) for c in v]
     return tuple(v)
 
 
 MUTATIONS = st.sampled_from(
-    ["none", "perturb", "zero", "negate", "drop", "append", "scale", "int"]
+    ["none", "perturb", "zero", "negate", "drop", "append", "scale", "convex"]
 )
 NONZERO = st.fractions(-3, 3, max_denominator=5).filter(bool)
 

@@ -343,6 +343,11 @@ class TestTwistedGradings:
 
 
 class TestScans:
+    @pytest.mark.parametrize("min_delta", ["2", True, 2.5, 2.0, None])
+    def test_non_integer_min_delta_rejected(self, min_delta):
+        with pytest.raises(InputError, match="min_delta"):
+            levi_order_scan("A", 2, min_delta)
+
     @pytest.mark.parametrize("family,rank", SUPPORTED)
     def test_untwisted_scan_is_the_root_grading(self, family, rank):
         # A route through neither _eigenvectors nor the scan: each root
