@@ -93,8 +93,8 @@ def analyze(
     one check of the decomposition or witness they give) feeds the rank,
     splits, components, visibility, Cartan vectors and witness; the
     stability simplex is the only other procedure run.  A
-    ``max_components`` that is neither None nor an int raises InputError
-    before the simplex runs.
+    ``max_components`` that is neither None nor an int >= 0 raises
+    InputError before the simplex runs.
     """
     a = torus.Analysis.of(w)
     comps = a.components(max_components)

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CapabilityError, InputError, is_int
+from .errors import CapabilityError, InputError, int_rows, is_int
 from .torus import (
     Block,
     NotVisible,
@@ -368,18 +368,14 @@ def check_decomposition(
 # -- hull membership -----------------------------------------------------------
 
 
-def _distinct(points: Sequence[Sequence[int]], what: str) -> list[tuple[int, ...]]:
+def _distinct(points: Iterable[Iterable[int]], what: str) -> list[tuple[int, ...]]:
     """The distinct points, sorted; duplicates do not change a hull or a
-    cone.  InputError if there are none, their dimensions differ or a
-    coordinate is not an integer."""
-    pts = [tuple(p) for p in points]
+    cone.  The points are read by ``errors.int_rows``, the fast path's
+    reader too: InputError if there are none, a point is not iterable,
+    their dimensions differ or a coordinate is not an integer."""
+    pts = int_rows(points, what)
     if not pts:
         raise InputError(f"{what} needs at least one point")
-    for p in pts:
-        if len(p) != len(pts[0]):
-            raise InputError(f"{what} points have mismatched dimensions")
-        if not all(map(is_int, p)):
-            raise InputError(f"{what} point {p!r} is not integral")
     return sorted(set(pts))
 
 

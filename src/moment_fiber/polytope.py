@@ -10,9 +10,11 @@ Both queries — "is 0 in the convex hull of the given integer points?" and
 * ``Outside``: an integral separating functional, i.e. a one-parameter
   subgroup under which every point has (strictly / weakly) positive pairing.
 
-A caller that already holds a certificate, such as the torus layer's
-non-visible witness, checks it with ``verify_certificate`` and needs no
-simplex run.
+Both queries check their certificate with ``verify_certificate`` before
+returning it, in one shared tail.  A caller that already holds a
+certificate, such as the torus layer's non-visible witness, checks it
+the same way and needs no simplex run.  ``HullQuery.of`` reads the points
+with ``errors.int_rows``, the reader of the weight matrix too.
 
 The engine is a fraction-free phase-one simplex priced by Dantzig's rule
 (most negative reduced cost), falling back to Bland's rule after a
@@ -35,29 +37,30 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import InputError, is_int
+from .errors import InputError, int_rows
 from .exactlin import pivot
 
 
 @dataclass(frozen=True)
 class HullQuery:
-    """A nonempty list of integer points sharing one ambient dimension."""
+    """A nonempty list of integer points sharing one ambient dimension.
+
+    ``of`` reads and checks points from outside; the torus layer builds
+    its queries directly from rows of a ``WeightMatrix``, which were
+    checked by the same reader when the matrix was made."""
 
     points: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def of(cls, points: Sequence[Sequence[int]]) -> "HullQuery":
-        pts = tuple(tuple(p) for p in points)
+    def of(cls, points: Iterable[Iterable[int]]) -> "HullQuery":
+        """The points read once by ``errors.int_rows``: InputError unless
+        they are iterables of ints of one common length, and at least
+        one."""
+        pts = int_rows(points, "hull query")
         if not pts:
             raise InputError("hull query needs at least one point")
-        dim = len(pts[0])
-        for p in pts:
-            if len(p) != dim:
-                raise InputError("hull query points have mismatched dimensions")
-            if not all(map(is_int, p)):
-                raise InputError(f"hull query point {p!r} is not integral")
         return cls(pts)
 
     @property
@@ -206,15 +209,8 @@ def zero_in_hull(q: HullQuery) -> HullCertificate:
     weighted sum.  Outside: integral functional strictly positive on
     every point.
     """
-    dim = q.dim
-    x, _, y = _phase_one([p + (1,) for p in q.points], [0] * dim + [1])
-    if x is not None:
-        cert: HullCertificate = Inside(primitive(x))
-    else:
-        assert y is not None
-        cert = Outside(primitive([-v for v in y[:dim]]))
-    _check(verify_certificate(q, cert, relative_interior=False))
-    return cert
+    x, _, y = _phase_one([p + (1,) for p in q.points], [0] * q.dim + [1])
+    return _certified(q, x, y, relative_interior=False)
 
 
 def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
@@ -228,12 +224,26 @@ def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
     """
     rhs = [-sum(coords) for coords in zip(*q.points)]
     x, d, y = _phase_one(q.points, rhs)
-    if x is not None:
-        cert: HullCertificate = Inside(primitive([v + d for v in x]))
+    inside = None if x is None else [v + d for v in x]
+    return _certified(q, inside, y, relative_interior=True)
+
+
+def _certified(
+    q: HullQuery,
+    inside: list[int] | None,
+    y: list[int] | None,
+    relative_interior: bool,
+) -> HullCertificate:
+    """The certificate of one simplex answer, checked exactly before it is
+    returned: Inside(primitive(inside)) when the system was feasible, else
+    Outside from the Farkas dual y, its first ``q.dim`` entries negated
+    and made primitive.  A check that fails is an internal fault."""
+    if inside is not None:
+        cert: HullCertificate = Inside(primitive(inside))
     else:
-        assert y is not None
-        cert = Outside(primitive([-v for v in y]))
-    _check(verify_certificate(q, cert, relative_interior=True))
+        cert = Outside(primitive([-v for v in y[: q.dim]]))
+    if not verify_certificate(q, cert, relative_interior):  # pragma: no cover
+        raise ArithmeticError("simplex produced a non-verifying certificate")
     return cert
 
 
@@ -268,8 +278,3 @@ def verify_certificate(
     if relative_interior:
         return all(v >= 0 for v in pairings) and any(v > 0 for v in pairings)
     return all(v > 0 for v in pairings)
-
-
-def _check(ok: bool) -> None:
-    if not ok:  # pragma: no cover - guards an internal invariant
-        raise ArithmeticError("simplex produced a non-verifying certificate")

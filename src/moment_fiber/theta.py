@@ -46,7 +46,7 @@ from operator import add, mod, mul, sub
 from typing import Iterable, Optional
 
 from . import exactlin
-from .errors import InputError, is_int
+from .errors import InputError, is_int, read_tuple
 
 Root = tuple[int, ...]
 
@@ -166,7 +166,8 @@ def _roots(family: str, rank: int) -> tuple[Root, ...]:
 class KacDiagram:
     """An affine (possibly twisted) Dynkin diagram with {0,1} node labels.
 
-    ``labels`` follows the node order alpha_1..alpha_l, affine node last.
+    ``labels`` follows the node order alpha_1..alpha_l, affine node last;
+    any iterable is read once into a tuple by ``errors.read_tuple``.
     """
 
     family: str
@@ -176,6 +177,7 @@ class KacDiagram:
 
     def __post_init__(self) -> None:
         marks = _marks_for(self.family, self.rank, self.twist)
+        object.__setattr__(self, "labels", read_tuple(self.labels, "labels"))
         if len(self.labels) != len(marks):
             raise InputError(
                 f"{self.name()} needs {len(marks)} labels, got"
@@ -195,7 +197,7 @@ class KacDiagram:
         labels: Iterable[int],
         twist: int = 1,
     ) -> "KacDiagram":
-        return cls(family, rank, twist, tuple(labels))
+        return cls(family, rank, twist, labels)
 
     @classmethod
     def all_ones(cls, family: str, rank: int, twist: int = 1) -> "KacDiagram":
@@ -441,7 +443,8 @@ class VinbergClassicalInput:
     s = 0 when ``eta`` is None or eta[+1] = 1, else s = 1.  Conjugation,
     the index of minimal real part, the real indices and the parity rule
     for eta[-1] all follow from s.  ``case``, ``m0``, the entries of
-    ``k`` and the eta signs are ints, not bools.
+    ``k`` and the eta signs are ints, not bools.  ``k`` and ``eta`` may be
+    any iterables; each is read once into a tuple by ``errors.read_tuple``.
     """
 
     case: int
@@ -454,6 +457,7 @@ class VinbergClassicalInput:
             raise InputError("case must be 1..4")
         if not is_int(self.m0):
             raise InputError(f"m0 must be an integer, got {self.m0!r}")
+        object.__setattr__(self, "k", read_tuple(self.k, "k"))
         if self.m0 < 1 or len(self.k) != self.m0:
             raise InputError("k must have exactly m0 entries")
         if not all(map(is_int, self.k)):
@@ -466,6 +470,7 @@ class VinbergClassicalInput:
             return
         if self.eta is None:
             raise InputError("cases 2..4 need the eta signs")
+        object.__setattr__(self, "eta", read_tuple(self.eta, "eta"))
         if len(self.eta) != 2:
             raise InputError(f"eta needs two signs, got {self.eta!r}")
         if any(not is_int(e) or e not in (1, -1) for e in self.eta):

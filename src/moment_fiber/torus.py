@@ -12,10 +12,13 @@ smooth points with their stabilizers.  Separate functions give strata
 dimensions, modality and classification, stability and orbit closedness
 of every fiber point (one hull query on the doubled weights).
 
-Indices are 1-based: subsets I live inside {1..n}.  All certificates
-verify exactly, and all are integer vectors: separating cocharacters,
-hull and relative-interior combinations, block relations and the
-witness's relation and point.  A user's ``PairPoint`` keeps its
+Indices are 1-based: subsets I live inside {1..n}.  Each sequence taken
+as input is read once by a reader of ``errors``: the weight rows by
+``int_rows``, an index set and a pair point's x and phi by
+``read_tuple``, so a non-iterable one is an ``InputError``.  All
+certificates verify exactly, and all are integer vectors: separating
+cocharacters, hull and relative-interior combinations, block relations
+and the witness's relation and point.  A user's ``PairPoint`` keeps its
 coordinates as given, ints or Fractions.  Most hull certificates come
 from the simplex in ``polytope``; the non-visible witness is built from
 its circuit and only checked, so ``analyze`` runs one simplex per matrix
@@ -31,7 +34,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
-from .errors import CapabilityError, InputError, is_int
+from .errors import CapabilityError, InputError, int_rows, is_int, read_tuple
 from .polytope import HullQuery, Inside, Outside
 
 Stratum = frozenset[int]
@@ -39,7 +42,8 @@ Stratum = frozenset[int]
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """The bare integer rows of a ``WeightMatrix``, which checks them."""
+    """The bare integer rows of a ``WeightMatrix``, which reads them into
+    tuples and checks them."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -51,19 +55,19 @@ class WeightMatrix:
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
-        rows = self.matrix.entries
-        for row in rows:  # shape and entries first: they name the fault
-            if len(row) != len(rows[0]):
-                raise InputError("matrix is not rectangular")
-            for x in row:
-                if not is_int(x):
-                    raise InputError(f"non-integer entry {x!r}")
+        """Read the rows once with ``errors.int_rows`` and keep them as
+        tuples.  Shape and entries are checked before the size, since
+        they name the fault."""
+        rows = int_rows(self.matrix.entries, "weight matrix")
         if not rows or not rows[0]:
             raise InputError("weight matrix needs n >= 1 rows and r >= 1 columns")
+        object.__setattr__(self, "matrix", IntMatrix(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightMatrix":
-        return cls(IntMatrix(tuple(map(tuple, rows))))
+        """The matrix of any iterable of integer rows; ``__post_init__``
+        reads and checks them."""
+        return cls(IntMatrix(rows))
 
     @property
     def n(self) -> int:
@@ -80,10 +84,11 @@ class WeightMatrix:
         return self.matrix.entries[i - 1]
 
     def index_set(self, subset: Iterable[int]) -> set[int]:
-        """The indices of ``subset`` as a set, each checked by ``weight``
-        before it is hashed, so an unhashable entry raises InputError."""
+        """The indices of ``subset``, read once by ``errors.read_tuple``,
+        as a set; each is checked by ``weight`` before it is hashed, so a
+        non-iterable subset or an unhashable entry raises InputError."""
         chosen: set[int] = set()
-        for i in subset:
+        for i in read_tuple(subset, "index set"):
             self.weight(i)
             chosen.add(i)
         return chosen
@@ -107,9 +112,10 @@ class PairPoint:
 
     @classmethod
     def of(cls, x: Iterable, phi: Iterable) -> "PairPoint":
-        """x and phi read into tuples once, each coordinate kept as given;
-        InputError unless every one is an int (not a bool) or a Fraction."""
-        x, phi = tuple(x), tuple(phi)
+        """x and phi read into tuples once by ``errors.read_tuple``, each
+        coordinate kept as given; InputError unless both are iterable and
+        every coordinate is an int (not a bool) or a Fraction."""
+        x, phi = read_tuple(x, "pair point x"), read_tuple(phi, "pair point phi")
         for v in (*x, *phi):
             if not (is_int(v) or isinstance(v, Fraction)):
                 raise InputError(f"coordinate {v!r} is not an int or a Fraction")
@@ -348,17 +354,19 @@ class Analysis:
     ) -> Optional[tuple[Stratum, ...]]:
         """Index sets of the irreducible components of the zero fiber: the
         2^#I_f supersets of I_d, ordered by size, then members.  None when
-        that count exceeds ``max_components``, which is None or an int.
+        that count exceeds ``max_components``, which is None or an int
+        >= 0, the rule of the CLI's ``--max-components``.
 
         I_d joins each k-subset of the sorted I_f, k = 0..#I_f.  The
         k-subsets come in lexicographic order, and so do their unions with
         the disjoint I_d, so no sort is needed."""
-        if not (max_components is None or is_int(max_components)):
+        cap = max_components
+        if not (cap is None or is_int(cap) and cap >= 0):
             raise InputError(
-                f"max_components needs None or an integer, got {max_components!r}"
+                f"max_components needs None or an integer >= 0, got {cap!r}"
             )
         free = sorted(self.free)
-        if max_components is not None and 1 << len(free) > max_components:
+        if cap is not None and 1 << len(free) > cap:
             return None
         return tuple(
             self.dependent | set(c)
@@ -390,13 +398,12 @@ class Analysis:
         """Dimension of the joint infinitesimal stabilizer of (x, phi):
         r - rank of the weights on supp(x) | supp(phi).  A point supported
         on all of {1..n} reads the rank off ``rank``; a smaller support
-        ranks its rows."""
+        is a stratum, whose rank is ``stratum_orbit_dim``."""
         w = self.weights
         _check_length(w, p)
         if all(x or phi for x, phi in zip(p.x, p.phi)):
             return w.r - self.rank
-        supp = support(p.x) | support(p.phi)
-        return w.r - exactlin.rank_rows(weights_of(w, supp))
+        return w.r - stratum_orbit_dim(w, support(p.x) | support(p.phi))
 
 
 def _mixed_circuit(
@@ -444,7 +451,7 @@ def _verify_decomposition(w: WeightMatrix, dec: VisibleDecomposition) -> None:
     basis = parts[0]
     for b, members in zip(dec.blocks, parts[1:]):
         if not members or not polytope.verify_certificate(
-            HullQuery.of([rows[i - 1] for i in members]),
+            HullQuery(tuple([rows[i - 1] for i in members])),
             Inside(b.relation),
             relative_interior=True,
         ):
@@ -468,8 +475,7 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
             "the action is trivial (all weights vanish); there is no"
             " effective form with a positive-rank torus"
         )
-    rows = tuple(tuple(row[j] for j in keep) for row in w.matrix.entries)
-    return WeightMatrix(IntMatrix(rows))
+    return WeightMatrix.from_rows([[row[j] for j in keep] for row in w.matrix.entries])
 
 
 # -- element classification --------------------------------------------------
@@ -486,7 +492,7 @@ def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
     rows = weights_of(w, subset)
     if not rows:
         return ZeroOrbit()
-    q = HullQuery.of(rows)
+    q = HullQuery(tuple(rows))
     hull = polytope.zero_in_hull(q)
     if isinstance(hull, Outside):
         return Nilpotent(hull)
@@ -498,9 +504,7 @@ def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
 
 def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
     """Stability: 0 in the relative interior of the hull of all weights."""
-    cert = polytope.zero_in_relative_interior(
-        HullQuery.of(list(w.matrix.entries))
-    )
+    cert = polytope.zero_in_relative_interior(HullQuery(w.matrix.entries))
     return isinstance(cert, Inside), cert
 
 
@@ -524,7 +528,7 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
     ]
     if not pts:
         return Closed(combination=Inside(()))  # the origin
-    cert = polytope.zero_in_relative_interior(HullQuery.of(pts))
+    cert = polytope.zero_in_relative_interior(HullQuery(tuple(pts)))
     if isinstance(cert, Inside):
         return Closed(combination=cert)
     lam = cert.functional
@@ -564,19 +568,20 @@ def _verify_nonvisible_witness(
     w: WeightMatrix, witness: ClosedPairWitness
 ) -> None:
     """Check the witness exactly, one check per fact; raise
-    ArithmeticError on a fault.
+    ArithmeticError on a fault (InputError for a pair of the wrong
+    length, as everywhere).
 
-    The pair lies on the zero fiber, the relation r is a weight
-    dependency, and supp(x) and supp(phi) are its positive part P and
-    negative part N, with P nonempty.  That is already closedness:
+    The relation r is a weight dependency, and supp(x) and supp(phi) are
+    its positive part P and negative part N, with P nonempty.  P and N are
+    disjoint, so every x_i phi_i is 0 and the pair lies on the zero fiber
+    without a moment map evaluation.  The same facts are closedness:
     sum_P |r_i| s_i + sum_N |r_i| (-s_i) = sum r_i s_i = 0 with every
     coefficient positive, an ``Inside`` certificate on the doubled weights
     that needs no check of its own.  Nilpotency is the one certificate
     built and checked: the functional t with S_P t = 1.
     """
     p, rel = witness.pair, witness.relation
-    if any(v != 0 for v in moment_eval(w, p)):
-        raise ArithmeticError("witness pair is off the zero fiber")
+    _check_length(w, p)
     rows = w.matrix.entries
     if len(rel) != w.n or any(
         sum(c * row[j] for c, row in zip(rel, rows)) != 0 for j in range(w.r)
@@ -601,7 +606,7 @@ def _verify_nonvisible_witness(
         t[c] = sign * row[-1]
     nilpotent = Outside(polytope.primitive(t))
     if not polytope.verify_certificate(
-        HullQuery.of([rows[i] for i in pos]), nilpotent, relative_interior=False
+        HullQuery(tuple([rows[i] for i in pos])), nilpotent, relative_interior=False
     ):
         raise ArithmeticError("witness x-part is not nilpotent")
 

@@ -189,7 +189,7 @@ class TestAnalyze:
         assert rep["components"]["count"] == 4
         assert rep["components"]["list"] is None
 
-    @pytest.mark.parametrize("cap", ["2", True, 2.5, 2.0])
+    @pytest.mark.parametrize("cap", ["2", True, 2.5, 2.0, -1])
     def test_non_integer_cap_rejected(self, cap, monkeypatch):
         # The cap is checked before the stability simplex runs.
         def forbidden(w):
@@ -796,7 +796,8 @@ class TestSelftest:
 
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
         # The tangent oracle's fiber check is the only evaluation at a
-        # smooth witness (the non-visible witness check makes others).
+        # smooth witness.  The non-visible witness check evaluates none:
+        # it reads the fiber off the supports.
         points, evaluated = [], []
         real_point, real_eval = torus.Analysis.smooth_witness, torus.moment_eval
 

@@ -193,9 +193,10 @@ class TestComponents:
         assert a.components(max_components=3) is None
         assert len(a.components(max_components=4)) == 4
 
-    @pytest.mark.parametrize("cap", ["4", True, 2.5, 4.0])
+    @pytest.mark.parametrize("cap", ["4", True, 2.5, 4.0, -1])
     def test_non_integer_cap_rejected(self, cap):
-        # The cap is None or an int: a str, bool or float is an input fault.
+        # The cap is None or an int >= 0: a str, bool, float or negative
+        # int is an input fault.
         with pytest.raises(InputError, match="max_components"):
             torus.Analysis.of(IDENTITY2).components(max_components=cap)
 
@@ -753,8 +754,9 @@ class TestNonvisibleWitness:
             ([[1], [1], [-2]], (1, 1, 1), (0, 0, 0), (0, 0, 0), "supports"),
             ([[1], [1], [-2]], (2, 0, 1), (1, 0, 0), (0, 0, 1), "supports"),
             ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 1), (1, 0, 0), "supports"),
-            # x and phi overlap at index 2: off the fiber.
-            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 0), (1, 1, 0), "fiber"),
+            # x and phi overlap at index 2: off the fiber, and phi's
+            # support is not the negative part.
+            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 0), (1, 1, 0), "supports"),
             # Positive relations: P is dependent, S_P t = 1 inconsistent.
             ([[1], [2], [-1]], (1, 1, 3), (1, 1, 1), (0, 0, 0), "inconsistent"),
             ([[1], [2], [1]], (1, 1, -3), (1, 1, 0), (0, 0, 1), "inconsistent"),
