@@ -30,7 +30,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
 from .errors import CapabilityError, InputError, is_int
@@ -192,10 +192,14 @@ def _read_int(text: str, what: str = "", expected: str = "an integer") -> int:
                 f"{what}{': ' if what else ''}an integer of {len(digits)} digits"
                 f" exceeds the limit of {sys.get_int_max_str_digits()} digits"
             ) from None
-        shown = repr(text[:40])
-        if len(text) > 40:
-            shown += f"... ({len(text)} characters)"
-        raise InputError(f"{what} needs {expected}, got {shown}") from None
+        needs = f"needs {expected}, got {_cut(text)}"
+        raise InputError(f"{what} {needs}" if what else needs) from None
+
+
+def _cut(text: str) -> str:
+    """``text`` quoted for an error message: its first 40 characters, then
+    its length if it is longer."""
+    return repr(text[:40]) + (f"... ({len(text)} characters)" if len(text) > 40 else "")
 
 
 def _parse_weights_json(text: str) -> torus.WeightMatrix:
@@ -381,63 +385,84 @@ def _random_weight_matrix(
     return torus.WeightMatrix.from_rows(rows)
 
 
-def _selftest_chunk(args: tuple[int, int, int, int, int]) -> list[str]:
-    """One shard of the randomized suites; returns failure descriptions."""
-    seed, count, max_n, max_r, max_entry = args
+def _cases(
+    seed: int, count: int, max_n: int, max_r: int, max_entry: int
+) -> Iterator[tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]]:
+    """The run's ``count`` cases ``(seed, w, points)``, in order, all drawn
+    from one ``random.Random(seed)``: a weight matrix, then a hull query's
+    dimension and points.  No check reads the generator, so the cases
+    depend on these arguments only, never on how many processes check
+    them."""
     rng = random.Random(seed)
-    failures: list[str] = []
-
-    def fail(kind: str, w: torus.WeightMatrix) -> None:
-        failures.append(
-            f"{kind}: seed={seed} weights={[list(r) for r in w.matrix.entries]}"
-        )
-
     for _ in range(count):
         w = _random_weight_matrix(rng, max_n, max_r, max_entry)
-        a = torus.Analysis.of(w)  # one elimination feeds every suite
-        if w.n <= 12:
-            comps = a.components()
-            brute = oracle.brute_components(w)
-            if set(comps) != set(brute):
-                fail("component mismatch", w)
-            if len(comps) != len(brute):
-                fail("component count", w)
-        dec = a.decomposition
-        visible = isinstance(dec, torus.VisibleDecomposition)
-        if w.n <= 7:
-            v_brute = oracle.brute_visible(w)
-            if visible != isinstance(v_brute, torus.VisibleDecomposition):
-                fail("visibility verdict mismatch", w)
-            elif visible and oracle.check_decomposition(w, dec) is not None:
-                fail("decomposition verification", w)
-        if w.n <= 6 and a.rank == w.r:
-            for mask in range(1 << w.n):
-                subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-                p = a.smooth_witness(subset)
-                try:  # the oracle evaluates the moment map at p first
-                    tangent = oracle.tangent_dim(w, p)
-                except InputError:
-                    fail("smooth witness off fiber", w)
-                    continue
-                if a.stabilizer_dim(p) != 0:
-                    fail("smooth witness stabilizer", w)
-                elif tangent != a.fiber_dimension:
-                    fail("smooth witness tangent dimension", w)
-        if (a.witness is None) != visible:
-            fail("nonvisible witness presence", w)
-
         d = rng.randint(1, 4)
-        pts = [
+        points = [
             tuple(rng.randint(-4, 4) for _ in range(d))
             for _ in range(rng.randint(1, 6))
         ]
-        q = polytope.HullQuery.of(pts)
-        hull = polytope.zero_in_hull(q)
-        if not polytope.verify_certificate(q, hull, relative_interior=False):
-            failures.append(f"hull certificate: seed={seed} points={pts}")
-        elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(pts):
-            failures.append(f"hull verdict: seed={seed} points={pts}")
+        yield seed, w, points
+
+
+def _check_case(
+    case: tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]
+) -> list[str]:
+    """The five randomized suites on one case from ``_cases``: components
+    (n <= 12), visibility (n <= 7), smooth witnesses (n <= 6, locally
+    free), witness presence, and the hull query.  Returns one line per
+    failure, ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
+    ``"<kind>: seed=<seed> points=<points>"``."""
+    seed, w, points = case
+    failures: list[str] = []
+
+    def fail(kind: str, subject: str = "") -> None:
+        subject = subject or f"weights={[list(r) for r in w.matrix.entries]}"
+        failures.append(f"{kind}: seed={seed} {subject}")
+
+    a = torus.Analysis.of(w)  # one elimination feeds every suite
+    if w.n <= 12:
+        comps = a.components()
+        brute = oracle.brute_components(w)
+        if set(comps) != set(brute):
+            fail("component mismatch")
+        if len(comps) != len(brute):
+            fail("component count")
+    dec = a.decomposition
+    visible = isinstance(dec, torus.VisibleDecomposition)
+    if w.n <= 7:
+        v_brute = oracle.brute_visible(w)
+        if visible != isinstance(v_brute, torus.VisibleDecomposition):
+            fail("visibility verdict mismatch")
+        elif visible and oracle.check_decomposition(w, dec) is not None:
+            fail("decomposition verification")
+    if w.n <= 6 and a.rank == w.r:
+        for mask in range(1 << w.n):
+            subset = {i + 1 for i in range(w.n) if mask >> i & 1}
+            p = a.smooth_witness(subset)
+            try:  # the oracle evaluates the moment map at p first
+                tangent = oracle.tangent_dim(w, p)
+            except InputError:
+                fail("smooth witness off fiber")
+                continue
+            if a.stabilizer_dim(p) != 0:
+                fail("smooth witness stabilizer")
+            elif tangent != a.fiber_dimension:
+                fail("smooth witness tangent dimension")
+    if (a.witness is None) != visible:
+        fail("nonvisible witness presence")
+
+    q = polytope.HullQuery.of(points)
+    hull = polytope.zero_in_hull(q)
+    if not polytope.verify_certificate(q, hull, relative_interior=False):
+        fail("hull certificate", f"points={points}")
+    elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(points):
+        fail("hull verdict", f"points={points}")
     return failures
+
+
+# Cases per task sent to a worker: enough to amortize the pickling, few
+# enough that the workers finish close together.
+_CASES_PER_TASK = 16
 
 
 def run_selftest(
@@ -449,8 +474,14 @@ def run_selftest(
     jobs: int = 1,
 ) -> tuple[bool, list[str]]:
     """Oracle-vs-fast-path randomized suites; returns (ok, messages).
-    InputError unless every argument is an int, with count, jobs, max_n
-    and max_r >= 1 and max_entry >= 0."""
+
+    ``_check_case`` checks the ``count`` cases of ``_cases`` in order, in
+    this process or, when ``_worker_count(min(jobs, count))`` is above 1,
+    on that many worker processes.  ``jobs`` sets only how fast the run
+    goes: the messages depend on the other arguments alone, and every
+    failure names the seed that replays it.  InputError unless every
+    argument is an int, with count, jobs, max_n and max_r >= 1 and
+    max_entry >= 0."""
     sizes = (count, jobs, max_n, max_r)
     ints = all(map(is_int, (seed, max_entry, *sizes)))
     if not ints or min(sizes) < 1 or max_entry < 0:
@@ -458,22 +489,15 @@ def run_selftest(
             "selftest needs integer arguments with count, jobs, max_n and"
             " max_r >= 1 and max_entry >= 0"
         )
-    # The shards depend on --jobs and --count only, so every host checks
-    # the same matrices; the host's CPU count bounds only the processes.
-    shards = min(jobs, count)
-    per, extra = divmod(count, shards)
-    args = [
-        (seed + 1000 * i, per + (i < extra), max_n, max_r, max_entry)
-        for i in range(shards)
-    ]
-    processes = _worker_count(shards)
+    cases = _cases(seed, count, max_n, max_r, max_entry)
+    processes = _worker_count(min(jobs, count))
     if processes == 1:
-        results = [_selftest_chunk(a) for a in args]
+        failures = [msg for found in map(_check_case, cases) for msg in found]
     else:
         import multiprocessing  # only here: it costs about 1 MB to import
         with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(_selftest_chunk, args)
-    failures = [msg for chunk in results for msg in chunk]
+            found_per_case = pool.imap(_check_case, cases, _CASES_PER_TASK)
+            failures = [msg for found in found_per_case for msg in found]
     lines = [
         f"selftest: {count} matrices"
         f" (seed={seed}, n<={max_n}, r<={max_r}, |entry|<={max_entry})",
@@ -541,16 +565,20 @@ def _render_report_text(rep: AnalysisReport, stream) -> None:
 # -- entry points ----------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """argparse type: an integer >= low; anything else exits 2."""
+def _option_int(low: Optional[int] = None):
+    """argparse type: an integer read by ``_read_int``, and >= ``low`` when
+    a bound is given; anything else exits 2 with a message that shows at
+    most 40 characters of the text."""
 
     def parse(text: str) -> int:
-        value = int(text)  # ValueError: argparse's "invalid int value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        try:
+            value = _read_int(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {_cut(text)}")
         return value
 
-    parse.__name__ = "int"  # the type name in that message
     return parse
 
 
@@ -568,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="analyze a weight matrix")
     pa.add_argument("input", help="path, inline JSON, or - for stdin")
     pa.add_argument("--format", choices=FORMATS, action="append")
-    pa.add_argument("--max-components", type=_at_least(0), default=4096,
+    pa.add_argument("--max-components", type=_option_int(0), default=4096,
                     help="cap on the enumerated component list; the count"
                     " is always reported")
 
@@ -578,12 +606,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--format", choices=FORMATS, action="append")
 
     ps = sub.add_parser("selftest", help="randomized oracle equivalence run")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--count", type=_at_least(1), default=100)
-    ps.add_argument("--max-n", type=_at_least(1), default=8)
-    ps.add_argument("--max-r", type=_at_least(1), default=5)
-    ps.add_argument("--max-entry", type=_at_least(0), default=5)
-    ps.add_argument("--jobs", type=_at_least(1), default=1)
+    ps.add_argument("--seed", type=_option_int(), default=0)
+    ps.add_argument("--count", type=_option_int(1), default=100)
+    ps.add_argument("--max-n", type=_option_int(1), default=8)
+    ps.add_argument("--max-r", type=_option_int(1), default=5)
+    ps.add_argument("--max-entry", type=_option_int(0), default=5)
+    ps.add_argument("--jobs", type=_option_int(1), default=1)
     return ap
 
 
@@ -634,15 +662,9 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     try:
         if args.command == "selftest":
             ok, lines = run_selftest(
-                seed=args.seed,
-                count=args.count,
-                max_n=args.max_n,
-                max_r=args.max_r,
-                max_entry=args.max_entry,
-                jobs=args.jobs,
+                args.seed, args.count, args.max_n, args.max_r, args.max_entry, args.jobs
             )
-            for line in lines:
-                print(line)
+            print(*lines, sep="\n")
             return EXIT_OK if ok else EXIT_SELFTEST_FAIL
         try:  # only a fault of the input is a parse error
             fmt, request = _read_request(parser, args)

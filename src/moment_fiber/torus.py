@@ -57,7 +57,10 @@ class WeightMatrix:
     def __post_init__(self) -> None:
         """Read the rows once with ``errors.int_rows`` and keep them as
         tuples.  Shape and entries are checked before the size, since
-        they name the fault."""
+        they name the fault.  Anything but an ``IntMatrix`` (bare rows
+        too) is an InputError that names ``from_rows``."""
+        if not isinstance(self.matrix, IntMatrix):
+            raise InputError("WeightMatrix takes rows only via WeightMatrix.from_rows")
         rows = int_rows(self.matrix.entries, "weight matrix")
         if not rows or not rows[0]:
             raise InputError("weight matrix needs n >= 1 rows and r >= 1 columns")

@@ -612,6 +612,42 @@ def test_out_of_range_option_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "7" * 5000,
+            "an integer of 5000 digits exceeds the limit of"
+            f" {sys.get_int_max_str_digits()} digits",
+        ),
+        ("x" * 3000, f"needs an integer, got {'x' * 40!r}... (3000 characters)"),
+    ],
+    ids=["5000-digits", "3000-characters"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--seed"],
+        ["selftest", "--count"],
+        ["selftest", "--max-n"],
+        ["selftest", "--max-r"],
+        ["selftest", "--max-entry"],
+        ["selftest", "--jobs"],
+        ["analyze", "[[1],[-1]]", "--max-components"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_long_option_value_is_cut_not_echoed(argv, text, message, capsys):
+    # Every integer option is read by _read_int, so its error names a
+    # long value by its length instead of echoing it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, text])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err) < 400
+    assert f"argument {argv[-1]}: {message}" in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["analyze", '{"w": 1}'], 'JSON input needs {"weights": '),
@@ -657,6 +693,26 @@ def test_closed_pipe_exits_0_without_traceback():
         os.close(write_end)
     assert "Traceback" not in proc.stderr.decode()
     assert proc.returncode == cli.EXIT_OK
+
+
+def in_process_pool(opened):
+    """A stand-in for ``multiprocessing.Pool`` that maps in this process,
+    so monkeypatches hold; ``opened`` collects each pool's size."""
+
+    class InProcessPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    return InProcessPool
 
 
 class TestSelftest:
@@ -878,71 +934,84 @@ class TestSelftest:
         assert code == 0
 
     def test_shards_split_count_exactly(self, capsys, monkeypatch):
-        # Two shards on any host, run in this process: 5 matrices are
-        # split 3 + 2, and the report counts exactly those.
+        # --count 5 --jobs 2 on two workers: each of the 5 cases is drawn
+        # once and checked once, in order, and the report counts them.
         import multiprocessing
 
-        shard_counts = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                assert processes == 2
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                shard_counts.extend(a[1] for a in args)
-                return [fn(a) for a in args]
-
-        drawn = []
-        real = cli._random_weight_matrix
+        opened, drawn, checked = [], [], []
+        real_draw, real_check = cli._random_weight_matrix, cli._check_case
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(opened))
         monkeypatch.setattr(
             cli, "_random_weight_matrix",
-            lambda *a: drawn.append(1) or real(*a),
+            lambda *a: drawn.append(real_draw(*a)) or drawn[-1],
+        )
+        monkeypatch.setattr(
+            cli, "_check_case", lambda case: checked.append(case) or real_check(case)
         )
         code, out, _ = run(["selftest", "--count", "5", "--jobs", "2"], capsys)
         assert code == 0
         assert "selftest: 5 matrices" in out
-        assert shard_counts == [3, 2]
+        assert opened == [2]
         assert len(drawn) == 5
+        assert [w for _, w, _ in checked] == drawn
 
     def test_shards_do_not_depend_on_the_host(self, monkeypatch):
-        # --jobs 4 checks the same four shards on a 1-CPU and an 8-CPU host.
+        # --jobs 4 checks the cases of --jobs 1, in the same order, on a
+        # 1-CPU and on an 8-CPU host: the CPU count bounds only the
+        # processes.
         import multiprocessing
 
-        class SerialPool:
-            def __init__(self, processes):
-                assert processes <= 4
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        shards = {}
-        for cpus in (1, 8):
+        opened, checked = [], {}
+        monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(opened))
+        for cpus, jobs in ((1, 4), (8, 4), (8, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             monkeypatch.setattr(
-                cli, "_selftest_chunk",
-                lambda args: shards.setdefault(cpus, []).append(args) or [],
+                cli, "_check_case",
+                lambda case: checked.setdefault((cpus, jobs), []).append(case) or [],
             )
-            ok, _ = cli.run_selftest(7, count=200, jobs=4)
+            ok, _ = cli.run_selftest(7, count=200, jobs=jobs)
             assert ok
-        assert shards[1] == shards[8]
-        assert [a[:2] for a in shards[1]] == [
-            (7, 50), (1007, 50), (2007, 50), (3007, 50)
-        ]
+        assert opened == [4]
+        assert len(checked[8, 1]) == 200
+        assert checked[1, 4] == checked[8, 4] == checked[8, 1]
+
+    @pytest.mark.parametrize(
+        "name, mutant, first",
+        [
+            (
+                "brute_components",
+                lambda real: lambda w: real(w)[:-1] if w.n % 3 == 0 else real(w),
+                "component mismatch: seed=0 weights=[[0], [5], [0], [-2], [1], [2]]",
+            ),
+            (
+                "brute_zero_in_hull",
+                lambda real: lambda pts: real(pts) != (len(pts) == 3),
+                "hull verdict: seed=0 points=[(-4, 3, 3), (2, 1, 4), (-2, -1, 2)]",
+            ),
+        ],
+        ids=["components", "hull"],
+    )
+    def test_failures_do_not_depend_on_jobs_or_host(
+        self, name, mutant, first, monkeypatch
+    ):
+        # A broken matrix suite and a broken hull suite: every --jobs and
+        # CPU count gives the same lines.  The first failure line for
+        # seed 0 is pinned, so the draw order of the cases is held.
+        import multiprocessing
+
+        opened = []
+        monkeypatch.setattr(cli.oracle, name, mutant(getattr(cli.oracle, name)))
+        monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(opened))
+        outputs = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            for jobs in (1, 2, 3, 4):
+                outputs.append(cli.run_selftest(0, count=150, jobs=jobs))
+        assert opened == [2, 3, 4]
+        ok, lines = outputs[0]
+        assert not ok and lines[2] == first
+        assert all(out == outputs[0] for out in outputs)
 
     def test_at_most_two_ranks_per_matrix(self, monkeypatch):
         # The smooth-witness suite reads local freeness and every witness's

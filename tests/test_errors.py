@@ -47,6 +47,14 @@ def test_non_iterable_input_is_an_input_error(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("value", [[[1], [-1]], 5, None], ids=["rows", "int", "none"])
+def test_weight_matrix_constructor_takes_only_an_int_matrix(value):
+    # Bare rows go through from_rows; the constructor used to end in
+    # "AttributeError: ... has no attribute 'entries'".
+    with pytest.raises(InputError, match=r"WeightMatrix\.from_rows"):
+        torus.WeightMatrix(value)
+
+
 class TestReadTuple:
     def test_non_iterable_names_the_input(self):
         with pytest.raises(InputError) as exc:
