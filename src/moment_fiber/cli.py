@@ -100,9 +100,7 @@ def analyze(
     comps = a.components(max_components)
     rank, i_d, i_f = a.rank, a.dependent, a.free
     stable, stable_cert = torus.is_stable(w)
-    dec = a.decomposition
-    visible = a.witness is None
-    cartan = [list(v) for v in a.cartan_vectors] if visible else None
+    dec, wit = a.decomposition, a.witness
 
     properties: dict[str, dict] = {}
     properties["locally_free"] = {
@@ -117,7 +115,8 @@ def analyze(
         "value": stable,
         "certificate": _cert_dict(stable_cert),
     }
-    if visible:
+    if wit is None:  # visible: the blocks certify it and give the Cartan vectors
+        cartan, witness_dict = [list(v) for v in a.cartan_vectors], None
         blocks = [
             {"indices": sorted(b.indices), "relation": list(b.relation)}
             for b in dec.blocks
@@ -128,12 +127,14 @@ def analyze(
         }
         properties["polar"] = {
             "value": True,
-            "certificate": {
-                "cartan_vectors": cartan,
-                "expected_count": w.n - rank,
-            },
+            "certificate": {"cartan_vectors": cartan, "expected_count": w.n - rank},
         }
     else:
+        cartan, witness_dict = None, {
+            "x": list(wit.pair.x),
+            "phi": list(wit.pair.phi),
+            "relation": list(wit.relation),
+        }
         properties["visible"] = {"value": False, "reason": dec.reason}
         properties["polar"] = {
             "value": None,
@@ -149,13 +150,6 @@ def analyze(
             "equivalent_to_irreducible": True,
             "free_indices": sorted(i_f),
         },
-    }
-
-    wit = a.witness
-    witness_dict = None if visible else {
-        "x": list(wit.pair.x),
-        "phi": list(wit.pair.phi),
-        "relation": list(wit.relation),
     }
 
     return AnalysisReport(
@@ -240,8 +234,9 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
 
 def _load_matrix(spec: str) -> torus.WeightMatrix:
     """The weight matrix named by ``spec``: inline JSON, ``-`` for stdin,
-    or a path.  The text is JSON when it opens with a bracket or the path
-    ends in ``.json``, and CSV otherwise.  Every fault of the input, a
+    or a path.  One leading byte-order mark (U+FEFF) of a file or stdin is
+    dropped.  The text is JSON when it then opens with a bracket or the
+    path ends in ``.json``, and CSV otherwise.  Every fault of the input, a
     file that cannot be opened or decoded as UTF-8 and malformed JSON
     too, is an InputError."""
     stripped = spec.strip()
@@ -257,6 +252,7 @@ def _load_matrix(spec: str) -> torus.WeightMatrix:
         raise InputError(f"cannot read {spec}: {exc}") from None
     except ValueError as exc:  # not UTF-8, or a NUL in the path
         raise InputError(str(exc)) from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if spec.endswith(".json") or text.lstrip().startswith(("{", "[")):
         return _parse_weights_json(text)
     return _parse_weights_csv(text)
@@ -404,37 +400,32 @@ def _cases(
         yield seed, w, points
 
 
-def _check_case(
-    case: tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]
-) -> list[str]:
-    """The five randomized suites on one case from ``_cases``: components
-    (n <= 12), visibility (n <= 7), smooth witnesses (n <= 6, locally
-    free), witness presence, and the hull query.  Returns one line per
-    failure, ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
-    ``"<kind>: seed=<seed> points=<points>"``."""
-    seed, w, points = case
-    failures: list[str] = []
-
-    def fail(kind: str, subject: str = "") -> None:
-        subject = subject or f"weights={[list(r) for r in w.matrix.entries]}"
-        failures.append(f"{kind}: seed={seed} {subject}")
-
-    a = torus.Analysis.of(w)  # one elimination feeds every suite
+def _components(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
+    """Suite, n <= 12: the components from I_d and I_f against the
+    oracle's subset walk, as a set and by count."""
     if w.n <= 12:
-        comps = a.components()
-        brute = oracle.brute_components(w)
+        comps, brute = a.components(), oracle.brute_components(w)
         if set(comps) != set(brute):
-            fail("component mismatch")
+            yield "component mismatch"
         if len(comps) != len(brute):
-            fail("component count")
-    dec = a.decomposition
-    visible = isinstance(dec, torus.VisibleDecomposition)
+            yield "component count"
+
+
+def _visibility(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
+    """Suite, n <= 7: the visibility verdict against the oracle's circuit
+    scan, and a visible decomposition against the oracle's check."""
     if w.n <= 7:
-        v_brute = oracle.brute_visible(w)
-        if visible != isinstance(v_brute, torus.VisibleDecomposition):
-            fail("visibility verdict mismatch")
-        elif visible and oracle.check_decomposition(w, dec) is not None:
-            fail("decomposition verification")
+        visible = isinstance(a.decomposition, torus.VisibleDecomposition)
+        if visible != isinstance(oracle.brute_visible(w), torus.VisibleDecomposition):
+            yield "visibility verdict mismatch"
+        elif visible and oracle.check_decomposition(w, a.decomposition) is not None:
+            yield "decomposition verification"
+
+
+def _smooth_witnesses(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
+    """Suite, n <= 6 and locally free: the smooth witness of every subset
+    lies on the fiber, with a trivial stabilizer and the tangent dimension
+    of the fiber."""
     if w.n <= 6 and a.rank == w.r:
         for mask in range(1 << w.n):
             subset = {i + 1 for i in range(w.n) if mask >> i & 1}
@@ -442,21 +433,46 @@ def _check_case(
             try:  # the oracle evaluates the moment map at p first
                 tangent = oracle.tangent_dim(w, p)
             except InputError:
-                fail("smooth witness off fiber")
+                yield "smooth witness off fiber"
                 continue
             if a.stabilizer_dim(p) != 0:
-                fail("smooth witness stabilizer")
+                yield "smooth witness stabilizer"
             elif tangent != a.fiber_dimension:
-                fail("smooth witness tangent dimension")
-    if (a.witness is None) != visible:
-        fail("nonvisible witness presence")
+                yield "smooth witness tangent dimension"
 
+
+def _witness_presence(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
+    """Suite, every n: a non-visible witness exactly when the action is
+    not visible."""
+    if (a.witness is None) != isinstance(a.decomposition, torus.VisibleDecomposition):
+        yield "nonvisible witness presence"
+
+
+# The matrix suites, in the order their failures are reported.  Each one
+# takes a case's weight matrix and its Analysis, opens with its own size
+# guard, and yields one failure kind per mismatch.
+_SUITES = (_components, _visibility, _smooth_witnesses, _witness_presence)
+
+
+def _check_case(
+    case: tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]
+) -> list[str]:
+    """The matrix suites of ``_SUITES`` in order, then the hull query, on
+    one case from ``_cases``.  Returns one line per failure,
+    ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
+    ``"<kind>: seed=<seed> points=<points>"``."""
+    seed, w, points = case
+    a = torus.Analysis.of(w)  # one elimination feeds every suite
+    failures = [
+        f"{kind}: seed={seed} weights={[list(r) for r in w.matrix.entries]}"
+        for suite in _SUITES for kind in suite(w, a)
+    ]
     q = polytope.HullQuery.of(points)
     hull = polytope.zero_in_hull(q)
     if not polytope.verify_certificate(q, hull, relative_interior=False):
-        fail("hull certificate", f"points={points}")
+        failures.append(f"hull certificate: seed={seed} points={points}")
     elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(points):
-        fail("hull verdict", f"points={points}")
+        failures.append(f"hull verdict: seed={seed} points={points}")
     return failures
 
 

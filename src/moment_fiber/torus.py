@@ -313,24 +313,23 @@ class Analysis:
     @classmethod
     def of(cls, w: WeightMatrix) -> "Analysis":
         vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
-        dependent = frozenset().union(*(support(v) for v in vectors))
+        supports = [sorted(support(v)) for v in vectors]
+        dependent = frozenset().union(*supports)
         free = frozenset(range(1, w.n + 1)) - dependent
         mixed = _mixed_circuit(vectors)
-        if mixed is None:
-            blocks = []
-            for v in vectors:
-                members = sorted(support(v))
-                rel = polytope.primitive([v[i - 1] for i in members])
-                blocks.append(Block(frozenset(members), rel))
-            blocks.sort(key=lambda b: min(b.indices))
-            dec = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
+        if mixed is None:  # disjoint supports: sorted by their least index
+            blocks = tuple(
+                Block(frozenset(s), polytope.primitive([v[i - 1] for i in s]))
+                for s, v in sorted(zip(supports, vectors))
+            )
+            dec, witness = VisibleDecomposition(fixed=free, blocks=blocks), None
             _verify_decomposition(w, dec)
-            return cls(w, w.n - len(vectors), dependent, free, dec, None)
-        dec = NotVisible(
-            f"circuit {sorted(support(mixed))} has a mixed-sign relation,"
-            " so 0 is not interior to its hull"
-        )
-        witness = _nonvisible_witness(w, mixed)
+        else:
+            dec = NotVisible(
+                f"circuit {sorted(support(mixed))} has a mixed-sign relation,"
+                " so 0 is not interior to its hull"
+            )
+            witness = _nonvisible_witness(w, mixed)
         return cls(w, w.n - len(vectors), dependent, free, dec, witness)
 
     @property

@@ -17,7 +17,7 @@ import pytest
 
 import moment_fiber
 from moment_fiber import cli, exactlin, polytope, torus
-from moment_fiber.errors import InputError
+from moment_fiber.errors import CapabilityError, InputError
 
 
 def run(argv, capsys):
@@ -84,6 +84,52 @@ class TestAnalyze:
         rep = json.loads(out)
         assert rep["input"]["weights"] == [[1, 0], [-1, 0], [0, 1]]
         assert rep["properties"]["visible"]["value"] is True
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("weights.csv", "1, 0\n-1, 0\n0, 1\n"),
+            ("weights.json", '{"weights": [[1, 0], [-1, 0], [0, 1]]}'),
+            ("weights.txt", '{"weights": [[1, 0], [-1, 0], [0, 1]]}'),
+            ("-", '{"weights": [[1, 0], [-1, 0], [0, 1]]}'),
+        ],
+        ids=["csv", "json", "json-in-txt", "stdin"],
+    )
+    def test_leading_byte_order_mark_is_ignored(
+        self, name, text, tmp_path, capsys, monkeypatch
+    ):
+        # Some editors start a UTF-8 file with U+FEFF.  The report is the
+        # one of the same text without it, and JSON stays JSON.
+        reports = []
+        for bom in ("", "\ufeff"):
+            if name == "-":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(bom + text))
+            else:
+                (tmp_path / name).write_text(bom + text, encoding="utf-8")
+            spec = name if name == "-" else str(tmp_path / name)
+            code, out, err = run(["analyze", spec, "--format", "json"], capsys)
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[1] == reports[0]
+        assert json.loads(out)["input"]["weights"] == [[1, 0], [-1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("\ufeff\ufeff1, 0\n", "line 1, field 1"),
+            ("1, 0\n\ufeff0, 1\n", "line 2, field 1"),
+            ("1, \ufeff0\n", "line 1, field 2"),
+        ],
+        ids=["second-mark", "second-line", "second-field"],
+    )
+    def test_other_byte_order_marks_exit_2(self, text, where, tmp_path, capsys):
+        # Only one leading mark is dropped; any other U+FEFF is text that
+        # is not an integer.
+        path = tmp_path / "weights.csv"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(["analyze", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"parse error: {where} needs an integer, got '\\ufeff")
 
     def test_malformed_json_exits_2(self, capsys):
         code, _, err = run(["analyze", '{"weights": [[1], [1}'], capsys)
@@ -667,6 +713,26 @@ def test_parse_error_branches_exit_2(argv, message, tmp_path, capsys):
     assert err.startswith("parse error: " + message.replace("TMP", str(tmp_path)))
 
 
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        (cli.torus, "is_stable", ["analyze", "[[1],[-1]]"]),
+        (cli.theta, "levi_order_scan", ["kac", "E6 scan"]),
+        (cli.oracle, "brute_components", ["selftest"]),
+    ],
+    ids=["analyze", "kac", "selftest"],
+)
+def test_capability_refusal_exits_3(owner, name, argv, capsys, monkeypatch):
+    # No input reaches a refusal of the library today, so a mutant raises
+    # one: each command exits 3 with the one stderr line the README
+    # documents, and writes nothing to stdout.
+    def refuse(*args, **kwargs):
+        raise CapabilityError("mutant")
+
+    monkeypatch.setattr(owner, name, refuse)
+    assert run(argv, capsys) == (cli.EXIT_CAPABILITY, "", "refused: mutant\n")
+
+
 def test_closed_pipe_exits_0_without_traceback():
     # The reader's end is closed before the command writes anything.
     read_end, write_end = os.pipe()
@@ -849,6 +915,31 @@ class TestSelftest:
         code, out, _ = run(["selftest", "--count", "10", "--seed", "3"], capsys)
         assert code == 1
         assert kind in out
+
+    def test_failure_lines_follow_the_suite_order(self, monkeypatch):
+        # One case fails every matrix suite and the hull check at once: the
+        # lines of each suite come in the order of cli._SUITES, then the
+        # hull's.  [[1], [1], [-2]] is not visible, has one component and
+        # is locally free with n = 3, so all four suites run on it.
+        visible = torus.VisibleDecomposition(frozenset(), ())
+        for owner, name, mutant in [
+            (cli.oracle, "brute_components", lambda real: lambda w: real(w)[:-1]),
+            (cli.oracle, "brute_visible", lambda real: lambda w: visible),
+            (cli.oracle, "tangent_dim", lambda real: lambda w, p: real(w, p) + 1),
+            (torus, "_nonvisible_witness", lambda real: lambda w, mixed: None),
+            (cli.oracle, "brute_zero_in_hull", lambda real: lambda pts: not real(pts)),
+        ]:
+            monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+        w = torus.WeightMatrix.from_rows([[1], [1], [-2]])
+        weights = "seed=5 weights=[[1], [1], [-2]]"
+        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+            f"component mismatch: {weights}",
+            f"component count: {weights}",
+            f"visibility verdict mismatch: {weights}",
+            *[f"smooth witness tangent dimension: {weights}"] * 8,
+            f"nonvisible witness presence: {weights}",
+            "hull verdict: seed=5 points=[(1,), (-1,)]",
+        ]
 
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
         # The tangent oracle's fiber check is the only evaluation at a
