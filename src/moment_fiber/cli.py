@@ -238,7 +238,8 @@ def _load_matrix(spec: str) -> torus.WeightMatrix:
     dropped.  The text is JSON when it then opens with a bracket or the
     path ends in ``.json``, and CSV otherwise.  Every fault of the input, a
     file that cannot be opened or decoded as UTF-8 and malformed JSON
-    too, is an InputError."""
+    too, is an InputError; one that cannot be opened is named by its
+    path, cut by ``_cut``, and the error's ``strerror``."""
     stripped = spec.strip()
     try:
         if stripped.startswith(("{", "[")):
@@ -249,7 +250,7 @@ def _load_matrix(spec: str) -> torus.WeightMatrix:
             with open(spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {spec}: {exc}") from None
+        raise InputError(f"cannot read {_cut(spec)}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8, or a NUL in the path
         raise InputError(str(exc)) from None
     text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
@@ -460,13 +461,17 @@ def _check_case(
     """The matrix suites of ``_SUITES`` in order, then the hull query, on
     one case from ``_cases``.  Returns one line per failure,
     ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
-    ``"<kind>: seed=<seed> points=<points>"``."""
+    ``"<kind>: seed=<seed> points=<points>"``.  An analysis that fails its
+    own certificate check (an ArithmeticError) is the one failure
+    ``certificate check`` of the matrix, whose suites it would feed."""
     seed, w, points = case
-    a = torus.Analysis.of(w)  # one elimination feeds every suite
-    failures = [
-        f"{kind}: seed={seed} weights={[list(r) for r in w.matrix.entries]}"
-        for suite in _SUITES for kind in suite(w, a)
-    ]
+    weights = f"seed={seed} weights={[list(r) for r in w.matrix.entries]}"
+    try:
+        a = torus.Analysis.of(w)  # one elimination feeds every suite
+    except ArithmeticError:
+        failures = [f"certificate check: {weights}"]
+    else:
+        failures = [f"{kind}: {weights}" for suite in _SUITES for kind in suite(w, a)]
     q = polytope.HullQuery.of(points)
     hull = polytope.zero_in_hull(q)
     if not polytope.verify_certificate(q, hull, relative_interior=False):

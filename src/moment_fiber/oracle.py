@@ -13,10 +13,14 @@ basis extends that of the subset less its highest row, so a prefix has
 the greedy basis, and a relation is read off a reduced tag.  Relations
 are integer vectors, each checked in integers.  The hull searches visit
 independent subsets only (Caratheodory), and the component walk ends a
-branch whose nullity can no longer reach n - rank S.
-The tangent oracle ranks a Jacobian's sorted columns through a one-entry
-memo, because every smooth witness of a matrix has the rows of S as its
-Jacobian columns.
+branch whose nullity can no longer reach n - rank S.  The partition
+search counts blocks instead of ranking a leaf's parts: with I_0
+independent and every block a circuit, the ranks sum to rank S exactly
+when there are n - rank S blocks, so it opens no block past that count
+and tries no block of more than rank S + 1 rows.
+The tangent oracle ranks a Jacobian's columns in index order through a
+one-entry memo, because every smooth witness of a matrix has the rows of
+S, in order, as its Jacobian columns.
 These routes generate ground truth for the randomized suites; a bug cannot
 be shared with the code they check.
 """
@@ -27,6 +31,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapabilityError, InputError, int_rows, is_int
@@ -104,10 +109,9 @@ def _rank_crossmul(rows: Sequence[Sequence[int]]) -> int:
 
 def _annihilating(relation: Sequence[int], vectors: Sequence[Sequence[int]]):
     """``relation``, after checking in integers that sum_i relation_i *
-    vectors[i] = 0."""
-    for j in range(len(vectors[0])):
-        if sum(c * v[j] for c, v in zip(relation, vectors)):
-            raise ArithmeticError("relation does not annihilate the vectors")
+    vectors[i] = 0, one column at a time."""
+    if any(sum(map(mul, relation, col)) for col in zip(*vectors)):
+        raise ArithmeticError("relation does not annihilate the vectors")
     return relation
 
 
@@ -232,7 +236,12 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
     I_0 grows only while it stays independent, and each new block holds
     the lowest unassigned row, so a leaf's I_0 is independent and its
     blocks are in order of their least index without a check or a sort.
-    A block's relation is its circuit made primitive and positive.
+    A block is a circuit, of rank one less than its size, so a leaf's
+    ranks sum to n - #blocks: the spans are in direct sum exactly when
+    there are ``need`` = n - rank S blocks.  No block opens once there
+    are ``need``, and none has more than rank S + 1 rows, the most a
+    circuit can have (Oxley, Matroid Theory, 1.1).  A block's relation is
+    its circuit made primitive and positive.
     """
     if w.n > _VISIBLE_LIMIT:
         raise CapabilityError(
@@ -248,30 +257,31 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
         return rel is not None and not min(rel) < 0 < max(rel)
 
     full = (1 << n) - 1
-    total_rank = len(basis(full))
+    rank = len(basis(full))
+    need = n - rank  # the blocks of every leaf whose spans are in direct sum
 
     def search(
         unassigned: int, fixed: int, blocks: list[int]
     ) -> Optional[tuple[int, list[int]]]:
         if unassigned == 0:
-            rank_sum = sum(len(basis(mask)) for mask in [fixed, *blocks])
-            if rank_sum != total_rank:
-                return None
-            return fixed, blocks
+            return (fixed, blocks) if len(blocks) == need else None
         low = unassigned & -unassigned
         # Branch 1: lowest unassigned element joins I_0, if it stays
         # independent.
         cand_fixed = fixed | low
-        if len(basis(cand_fixed)) == bin(cand_fixed).count("1"):
+        if len(basis(cand_fixed)) == cand_fixed.bit_count():
             got = search(unassigned ^ low, cand_fixed, blocks)
             if got is not None:
                 return got
-        # Branch 2: it starts a block; enumerate blocks inside `unassigned`.
+        # Branch 2: it starts a block, unless there are enough blocks;
+        # enumerate the blocks inside `unassigned`.
+        if len(blocks) == need:
+            return None
         rest = unassigned ^ low
         sub = rest
         while True:  # all submasks of rest, visited so blocks ascend
             block = low | (rest ^ sub)
-            if valid_block(block):
+            if block.bit_count() <= rank + 1 and valid_block(block):
                 got = search(unassigned ^ block, fixed, blocks + [block])
                 if got is not None:
                     return got
@@ -461,24 +471,28 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
     0 vanish and are dropped; the others are scaled by the positive
     denominator of their factor (rank is unchanged), i.e. built from its
     numerator, and eliminated by ``_rank_crossmul``.  The columns are
-    sorted and ranked through a one-entry memo, because every smooth
-    witness of a matrix has the rows of S as its Jacobian columns.
+    taken in index order, column i before column n+i, a numerator 1
+    reusing row i itself, and ranked through a one-entry memo: every
+    smooth witness of a matrix has exactly one of x_i, phi_i nonzero, and
+    that one 1, so its Jacobian columns are the rows of S in order.
     """
     if any(moment_eval(w, p)):
         raise InputError("point is not in the zero fiber")
     cols = []
-    for row, f in zip(w.matrix.entries * 2, p.phi + p.x):
-        a = f.numerator
-        if a:
-            cols.append(tuple([s * a for s in row]))
-    cols.sort()
+    for row, phi, x in zip(w.matrix.entries, p.phi, p.x):
+        for f in (phi, x):
+            a = f.numerator
+            if a == 1:
+                cols.append(row)
+            elif a:
+                cols.append(tuple([s * a for s in row]))
     return 2 * w.n - _rank_columns(tuple(cols))
 
 
 @functools.lru_cache(maxsize=1)
 def _rank_columns(cols: tuple[tuple[int, ...], ...]) -> int:
-    """``_rank_crossmul`` of the sorted columns, memoized for the last
-    Jacobian only: consecutive smooth witnesses of one matrix share it."""
+    """``_rank_crossmul`` of the columns, memoized for the last Jacobian
+    only: consecutive smooth witnesses of one matrix share it."""
     return _rank_crossmul(cols)
 
 

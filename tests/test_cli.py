@@ -699,18 +699,29 @@ def test_long_option_value_is_cut_not_echoed(argv, text, message, capsys):
         (["analyze", '{"w": 1}'], 'JSON input needs {"weights": '),
         (["analyze", '{"weights": 5}'], "weights must be a list of integer rows"),
         (["analyze", "TMP/comment.csv"], "empty CSV input"),
-        (["analyze", "TMP/missing.csv"], "cannot read TMP/missing.csv: "),
+        (["analyze", "TMP/missing.csv"], "cannot read 'TMP/missing.csv': "),
         (["kac"], "kac needs a diagram spec"),
     ],
 )
-def test_parse_error_branches_exit_2(argv, message, tmp_path, capsys):
+def test_parse_error_branches_exit_2(argv, message, tmp_path, capsys, monkeypatch):
     # Each input reaches its own InputError in the parser; main returns
-    # the parse exit code instead of raising.
+    # the parse exit code instead of raising.  TMP is the working
+    # directory, ".", so a message quotes its paths whole.
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "comment.csv").write_text("# no rows\n")
-    code, out, err = run([a.replace("TMP", str(tmp_path)) for a in argv], capsys)
+    code, out, err = run([a.replace("TMP", ".") for a in argv], capsys)
     assert code == cli.EXIT_PARSE
     assert out == ""
-    assert err.startswith("parse error: " + message.replace("TMP", str(tmp_path)))
+    assert err.startswith("parse error: " + message.replace("TMP", "."))
+
+
+def test_unreadable_long_path_is_cut_not_echoed(capsys):
+    # The OSError's own text would name the path again: the message quotes
+    # the path cut by _cut, then the error's strerror only.
+    code, out, err = run(["analyze", "x" * 5000], capsys)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert len(err) < 400
+    assert err.startswith(f"parse error: cannot read {'x' * 40!r}... (5000 characters): ")
 
 
 @pytest.mark.parametrize(
@@ -940,6 +951,38 @@ class TestSelftest:
             f"nonvisible witness presence: {weights}",
             "hull verdict: seed=5 points=[(1,), (-1,)]",
         ]
+
+    @staticmethod
+    def _without_overlap(vectors):
+        # torus._mixed_circuit without its overlap case: two positive
+        # fundamental circuits that meet pass as disjoint blocks.
+        return next((v for v in vectors if min(v) < 0), None)
+
+    def test_certificate_fault_is_a_failure_line(self, monkeypatch):
+        # [[1], [-1], [-1]] has two positive fundamental circuits through
+        # row 1; without the overlap case the analysis's own certificate
+        # check raises ArithmeticError.  That is the case's one matrix
+        # line, and the hull query is still checked.
+        monkeypatch.setattr(torus, "_mixed_circuit", self._without_overlap)
+        w = torus.WeightMatrix.from_rows([[1], [-1], [-1]])
+        with pytest.raises(ArithmeticError):
+            torus.Analysis.of(w)
+        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+            "certificate check: seed=5 weights=[[1], [-1], [-1]]"
+        ]
+        monkeypatch.setattr(cli.oracle, "brute_zero_in_hull", lambda pts: False)
+        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+            "certificate check: seed=5 weights=[[1], [-1], [-1]]",
+            "hull verdict: seed=5 points=[(1,), (-1,)]",
+        ]
+
+    def test_certificate_fault_fails_the_run(self, capsys, monkeypatch):
+        # CI's first selftest run reaches overlap cases: it exits 1 with a
+        # certificate line that names the case, not in a traceback.
+        monkeypatch.setattr(torus, "_mixed_circuit", self._without_overlap)
+        code, out, _ = run(["selftest", "--count", "400"], capsys)
+        assert code == 1
+        assert "certificate check: seed=0 weights=" in out
 
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
         # The tangent oracle's fiber check is the only evaluation at a

@@ -175,6 +175,115 @@ class TestBruteVisible:
         assert oracle.check_decomposition(w, dec) == f"index {bad!r} is not an integer"
 
 
+def _set_partitions(items):
+    """Every partition of the list ``items`` into nonempty parts."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for parts in _set_partitions(rest):
+        yield [[first], *parts]
+        for k in range(len(parts)):
+            yield [*parts[:k], [first, *parts[k]], *parts[k + 1:]]
+
+
+def _det(m):
+    """Leibniz determinant of a small square integer matrix."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _visible_partitions(rows):
+    """Every (I_0, blocks) over all set partitions of the row indices: I_0
+    independent, each block a circuit with a one-signed relation, and the
+    ranks of the parts summing to rank S; ranks by _rank_crossmul, a
+    circuit's relation by cofactors on columns where it has full rank."""
+    rank = oracle._rank_crossmul
+
+    def one_signed_circuit(block):
+        sub = [rows[i] for i in block]
+        k = len(sub)
+        if rank(sub) != k - 1 or any(
+            rank(sub[:i] + sub[i + 1:]) != k - 1 for i in range(k)
+        ):
+            return False
+        cols = next(
+            c for c in itertools.combinations(range(len(rows[0])), k - 1)
+            if rank([[row[j] for j in c] for row in sub]) == k - 1
+        )
+        minor = [[row[j] for j in cols] for row in sub]
+        rel = [(-1) ** i * _det(minor[:i] + minor[i + 1:]) for i in range(k)]
+        return min(rel) > 0 or max(rel) < 0
+
+    total = rank(rows)
+    found = []
+    for parts in _set_partitions(list(range(len(rows)))):
+        for fixed in [[], *parts]:
+            blocks = [b for b in parts if b is not fixed]
+            if (
+                rank([rows[i] for i in fixed]) == len(fixed)
+                and all(map(one_signed_circuit, blocks))
+                and sum(rank([rows[i] for i in part]) for part in parts) == total
+            ):
+                found.append(
+                    (frozenset(i + 1 for i in fixed),
+                     {frozenset(i + 1 for i in b) for b in blocks})
+                )
+    return found
+
+
+class TestPrunedPartitionSearch:
+    def test_matches_every_set_partition(self):
+        # The search counts blocks at a leaf and prunes by count and
+        # block size; filtering every set partition, ranked afresh, must
+        # give the same verdict, and a visible answer must be one of the
+        # partitions found.
+        rng = random.Random(31)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            n, r = rng.randint(1, 5), rng.randint(1, 3)
+            rows = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            if n >= 2 and rng.random() < 0.3:
+                rows[rng.randrange(n)] = [-x for x in rows[rng.randrange(n)]]
+            expected = _visible_partitions(rows)
+            got = oracle.brute_visible(wm(rows))
+            visible = isinstance(got, VisibleDecomposition)
+            assert visible == bool(expected), rows
+            if visible:
+                parts = (got.fixed, {b.indices for b in got.blocks})
+                assert parts in expected, rows
+            verdicts[visible] += 1
+        assert min(verdicts.values()) >= 40, verdicts
+
+    def test_visible_blocks_number_n_minus_rank(self, corpus):
+        checked = 0
+        for w in corpus:
+            if w.n > 7:
+                continue
+            got = oracle.brute_visible(w)
+            if isinstance(got, VisibleDecomposition):
+                rank = oracle._rank_crossmul(w.matrix.entries)
+                assert len(got.blocks) == w.n - rank, w.matrix.entries
+                checked += 1
+        assert checked >= 50
+
+
+def test_annihilating_checks_in_integers():
+    # One sum per column: a relation that leaves a column nonzero raises,
+    # and one that annihilates every column is returned as it is.
+    with pytest.raises(ArithmeticError):
+        oracle._annihilating([1, 1], [[1], [1]])
+    relation = [1, -1]
+    assert oracle._annihilating(relation, [[1], [1]]) is relation
+    assert relation == [1, -1]
+
+
 class TestKernelVector:
     def test_corank_one_relation(self):
         # The circuit reader on all k rows of corank one: their one kernel
