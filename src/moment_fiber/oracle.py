@@ -534,7 +534,9 @@ def vinberg_delta_blocks(inp) -> Fraction:
     (sum_j k_j k_{j+1} - sum_j k_j^2 + corrections) / 2, with the +1
     replacing the corrections in the inner type-A case: g_1 is the sum of
     the Hom(V_j, V_{j+1}) and g_0 the traceless part of the sum of the
-    gl(V_j).  For m0 = 1 both are sl(V_0), and the +1 is 0."""
+    gl(V_j).  For m0 = 1 both are sl(V_0), and the +1 is 0.  In the outer
+    type-A case the blocks fill gl(V); its scalars, negated by an
+    automorphism of order 2 (m0 = 1), are taken off g_1."""
     k = inp.k
     m0 = inp.m0
     cross = sum(k[j] * k[(j + 1) % m0] for j in range(m0))
@@ -544,4 +546,5 @@ def vinberg_delta_blocks(inp) -> Fraction:
     eps1, epsm1 = inp.eps
     eta1, etam1 = inp.eta
     corr = eps1 * eta1 * k[0] + epsm1 * etam1 * k[inp.minus_one_index()]
-    return Fraction(cross - squares + corr, 2)
+    scalars_in_g1 = inp.case == 4 and m0 == 1
+    return Fraction(cross - squares + corr, 2) - (1 if scalars_in_g1 else 0)

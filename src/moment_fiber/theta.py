@@ -16,10 +16,13 @@ has order m = k sum_P a_P s_P and such an eigenvector has degree
 j m / k + sum_P c_P s_P mod m.  That degree is linear in the labels: per
 node P, one column holds c_P + j a_P for every eigenvector, a labeling's
 degrees are the sum of its labelled columns mod m, and their histogram
-is its graded dimension vector.  The scans walk the labelings in
-Gray-code order, so each step adds or subtracts one column from one
-running vector.  For k = 1, mu is the identity and the eigenvectors are
-the root vectors and the Cartan.
+is its graded dimension vector.  For k = 1, mu is the identity and the
+eigenvectors are the root vectors and the Cartan.
+
+Each column is packed into one int, one byte lane per eigenvector
+(SIMD within a register: Lamport, CACM 1975), so a labeling's degrees
+are one big-integer sum and one byte translation, and a scan, walking
+the labelings in Gray-code order, adds or subtracts one column per step.
 
 Cartan matrices and marks are embedded static data: one table, ``_MARKS``,
 holds the marks of all 55 supported diagrams (32 untwisted, 23 twisted),
@@ -37,18 +40,19 @@ twisted ones that of Kac's Tables Aff 2 and Aff 3.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mod, mul, sub
+from operator import mul
 from typing import Iterable, Optional
 
 from . import exactlin
 from .errors import InputError, is_int, read_tuple
 
 Root = tuple[int, ...]
+
+# A byte lane holds one eigenvector's label sum plus _BIAS (see _columns).
+_BIAS = 128
 
 # Marks of every supported affine diagram X_N^(k), in node order
 # (alpha_1..alpha_l, affine node last); l + 1 is the node count.  The
@@ -253,12 +257,14 @@ def _folded_nodes(
 @lru_cache(maxsize=None)
 def _eigenvectors(
     family: str, rank: int, twist: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
+) -> tuple[tuple[tuple[int, Root], ...], int, tuple[int, ...]]:
     """A basis of X_N of eigenvectors of the diagram automorphism mu of
     order k = twist, as pairs (j, restricted root): mu acts by
     exp(2 pi i j / k), and the restricted root holds, per label position,
     the root's coefficient sum over that node's orbit (0 at E_0).  Their
-    number, the sum of every grading's dimensions, is checked to be dim X_N."""
+    number, the sum of every grading's dimensions, is checked to be dim X_N.
+    Returned with the empty labeling and the label columns, packed by
+    ``_columns``."""
     marks = _marks_for(family, rank, twist)
     nodes = _folded_nodes(family, rank, twist)
     orbits = [p for p in nodes if p is not None]
@@ -293,7 +299,7 @@ def _eigenvectors(
             f"embedded marks for {family}{rank}^({twist}) disagree with the"
             f" folded root system's highest weight {top}"
         )
-    return tuple(out)
+    return (tuple(out), *_columns(out, marks, twist))
 
 
 @dataclass(frozen=True)
@@ -310,38 +316,61 @@ class GradedDims:
         return self.dims[1 % self.order] - self.dims[0]
 
 
-def _columns(family: str, rank: int, twist: int) -> list[tuple[int, ...]]:
+def _columns(
+    vectors: list[tuple[int, Root]], marks: tuple[int, ...], twist: int
+) -> tuple[int, tuple[int, ...]]:
     """Per label position P with mark a_P, the column of c_P + j a_P over
     the eigenvectors (j, c) of mu.  The labelled columns sum to
     j m / k + sum_P c_P s_P, as m / k = sum_P a_P s_P: each eigenvector's
-    degree before reduction mod m (Kac, Thm 8.6)."""
-    marks = _marks_for(family, rank, twist)
-    vectors = _eigenvectors(family, rank, twist)
-    return [tuple(c[p] + j * a for j, c in vectors) for p, a in enumerate(marks)]
+    degree before reduction mod m (Kac, Thm 8.6).
+
+    Each column is packed into one int, eigenvector i in the byte lane at
+    bits 8i..8i+7, after the empty labeling, every lane _BIAS.  Labelled
+    columns added to it leave each lane at their sum plus _BIAS, with no
+    carry, while every lane's absolute entries sum to at most 127 (33 at
+    most in ``_MARKS``).  ArithmeticError unless they do and the top order
+    k sum_P a_P fits in a byte."""
+    rows = [[c[p] + j * a for p, a in enumerate(marks)] for j, c in vectors]
+    bound, top = max(sum(map(abs, row)) for row in rows), twist * sum(marks)
+    if bound > 127 or top > 255:
+        raise ArithmeticError(
+            f"label columns do not fit byte lanes: lane sum {bound} (at most"
+            f" 127), top order {top} (at most 255)"
+        )
+    empty = int.from_bytes(bytes([_BIAS]) * len(rows), "little")
+    biased = (bytes(v + _BIAS for v in col) for col in zip(*rows))
+    return empty, tuple(int.from_bytes(c, "little") - empty for c in biased)
 
 
-def _degree_vector(sums: Iterable[int], m: int) -> list[int]:
-    """Each eigenvector's degree mod m, from its labelled-column sum."""
-    return list(map(mod, sums, repeat(m)))
+@lru_cache(maxsize=256)
+def _degree_table(m: int) -> bytes:
+    """Lane byte v -> its degree (v - _BIAS) mod m: 0..m-1 repeated,
+    read from -_BIAS mod m.  ``_columns`` keeps every order below 256."""
+    return (bytes(range(m)) * (256 // m + 2))[-_BIAS % m :][:256]
 
 
-def _histogram(m: int, degrees: list[int]) -> list[int]:
+def _degrees(lanes: int, size: int, m: int) -> bytes:
+    """Each eigenvector's degree mod m, one byte each, read off the
+    ``size`` packed label sums."""
+    return lanes.to_bytes(size, "little").translate(_degree_table(m))
+
+
+def _histogram(m: int, degrees: bytes) -> list[int]:
     """Dimension per degree mod m, checked against the symmetry j <-> -j
     of every grading; their sum, dim X_N, is checked by ``_eigenvectors``."""
-    counts = Counter(degrees)
-    dims = [counts[j] for j in range(m)]
+    dims = list(map(degrees.count, range(m)))
     if dims[1:] != dims[:0:-1]:
         raise ArithmeticError("graded dimensions are not symmetric")
     return dims
 
 
-def _grading(d: KacDiagram) -> tuple[int, list[int]]:
+def _grading(d: KacDiagram) -> tuple[int, bytes]:
     """The order m of the grading and each eigenvector's degree: the sum
     of the labelled columns, mod m."""
     m = kac_order(d)
-    columns = _columns(d.family, d.rank, d.twist)
-    labelled = [c for c, v in zip(columns, d.labels) if v]
-    return m, _degree_vector(map(sum, zip(*labelled)), m)
+    vectors, lanes, columns = _eigenvectors(d.family, d.rank, d.twist)
+    lanes += sum(c for c, v in zip(columns, d.labels) if v)
+    return m, _degrees(lanes, len(vectors), m)
 
 
 def graded_dims(d: KacDiagram) -> GradedDims:
@@ -361,7 +390,7 @@ def zero_part_semisimple_rank(d: KacDiagram) -> int:
     Equals the number of 0-labelled nodes: the semisimple part of the
     degree-0 subalgebra is read off the 0-labelled subdiagram.
     """
-    vectors = _eigenvectors(d.family, d.rank, d.twist)
+    vectors = _eigenvectors(d.family, d.rank, d.twist)[0]
     _, degrees = _grading(d)
     return exactlin.rank_rows(
         [c for deg, (_, c) in zip(degrees, vectors) if deg == 0]
@@ -393,27 +422,26 @@ def levi_order_scan(
     label mask (label i at bit i).
 
     The labelings are walked in Gray-code order, so each step flips one
-    label and adds or subtracts its column from the one running vector
-    of label sums.  InputError unless ``min_delta`` is an int.
+    label and adds or subtracts its packed column (see ``_columns``) from
+    the packed label sums.  InputError unless ``min_delta`` is an int.
     """
     if not is_int(min_delta):
         raise InputError(f"min_delta needs an integer, got {min_delta!r}")
     marks = _marks_for(family, rank, twist)
-    columns = _columns(family, rank, twist)
-    sums = [0] * len(columns[0])
+    vectors, lanes, columns = _eigenvectors(family, rank, twist)
     mask = order = 0
     found = []
     for step in range(1, 1 << len(marks)):
         p = (step & -step).bit_length() - 1  # the label this step flips
         mask ^= 1 << p
         if mask >> p & 1:
-            sums = list(map(add, sums, columns[p]))
+            lanes += columns[p]
             order += marks[p]
         else:
-            sums = list(map(sub, sums, columns[p]))
+            lanes -= columns[p]
             order -= marks[p]
         m = twist * order
-        dims = _histogram(m, _degree_vector(sums, m))
+        dims = _histogram(m, _degrees(lanes, len(vectors), m))
         delta = dims[1 % m] - dims[0]
         if delta >= min_delta:
             found.append((mask, m, delta))
@@ -514,7 +542,9 @@ def vinberg_delta(inp: VinbergClassicalInput) -> int:
     that g_0 lacks and g_1 has; for the trivial grading (m0 = 1) g_1 is
     g_0, so delta is 0.  Cases 2..4: a quarter of -sum_j (k_j -
     k_{j+1})^2 plus the eps/eta-signed corrections carried by the
-    eigenvalues +1 and -1.
+    eigenvalues +1 and -1.  Case 4 counts gl_N, whose trace lies in
+    degree m0 of the order-2 m0 grading: in g_1, and so taken off, only
+    for m0 = 1.
     """
     k, m0 = inp.k, inp.m0
     diffs = sum((k[j] - k[(j + 1) % m0]) ** 2 for j in range(m0))
@@ -523,7 +553,8 @@ def vinberg_delta(inp: VinbergClassicalInput) -> int:
     else:
         (eps1, epsm1), (eta1, etam1) = inp.eps, inp.eta  # type: ignore[misc]
         corr = eps1 * eta1 * k[0] + epsm1 * etam1 * k[inp.minus_one_index()]
-        val = Fraction(-diffs + 2 * corr, 4)
+        trace = 1 if inp.case == 4 and m0 == 1 else 0
+        val = Fraction(-diffs + 2 * corr, 4) - trace
     if val.denominator != 1:
         raise InputError(
             "block data does not describe an integral grading"

@@ -224,6 +224,52 @@ class TestGradedDims:
             with pytest.raises(ArithmeticError, match="sum to dim"):
                 levi_order_scan(d.family, d.rank, min_delta=-10**6, twist=d.twist)
 
+    def test_symmetry_check_can_fail(self, monkeypatch):
+        # One restricted root doubled, the count kept: all-ones A2 would
+        # have dims (2, 4, 2), which no grading has.
+        vectors = list(theta._eigenvectors("A", 2, 1)[0])
+        j, c = vectors[-1]
+        vectors[-1] = (j, tuple(2 * x for x in c))
+        packed = theta._columns(vectors, theta._MARKS["A", 2, 1], 1)
+        monkeypatch.setattr(
+            theta, "_eigenvectors", lambda *key: (tuple(vectors), *packed)
+        )
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            graded_dims(KacDiagram.all_ones("A", 2))
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            levi_order_scan("A", 2, min_delta=-10**6)
+
+    def test_every_diagram_fits_byte_lanes(self):
+        for key, marks in theta._MARKS.items():
+            vectors, _, columns = theta._eigenvectors(*key)
+            assert len(columns) == len(marks)
+            assert key[2] * sum(marks) <= 255, key
+            for j, c in vectors:
+                assert sum(abs(c[p] + j * a) for p, a in enumerate(marks)) <= 127
+
+    def test_lane_overflow_is_caught(self, monkeypatch):
+        # 127 is the largest lane sum that packs: the lanes of all columns
+        # summed hold 127 + 128 and -127 + 128, with no carry between them.
+        vectors = [(0, (100, 27)), (0, (-100, -27))]
+        empty, columns = theta._columns(vectors, (1, 1), 1)
+        assert (empty + sum(columns)).to_bytes(2, "little") == bytes([255, 1])
+        with pytest.raises(ArithmeticError, match="byte lanes"):
+            theta._columns([(0, (100, 28))], (1, 1), 1)
+        with pytest.raises(ArithmeticError, match="top order 256 "):
+            theta._columns([(0, (1, 1))], (64, 64), 2)
+        # A root whose lane sum passes 127 is caught once per diagram
+        # type, before any labeling is graded; the check raises inside
+        # the cached _eigenvectors, which keeps no result.
+        full = theta._roots
+        monkeypatch.setattr(
+            theta, "_roots", lambda *key: full(*key)[:-1] + ((0, -128),)
+        )
+        theta._eigenvectors.cache_clear()
+        with pytest.raises(ArithmeticError, match="lane sum 128 "):
+            graded_dims(KacDiagram.all_ones("A", 2))
+        with pytest.raises(ArithmeticError, match="lane sum 128 "):
+            levi_order_scan("A", 2, min_delta=-10**6)
+
     def test_rank_one_tables_gain_one_dimension(self):
         for (family, rank), labelings in NONNORMAL_DIAGRAMS.items():
             for labels in labelings:
@@ -430,6 +476,26 @@ class TestVinberg:
             assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == 0
         gd = graded_dims(KacDiagram.of("A", 2, (0, 0, 1)))
         assert (gd.order, gd.dims, gd.delta) == (1, (8,), 0)
+
+    def test_outer_order_two_grading_has_no_trace(self):
+        # Case 4 with m0 = 1 is an order-2 outer grading of sl_N, and
+        # g_1 lacks gl_N's trace: so_N or sp_N in degree 0.
+        pins = [
+            ("A", 2, (1, 0), (3, 5), (3,), (1, -1)),
+            ("A", 5, (0, 0, 1, 0), (15, 20), (6,), (1, -1)),
+            ("A", 5, (0, 0, 0, 1), (21, 14), (6,), (-1, 1)),
+        ]
+        for family, rank, labels, dims, k, eta in pins:
+            gd = graded_dims(KacDiagram.of(family, rank, labels, twist=2))
+            assert (gd.order, gd.dims) == (2, dims)
+            inp = VinbergClassicalInput(case=4, m0=1, k=k, eta=eta)
+            assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == gd.delta
+        # X -> -J X^T J^-1 with J symmetric (any N) or skew (N even).
+        shapes = [(n, (1, -1), n - 1) for n in range(1, 7)]
+        shapes += [(n, (-1, 1), -n - 1) for n in (2, 4, 6)]
+        for n, eta, delta in shapes:
+            inp = VinbergClassicalInput(case=4, m0=1, k=(n,), eta=eta)
+            assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == delta
 
     def test_matches_block_model(self):
         inp = VinbergClassicalInput(case=3, m0=4, k=(1, 1, 1, 1), eta=(-1, -1))
