@@ -583,6 +583,25 @@ def _render_report_text(rep: AnalysisReport, stream) -> None:
     print(f"reduction support: {rep.reduction_support}", file=stream)
 
 
+def _kac_text(out: dict) -> Iterator[str]:
+    """The text lines of a kac output: ``key: value`` per field, and for a
+    scan one line per hit and per violation, or ``none``."""
+    yield from (f"{key}: {val}" for key, val in out.items() if key != "scan")
+    scan = out.get("scan")
+    if scan is None:
+        return
+    yield f"min_delta: {scan['min_delta']}"
+    for h in scan["hits"]:
+        yield f"hit: labels {h['labels']} order {h['order']} delta {h['delta']}"
+    if not scan["hits"]:
+        yield "hits: none"
+    yield f"order_not_divisible_by: {scan['order_not_divisible_by']}"
+    for v in scan["violations"]:
+        yield f"violation: labels {v['labels']} order {v['order']}"
+    if not scan["violations"]:
+        yield "violations: none"
+
+
 # -- entry points ----------------------------------------------------------------
 
 
@@ -701,8 +720,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         elif fmt == "json":
             print(_dumps(request))
         else:
-            for key, val in request.items():
-                print(f"{key}: {val}")
+            print(*_kac_text(request), sep="\n")
         return EXIT_OK
     except CapabilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -42,9 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
-from typing import Iterable, Optional
+from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import add, le, lt, mul, neg, sub
+from typing import Iterable, Iterator, Optional
 
 from . import exactlin
 from .errors import InputError, is_int, read_tuple
@@ -137,30 +138,40 @@ def _positive_roots(cartan: list[list[int]]) -> set[Root]:
     simple roots under the simple reflections that raise the height,
     beta -> beta - <beta, alpha_i^vee> alpha_i where that pairing is
     negative.  Every positive root arises so (Humphreys, *Introduction to
-    Lie Algebras and Representation Theory*, 10.2-10.3)."""
+    Lie Algebras and Representation Theory*, 10.2-10.3).
+
+    Each root is found with its pairings <beta, alpha_i^vee> for every i,
+    row i of the matrix for alpha_i.  A reflection that adds p alpha_i
+    adds p times row i to them, so no root is ever paired again."""
     n = len(cartan)
-    frontier = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    positive: set[Root] = set(frontier)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    frontier = list(zip(simple, map(tuple, cartan)))
+    positive: set[Root] = set(simple)
     while frontier:
-        beta = frontier.pop()
-        for i, column in enumerate(zip(*cartan)):
-            pairing = sum(map(mul, beta, column))  # <beta, alpha_i^vee>
+        beta, pairings = frontier.pop()
+        for i, pairing in enumerate(pairings):
             if pairing < 0:
                 up = list(beta)
                 up[i] -= pairing
                 cand = tuple(up)
                 if cand not in positive:
                     positive.add(cand)
-                    frontier.append(cand)
+                    step = map(mul, cartan[i], repeat(pairing))
+                    frontier.append((cand, tuple(map(sub, pairings, step))))
     return positive
 
 
 def _roots(family: str, rank: int) -> tuple[Root, ...]:
-    """All roots of the type, positive ones first; no rank-range check."""
-    positive = _positive_roots(_cartan_matrix(family, rank))
-    return tuple(sorted(positive)) + tuple(
-        sorted(tuple(-x for x in r) for r in positive)
-    )
+    """All roots of the type, positive ones first; no rank-range check.
+    Negation reverses the order, so the sorted negative roots are the
+    sorted positive ones, negated, last first."""
+    positive = sorted(_positive_roots(_cartan_matrix(family, rank)))
+    return (*positive, *[tuple(map(neg, r)) for r in reversed(positive)])
+
+
+def _plus(x: Iterable[int], y: Iterable[int]) -> Iterator[int]:
+    """The entrywise sum of two columns, as an iterator."""
+    return map(add, x, y)
 
 
 # -- Kac diagrams --------------------------------------------------------------
@@ -264,34 +275,47 @@ def _eigenvectors(
     the root's coefficient sum over that node's orbit (0 at E_0).  Their
     number, the sum of every grading's dimensions, is checked to be dim X_N.
     Returned with the empty labeling and the label columns, packed by
-    ``_columns``."""
+    ``_columns``.
+
+    The roots are read as columns, one per simple root, and each step
+    maps over whole columns: mu permutes the columns, which gives every
+    root's j, and a node's restricted column is the sum of its orbit's
+    columns.  The loops run over nodes and powers of mu, never over
+    roots."""
     marks = _marks_for(family, rank, twist)
     nodes = _folded_nodes(family, rank, twist)
     orbits = [p for p in nodes if p is not None]
-    back = list(range(rank))  # mu^-1 on the simple roots
-    for p in orbits:
-        for i, a in enumerate(p):
-            back[a] = p[i - 1]
+    # mu^-1 on the simple roots, every one of which lies in one orbit
+    back = {a: p[i - 1] for p in orbits for i, a in enumerate(p)}
     # The Cartan: an orbit of s simple coroots spans one vector in each
-    # j that is a multiple of k/s.
-    zero = (0,) * len(nodes)
-    out = [(j, zero) for p in orbits for j in range(0, twist, twist // len(p))]
-    # A root fixed by mu has eigenvalue -1 when two nodes of one orbit are
-    # joined (A_2n), else 1.  A free orbit of k roots spans one vector in
-    # each j; the k roots carry them, one each, in sorted order.
+    # j that is a multiple of k/s; its restricted roots are 0.
+    js = [j for p in orbits for j in range(0, twist, twist // len(p))]
+    rows = [(0,) * len(nodes)] * len(js)
+    # A free orbit of k roots spans one vector in each j; the k roots
+    # carry them, one each, in sorted order, so a root's j counts the
+    # roots mu^t r, 0 < t < k, that sort below it.  k is prime, so a root
+    # in no free orbit is fixed by mu.  Its eigenvalue is -1 when two
+    # nodes of one orbit are joined (A_2n), else 1; for -1, mu r <= r
+    # at t = 1 counts it once.
     cartan = _cartan_matrix(family, rank)
-    fixed_j = int(any(cartan[a][b] for p in orbits for a in p for b in p if a != b))
-    for root in _roots(family, rank):
-        orbit = [root]
-        while len(orbit) < twist:
-            orbit.append(tuple(orbit[-1][a] for a in back))
-        j = fixed_j if orbit.count(root) == twist else sorted(orbit).index(root)
-        out.append((j, tuple(0 if p is None else sum(root[i] for i in p) for p in nodes)))
+    fixed_j = any(cartan[a][b] for p in orbits for a in p for b in p if a != b)
+    roots = _roots(family, rank)
+    columns = moved = list(zip(*roots))
+    below = repeat(0, len(roots))
+    for t in range(1, twist):
+        moved = [moved[back[a]] for a in range(rank)]
+        order = le if fixed_j and t == 1 else lt
+        below = map(add, below, map(order, zip(*moved), roots))
+    js += below
+    # Each node's restricted column: the sum over its orbit, 0 at E_0.
+    zero = repeat(0, len(roots))
+    rows += zip(*[reduce(_plus, [columns[a] for a in p]) if p else zero for p in nodes])
+    out = tuple(zip(js, rows))
     if len(out) != _ALGEBRA_DIM[family](rank):
         raise ArithmeticError("graded dimensions do not sum to dim(algebra)")
     # The highest restricted weight with j = 1 is the marks of the other
     # nodes, and E_0 has mark 1 (for k = 1: the highest root).
-    top = max((c for j, c in out if j == 1 % twist), key=lambda c: (sum(c), c))
+    top = max(compress(zip(map(sum, rows), rows), map((1 % twist).__eq__, js)))[1]
     if top != tuple(0 if p is None else a for p, a in zip(nodes, marks)) or (
         marks[nodes.index(None)] != 1
     ):
@@ -299,7 +323,7 @@ def _eigenvectors(
             f"embedded marks for {family}{rank}^({twist}) disagree with the"
             f" folded root system's highest weight {top}"
         )
-    return (tuple(out), *_columns(out, marks, twist))
+    return (out, *_columns(out, marks, twist))
 
 
 @dataclass(frozen=True)
@@ -329,16 +353,21 @@ def _columns(
     columns added to it leave each lane at their sum plus _BIAS, with no
     carry, while every lane's absolute entries sum to at most 127 (33 at
     most in ``_MARKS``).  ArithmeticError unless they do and the top order
-    k sum_P a_P fits in a byte."""
-    rows = [[c[p] + j * a for p, a in enumerate(marks)] for j, c in vectors]
-    bound, top = max(sum(map(abs, row)) for row in rows), twist * sum(marks)
+    k sum_P a_P fits in a byte.  The vectors are transposed once; the
+    bound and the packing map over whole columns."""
+    js, cs = zip(*vectors)
+    columns = [
+        list(map(add, c, map(mul, js, repeat(a)))) for c, a in zip(zip(*cs), marks)
+    ]
+    bound = max(reduce(_plus, [map(abs, c) for c in columns]))
+    top = twist * sum(marks)
     if bound > 127 or top > 255:
         raise ArithmeticError(
             f"label columns do not fit byte lanes: lane sum {bound} (at most"
             f" 127), top order {top} (at most 255)"
         )
-    empty = int.from_bytes(bytes([_BIAS]) * len(rows), "little")
-    biased = (bytes(v + _BIAS for v in col) for col in zip(*rows))
+    empty = int.from_bytes(bytes([_BIAS]) * len(vectors), "little")
+    biased = (bytes(map(_BIAS.__add__, column)) for column in columns)
     return empty, tuple(int.from_bytes(c, "little") - empty for c in biased)
 
 

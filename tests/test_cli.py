@@ -390,6 +390,49 @@ class TestKac:
             "dims: [2, 3, 3]",
         ]
 
+    def test_scan_text_output(self, capsys):
+        # The README's E7 scan: one line per hit, then the divisibility
+        # list and its violations, with no dict repr.
+        code, out, _ = run(
+            ["kac", "E7 twist=1 scan --delta-ge 2 --check-order-not-div 9,14"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "type: E7",
+            "twist: 1",
+            "min_delta: 2",
+            "hit: labels [0, 1, 0, 0, 0, 0, 0, 0] order 2 delta 7",
+            "hit: labels [0, 0, 1, 0, 0, 0, 0, 0] order 3 delta 2",
+            "hit: labels [0, 0, 0, 0, 1, 0, 0, 0] order 3 delta 2",
+            "hit: labels [0, 0, 1, 0, 0, 0, 1, 0] order 4 delta 2",
+            "hit: labels [0, 0, 0, 0, 1, 0, 0, 1] order 4 delta 2",
+            "hit: labels [0, 0, 0, 1, 0, 0, 1, 1] order 6 delta 3",
+            "order_not_divisible_by: [9, 14]",
+            "violations: none",
+        ]
+
+    def test_scan_text_lists_violations_and_empty_hits(self, capsys):
+        code, out, _ = run(
+            ["kac", "E6 twist=2 scan --delta-ge 2 --check-order-not-div 4"], capsys
+        )
+        assert code == 0
+        assert out.splitlines()[3:] == [
+            "hit: labels [0, 0, 1, 0, 0] order 4 delta 2",
+            "hit: labels [0, 0, 0, 1, 0] order 2 delta 6",
+            "hit: labels [0, 0, 1, 0, 1] order 6 delta 3",
+            "order_not_divisible_by: [4]",
+            "violation: labels [0, 0, 1, 0, 0] order 4",
+        ]
+        code, out, _ = run(["kac", "A2 scan --delta-ge 100"], capsys)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "min_delta: 100",
+            "hits: none",
+            "order_not_divisible_by: []",
+            "violations: none",
+        ]
+
     def test_json_is_one_sorted_line(self, capsys):
         # The same JSON style as ``analyze``.
         for spec in ["A2 twist=1 labels=1,1,1", "E6 twist=2 scan --delta-ge 1"]:

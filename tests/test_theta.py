@@ -105,6 +105,31 @@ def twisted_cartan(family, rank, twist):
     return a
 
 
+def per_root_eigenvectors(family, rank, twist):
+    """The eigenvectors (j, restricted root) of the diagram automorphism
+    mu, one root at a time: the root's mu-orbit, then its j (its place in
+    the sorted orbit, or the fixed roots' j), then its restricted root as
+    a sum over each node's orbit, 0 at E_0; the Cartan's vectors first."""
+    nodes = theta._folded_nodes(family, rank, twist)
+    orbits = [p for p in nodes if p is not None]
+    back = list(range(rank))  # mu^-1 on the simple roots
+    for p in orbits:
+        for i, a in enumerate(p):
+            back[a] = p[i - 1]
+    zero = (0,) * len(nodes)
+    out = [(j, zero) for p in orbits for j in range(0, twist, twist // len(p))]
+    cartan = theta._cartan_matrix(family, rank)
+    fixed_j = int(any(cartan[a][b] for p in orbits for a in p for b in p if a != b))
+    for root in theta._roots(family, rank):
+        orbit = [root]
+        while len(orbit) < twist:
+            orbit.append(tuple(orbit[-1][a] for a in back))
+        j = fixed_j if orbit.count(root) == twist else sorted(orbit).index(root)
+        restricted = tuple(0 if p is None else sum(root[i] for i in p) for p in nodes)
+        out.append((j, restricted))
+    return tuple(out)
+
+
 class TestRootSystems:
     def test_counts(self):
         assert len(theta._roots("A", 2)) == 6
@@ -223,6 +248,31 @@ class TestGradedDims:
                 graded_dims(d)
             with pytest.raises(ArithmeticError, match="sum to dim"):
                 levi_order_scan(d.family, d.rank, min_delta=-10**6, twist=d.twist)
+
+    @pytest.mark.parametrize(
+        "key,position",
+        [(("E", 6, 1), 1), (("E", 6, 2), 1), (("E", 6, 2), 4)],
+        ids=["untwisted", "twisted", "twisted-affine-node"],
+    )
+    def test_marks_check_can_fail(self, monkeypatch, key, position):
+        # One embedded mark raised by one: a finite node's disagrees with
+        # the folded highest weight, and E_0's is no longer 1.  The check
+        # raises inside the cached _eigenvectors, which keeps no result.
+        marks = list(theta._MARKS[key])
+        marks[position] += 1
+        monkeypatch.setitem(theta._MARKS, key, tuple(marks))
+        theta._eigenvectors.cache_clear()
+        family, rank, twist = key
+        with pytest.raises(ArithmeticError, match="embedded marks .* disagree"):
+            graded_dims(KacDiagram.all_ones(family, rank, twist))
+        with pytest.raises(ArithmeticError, match="embedded marks .* disagree"):
+            levi_order_scan(family, rank, min_delta=-10**6, twist=twist)
+
+    @pytest.mark.parametrize("key", sorted(theta._MARKS), ids=str)
+    def test_eigenvectors_match_the_per_root_fold(self, key):
+        # The column-wise build against the root-at-a-time formula, on
+        # every diagram, twisted or not.
+        assert theta._eigenvectors(*key)[0] == per_root_eigenvectors(*key)
 
     def test_symmetry_check_can_fail(self, monkeypatch):
         # One restricted root doubled, the count kept: all-ones A2 would
