@@ -34,16 +34,15 @@ reported per input position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InputError, int_rows
+from .errors import InputError, int_rows, record
 from .exactlin import pivot
 
 
-@dataclass(frozen=True)
+@record
 class HullQuery:
     """A nonempty list of integer points sharing one ambient dimension.
 
@@ -68,7 +67,7 @@ class HullQuery:
         return len(self.points[0])
 
 
-@dataclass(frozen=True)
+@record
 class Inside:
     """Combination coefficients witnessing 0 in the (relative interior of
     the) hull; one coefficient per input point position.  The simplex
@@ -79,7 +78,7 @@ class Inside:
     coefficients: tuple[int | Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Outside:
     """Integral separating functional (a one-parameter subgroup)."""
 

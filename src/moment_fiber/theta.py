@@ -40,7 +40,6 @@ twisted ones that of Kac's Tables Aff 2 and Aff 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, repeat
@@ -48,7 +47,7 @@ from operator import add, le, lt, mul, neg, sub
 from typing import Iterable, Iterator, Optional
 
 from . import exactlin
-from .errors import InputError, is_int, read_tuple
+from .errors import InputError, is_int, read_tuple, record
 
 Root = tuple[int, ...]
 
@@ -177,7 +176,7 @@ def _plus(x: Iterable[int], y: Iterable[int]) -> Iterator[int]:
 # -- Kac diagrams --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KacDiagram:
     """An affine (possibly twisted) Dynkin diagram with {0,1} node labels.
 
@@ -326,7 +325,7 @@ def _eigenvectors(
     return (out, *_columns(out, marks, twist))
 
 
-@dataclass(frozen=True)
+@record
 class GradedDims:
     """Dimension vector of the cyclic grading defined by a Kac diagram:
     ``dims[j]`` is the dimension of degree j mod ``order``."""
@@ -436,7 +435,7 @@ def rank1_dim_filter(family: str, rank: int, twist: int = 1) -> list[KacDiagram]
     return [h.diagram for h in hits if h.delta == 1]
 
 
-@dataclass(frozen=True)
+@record
 class ScanHit:
     diagram: KacDiagram
     order: int
@@ -487,7 +486,7 @@ def levi_order_scan(
 # -- classical gradings: closed dimension formulas ------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VinbergClassicalInput:
     """Eigenvalue-block data of a classical graded automorphism.
 

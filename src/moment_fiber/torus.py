@@ -28,19 +28,18 @@ decomposition or witness they give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
-from .errors import CapabilityError, InputError, int_rows, is_int, read_tuple
+from .errors import CapabilityError, InputError, int_rows, is_int, read_tuple, record
 from .polytope import HullQuery, Inside, Outside
 
 Stratum = frozenset[int]
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """The bare integer rows of a ``WeightMatrix``, which reads them into
     tuples and checks them."""
@@ -48,7 +47,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class WeightMatrix:
     """Integer weight matrix S with n >= 1 rows and r >= 1 columns."""
 
@@ -88,11 +87,13 @@ class WeightMatrix:
 
     def index_set(self, subset: Iterable[int]) -> set[int]:
         """The indices of ``subset``, read once by ``errors.read_tuple``,
-        as a set; each is checked by ``weight`` before it is hashed, so a
-        non-iterable subset or an unhashable entry raises InputError."""
-        chosen: set[int] = set()
+        as a set; each is checked as ``weight`` checks it before it is
+        hashed, so a non-iterable subset or an unhashable entry raises
+        InputError."""
+        n, chosen = self.n, set()
         for i in read_tuple(subset, "index set"):
-            self.weight(i)
+            if not is_int(i) or not 1 <= i <= n:
+                raise InputError(f"row index {i!r} is not an integer in 1..{n}")
             chosen.add(i)
         return chosen
 
@@ -100,7 +101,7 @@ class WeightMatrix:
 RatVector = tuple[int | Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PairPoint:
     """A point (x, phi) of V + V*, coordinates exact rationals: ints or
     Fractions, kept as given.  The library's own smooth and non-visible
@@ -125,7 +126,7 @@ class PairPoint:
         return cls(x, phi)
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One positive block of a visibility decomposition.
 
@@ -138,32 +139,32 @@ class Block:
     relation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VisibleDecomposition:
     fixed: Stratum  # I_0, the free part (coincides with I_f)
     blocks: tuple[Block, ...]
 
 
-@dataclass(frozen=True)
+@record
 class NotVisible:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class Nilpotent:
     functional: Outside
     is_nilpotent = True
     is_semisimple = False
 
 
-@dataclass(frozen=True)
+@record
 class Semisimple:
     combination: Inside
     is_nilpotent = False
     is_semisimple = True
 
 
-@dataclass(frozen=True)
+@record
 class Mixed:
     hull: Inside
     interior: Outside
@@ -171,7 +172,7 @@ class Mixed:
     is_semisimple = False
 
 
-@dataclass(frozen=True)
+@record
 class ZeroOrbit:
     """The origin: simultaneously semisimple and nilpotent."""
 
@@ -182,7 +183,7 @@ class ZeroOrbit:
 Classification = Nilpotent | Semisimple | Mixed | ZeroOrbit  # see HullCertificate
 
 
-@dataclass(frozen=True)
+@record
 class Closed:
     """Strictly positive coefficients on the doubled weight system: one per
     s_i with x_i != 0, then one per -s_i with phi_i != 0, in index order;
@@ -191,7 +192,7 @@ class Closed:
     combination: Inside
 
 
-@dataclass(frozen=True)
+@record
 class NotClosed:
     """A destabilizing cocharacter: pairings >= 0 on supp(x), <= 0 on
     supp(phi), strict somewhere; the limit point drops to a smaller
@@ -204,7 +205,7 @@ class NotClosed:
 Closedness = Closed | NotClosed
 
 
-@dataclass(frozen=True)
+@record
 class ClosedPairWitness:
     """A fiber point with closed orbit whose x-part is nilpotent.
 
@@ -276,7 +277,7 @@ def modality(w: WeightMatrix, subset: Iterable[int]) -> int:
 # -- one analysis per weight matrix --------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Analysis:
     """Every fact the circuits of the weights decide, from one elimination.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import io
 import json
 import math
@@ -258,7 +258,7 @@ class TestAnalyze:
             text = rep.to_json()
             assert "\n" not in text
             assert json.loads(text) == json.loads(
-                json.dumps(dataclasses.asdict(rep))
+                json.dumps(copy.deepcopy({n: getattr(rep, n) for n in rep._fields}))
             )
             assert rep == cli.analyze(w, max_components=4096)
 
