@@ -55,8 +55,10 @@ def _cert_dict(cert: polytope.HullCertificate) -> dict:
 
 @record
 class AnalysisReport:
-    """JSON-ready analysis result; every flag carries its certificate or
-    the rank data justifying it.  Round-trips exactly through JSON."""
+    """JSON-ready analysis result, schema 2: each fact is written once.  A
+    property holds its ``value`` and one of a ``certificate``, a ``reason``
+    or a ``justification``, the dotted name of the field that holds the
+    fact.  Round-trips exactly through JSON."""
 
     input: dict
     rank: int
@@ -66,10 +68,17 @@ class AnalysisReport:
     components: dict
     cartan_subspace: Optional[list]
     nonvisible_witness: Optional[dict]
-    reduction_support: list
+    schema: int = 2
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
+        """InputError for a missing field (a schema-1 report has no
+        ``schema``) or another schema."""
+        missing = [name for name in cls._fields if name not in data]
+        if missing:
+            raise InputError(f"report lacks the field(s) {', '.join(missing)}")
+        if data["schema"] != cls.schema:
+            raise InputError(f"report schema {data['schema']!r} is not {cls.schema}")
         return cls(**{name: data[name] for name in cls._fields})
 
     def to_json(self) -> str:
@@ -87,12 +96,10 @@ def analyze(
 ) -> AnalysisReport:
     """Run every structural decision procedure on one weight matrix.
 
-    One ``torus.Analysis`` (the fundamental circuits of the weights, then
-    one check of the decomposition or witness they give) feeds the rank,
-    splits, components, visibility, Cartan vectors and witness; the
-    stability simplex is the only other procedure run.  A
-    ``max_components`` that is neither None nor an int >= 0 raises
-    InputError before the simplex runs.
+    One ``torus.Analysis`` feeds the rank, splits, components, visibility,
+    Cartan vectors and witness; the stability simplex is the only other
+    procedure run.  A ``max_components`` that is neither None nor an int
+    >= 0 raises InputError before the simplex runs.
     """
     a = torus.Analysis.of(w)
     comps = a.components(max_components)
@@ -100,18 +107,11 @@ def analyze(
     stable, stable_cert = torus.is_stable(w)
     dec, wit = a.decomposition, a.witness
 
-    properties: dict[str, dict] = {}
-    properties["locally_free"] = {
-        "value": rank == w.r,
-        "justification": {
-            "rank": rank,
-            "torus_rank": w.r,
-            "action_kernel_dim": w.r - rank,
-        },
-    }
-    properties["stable"] = {
-        "value": stable,
-        "certificate": _cert_dict(stable_cert),
+    properties = {
+        "locally_free": {"value": rank == w.r, "justification": "rank"},
+        "stable": {"value": stable, "certificate": _cert_dict(stable_cert)},
+        "irreducible": {"value": not i_f, "justification": "splits.free"},
+        "normal": {"value": not i_f, "justification": "splits.free"},
     }
     if wit is None:  # visible: the blocks certify it and give the Cartan vectors
         cartan, witness_dict = [list(v) for v in a.cartan_vectors], None
@@ -119,14 +119,9 @@ def analyze(
             {"indices": sorted(b.indices), "relation": list(b.relation)}
             for b in dec.blocks
         ]
-        properties["visible"] = {
-            "value": True,
-            "certificate": {"fixed": sorted(dec.fixed), "blocks": blocks},
-        }
-        properties["polar"] = {
-            "value": True,
-            "certificate": {"cartan_vectors": cartan, "expected_count": w.n - rank},
-        }
+        cert = {"fixed": sorted(dec.fixed), "blocks": blocks}
+        properties["visible"] = {"value": True, "certificate": cert}
+        properties["polar"] = {"value": True, "justification": "cartan_subspace"}
     else:
         cartan, witness_dict = None, {
             "x": list(wit.pair.x),
@@ -136,19 +131,8 @@ def analyze(
         properties["visible"] = {"value": False, "reason": dec.reason}
         properties["polar"] = {
             "value": None,
-            "note": "polarity is certified here only through visibility",
+            "reason": "polarity is certified here only through visibility",
         }
-    properties["irreducible"] = {
-        "value": not i_f,
-        "justification": {"free_indices": sorted(i_f)},
-    }
-    properties["normal"] = {
-        "value": not i_f,
-        "justification": {
-            "equivalent_to_irreducible": True,
-            "free_indices": sorted(i_f),
-        },
-    }
 
     return AnalysisReport(
         input={"weights": [list(r) for r in w.matrix.entries]},
@@ -162,7 +146,6 @@ def analyze(
         },
         cartan_subspace=cartan,
         nonvisible_witness=witness_dict,
-        reduction_support=sorted(i_d),
     )
 
 
@@ -580,7 +563,6 @@ def _render_report_text(rep: AnalysisReport, stream) -> None:
         print(f"cartan subspace vectors: {rep.cartan_subspace}", file=stream)
     if rep.nonvisible_witness is not None:
         print(f"closed-pair witness: {rep.nonvisible_witness}", file=stream)
-    print(f"reduction support: {rep.reduction_support}", file=stream)
 
 
 def _kac_text(out: dict) -> Iterator[str]:

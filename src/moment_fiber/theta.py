@@ -541,6 +541,11 @@ class VinbergClassicalInput:
                 raise InputError(
                     f"duality symmetry violated: k[{j}] != k[{self.conj(j)}]"
                 )
+        # The form restricts to each real eigenspace (eta = 1), skew where
+        # eps = -1, and a nondegenerate skew form needs even dimension.
+        for e, h, j in zip(self.eps, self.eta, (0, self.minus_one_index())):
+            if h == 1 and e == -1 and self.k[j] % 2:
+                raise InputError(f"k[{j}] = {self.k[j]} is odd, but its form is skew")
 
     @property
     def eps(self) -> tuple[int, int]:

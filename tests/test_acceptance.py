@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from moment_fiber import cli, exactlin, oracle, polytope, theta, torus
-from moment_fiber.errors import CapabilityError
+from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.polytope import HullQuery, Inside
 from moment_fiber.torus import VisibleDecomposition
 
@@ -277,9 +277,10 @@ def test_criterion_10_high_delta_scan():
 
 
 def _symmetric_k_vectors(inp_case: int, m0: int, eta: tuple[int, int]):
-    """All duality-symmetric k with entries 1..SWEEP_MAX_K."""
+    """All duality-symmetric k with entries 1..SWEEP_MAX_K, odd skew
+    eigenspaces included (the constructor rejects those)."""
     probe = theta.VinbergClassicalInput(
-        case=inp_case, m0=m0, k=(1,) * m0, eta=eta
+        case=inp_case, m0=m0, k=(2,) * m0, eta=eta
     )
     orbits: list[list[int]] = []
     seen: set[int] = set()
@@ -330,15 +331,21 @@ def test_criterion_11_classical_formulas():
                     eta = (eta1, etam1)
                     solutions = set()
                     probe = theta.VinbergClassicalInput(
-                        case=case, m0=m0, k=(1,) * m0, eta=eta
+                        case=case, m0=m0, k=(2,) * m0, eta=eta
                     )
                     type_one = all(
                         e * h == 1 for e, h in zip(probe.eps, eta)
                     )
                     for k in _symmetric_k_vectors(case, m0, eta):
-                        inp = theta.VinbergClassicalInput(
-                            case=case, m0=m0, k=k, eta=eta
-                        )
+                        try:
+                            inp = theta.VinbergClassicalInput(
+                                case=case, m0=m0, k=k, eta=eta
+                            )
+                        except InputError as exc:
+                            # No such block exists: an odd real eigenspace
+                            # with a skew form, never of type one.
+                            assert "skew" in str(exc) and not type_one, exc
+                            continue
                         delta = theta.vinberg_delta(inp)
                         assert delta == oracle.vinberg_delta_blocks(inp), inp
                         if not type_one:

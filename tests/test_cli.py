@@ -262,6 +262,50 @@ class TestAnalyze:
             )
             assert rep == cli.analyze(w, max_components=4096)
 
+    def test_corpus_reports_write_each_fact_once(self, corpus):
+        # Schema 2: a property has its value and one source, and a
+        # justification is the dotted name of a report field.  The fields
+        # hold what torus.Analysis computes.
+        for w in corpus:
+            rep = json.loads(cli.analyze(w).to_json())
+            assert rep["schema"] == 2 and "reduction_support" not in rep
+            for name, prop in rep["properties"].items():
+                sources = set(prop) - {"value"}
+                assert "value" in prop and len(sources) == 1, name
+                assert sources <= {"certificate", "justification", "reason"}, name
+                if "justification" in prop:
+                    field = rep
+                    for key in prop["justification"].split("."):
+                        assert key in field, (name, prop)
+                        field = field[key]
+            a = torus.Analysis.of(w)
+            cartan = a.cartan_vectors
+            assert rep["rank"] == a.rank
+            assert rep["splits"] == {
+                "dependent": sorted(a.dependent),
+                "free": sorted(a.free),
+            }
+            assert rep["cartan_subspace"] == (
+                None if cartan is None else [list(v) for v in cartan]
+            )
+            assert rep["components"]["count"] == 2 ** len(a.free)
+
+    def test_from_dict_names_a_bad_schema_or_missing_field(self):
+        rep = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]]))
+        data = json.loads(rep.to_json())
+        assert cli.AnalysisReport.from_dict(data) == rep
+        with pytest.raises(InputError, match="report schema 1 is not 2"):
+            cli.AnalysisReport.from_dict({**data, "schema": 1})
+        # A schema-1 report has no schema key.
+        old = {k: v for k, v in data.items() if k != "schema"}
+        with pytest.raises(InputError, match=r"lacks the field\(s\) schema$"):
+            cli.AnalysisReport.from_dict({**old, "reduction_support": [1, 2]})
+        del data["rank"], data["splits"]
+        with pytest.raises(InputError, match=r"lacks the field\(s\) rank, splits$"):
+            cli.AnalysisReport.from_dict(data)
+        with pytest.raises(InputError, match="lacks the field"):
+            cli.AnalysisReport.from_json("[1]")
+
     def test_json_is_one_sorted_line(self, capsys):
         code, out, _ = run(
             ["analyze", "[[1],[1],[-2]]", "--format", "json"], capsys

@@ -628,6 +628,32 @@ class TestVinberg:
         with pytest.raises(InputError):
             VinbergClassicalInput(case=2, m0=4, k=(1, 2, 1, 1), eta=(1, 1))
 
+    @pytest.mark.parametrize(
+        "case, m0, k, eta",
+        [
+            (3, 1, (3,), (1, -1)),  # an odd symplectic +1 block
+            (4, 1, (3,), (-1, 1)),  # X -> -J X^T J^-1 with J skew on C^3
+            (4, 2, (2, 1), (1, 1)),  # a skew -1 block of size 1
+        ],
+    )
+    def test_odd_skew_real_block_rejected(self, case, m0, k, eta):
+        with pytest.raises(InputError, match="is odd, but its form is skew"):
+            VinbergClassicalInput(case, m0, k, eta)
+
+    @pytest.mark.parametrize(
+        "case, m0, k, eta, delta",
+        [
+            # A2^(2)'s only order-4 labeling, (0, 1), has delta -1:
+            # graded dims (3, 2, 1, 2).
+            (4, 2, (1, 2), (1, 1), -1),
+            (4, 1, (3,), (1, -1), 2),
+            (4, 1, (6,), (-1, 1), -7),
+        ],
+    )
+    def test_even_skew_real_block_accepted(self, case, m0, k, eta, delta):
+        inp = VinbergClassicalInput(case, m0, k, eta)
+        assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == delta
+
     def test_eta_consistency_validation(self):
         with pytest.raises(InputError):
             VinbergClassicalInput(case=2, m0=4, k=(1, 1, 1, 1), eta=(1, -1))
