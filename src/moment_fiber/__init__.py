@@ -25,7 +25,6 @@ from .theta import (
     graded_dims,
     kac_order,
     levi_order_scan,
-    rank1_dim_filter,
     vinberg_delta,
 )
 from .torus import (
@@ -37,9 +36,7 @@ from .torus import (
     RatVector,
     VisibleDecomposition,
     WeightMatrix,
-    classify_stratum,
     is_stable,
-    modality,
     moment_eval,
     pair_closed_orbit,
     reduce_to_effective,
@@ -67,15 +64,12 @@ __all__ = [
     "VinbergClassicalInput",
     "VisibleDecomposition",
     "WeightMatrix",
-    "classify_stratum",
     "graded_dims",
     "is_stable",
     "kac_order",
     "levi_order_scan",
-    "modality",
     "moment_eval",
     "pair_closed_orbit",
-    "rank1_dim_filter",
     "reduce_to_effective",
     "smooth_witness",
     "stratum_orbit_dim",

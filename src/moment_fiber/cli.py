@@ -53,6 +53,11 @@ def _cert_dict(cert: polytope.HullCertificate) -> dict:
     return {"kind": "outside", "functional": list(cert.functional)}
 
 
+# The JSON name of each type that json.loads returns.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 @record
 class AnalysisReport:
     """JSON-ready analysis result, schema 2: each fact is written once.  A
@@ -72,8 +77,12 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
-        """InputError for a missing field (a schema-1 report has no
-        ``schema``) or another schema."""
+        """InputError for anything but a dict, named by its JSON type, a
+        missing field (a schema-1 report has no ``schema``) or another
+        schema."""
+        if not isinstance(data, dict):
+            kind = _JSON_TYPES.get(type(data), type(data).__name__)
+            raise InputError(f"report is a JSON {kind}, not an object")
         missing = [name for name in cls._fields if name not in data]
         if missing:
             raise InputError(f"report lacks the field(s) {', '.join(missing)}")
@@ -201,7 +210,9 @@ def _parse_weights_csv(text: str) -> torus.WeightMatrix:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = stripped.replace(",", " ").split()
+        # An empty field, between two commas or at either end, is read
+        # as '' and rejected by _read_int.
+        fields = [tok for part in stripped.split(",") for tok in part.split() or [""]]
         rows.append(
             [
                 _read_int(tok, f"line {lineno}, field {colno}")

@@ -3,9 +3,10 @@
 A Kac diagram is an affine (possibly twisted) Dynkin diagram X_N^(k) with
 one {0,1} label per node.  It determines a cyclic grading of the simple
 Lie algebra X_N; this module computes the grading order, the graded
-dimension vector, the scans over all labelings used by the rank-one
-classification, and the closed dimension-difference formulas for the four
-classical families of gradings.
+dimension vector, the scans over all labelings (a rank-one table is the
+scan's hits whose dimension gain from degree 0 to degree 1 is exactly 1),
+and the closed dimension-difference formulas for the four classical
+families of gradings.
 
 Every grading, twisted or not, comes from one routine (Kac,
 *Infinite-Dimensional Lie Algebras*, 8.3 and Thm 8.6): X_N splits into
@@ -46,7 +47,6 @@ from itertools import compress, repeat
 from operator import add, le, lt, mul, neg, sub
 from typing import Iterable, Iterator, Optional
 
-from . import exactlin
 from .errors import InputError, is_int, read_tuple, record
 
 Root = tuple[int, ...]
@@ -411,28 +411,7 @@ def graded_dims(d: KacDiagram) -> GradedDims:
     return GradedDims(order=m, dims=tuple(_histogram(m, degrees)))
 
 
-def zero_part_semisimple_rank(d: KacDiagram) -> int:
-    """Rank of the degree-0 root subsystem: the span of the restricted
-    roots of degree 0.
-
-    Equals the number of 0-labelled nodes: the semisimple part of the
-    degree-0 subalgebra is read off the 0-labelled subdiagram.
-    """
-    vectors = _eigenvectors(d.family, d.rank, d.twist)[0]
-    _, degrees = _grading(d)
-    return exactlin.rank_rows(
-        [c for deg, (_, c) in zip(degrees, vectors) if deg == 0]
-    )
-
-
 # -- labeling scans -------------------------------------------------------------
-
-
-def rank1_dim_filter(family: str, rank: int, twist: int = 1) -> list[KacDiagram]:
-    """All {0,1}-labelings whose grading gains exactly one dimension from
-    degree 0 to degree 1."""
-    hits = levi_order_scan(family, rank, 1, twist)
-    return [h.diagram for h in hits if h.delta == 1]
 
 
 @record

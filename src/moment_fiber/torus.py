@@ -9,8 +9,8 @@ the support of the symplectic reduction), the fiber's dimension and
 irreducible components (normal iff I_f is empty), the visibility
 decomposition or a non-visible witness, the Cartan vectors, and explicit
 smooth points with their stabilizers.  Separate functions give strata
-dimensions, modality and classification, stability and orbit closedness
-of every fiber point (one hull query on the doubled weights).
+dimensions, stability, and the orbit closedness of every fiber point (one
+hull query on the doubled weights).
 
 Indices are 1-based: subsets I live inside {1..n}.  Each sequence taken
 as input is read once by a reader of ``errors``: the weight rows by
@@ -151,39 +151,6 @@ class NotVisible:
 
 
 @record
-class Nilpotent:
-    functional: Outside
-    is_nilpotent = True
-    is_semisimple = False
-
-
-@record
-class Semisimple:
-    combination: Inside
-    is_nilpotent = False
-    is_semisimple = True
-
-
-@record
-class Mixed:
-    hull: Inside
-    interior: Outside
-    is_nilpotent = False
-    is_semisimple = False
-
-
-@record
-class ZeroOrbit:
-    """The origin: simultaneously semisimple and nilpotent."""
-
-    is_nilpotent = True
-    is_semisimple = True
-
-
-Classification = Nilpotent | Semisimple | Mixed | ZeroOrbit  # see HullCertificate
-
-
-@record
 class Closed:
     """Strictly positive coefficients on the doubled weight system: one per
     s_i with x_i != 0, then one per -s_i with phi_i != 0, in index order;
@@ -266,12 +233,6 @@ def stratum_orbit_dim(w: WeightMatrix, subset: Iterable[int]) -> int:
     """Orbit dimension along the stratum with support ``subset``:
     rank of the selected weight rows."""
     return exactlin.rank_rows(weights_of(w, subset))
-
-
-def modality(w: WeightMatrix, subset: Iterable[int]) -> int:
-    """#I - rank(S_I): parameters of orbits inside the stratum."""
-    rows = weights_of(w, subset)
-    return len(rows) - exactlin.rank_rows(rows)
 
 
 # -- one analysis per weight matrix --------------------------------------------
@@ -481,37 +442,13 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
     return WeightMatrix.from_rows([[row[j] for j in keep] for row in w.matrix.entries])
 
 
-# -- element classification --------------------------------------------------
-
-
-def classify_stratum(w: WeightMatrix, subset: Iterable[int]) -> Classification:
-    """Orbit geometry along a stratum, with dual certificates.
-
-    Nilpotent iff 0 is outside the hull of the stratum's weights;
-    semisimple iff 0 is in the relative interior; mixed otherwise.  The
-    empty stratum is the origin, ``ZeroOrbit``.  An element v of V is
-    classified by its stratum: ``classify_stratum(w, support(v))``.
-    """
-    rows = weights_of(w, subset)
-    if not rows:
-        return ZeroOrbit()
-    q = HullQuery(tuple(rows))
-    hull = polytope.zero_in_hull(q)
-    if isinstance(hull, Outside):
-        return Nilpotent(hull)
-    interior = polytope.zero_in_relative_interior(q)
-    if isinstance(interior, Inside):
-        return Semisimple(interior)
-    return Mixed(hull=hull, interior=interior)
+# -- stability and orbit closure ------------------------------------------------
 
 
 def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
     """Stability: 0 in the relative interior of the hull of all weights."""
     cert = polytope.zero_in_relative_interior(HullQuery(w.matrix.entries))
     return isinstance(cert, Inside), cert
-
-
-# -- orbit closure for fiber points ------------------------------------------
 
 
 def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:

@@ -197,15 +197,11 @@ def test_criterion_07_nonvisible_witnesses(corpus):
             nonvisible += 1
             p = wit.pair
             assert all(v == 0 for v in torus.moment_eval(w, p))
-            cls = torus.classify_stratum(w, torus.support(p.x))
-            assert isinstance(cls, torus.Nilpotent)
-            assert polytope.verify_certificate(
-                HullQuery.of(
-                    [w.weight(i) for i in sorted(torus.support(p.x))]
-                ),
-                cls.functional,
-                False,
-            )
+            # x is nilpotent: 0 is outside the hull of its weights.
+            q = HullQuery.of([w.weight(i) for i in sorted(torus.support(p.x))])
+            cert = polytope.zero_in_hull(q)
+            assert isinstance(cert, polytope.Outside), w.matrix.entries
+            assert polytope.verify_certificate(q, cert, False)
             # The relation is an exact weight dependency with mixed signs,
             # and the associated monomial is 1 (hence nonzero) at the pair.
             assert any(c > 0 for c in wit.relation)

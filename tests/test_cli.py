@@ -149,6 +149,35 @@ class TestAnalyze:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1,,2\n3,,4\n", "line 1, field 2"),
+            ("3 ,4,\n", "line 1, field 3"),
+            ("1, 0\n,0, 1\n", "line 2, field 1"),
+            ("1, 0\n0, , 1\n", "line 2, field 2"),
+            ("1\n,\n", "line 2, field 1"),
+        ],
+        ids=["two-commas", "trailing", "leading", "blank-between", "lone-comma"],
+    )
+    def test_empty_csv_field_exits_2(self, text, where, tmp_path, capsys):
+        # An empty field is not dropped: "1,,2" is not the row [1, 2].
+        path = tmp_path / "weights.csv"
+        path.write_text(text)
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {where} needs an integer, got ''\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 0\n-1 0\n0 1\n", " 1 ,0\n-1,\t0\n0 ,  1 \n"],
+        ids=["spaces", "spaced-commas"],
+    )
+    def test_csv_separators(self, text):
+        # Commas, spaces and tabs all separate fields; test_csv_file has
+        # the "1, 0" form.
+        assert cli._parse_weights_csv(text).matrix.entries == ((1, 0), (-1, 0), (0, 1))
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "weights.csv"
         path.write_bytes(b"1, 0\n\xff\xfe\n")
@@ -303,8 +332,22 @@ class TestAnalyze:
         del data["rank"], data["splits"]
         with pytest.raises(InputError, match=r"lacks the field\(s\) rank, splits$"):
             cli.AnalysisReport.from_dict(data)
-        with pytest.raises(InputError, match="lacks the field"):
-            cli.AnalysisReport.from_json("[1]")
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("5", "number"),
+            ("null", "null"),
+            (json.dumps(list(cli.AnalysisReport._fields)), "array"),
+            (json.dumps(" ".join(cli.AnalysisReport._fields)), "string"),
+        ],
+        ids=["number", "null", "array-of-field-names", "string-of-field-names"],
+    )
+    def test_from_json_of_a_non_object_names_its_type(self, text, kind):
+        # The array and the string hold every field name, so a membership
+        # test alone would let them through to data["schema"].
+        with pytest.raises(InputError, match=f"^report is a JSON {kind}, not an object$"):
+            cli.AnalysisReport.from_json(text)
 
     def test_json_is_one_sorted_line(self, capsys):
         code, out, _ = run(

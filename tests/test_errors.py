@@ -150,10 +150,6 @@ RECORDS = [
     BLOCK,
     torus.VisibleDecomposition(frozenset({3}), (BLOCK,)),
     torus.NotVisible("mixed"),
-    torus.Nilpotent(polytope.Outside((1,))),
-    torus.Semisimple(polytope.Inside((1, 1))),
-    torus.Mixed(polytope.Inside((1, 1)), polytope.Outside((1,))),
-    torus.ZeroOrbit(),
     torus.Closed(polytope.Inside((2, 1))),
     torus.NotClosed((1,), POINT),
     torus.ClosedPairWitness(POINT, (1, 1, -2)),
@@ -176,7 +172,7 @@ def test_every_record_class_has_a_case():
         for c in vars(m).values()
         if isinstance(c, type) and c.__module__ == m.__name__ and "_fields" in vars(c)
     }
-    assert found == {type(r) for r in RECORDS} and len(found) == 22
+    assert found == {type(r) for r in RECORDS} and len(found) == 18
 
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__qualname__)

@@ -129,6 +129,57 @@ class TestKernel:
         assert exactlin.kernel_basis(rows, 3) == [(-3, 2, 6)]
 
 
+def fraction_rref(rows, cols):
+    """The reduced row-echelon form over Q by plain Fraction Gauss-Jordan:
+    its nonzero rows and their pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][c] for x in m[k]]
+        for i, row in enumerate(m):
+            if i != k and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[k])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def with_dependent_rows(rows, data):
+    """``rows`` with a combination of two of its rows and a zero row
+    inserted where ``data`` draws: rank-deficient, with a zero row."""
+    out = [list(r) for r in rows]
+    i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+    a, b = (data.draw(st.integers(-3, 3)) for _ in range(2))
+    combo = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    out.insert(data.draw(st.integers(0, len(out))), combo)
+    out.insert(data.draw(st.integers(0, len(out))), [0] * ncols(rows))
+    return out
+
+
+class TestEchelon:
+    """``echelon``'s contract, which both the kernel and the witness solve
+    rely on: pivot entries d, zeros above and below them, ``a / d`` the
+    reduced row-echelon form over Q, integers only."""
+
+    @given(st.one_of(matrices, huge_matrices), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contract(self, rows, data):
+        for m in (rows, with_dependent_rows(rows, data)):
+            a, pivots, d = exactlin.echelon(m, ncols(m))
+            assert type(d) is int and d != 0
+            assert all(type(x) is int for row in a for x in row)
+            assert len(a) == len(pivots)
+            for k, p in enumerate(pivots):
+                assert [row[p] for row in a] == [d if i == k else 0 for i in range(len(a))]
+            rref, rref_pivots = fraction_rref(m, ncols(m))
+            assert pivots == rref_pivots
+            assert [[Fraction(x, d) for x in row] for row in a] == rref
+
+
 class TestIntMatrix:
     """``WeightMatrix.__post_init__`` checks every ``IntMatrix`` it holds."""
 

@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from moment_fiber import oracle, theta
+from moment_fiber import exactlin, oracle, theta
 from moment_fiber.errors import InputError
 from moment_fiber.theta import (
     GradedDims,
@@ -16,9 +16,23 @@ from moment_fiber.theta import (
     graded_dims,
     kac_order,
     levi_order_scan,
-    rank1_dim_filter,
     vinberg_delta,
 )
+
+
+def rank_one(family, rank, twist=1):
+    """The labelings whose grading gains exactly one dimension from
+    degree 0 to degree 1: a rank-one table."""
+    hits = levi_order_scan(family, rank, 1, twist)
+    return [h.diagram for h in hits if h.delta == 1]
+
+
+def degree_zero_rank(d):
+    """Rank of the span of the restricted roots of degree 0."""
+    vectors = theta._eigenvectors(d.family, d.rank, d.twist)[0]
+    degrees = theta._grading(d)[1]
+    return exactlin.rank_rows([c for deg, (_, c) in zip(degrees, vectors) if deg == 0])
+
 
 SUPPORTED = (
     [("A", n) for n in range(1, 9)]
@@ -345,7 +359,7 @@ class TestGradedDims:
                     continue
                 d = KacDiagram.of(family, rank, labels)
                 zero_nodes = sum(1 for v in labels if v == 0)
-                assert theta.zero_part_semisimple_rank(d) == zero_nodes
+                assert degree_zero_rank(d) == zero_nodes
 
     def test_order_one_grading(self):
         # A single label on a mark-1 node gives the trivial grading.
@@ -365,7 +379,7 @@ class TestGradedDims:
         d = KacDiagram.of("D", 5, (1, 0, 1, 0, 1), twist=2)
         gd = graded_dims(d)
         assert (gd.order, gd.dims) == (6, (8, 9, 6, 7, 6, 9))
-        assert theta.zero_part_semisimple_rank(d) == 2
+        assert degree_zero_rank(d) == 2
 
     def test_twisted_table_record(self):
         d = KacDiagram.of("E", 6, (1, 0, 1, 1, 1), twist=2)
@@ -399,7 +413,7 @@ class TestTwistedGradings:
             centre = len(labels) - len(zero) - 1
             d = KacDiagram(family, rank, twist, labels)
             assert graded_dims(d).dims[0] == roots + len(zero) + centre, labels
-            assert theta.zero_part_semisimple_rank(d) == len(zero), labels
+            assert degree_zero_rank(d) == len(zero), labels
 
     @pytest.mark.parametrize("family,rank,twist", TWISTED)
     def test_coarsening_is_the_inner_grading(self, family, rank, twist):
@@ -463,15 +477,15 @@ class TestScans:
         assert [(h.diagram.labels, h.order, h.delta) for h in hits] == expected
 
     def test_rank1_filter_contains_known_diagrams(self):
-        got = {d.labels for d in rank1_dim_filter("E", 6)}
+        got = {d.labels for d in rank_one("E", 6)}
         assert (1,) * 7 in got
         assert NONNORMAL_DIAGRAMS[("E", 6)][0] in got
         assert len(got) < 2**7
 
-        got_a2 = {d.labels for d in rank1_dim_filter("A", 2)}
+        got_a2 = {d.labels for d in rank_one("A", 2)}
         assert (1, 1, 1) in got_a2
 
-        got_g2 = {d.labels for d in rank1_dim_filter("G", 2)}
+        got_g2 = {d.labels for d in rank_one("G", 2)}
         assert NORMAL_UNTWISTED[("G", 2)] in got_g2
 
     def test_high_delta_orders_avoid_rank_one_multiples(self):
@@ -483,14 +497,12 @@ class TestScans:
                 assert h.order % 14 != 0
 
     def test_scan_consistency_with_filter(self):
-        ones = [
-            h.diagram.labels
-            for h in levi_order_scan("E", 7, min_delta=1)
-            if h.delta == 1
-        ]
-        assert sorted(ones) == sorted(
-            d.labels for d in rank1_dim_filter("E", 7)
-        )
+        # min_delta keeps exactly the labelings of the full scan whose
+        # dimension gain reaches it, in the same order.
+        every = levi_order_scan("E", 7, min_delta=-10**6)
+        for min_delta in (1, 2):
+            hits = levi_order_scan("E", 7, min_delta=min_delta)
+            assert hits == [h for h in every if h.delta >= min_delta]
 
     def test_twisted_scan(self):
         # Labels (alpha_1, alpha_2, alpha_0) of A4^(2), marks (2, 1, 2).
@@ -500,7 +512,7 @@ class TestScans:
             ((0, 1, 1), 6, 1),
             ((1, 1, 1), 10, 1),
         ]
-        got = [d.labels for d in rank1_dim_filter("A", 4, twist=2)]
+        got = [d.labels for d in rank_one("A", 4, twist=2)]
         assert got == [(0, 1, 1), (1, 1, 1)]
 
 

@@ -15,15 +15,11 @@ from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.polytope import Inside, Outside
 from moment_fiber.torus import (
     Closed,
-    Mixed,
-    Nilpotent,
     NotClosed,
     NotVisible,
     PairPoint,
-    Semisimple,
     VisibleDecomposition,
     WeightMatrix,
-    ZeroOrbit,
 )
 
 
@@ -101,6 +97,13 @@ class TestMomentEval:
         assert [type(v) for v in p.x + p.phi] == [int, int, int, Fraction]
 
 
+def modality(w, subset):
+    # #I - rank S_I, the parameters of orbits inside the stratum, read
+    # off the orbit dimension.
+    subset = set(subset)
+    return len(subset) - torus.stratum_orbit_dim(w, subset)
+
+
 class TestStrataNumbers:
     def test_orbit_dim(self):
         assert torus.stratum_orbit_dim(OPPOSITE, {1, 2}) == 1
@@ -108,20 +111,20 @@ class TestStrataNumbers:
         assert torus.stratum_orbit_dim(IDENTITY2, {1, 2}) == 2
 
     def test_modality(self):
-        assert torus.modality(TRIPLE, {1, 2, 3}) == 2
-        assert torus.modality(TRIPLE, {1}) == 0
-        assert torus.modality(TRIPLE, set()) == 0
+        assert modality(TRIPLE, {1, 2, 3}) == 2
+        assert modality(TRIPLE, {1}) == 0
+        assert modality(TRIPLE, set()) == 0
 
     def test_global_modality(self):
         cases = ((OPPOSITE, 1), (IDENTITY2, 0), (LINE_AND_FIXED, 1))
         for w, expected in cases:
-            assert torus.modality(w, range(1, w.n + 1)) == expected
+            assert modality(w, range(1, w.n + 1)) == expected
 
     def test_modality_is_kernel_dimension(self, small_corpus):
         for w in small_corpus[:60]:
             for subset in ({1}, set(range(1, w.n + 1))):
                 sub = [w.weight(i) for i in sorted(subset)]
-                assert torus.modality(w, subset) == len(
+                assert modality(w, subset) == len(
                     exactlin.kernel_basis(list(zip(*sub)), len(sub))
                 )
 
@@ -133,8 +136,6 @@ class TestStrataNumbers:
         "fn",
         [
             torus.stratum_orbit_dim,
-            torus.modality,
-            torus.classify_stratum,
             torus.smooth_witness,
             pytest.param(
                 lambda w, s: oracle.random_fiber_point(w, s, seed=0),
@@ -248,58 +249,6 @@ class TestLocallyFreeAndKernel:
                 assert torus.stratum_orbit_dim(
                     w, subset
                 ) == torus.stratum_orbit_dim(eff, subset)
-
-
-class TestClassification:
-    def test_nilpotent_stratum(self):
-        c = torus.classify_stratum(wm([[1], [2]]), {1, 2})
-        assert isinstance(c, Nilpotent)
-        assert all(f > 0 for f in (c.functional.functional[0],))
-
-    def test_semisimple_stratum(self):
-        c = torus.classify_stratum(OPPOSITE, {1, 2})
-        assert isinstance(c, Semisimple)
-        assert c.combination.coefficients == (Fraction(1), Fraction(1))
-
-    def test_mixed_stratum(self):
-        c = torus.classify_stratum(LINE_AND_FIXED, {1, 2})
-        assert isinstance(c, Mixed)
-        assert polytope.verify_certificate(
-            polytope.HullQuery.of([(1,), (0,)]), c.hull, False
-        )
-        assert polytope.verify_certificate(
-            polytope.HullQuery.of([(1,), (0,)]), c.interior, True
-        )
-
-    def test_empty_stratum_is_the_origin(self):
-        assert torus.classify_stratum(OPPOSITE, set()) == ZeroOrbit()
-
-    def test_classify_element(self):
-        def classify(v):
-            return torus.classify_stratum(OPPOSITE, torus.support(v))
-
-        assert isinstance(classify((1, 1)), Semisimple)
-        assert isinstance(classify((1, 0)), Nilpotent)
-        assert isinstance(classify((0, 0)), ZeroOrbit)
-
-    def test_origin_is_both_semisimple_and_nilpotent(self):
-        cls = torus.classify_stratum(OPPOSITE, torus.support((0, 0)))
-        assert cls.is_semisimple and cls.is_nilpotent
-        nil = torus.classify_stratum(OPPOSITE, torus.support((1, 0)))
-        assert nil.is_nilpotent and not nil.is_semisimple
-        mixed = torus.classify_stratum(LINE_AND_FIXED, {1, 2})
-        assert not mixed.is_nilpotent and not mixed.is_semisimple
-
-    def test_constant_along_strata(self, small_corpus):
-        rng = random.Random(3)
-        for w in small_corpus[:40]:
-            mask = rng.randrange(1, 1 << w.n)
-            subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-            kinds = set()
-            for seed in (1, 2, 3):
-                p = oracle.random_fiber_point(w, subset, seed)
-                kinds.add(type(torus.classify_stratum(w, torus.support(p.x))))
-            assert len(kinds) == 1
 
 
 class TestStability:
@@ -642,15 +591,21 @@ class TestPairClosedOrbit:
                 assert free == supp.difference(*inside), (w, supp)
 
 
+def x_is_nilpotent(w, p):
+    # The simplex's own answer: 0 outside the hull of the weights on
+    # supp x, with a functional that verifies.
+    q = polytope.HullQuery.of([w.weight(i) for i in sorted(torus.support(p.x))])
+    cert = polytope.zero_in_hull(q)
+    return isinstance(cert, Outside) and polytope.verify_certificate(q, cert, False)
+
+
 class TestNonvisibleWitness:
     def test_triple(self):
         wit = torus.Analysis.of(TRIPLE).witness
         assert wit is not None
         p = wit.pair
         assert torus.moment_eval(TRIPLE, p) == (Fraction(0),)
-        assert isinstance(
-            torus.classify_stratum(TRIPLE, torus.support(p.x)), Nilpotent
-        )
+        assert x_is_nilpotent(TRIPLE, p)
         # The relation is a genuine mixed-sign dependency.
         assert any(c > 0 for c in wit.relation)
         assert any(c < 0 for c in wit.relation)
@@ -724,9 +679,7 @@ class TestNonvisibleWitness:
             assert isinstance(torus.pair_closed_orbit(w, wit.pair), Closed), (
                 w.matrix.entries
             )
-            assert isinstance(
-                torus.classify_stratum(w, torus.support(wit.pair.x)), Nilpotent
-            ), w.matrix.entries
+            assert x_is_nilpotent(w, wit.pair), w.matrix.entries
             checked += 1
         assert checked > 100
 
@@ -927,17 +880,17 @@ class TestModalityInvariants:
     def test_monotone_and_global_max(self, small_corpus):
         rng = random.Random(5)
         for w in small_corpus[:60]:
-            full = torus.modality(w, range(1, w.n + 1))
+            full = modality(w, range(1, w.n + 1))
             assert full == w.n - exactlin.rank_rows(w.matrix.entries)
             best = 0
             for mask in range(1 << w.n):  # exhaustive, n <= 10 in corpus
                 subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-                m = torus.modality(w, subset)
+                m = modality(w, subset)
                 best = max(best, m)
                 bigger = subset | {
                     rng.randint(1, w.n) for _ in range(2)
                 }
-                assert torus.modality(w, bigger) >= m
+                assert modality(w, bigger) >= m
             assert best == full
 
 
@@ -966,7 +919,7 @@ for _ in range(3):
     for k in [k for k in sys.modules if k.split('.')[0] == 'moment_fiber']:
         del sys.modules[k]
     torus = importlib.import_module('moment_fiber.torus')
-    refs.append(weakref.ref(torus.ZeroOrbit))
+    refs.append(weakref.ref(torus.Closed))
     refs.append(weakref.ref(importlib.import_module('moment_fiber.polytope')))
 del torus
 gc.collect()
