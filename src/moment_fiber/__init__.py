@@ -31,7 +31,6 @@ from .torus import (
     Analysis,
     Block,
     ClosedPairWitness,
-    NotVisible,
     PairPoint,
     RatVector,
     VisibleDecomposition,
@@ -57,7 +56,6 @@ __all__ = [
     "InputError",
     "Inside",
     "KacDiagram",
-    "NotVisible",
     "Outside",
     "PairPoint",
     "RatVector",

@@ -27,8 +27,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NoReturn, Optional, Sequence
 
 from . import __version__, oracle, polytope, theta, torus
 from .errors import CapabilityError, InputError, is_int, record
@@ -86,7 +87,7 @@ class AnalysisReport:
         missing = [name for name in cls._fields if name not in data]
         if missing:
             raise InputError(f"report lacks the field(s) {', '.join(missing)}")
-        if data["schema"] != cls.schema:
+        if not is_int(data["schema"]) or data["schema"] != cls.schema:
             raise InputError(f"report schema {data['schema']!r} is not {cls.schema}")
         return cls(**{name: data[name] for name in cls._fields})
 
@@ -97,7 +98,15 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
+        """The report of a JSON text; InputError for a number that is not
+        an integer, NaN and Infinity too, named by its token."""
+        return cls.from_dict(
+            json.loads(text, parse_float=_not_int, parse_constant=_not_int)
+        )
+
+
+def _not_int(token: str) -> NoReturn:
+    raise InputError(f"report number {_cut(token)} is not an integer")
 
 
 def analyze(
@@ -114,7 +123,7 @@ def analyze(
     comps = a.components(max_components)
     rank, i_d, i_f = a.rank, a.dependent, a.free
     stable, stable_cert = torus.is_stable(w)
-    dec, wit = a.decomposition, a.witness
+    vis = a.visibility
 
     properties = {
         "locally_free": {"value": rank == w.r, "justification": "rank"},
@@ -122,22 +131,27 @@ def analyze(
         "irreducible": {"value": not i_f, "justification": "splits.free"},
         "normal": {"value": not i_f, "justification": "splits.free"},
     }
-    if wit is None:  # visible: the blocks certify it and give the Cartan vectors
+    if isinstance(vis, torus.VisibleDecomposition):
+        # The blocks certify it and give the Cartan vectors.
         cartan, witness_dict = [list(v) for v in a.cartan_vectors], None
         blocks = [
             {"indices": sorted(b.indices), "relation": list(b.relation)}
-            for b in dec.blocks
+            for b in vis.blocks
         ]
-        cert = {"fixed": sorted(dec.fixed), "blocks": blocks}
+        cert = {"fixed": sorted(vis.fixed), "blocks": blocks}
         properties["visible"] = {"value": True, "certificate": cert}
         properties["polar"] = {"value": True, "justification": "cartan_subspace"}
     else:
         cartan, witness_dict = None, {
-            "x": list(wit.pair.x),
-            "phi": list(wit.pair.phi),
-            "relation": list(wit.relation),
+            "x": list(vis.pair.x),
+            "phi": list(vis.pair.phi),
+            "relation": list(vis.relation),
         }
-        properties["visible"] = {"value": False, "reason": dec.reason}
+        reason = (
+            f"circuit {sorted(torus.support(vis.relation))} has a mixed-sign"
+            " relation, so 0 is not interior to its hull"
+        )
+        properties["visible"] = {"value": False, "reason": reason}
         properties["polar"] = {
             "value": None,
             "reason": "polarity is certified here only through visibility",
@@ -161,23 +175,29 @@ def analyze(
 # -- input parsing -------------------------------------------------------------
 
 
+# What the command line reads as an integer: no spaces, underscores or
+# non-ASCII digits, which int() would accept and JSON input refuses.
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
 def _read_int(text: str, what: str = "", expected: str = "an integer") -> int:
-    """``int(text)``; else an InputError that starts with ``what``.  An
-    integer past the digit limit is named by its digit count and the
-    limit, never echoed; other text gets ``what needs <expected>, got
-    'text'``, the text cut to its first 40 characters and its length.
-    The one integer reader of the command line."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text[1:] if text[:1] in "+-" else text
-        if digits.isdecimal():  # only the length limit rejects it
+    """``int(text)`` for an optional sign and ASCII digits; else an
+    InputError that starts with ``what``.  An integer past the digit
+    limit is named by its digit count and the limit, never echoed; other
+    text gets ``what needs <expected>, got 'text'``, the text cut to its
+    first 40 characters and its length.  The one integer reader of the
+    command line."""
+    if _INT_TEXT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # only the length limit rejects it
             raise InputError(
-                f"{what}{': ' if what else ''}an integer of {len(digits)} digits"
-                f" exceeds the limit of {sys.get_int_max_str_digits()} digits"
+                f"{what}{': ' if what else ''}an integer of"
+                f" {len(text.lstrip('+-'))} digits exceeds the limit of"
+                f" {sys.get_int_max_str_digits()} digits"
             ) from None
-        needs = f"needs {expected}, got {_cut(text)}"
-        raise InputError(f"{what} {needs}" if what else needs) from None
+    needs = f"needs {expected}, got {_cut(text)}"
+    raise InputError(f"{what} {needs}" if what else needs)
 
 
 def _cut(text: str) -> str:
@@ -408,10 +428,10 @@ def _visibility(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
     """Suite, n <= 7: the visibility verdict against the oracle's circuit
     scan, and a visible decomposition against the oracle's check."""
     if w.n <= 7:
-        visible = isinstance(a.decomposition, torus.VisibleDecomposition)
-        if visible != isinstance(oracle.brute_visible(w), torus.VisibleDecomposition):
+        visible = isinstance(a.visibility, torus.VisibleDecomposition)
+        if visible != (oracle.brute_visible(w) is not None):
             yield "visibility verdict mismatch"
-        elif visible and oracle.check_decomposition(w, a.decomposition) is not None:
+        elif visible and oracle.check_decomposition(w, a.visibility) is not None:
             yield "decomposition verification"
 
 
@@ -434,17 +454,10 @@ def _smooth_witnesses(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]
                 yield "smooth witness tangent dimension"
 
 
-def _witness_presence(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
-    """Suite, every n: a non-visible witness exactly when the action is
-    not visible."""
-    if (a.witness is None) != isinstance(a.decomposition, torus.VisibleDecomposition):
-        yield "nonvisible witness presence"
-
-
 # The matrix suites, in the order their failures are reported.  Each one
 # takes a case's weight matrix and its Analysis, opens with its own size
 # guard, and yields one failure kind per mismatch.
-_SUITES = (_components, _visibility, _smooth_witnesses, _witness_presence)
+_SUITES = (_components, _visibility, _smooth_witnesses)
 
 
 def _check_case(

@@ -6,7 +6,8 @@ echelon basis that pivots from the right (cross-multiplication, then gcd
 division; no Bareiss division, no rational RREF), kernels by the same row
 insertion, with a unit tag carried along to record each relation, hull
 membership by Caratheodory subset search (no simplex), visibility by
-exhaustive partition search, mixed-sign circuits by subset enumeration.
+exhaustive partition search (a decomposition, or None when there is
+none), mixed-sign circuits by subset enumeration.
 One reader of row subsets, ``_subset_circuits``, serves the visibility
 and circuit searches, the kernels and the decomposition check: a subset's
 basis extends that of the subset less its highest row, so a prefix has
@@ -32,12 +33,11 @@ import math
 import random
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapabilityError, InputError, int_rows, is_int
 from .torus import (
     Block,
-    NotVisible,
     PairPoint,
     Stratum,
     VisibleDecomposition,
@@ -226,13 +226,14 @@ def brute_components(w: WeightMatrix) -> list[Stratum]:
 # -- visibility ----------------------------------------------------------------
 
 
-def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
+def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
     """Exhaustive search over partitions {1..n} = I_0 + I_1 + ...
 
     I_0 may be empty and must be independent; every other part must carry a
     unique strictly positive relation; the spans must be in direct sum.
     Returns the first success in canonical order (elements assigned
-    smallest-first, I_0 before blocks, blocks by increasing bitmask).
+    smallest-first, I_0 before blocks, blocks by increasing bitmask), or
+    None when no partition passes: the action is not visible.
     I_0 grows only while it stays independent, and each new block holds
     the lowest unassigned row, so a leaf's I_0 is independent and its
     blocks are in order of their least index without a check or a sort.
@@ -292,11 +293,7 @@ def brute_visible(w: WeightMatrix) -> Union[VisibleDecomposition, NotVisible]:
 
     got = search(full, 0, [])
     if got is None:
-        return NotVisible(
-            "exhaustive partition search: no partition satisfies the"
-            " independence, unique-positive-relation and direct-sum"
-            " conditions"
-        )
+        return None
     fixed_mask, block_masks = got
     blocks = []
     for mask in block_masks:

@@ -6,11 +6,12 @@ Everything about the zero fiber of the moment map on V + V* is decided
 exactly from S.  The facts read off the circuits of S come together in one
 ``Analysis``, built by one elimination of tS: the splits I_d/I_f (I_d is
 the support of the symplectic reduction), the fiber's dimension and
-irreducible components (normal iff I_f is empty), the visibility
-decomposition or a non-visible witness, the Cartan vectors, and explicit
-smooth points with their stabilizers.  Separate functions give strata
-dimensions, stability, and the orbit closedness of every fiber point (one
-hull query on the doubled weights).
+irreducible components (normal iff I_f is empty), the visibility verdict
+as one value (the decomposition when visible, else a non-visible
+witness), the Cartan vectors, and explicit smooth points with their
+stabilizers.  Separate functions give strata dimensions, stability, and
+the orbit closedness of every fiber point (one hull query on the doubled
+weights: its ``Inside``, or a ``NotClosed`` destabilizer).
 
 Indices are 1-based: subsets I live inside {1..n}.  Each sequence taken
 as input is read once by a reader of ``errors``: the weight rows by
@@ -146,20 +147,6 @@ class VisibleDecomposition:
 
 
 @record
-class NotVisible:
-    reason: str
-
-
-@record
-class Closed:
-    """Strictly positive coefficients on the doubled weight system: one per
-    s_i with x_i != 0, then one per -s_i with phi_i != 0, in index order;
-    their weighted sum vanishes.  Empty for the origin."""
-
-    combination: Inside
-
-
-@record
 class NotClosed:
     """A destabilizing cocharacter: pairings >= 0 on supp(x), <= 0 on
     supp(phi), strict somewhere; the limit point drops to a smaller
@@ -167,9 +154,6 @@ class NotClosed:
 
     cocharacter: tuple[int, ...]
     limit: PairPoint
-
-
-Closedness = Closed | NotClosed
 
 
 @record
@@ -253,11 +237,12 @@ class Analysis:
       supersets of I_d, so it is irreducible, and normal, iff I_f = {}.
     * The action is visible iff no circuit has a mixed-sign relation.  A
       mixed fundamental circuit, or two positive ones meeting, give such a
-      circuit, and it builds the non-visible ``witness``.  Otherwise the
-      circuits are disjoint and positive: they are the blocks of the
-      ``decomposition``, with I_0 = I_f.  Both certificates are checked
-      before they are returned, the decomposition by one more rank and
-      the witness by one more elimination.
+      circuit, and ``visibility`` is the non-visible witness it builds.
+      Otherwise the circuits are disjoint and positive, and
+      ``visibility`` is the decomposition they are the blocks of, with
+      I_0 = I_f.  Either certificate is checked before it is returned,
+      the decomposition by one more rank and the witness by one more
+      elimination.
 
     The ``WeightMatrix`` it was built from stays as ``weights``, so the
     smooth points come from here too: ``smooth_witness`` reads local
@@ -269,8 +254,7 @@ class Analysis:
     rank: int
     dependent: Stratum  # I_d: rows in some circuit
     free: Stratum  # I_f: rows in no circuit
-    decomposition: VisibleDecomposition | NotVisible
-    witness: Optional[ClosedPairWitness]  # None exactly when visible
+    visibility: VisibleDecomposition | ClosedPairWitness
 
     @classmethod
     def of(cls, w: WeightMatrix) -> "Analysis":
@@ -284,15 +268,11 @@ class Analysis:
                 Block(frozenset(s), polytope.primitive([v[i - 1] for i in s]))
                 for s, v in sorted(zip(supports, vectors))
             )
-            dec, witness = VisibleDecomposition(fixed=free, blocks=blocks), None
-            _verify_decomposition(w, dec)
+            vis = VisibleDecomposition(fixed=free, blocks=blocks)
+            _verify_decomposition(w, vis)
         else:
-            dec = NotVisible(
-                f"circuit {sorted(support(mixed))} has a mixed-sign relation,"
-                " so 0 is not interior to its hull"
-            )
-            witness = _nonvisible_witness(w, mixed)
-        return cls(w, w.n - len(vectors), dependent, free, dec, witness)
+            vis = _nonvisible_witness(w, mixed)
+        return cls(w, w.n - len(vectors), dependent, free, vis)
 
     @property
     def n(self) -> int:
@@ -306,11 +286,11 @@ class Analysis:
     def cartan_vectors(self) -> Optional[list[tuple[int, ...]]]:
         """Indicator vectors of the blocks, n - rank S of them; they span a
         Cartan subspace.  None when the action is not visible."""
-        if isinstance(self.decomposition, NotVisible):
+        if isinstance(self.visibility, ClosedPairWitness):
             return None
         return [
             tuple(1 if i in b.indices else 0 for i in range(1, self.n + 1))
-            for b in self.decomposition.blocks
+            for b in self.visibility.blocks
         ]
 
     def components(
@@ -451,14 +431,17 @@ def is_stable(w: WeightMatrix) -> tuple[bool, polytope.HullCertificate]:
     return isinstance(cert, Inside), cert
 
 
-def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
+def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Inside | NotClosed:
     """Is the orbit of a fiber point closed?
 
     Hilbert-Mumford for tori: closed iff 0 lies in the relative interior
     of the hull of the doubled weights {s_i : x_i != 0} + {-s_i : phi_i
-    != 0}.  One hull query decides it and checks its certificate.  An
-    Inside combination makes the orbit closed; an Outside functional is
-    a destabilizing cocharacter, and its flow at t -> 0 keeps the
+    != 0}.  One hull query decides it and checks its certificate.  A
+    closed orbit returns the ``Inside`` itself: strictly positive
+    coefficients on the doubled weights, one per s_i with x_i != 0, then
+    one per -s_i with phi_i != 0, in index order, whose weighted sum
+    vanishes; empty for the origin.  An Outside functional is a
+    destabilizing cocharacter, and its flow at t -> 0 keeps the
     coordinates whose weights it pairs to 0: the limit point.
     """
     if any(v != 0 for v in moment_eval(w, p)):
@@ -467,10 +450,10 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Closedness:
         tuple(-v for v in w.weight(i)) for i in sorted(support(p.phi))
     ]
     if not pts:
-        return Closed(combination=Inside(()))  # the origin
+        return Inside(())  # the origin
     cert = polytope.zero_in_relative_interior(HullQuery(tuple(pts)))
     if isinstance(cert, Inside):
-        return Closed(combination=cert)
+        return cert
     lam = cert.functional
     exps = [sum(s * c for s, c in zip(row, lam)) for row in w.matrix.entries]
     limit = PairPoint(

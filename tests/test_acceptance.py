@@ -95,10 +95,9 @@ def test_criterion_04_visibility_oracle_equivalence(corpus):
         assert len(small) >= 300
         for w in small:
             a = torus.Analysis.of(w)
-            fast = a.decomposition
-            brute = oracle.brute_visible(w)
+            fast = a.visibility
             fast_ok = isinstance(fast, VisibleDecomposition)
-            assert fast_ok == isinstance(brute, VisibleDecomposition), (
+            assert fast_ok == (oracle.brute_visible(w) is not None), (
                 w.matrix.entries
             )
             if fast_ok:
@@ -172,7 +171,7 @@ def test_criterion_06_stability_irreducibility_triple(corpus):
         seen = 0
         for w in corpus:
             a = torus.Analysis.of(w)
-            if not isinstance(a.decomposition, VisibleDecomposition):
+            if not isinstance(a.visibility, VisibleDecomposition):
                 continue
             seen += 1
             stable, cert = torus.is_stable(w)
@@ -188,12 +187,11 @@ def test_criterion_07_nonvisible_witnesses(corpus):
     with criterion(7, "closed-pair witnesses exactly on non-visible input", 120):
         nonvisible = 0
         for w in corpus:
-            a = torus.Analysis.of(w)
-            wit = a.witness
-            visible = isinstance(a.decomposition, VisibleDecomposition)
-            assert (wit is None) == visible, w.matrix.entries
-            if wit is None:
+            wit = torus.Analysis.of(w).visibility
+            if isinstance(wit, VisibleDecomposition):
                 continue
+            # Not visible: the one verdict is the witness.
+            assert isinstance(wit, torus.ClosedPairWitness), w.matrix.entries
             nonvisible += 1
             p = wit.pair
             assert all(v == 0 for v in torus.moment_eval(w, p))
@@ -222,7 +220,7 @@ def test_criterion_07_nonvisible_witnesses(corpus):
                     value *= p.phi[i] ** (-c)
             assert value == 1
             # The pair itself has a closed orbit.
-            assert isinstance(torus.pair_closed_orbit(w, p), torus.Closed)
+            assert isinstance(torus.pair_closed_orbit(w, p), Inside)
         assert nonvisible >= 20
 
 

@@ -14,6 +14,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moment_fiber
 from moment_fiber import cli, exactlin, polytope, torus
@@ -178,6 +180,19 @@ class TestAnalyze:
         # the "1, 0" form.
         assert cli._parse_weights_csv(text).matrix.entries == ((1, 0), (-1, 0), (0, 1))
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [("1_0,2\n", "1_0"), ("\u0661,\u0662\n", "\u0661"), ("\uff11,-\uff12\n", "\uff11")],
+        ids=["underscore", "arabic-indic", "fullwidth"],
+    )
+    def test_non_ascii_digit_csv_integer_exits_2(self, text, bad, tmp_path, capsys):
+        # int() reads each of these; JSON input and the CLI do not.
+        path = tmp_path / "weights.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1, field 1 needs an integer, got {bad!r}\n"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "weights.csv"
         path.write_bytes(b"1, 0\n\xff\xfe\n")
@@ -319,12 +334,32 @@ class TestAnalyze:
             )
             assert rep["components"]["count"] == 2 ** len(a.free)
 
+    def test_nonvisible_reason_names_the_witness_support(self, corpus):
+        # The reason is written from the witness's relation, its 1-based
+        # support being the mixed-sign circuit.
+        nonvisible = 0
+        for w in corpus:
+            rep = json.loads(cli.analyze(w).to_json())
+            if rep["properties"]["visible"]["value"]:
+                continue
+            nonvisible += 1
+            rel = rep["nonvisible_witness"]["relation"]
+            supp = [i + 1 for i, c in enumerate(rel) if c]
+            assert rep["properties"]["visible"]["reason"] == (
+                f"circuit {supp} has a mixed-sign relation, so 0 is not"
+                " interior to its hull"
+            ), w.matrix.entries
+        assert nonvisible > 100
+
     def test_from_dict_names_a_bad_schema_or_missing_field(self):
         rep = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]]))
         data = json.loads(rep.to_json())
         assert cli.AnalysisReport.from_dict(data) == rep
         with pytest.raises(InputError, match="report schema 1 is not 2"):
             cli.AnalysisReport.from_dict({**data, "schema": 1})
+        # 2.0 == 2, but a report's numbers are integers.
+        with pytest.raises(InputError, match="^report schema 2.0 is not 2$"):
+            cli.AnalysisReport.from_dict({**data, "schema": 2.0})
         # A schema-1 report has no schema key.
         old = {k: v for k, v in data.items() if k != "schema"}
         with pytest.raises(InputError, match=r"lacks the field\(s\) schema$"):
@@ -332,6 +367,16 @@ class TestAnalyze:
         del data["rank"], data["splits"]
         with pytest.raises(InputError, match=r"lacks the field\(s\) rank, splits$"):
             cli.AnalysisReport.from_dict(data)
+
+    @pytest.mark.parametrize("token", ["1.0", "NaN", "Infinity"])
+    def test_from_json_refuses_a_non_integer_number(self, token):
+        # 1.0 would compare equal to the report and encode back as 1.0;
+        # NaN and Infinity are not JSON at all.
+        text = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]])).to_json()
+        assert '"rank": 1,' in text
+        text = text.replace('"rank": 1,', f'"rank": {token},')
+        with pytest.raises(InputError, match=f"^report number '{token}' is not an integer$"):
+            cli.AnalysisReport.from_json(text)
 
     @pytest.mark.parametrize(
         "text, kind",
@@ -702,6 +747,21 @@ class TestKac:
             f" {sys.get_int_max_str_digits()} digits"
         ) in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("E\u0668 all-ones", "the rank of 'E' needs an integer, got '\u0668'"),
+            ("A2 labels=1,\u0660,1", "labels= needs comma-separated integers, got '\u0660'"),
+            ("A2 twist=\uff11", "twist= needs an integer, got '\uff11'"),
+        ],
+        ids=["rank", "labels", "twist"],
+    )
+    def test_non_ascii_digit_exits_2(self, spec, message, capsys):
+        # Not read as a number, and not named as one past the digit limit.
+        code, out, err = run(["kac", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message}\n"
+
     def test_non_integer_twist_message(self, capsys):
         code, _, err = run(["kac", "E6 twist=x"], capsys)
         assert code == 2
@@ -923,6 +983,13 @@ def in_process_pool(opened):
 
 
 class TestSelftest:
+    @pytest.mark.parametrize("value", ["1_0", " 10", "\uff11\uff10"])
+    def test_count_of_non_ascii_digits_exits_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--count", value])
+        assert exc.value.code == 2
+        assert f"argument --count: needs an integer, got {value!r}" in capsys.readouterr().err
+
     def test_quick_run_passes(self, capsys):
         code, out, _ = run(
             ["selftest", "--count", "15", "--seed", "2", "--max-n", "6"],
@@ -1008,7 +1075,7 @@ class TestSelftest:
         [
             (
                 cli.oracle, "brute_visible",
-                lambda real: lambda w: torus.NotVisible("mutant"),
+                lambda real: lambda w: None,
                 "visibility verdict mismatch: seed=3 weights=",
             ),
             (
@@ -1027,11 +1094,6 @@ class TestSelftest:
                 "smooth witness tangent dimension: seed=3 weights=",
             ),
             (
-                torus, "_nonvisible_witness",
-                lambda real: lambda w, mixed: None,
-                "nonvisible witness presence: seed=3 weights=",
-            ),
-            (
                 polytope, "zero_in_hull",
                 lambda real: lambda q: polytope.Outside((0,) * q.dim),
                 "hull certificate: seed=3 points=",
@@ -1044,7 +1106,7 @@ class TestSelftest:
         ],
         ids=[
             "visibility", "decomposition", "stabilizer", "tangent",
-            "witness-presence", "hull-certificate", "hull-verdict",
+            "hull-certificate", "hull-verdict",
         ],
     )
     def test_each_failure_kind_is_reported(
@@ -1061,13 +1123,12 @@ class TestSelftest:
         # One case fails every matrix suite and the hull check at once: the
         # lines of each suite come in the order of cli._SUITES, then the
         # hull's.  [[1], [1], [-2]] is not visible, has one component and
-        # is locally free with n = 3, so all four suites run on it.
+        # is locally free with n = 3, so all three suites run on it.
         visible = torus.VisibleDecomposition(frozenset(), ())
         for owner, name, mutant in [
             (cli.oracle, "brute_components", lambda real: lambda w: real(w)[:-1]),
             (cli.oracle, "brute_visible", lambda real: lambda w: visible),
             (cli.oracle, "tangent_dim", lambda real: lambda w, p: real(w, p) + 1),
-            (torus, "_nonvisible_witness", lambda real: lambda w, mixed: None),
             (cli.oracle, "brute_zero_in_hull", lambda real: lambda pts: not real(pts)),
         ]:
             monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
@@ -1078,7 +1139,6 @@ class TestSelftest:
             f"component count: {weights}",
             f"visibility verdict mismatch: {weights}",
             *[f"smooth witness tangent dimension: {weights}"] * 8,
-            f"nonvisible witness presence: {weights}",
             "hull verdict: seed=5 points=[(1,), (-1,)]",
         ]
 
@@ -1303,3 +1363,21 @@ class TestSelftest:
         ok, _ = cli.run_selftest(0, count=30)
         assert ok
         assert len(calls) == len(kernels) == 30
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"[+-]?[0-9]{1,30}", fullmatch=True),
+        st.text(alphabet="+-0123456789_ \t\n\u0660\u0668\uff11.e", max_size=12),
+        st.text(max_size=12),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_read_int_reads_only_a_sign_and_ascii_digits(text):
+    # The one rule of JSON integers: int() alone would also take spaces,
+    # underscores and every Unicode decimal digit.
+    if re.fullmatch(r"[+-]?[0-9]+", text, re.ASCII):
+        assert cli._read_int(text) == int(text)
+    else:
+        with pytest.raises(InputError):
+            cli._read_int(text)

@@ -14,9 +14,8 @@ from moment_fiber import cli, exactlin, oracle, polytope, torus
 from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.polytope import Inside, Outside
 from moment_fiber.torus import (
-    Closed,
+    ClosedPairWitness,
     NotClosed,
-    NotVisible,
     PairPoint,
     VisibleDecomposition,
     WeightMatrix,
@@ -263,7 +262,7 @@ class TestStability:
 
 class TestVisibility:
     def test_block_plus_free(self):
-        dec = torus.Analysis.of(BLOCK_PLUS_FREE).decomposition
+        dec = torus.Analysis.of(BLOCK_PLUS_FREE).visibility
         assert isinstance(dec, VisibleDecomposition)
         assert dec.fixed == frozenset({3})
         assert len(dec.blocks) == 1
@@ -272,12 +271,11 @@ class TestVisibility:
         assert b.relation == (Fraction(1), Fraction(1))
 
     def test_triple_not_visible(self):
-        dec = torus.Analysis.of(TRIPLE).decomposition
-        assert isinstance(dec, NotVisible)
-        assert dec.reason
+        vis = torus.Analysis.of(TRIPLE).visibility
+        assert isinstance(vis, ClosedPairWitness)
 
     def test_opposite_pair(self):
-        dec = torus.Analysis.of(OPPOSITE).decomposition
+        dec = torus.Analysis.of(OPPOSITE).visibility
         assert isinstance(dec, VisibleDecomposition)
         assert dec.fixed == frozenset()
         assert [b.indices for b in dec.blocks] == [frozenset({1, 2})]
@@ -286,11 +284,9 @@ class TestVisibility:
         for w in small_corpus:
             if w.n > 7:
                 continue
-            fast = torus.Analysis.of(w).decomposition
+            fast = torus.Analysis.of(w).visibility
             brute = oracle.brute_visible(w)
-            assert isinstance(fast, VisibleDecomposition) == isinstance(
-                brute, VisibleDecomposition
-            )
+            assert isinstance(fast, VisibleDecomposition) == (brute is not None)
             if isinstance(fast, VisibleDecomposition):
                 assert fast.fixed == brute.fixed
                 assert {b.indices for b in fast.blocks} == {
@@ -350,7 +346,7 @@ class TestVisibility:
         # rows breaks its relation; the check and the oracle both say so.
         checked = 0
         for w in corpus:
-            dec = torus.Analysis.of(w).decomposition
+            dec = torus.Analysis.of(w).visibility
             if not isinstance(dec, VisibleDecomposition):
                 continue
             torus._verify_decomposition(w, dec)
@@ -397,7 +393,7 @@ class TestCartanSubspace:
     def test_count_and_tangent_confinement(self, small_corpus):
         rng = random.Random(8)
         for w in small_corpus[:80]:
-            dec = torus.Analysis.of(w).decomposition
+            dec = torus.Analysis.of(w).visibility
             if not isinstance(dec, VisibleDecomposition):
                 continue
             vectors = torus.Analysis.of(w).cartan_vectors
@@ -437,7 +433,7 @@ def _tangent_rows(w, x):
 class TestPairClosedOrbit:
     def test_both_semisimple(self):
         res = torus.pair_closed_orbit(OPPOSITE, PairPoint.of((1, 1), (1, 1)))
-        assert isinstance(res, Closed)
+        assert isinstance(res, Inside)
 
     def test_nilpotent_x_not_closed(self):
         res = torus.pair_closed_orbit(OPPOSITE, PairPoint.of((1, 0), (0, 0)))
@@ -446,7 +442,7 @@ class TestPairClosedOrbit:
 
     def test_origin_closed(self):
         res = torus.pair_closed_orbit(OPPOSITE, PairPoint.of((0, 0), (0, 0)))
-        assert isinstance(res, Closed)
+        assert res == Inside(())
 
     def test_off_fiber_rejected(self):
         with pytest.raises(InputError):
@@ -466,12 +462,12 @@ class TestPairClosedOrbit:
         # 1, -1, 2 still hold 0 in their relative interior.
         p = PairPoint.of((1, 0, 0), (0, 1, 1))
         res = torus.pair_closed_orbit(TRIPLE, p)
-        assert isinstance(res, Closed)
-        coeffs = res.combination.coefficients
+        assert isinstance(res, Inside)
+        coeffs = res.coefficients
         assert all(c > 0 for c in coeffs)
         assert [c / coeffs[0] for c in coeffs] == [1, 3, 1]
         q = polytope.HullQuery.of([(1,), (-1,), (2,)])
-        assert polytope.verify_certificate(q, res.combination, True)
+        assert polytope.verify_certificate(q, res, True)
 
     def test_destabilizer_certifies(self, small_corpus):
         rng = random.Random(17)
@@ -501,7 +497,7 @@ class TestPairClosedOrbit:
                     tuple(0 if e else v for v, e in zip(p.x, exps)),
                     tuple(0 if e else v for v, e in zip(p.phi, exps)),
                 )
-            elif isinstance(res, Closed):
+            elif isinstance(res, Inside):
                 q = polytope.HullQuery.of(_doubled_weights(w, p))
                 cert = polytope.zero_in_relative_interior(q)
                 assert isinstance(cert, Inside)
@@ -523,13 +519,13 @@ class TestPairClosedOrbit:
                 res = torus.pair_closed_orbit(w, p)
                 cases += 1
                 if not pts:  # the origin
-                    assert res == Closed(Inside(()))
+                    assert res == Inside(())
                     continue
                 closed = oracle.brute_zero_in_relative_interior(pts)
-                assert isinstance(res, Closed) == closed, (w, p)
+                assert isinstance(res, Inside) == closed, (w, p)
                 if closed:
                     assert polytope.verify_certificate(
-                        polytope.HullQuery.of(pts), res.combination, True
+                        polytope.HullQuery.of(pts), res, True
                     )
                 else:
                     # Pairings >= 0 on supp x, <= 0 on supp phi, one strict.
@@ -576,8 +572,8 @@ class TestPairClosedOrbit:
                 [0, 0, -1, 0], [0, 0, 0, 1]]),
         ]
         for w in small_corpus + several_blocks:
-            dec = torus.Analysis.of(w).decomposition
-            if w.n > 8 or isinstance(dec, NotVisible):
+            dec = torus.Analysis.of(w).visibility
+            if w.n > 8 or isinstance(dec, ClosedPairWitness):
                 continue
             dependent = sorted(set(range(1, w.n + 1)) - dec.fixed)
             for mask in range(1, 1 << len(dependent)):
@@ -601,8 +597,8 @@ def x_is_nilpotent(w, p):
 
 class TestNonvisibleWitness:
     def test_triple(self):
-        wit = torus.Analysis.of(TRIPLE).witness
-        assert wit is not None
+        wit = torus.Analysis.of(TRIPLE).visibility
+        assert isinstance(wit, ClosedPairWitness)
         p = wit.pair
         assert torus.moment_eval(TRIPLE, p) == (Fraction(0),)
         assert x_is_nilpotent(TRIPLE, p)
@@ -618,19 +614,21 @@ class TestNonvisibleWitness:
         assert value == 1
 
     def test_visible_returns_none(self):
-        assert torus.Analysis.of(OPPOSITE).witness is None
-        assert torus.Analysis.of(IDENTITY2).witness is None
+        # No witness: the verdict is the decomposition.
+        for w in (OPPOSITE, IDENTITY2):
+            vis = torus.Analysis.of(w).visibility
+            assert isinstance(vis, VisibleDecomposition)
 
     def test_mixed_fundamental_circuit(self):
         # C(2, {1}) relates rows 1 and 2 with opposite signs.
-        wit = torus.Analysis.of(TRIPLE).witness
+        wit = torus.Analysis.of(TRIPLE).visibility
         assert wit.relation == (-1, 1, 0)
         assert wit.pair == PairPoint.of((0, 1, 0), (1, 0, 0))
 
     def test_two_positive_circuits_sharing_a_basis_row(self):
         # C(2) = (1, 1, 0) and C(3) = (2, 0, 1) are positive and meet in
         # row 1; eliminating it leaves the mixed circuit {2, 3}.
-        wit = torus.Analysis.of(wm([[1], [-1], [-2]])).witness
+        wit = torus.Analysis.of(wm([[1], [-1], [-2]])).visibility
         assert wit.relation == (0, -2, 1)
         assert wit.pair == PairPoint.of((0, 0, 1), (0, 1, 0))
 
@@ -638,8 +636,7 @@ class TestNonvisibleWitness:
         w = wm([
             [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -2, 0], [0, 0, 0], [0, 0, 1],
         ])
-        assert torus.Analysis.of(w).witness is None
-        dec = torus.Analysis.of(w).decomposition
+        dec = torus.Analysis.of(w).visibility
         assert dec.fixed == frozenset({6})
         assert [(b.indices, b.relation) for b in dec.blocks] == [
             (frozenset({1, 2}), (Fraction(1), Fraction(1))),
@@ -651,15 +648,16 @@ class TestNonvisibleWitness:
         for w in corpus:
             if w.n > 12:
                 continue
-            wit = torus.Analysis.of(w).witness
-            assert (wit is None) == (oracle.brute_mixed_circuit(w) is None), (
+            vis = torus.Analysis.of(w).visibility
+            visible = isinstance(vis, VisibleDecomposition)
+            assert visible == (oracle.brute_mixed_circuit(w) is None), (
                 w.matrix.entries
             )
 
     def test_every_witness_is_a_mixed_circuit(self, corpus):
         for w in corpus:
-            wit = torus.Analysis.of(w).witness
-            if wit is None:
+            wit = torus.Analysis.of(w).visibility
+            if not isinstance(wit, ClosedPairWitness):
                 continue
             supp = sorted(torus.support(wit.relation))
             assert exactlin.rank_rows(
@@ -673,10 +671,10 @@ class TestNonvisibleWitness:
         # The hull searches stay the reference for the built certificates.
         checked = 0
         for w in corpus:
-            wit = torus.Analysis.of(w).witness
-            if wit is None:
+            wit = torus.Analysis.of(w).visibility
+            if not isinstance(wit, ClosedPairWitness):
                 continue
-            assert isinstance(torus.pair_closed_orbit(w, wit.pair), Closed), (
+            assert isinstance(torus.pair_closed_orbit(w, wit.pair), Inside), (
                 w.matrix.entries
             )
             assert x_is_nilpotent(w, wit.pair), w.matrix.entries
@@ -760,7 +758,7 @@ class TestNonvisibleWitness:
         nonvisible = 0
         for w in corpus:
             calls.clear()
-            if torus.Analysis.of(w).witness is not None:
+            if isinstance(torus.Analysis.of(w).visibility, ClosedPairWitness):
                 assert calls == [False], w.matrix.entries
                 nonvisible += 1
         assert nonvisible > 100
@@ -899,7 +897,7 @@ class TestStabilityIrreducibilityTriple:
         seen = 0
         for w in small_corpus:
             a = torus.Analysis.of(w)
-            if not isinstance(a.decomposition, VisibleDecomposition):
+            if not isinstance(a.visibility, VisibleDecomposition):
                 continue
             seen += 1
             stable = torus.is_stable(w)[0]
@@ -919,7 +917,7 @@ for _ in range(3):
     for k in [k for k in sys.modules if k.split('.')[0] == 'moment_fiber']:
         del sys.modules[k]
     torus = importlib.import_module('moment_fiber.torus')
-    refs.append(weakref.ref(torus.Closed))
+    refs.append(weakref.ref(torus.NotClosed))
     refs.append(weakref.ref(importlib.import_module('moment_fiber.polytope')))
 del torus
 gc.collect()
