@@ -42,10 +42,17 @@ EXIT_CAPABILITY = 3
 FORMATS = ("json", "text")
 
 
+# json.dumps(obj, sort_keys=True) builds an encoder per call; this one
+# holds no state between calls, so it is shared.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _dumps(obj: Any) -> str:
     """The CLI's one JSON style: one compact line, keys sorted, so the C
-    encoder runs.  Pipe it through ``python -m json.tool`` to indent it."""
-    return json.dumps(obj, sort_keys=True)
+    encoder runs; the text of ``json.dumps(obj, sort_keys=True)``, by one
+    shared encoder.  Pipe it through ``python -m json.tool`` to indent
+    it."""
+    return _ENCODER.encode(obj)
 
 
 def _cert_dict(cert: polytope.HullCertificate) -> dict:
@@ -56,7 +63,12 @@ def _cert_dict(cert: polytope.HullCertificate) -> dict:
 
 # The JSON name of each type that json.loads returns.
 _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
-               bool: "boolean", type(None): "null"}
+               bool: "boolean", type(None): "null", dict: "object"}
+
+
+def _kind(value: Any) -> str:
+    """The JSON name of ``value``'s type, else the Python name."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 @record
@@ -79,16 +91,24 @@ class AnalysisReport:
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
         """InputError for anything but a dict, named by its JSON type, a
-        missing field (a schema-1 report has no ``schema``) or another
-        schema."""
+        missing field (a schema-1 report has no ``schema``), another
+        schema, or a ``rank``, ``components.count`` or ``fiber_dimension``
+        that is not an int (a bool neither), named by its field and JSON
+        type (``components.count`` by the type of ``components`` when that
+        is not an object)."""
         if not isinstance(data, dict):
-            kind = _JSON_TYPES.get(type(data), type(data).__name__)
-            raise InputError(f"report is a JSON {kind}, not an object")
+            raise InputError(f"report is a JSON {_kind(data)}, not an object")
         missing = [name for name in cls._fields if name not in data]
         if missing:
             raise InputError(f"report lacks the field(s) {', '.join(missing)}")
         if not is_int(data["schema"]) or data["schema"] != cls.schema:
             raise InputError(f"report schema {data['schema']!r} is not {cls.schema}")
+        comps = data["components"]
+        count = comps.get("count") if isinstance(comps, dict) else comps
+        for name, value in [("rank", data["rank"]), ("components.count", count),
+                            ("fiber_dimension", data["fiber_dimension"])]:
+            if not is_int(value):
+                raise InputError(f"report {name} is a JSON {_kind(value)}, not an integer")
         return cls(**{name: data[name] for name in cls._fields})
 
     def to_json(self) -> str:
@@ -117,7 +137,8 @@ def analyze(
     One ``torus.Analysis`` feeds the rank, splits, components, visibility,
     Cartan vectors and witness; the stability simplex is the only other
     procedure run.  A ``max_components`` that is neither None nor an int
-    >= 0 raises InputError before the simplex runs.
+    >= 0 raises InputError before the simplex runs.  The non-visible
+    reason names the witness relation's support, 1-based, in index order.
     """
     a = torus.Analysis.of(w)
     comps = a.components(max_components)
@@ -148,8 +169,8 @@ def analyze(
             "relation": list(vis.relation),
         }
         reason = (
-            f"circuit {sorted(torus.support(vis.relation))} has a mixed-sign"
-            " relation, so 0 is not interior to its hull"
+            f"circuit {[i for i, c in enumerate(vis.relation, 1) if c]} has a"
+            " mixed-sign relation, so 0 is not interior to its hull"
         )
         properties["visible"] = {"value": False, "reason": reason}
         properties["polar"] = {
@@ -158,7 +179,7 @@ def analyze(
         }
 
     return AnalysisReport(
-        input={"weights": [list(r) for r in w.matrix.entries]},
+        input={"weights": list(map(list, w.matrix.entries))},
         rank=rank,
         fiber_dimension=a.fiber_dimension,
         splits={"dependent": sorted(i_d), "free": sorted(i_f)},

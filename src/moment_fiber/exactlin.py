@@ -48,17 +48,19 @@ def echelon(
     ``a / d`` is the reduced row-echelon form over Q.
 
     Pivoting is deterministic: columns left to right, first nonzero row
-    at or below the current rank, each step done by ``pivot``.  Entries
-    never grow past the size of a minor of the input.
+    at or below the current rank, found by a plain loop, each step done by
+    ``pivot``.  Entries never grow past the size of a minor of the input.
     """
-    a = [list(r) for r in rows]
+    a = list(map(list, rows))
     nrows = len(a)
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
         k = len(pivots)
-        piv = next((i for i in range(k, nrows) if a[i][c]), None)
-        if piv is None:
+        for piv in range(k, nrows):
+            if a[piv][c]:
+                break
+        else:
             continue
         a[k], a[piv] = a[piv], a[k]
         prev = pivot(a, k, c, prev)
@@ -82,12 +84,15 @@ def kernel_basis(
     the other free columns, -sign(d) * a[k][f] at the pivot of row k.  It
     is the echelon-normalized rational vector (1 at f) times |d|, so it is
     positive at f, the largest index of its support.  The basis size is
-    ``ncols - rank``, and every vector satisfies M v = 0 exactly.
+    ``ncols - rank``, and every vector satisfies M v = 0 exactly.  The
+    free columns are read off ``range(ncols)`` in increasing order, each
+    tested against the pivot list, whose length is at most the number of
+    rows.
     """
     a, pivots, d = echelon(rows, ncols)
     sign = 1 if d > 0 else -1
     basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
+    for f in [f for f in range(ncols) if f not in pivots]:
         v = [0] * ncols
         v[f] = abs(d)
         for row, p in zip(a, pivots):

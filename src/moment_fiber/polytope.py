@@ -247,9 +247,13 @@ def _certified(
 
 
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """Integers divided by their gcd, so the gcd is 1; all zeros stay."""
-    g = math.gcd(*ints) or 1
-    return tuple(v // g for v in ints)
+    """Integers divided by their gcd, so the gcd is 1; all zeros stay.
+    A tuple either way: the input's own entries when the gcd is 1 or 0
+    (all zeros, or no entries), the common case, with no division."""
+    g = math.gcd(*ints)
+    if g <= 1:
+        return tuple(ints)
+    return tuple([v // g for v in ints])
 
 
 def verify_certificate(
@@ -262,18 +266,19 @@ def verify_certificate(
     iff the convex combination c / sum(c) does.  The coefficients are
     checked as given, ints or Fractions.  Outside: a functional of length
     ``q.dim`` pairing > 0 with every point (hull), or >= 0 with every
-    point and > 0 with one (relative interior).
+    point and > 0 with one (relative interior).  Signs are read off the
+    least and greatest value, sums column by column with ``map``.
     """
     if isinstance(cert, Inside):
         coeffs = cert.coefficients
-        if len(coeffs) != len(q.points) or any(c < 0 for c in coeffs):
+        if len(coeffs) != len(q.points) or min(coeffs, default=0) < 0:
             return False
         if not (all(coeffs) if relative_interior else any(coeffs)):
             return False
-        return all(sum(map(mul, coeffs, col)) == 0 for col in zip(*q.points))
+        return not any(sum(map(mul, coeffs, col)) for col in zip(*q.points))
     if len(cert.functional) != q.dim:
         return False
     pairings = [sum(map(mul, cert.functional, p)) for p in q.points]
     if relative_interior:
-        return all(v >= 0 for v in pairings) and any(v > 0 for v in pairings)
-    return all(v > 0 for v in pairings)
+        return min(pairings) >= 0 and max(pairings) > 0
+    return min(pairings) > 0

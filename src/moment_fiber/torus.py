@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin, polytope
@@ -258,8 +259,11 @@ class Analysis:
 
     @classmethod
     def of(cls, w: WeightMatrix) -> "Analysis":
+        """The analysis of ``w``.  Each circuit's support is read off its
+        vector as a list of 1-based indices in increasing order, the order
+        the blocks and I_d are built from."""
         vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
-        supports = [sorted(support(v)) for v in vectors]
+        supports = [[i for i, c in enumerate(v, 1) if c] for v in vectors]
         dependent = frozenset().union(*supports)
         free = frozenset(range(1, w.n + 1)) - dependent
         mixed = _mixed_circuit(vectors)
@@ -301,9 +305,10 @@ class Analysis:
         that count exceeds ``max_components``, which is None or an int
         >= 0, the rule of the CLI's ``--max-components``.
 
-        I_d joins each k-subset of the sorted I_f, k = 0..#I_f.  The
-        k-subsets come in lexicographic order, and so do their unions with
-        the disjoint I_d, so no sort is needed."""
+        I_d joins each k-subset of the sorted I_f, k = 0..#I_f, by one
+        ``frozenset.union`` with the subset's tuple.  The k-subsets come in
+        lexicographic order, and so do their unions with the disjoint I_d,
+        so no sort is needed."""
         cap = max_components
         if not (cap is None or is_int(cap) and cap >= 0):
             raise InputError(
@@ -313,7 +318,7 @@ class Analysis:
         if cap is not None and 1 << len(free) > cap:
             return None
         return tuple(
-            self.dependent | set(c)
+            self.dependent.union(c)
             for k in range(len(free) + 1)
             for c in combinations(free, k)
         )
@@ -502,18 +507,20 @@ def _verify_nonvisible_witness(
     coefficient positive, an ``Inside`` certificate on the doubled weights
     that needs no check of its own.  Nilpotency is the one certificate
     built and checked: the functional t with S_P t = 1.
+
+    The dependency is checked column by column, as ``verify_certificate``
+    checks a combination, and the supports in one pass over the
+    coordinates: x_i != 0 exactly where r_i > 0, phi_i != 0 exactly where
+    r_i < 0.
     """
     p, rel = witness.pair, witness.relation
     _check_length(w, p)
     rows = w.matrix.entries
-    if len(rel) != w.n or any(
-        sum(c * row[j] for c, row in zip(rel, rows)) != 0 for j in range(w.r)
-    ):
+    if len(rel) != w.n or any(sum(map(mul, rel, col)) for col in zip(*rows)):
         raise ArithmeticError("witness relation is not a weight dependency")
     pos = [i for i, c in enumerate(rel) if c > 0]
-    neg = [i for i, c in enumerate(rel) if c < 0]
-    x_supp, phi_supp = {i + 1 for i in pos}, {i + 1 for i in neg}
-    if support(p.x) != x_supp or support(p.phi) != phi_supp:
+    if any((x != 0) != (c > 0) or (phi != 0) != (c < 0)
+           for x, phi, c in zip(p.x, p.phi, rel)):
         raise ArithmeticError("witness supports differ from the relation")
     if not pos:
         raise ArithmeticError("witness x-part is zero")

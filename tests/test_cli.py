@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import json
 import math
@@ -377,6 +378,35 @@ class TestAnalyze:
         text = text.replace('"rank": 1,', f'"rank": {token},')
         with pytest.raises(InputError, match=f"^report number '{token}' is not an integer$"):
             cli.AnalysisReport.from_json(text)
+
+    @pytest.mark.parametrize(
+        "old, new, field, kind",
+        [
+            ('"rank": 1,', '"rank": true,', "rank", "boolean"),
+            ('"fiber_dimension": 3,', '"fiber_dimension": "3",', "fiber_dimension",
+             "string"),
+            ('"count": 1,', '"count": false,', "components.count", "boolean"),
+        ],
+        ids=["rank-true", "fiber_dimension-string", "count-false"],
+    )
+    def test_from_json_refuses_a_non_integer_field(self, old, new, field, kind):
+        # true == 1, so a report with "rank": true compared equal to the
+        # real one but encoded back as true; "3" parsed to a string.
+        text = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]])).to_json()
+        assert text.count(old) == 1
+        with pytest.raises(
+            InputError, match=f"^report {field} is a JSON {kind}, not an integer$"
+        ):
+            cli.AnalysisReport.from_json(text.replace(old, new))
+
+    def test_corpus_reports_are_pinned_byte_for_byte(self, corpus):
+        # Every later change must keep the 500 reports byte-identical; an
+        # intended output change updates the digest and says why in
+        # CHANGES.md.
+        text = "\n".join(cli.analyze(w).to_json() for w in corpus)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "955f30a33c2db1552e3135602fae88db2a47c6fb4745b6c51bd72aef8e315cda"
+        )
 
     @pytest.mark.parametrize(
         "text, kind",

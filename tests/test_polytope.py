@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,16 @@ class TestPrimitive:
     def test_gcd_reduction(self):
         assert polytope.primitive([2, -4]) == (1, -2)
         assert polytope.primitive([0, 0]) == (0, 0)
+        # All zeros, no entries, gcd 1 (returned early), gcd > 1 and
+        # negative entries: always a tuple, and primitive(v) * gcd == v.
+        cases = [[0, 0, 0], [], (), [3, -5], (1,), [-1, 0], [6, -9, 12],
+                 (-4, -8), [0, -7, 0], [-2]]
+        for ints in cases:
+            got = polytope.primitive(ints)
+            g = math.gcd(*ints)
+            assert type(got) is tuple, ints
+            assert [v * g for v in got] == list(ints), ints  # g = 0: all zeros
+            assert math.gcd(*got) == (1 if g else 0), ints
 
     def test_signs_preserved_on_query(self):
         pts = [(1, 3), (2, -1)]
