@@ -489,7 +489,10 @@ def _check_case(
     ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
     ``"<kind>: seed=<seed> points=<points>"``.  An analysis that fails its
     own certificate check (an ArithmeticError) is the one failure
-    ``certificate check`` of the matrix, whose suites it would feed."""
+    ``certificate check`` of the matrix, whose suites it would feed.  A
+    hull answer whose certificate fails, in the simplex's own check (an
+    ArithmeticError) or in the independent one here, is the failure
+    ``hull certificate`` of the points."""
     seed, w, points = case
     try:
         a = torus.Analysis.of(w)  # one elimination feeds every suite
@@ -501,8 +504,13 @@ def _check_case(
         weights = f"seed={seed} weights={[list(r) for r in w.matrix.entries]}"
         failures = [f"{kind}: {weights}" for kind in failures]
     q = polytope.HullQuery.of(points)
-    hull = polytope.zero_in_hull(q)
-    if not polytope.verify_certificate(q, hull, relative_interior=False):
+    try:
+        hull = polytope.zero_in_hull(q)
+    except ArithmeticError:  # the simplex's own certificate check failed
+        hull = None
+    if hull is None or not polytope.verify_certificate(
+        q, hull, relative_interior=False
+    ):
         failures.append(f"hull certificate: seed={seed} points={points}")
     elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(points):
         failures.append(f"hull verdict: seed={seed} points={points}")

@@ -34,7 +34,15 @@ the class:
 * the field names as ``_fields``, which is also ``__match_args__``.
 
 Only ``__init__`` is generated, by one ``exec`` per class: it runs for
-every record made, and a generated body sets each field directly.  The
+every record made, and a generated body sets each field with
+``object.__setattr__``, past the refusing ``__setattr__``.  Storing into
+``self.__dict__`` instead builds a record faster, but on CPython 3.11
+reading ``__dict__`` turns the instance's inline attribute values into a
+dict for good, and every later attribute read of that record is slower;
+records are read far more often than they are made, so ``selftest`` ran
+slower with it.  A ``__post_init__`` that normalizes a field, or keeps a
+value derived from the fields, sets it the same way; such a value is not
+a field, so ``==``, ``hash`` and the repr ignore it.  The
 other methods are shared and read the fields by name, so each call costs
 a few hundred nanoseconds more; under cProfile, no operation of any
 benchmark workload calls one.  ``dataclasses`` is not used: with

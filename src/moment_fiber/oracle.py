@@ -15,10 +15,11 @@ the greedy basis, and a relation is read off a reduced tag.  Relations
 are integer vectors, each checked in integers.  The hull searches visit
 independent subsets only (Caratheodory), and the component walk ends a
 branch whose nullity can no longer reach n - rank S.  The partition
-search counts blocks instead of ranking a leaf's parts: with I_0
-independent and every block a circuit, the ranks sum to rank S exactly
-when there are n - rank S blocks, so it opens no block past that count
-and tries no block of more than rank S + 1 rows.
+search keeps its assigned parts in direct sum: a row joins I_0, or a
+circuit opens a block, only if the rank of the union grows by 1, or by
+the block's size less 1.  A subfamily of a direct family is direct, so
+no branch to a decomposition is cut, and a finished partition has
+n - rank S blocks without a test of its own.
 The tangent oracle ranks a Jacobian's columns in index order through a
 one-entry memo, because every smooth witness of a matrix has the rows of
 S, in order, as its Jacobian columns.
@@ -234,15 +235,21 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
     Returns the first success in canonical order (elements assigned
     smallest-first, I_0 before blocks, blocks by increasing bitmask), or
     None when no partition passes: the action is not visible.
-    I_0 grows only while it stays independent, and each new block holds
-    the lowest unassigned row, so a leaf's I_0 is independent and its
-    blocks are in order of their least index without a check or a sort.
-    A block is a circuit, of rank one less than its size, so a leaf's
-    ranks sum to n - #blocks: the spans are in direct sum exactly when
-    there are ``need`` = n - rank S blocks.  No block opens once there
-    are ``need``, and none has more than rank S + 1 rows, the most a
-    circuit can have (Oxley, Matroid Theory, 1.1).  A block's relation is
-    its circuit made primitive and positive.
+    Each new block holds the lowest unassigned row, so a leaf's blocks
+    are in order of their least index without a sort.  The search keeps
+    an invariant: the union of the assigned rows has rank ``want`` =
+    |I_0| + sum(|b| - 1) over the blocks b, so the spans of I_0's rows
+    and of the blocks are in direct sum and I_0 is independent.  A row
+    joins I_0 only if the union's rank grows by 1, and a block opens only
+    if the rank grows by |b| - 1 (tested first, as it is cheaper) and
+    the block is a circuit.  Every subfamily of a direct family is
+    direct, so every node on the way to a valid partition keeps the
+    invariant: the prune is exact, the visiting order is unchanged, and
+    the first success is the one an unpruned search finds.  A leaf has
+    rank S = n - #blocks, so it has ``need`` = n - rank S blocks; no
+    block opens once there are ``need``, and none whose rank would pass
+    rank S.  A block's relation is its circuit made primitive and
+    positive.
     """
     if w.n > _VISIBLE_LIMIT:
         raise CapabilityError(
@@ -262,16 +269,18 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
     need = n - rank  # the blocks of every leaf whose spans are in direct sum
 
     def search(
-        unassigned: int, fixed: int, blocks: list[int]
-    ) -> Optional[tuple[int, list[int]]]:
+        unassigned: int, assigned: int, want: int, blocks: list[int]
+    ) -> Optional[list[int]]:
+        """The blocks of the first partition that extends ``blocks`` over
+        ``unassigned``; I_0 is the rest.  The rows of ``assigned``, the
+        union of the parts so far, have rank ``want``."""
         if unassigned == 0:
-            return (fixed, blocks) if len(blocks) == need else None
+            return blocks  # rank S = n - #blocks: there are ``need``
         low = unassigned & -unassigned
-        # Branch 1: lowest unassigned element joins I_0, if it stays
-        # independent.
-        cand_fixed = fixed | low
-        if len(basis(cand_fixed)) == cand_fixed.bit_count():
-            got = search(unassigned ^ low, cand_fixed, blocks)
+        # Branch 1: lowest unassigned element joins I_0, if it is outside
+        # the span of every assigned row.
+        if len(basis(assigned | low)) == want + 1:
+            got = search(unassigned ^ low, assigned | low, want + 1, blocks)
             if got is not None:
                 return got
         # Branch 2: it starts a block, unless there are enough blocks;
@@ -282,8 +291,16 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
         sub = rest
         while True:  # all submasks of rest, visited so blocks ascend
             block = low | (rest ^ sub)
-            if block.bit_count() <= rank + 1 and valid_block(block):
-                got = search(unassigned ^ block, fixed, blocks + [block])
+            grown = want + block.bit_count() - 1  # the rank if in direct sum
+            # No rank passes rank S, and the rank test is cheaper than the
+            # circuit, so it goes first.
+            if (
+                grown <= rank
+                and len(basis(assigned | block)) == grown
+                and valid_block(block)
+            ):
+                got = search(unassigned ^ block, assigned | block, grown,
+                             blocks + [block])
                 if got is not None:
                     return got
             if sub == 0:
@@ -291,16 +308,17 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
             sub = (sub - 1) & rest
         return None
 
-    got = search(full, 0, [])
-    if got is None:
+    block_masks = search(full, 0, 0, [])
+    if block_masks is None:
         return None
-    fixed_mask, block_masks = got
+    fixed_mask = full
     blocks = []
     for mask in block_masks:
         rel = _primitive(circuit(mask), mask.bit_length() - 1)
         members = [i for i in range(n) if mask >> i & 1]
         relation = tuple(rel[i] for i in members)
         blocks.append(Block(frozenset(i + 1 for i in members), relation))
+        fixed_mask ^= mask
     return VisibleDecomposition(
         fixed=frozenset(i + 1 for i in range(n) if fixed_mask >> i & 1),
         blocks=tuple(blocks),
@@ -477,12 +495,11 @@ def tangent_dim(w: WeightMatrix, p: PairPoint) -> int:
         raise InputError("point is not in the zero fiber")
     cols = []
     for row, phi, x in zip(w.matrix.entries, p.phi, p.x):
-        for f in (phi, x):
-            a = f.numerator
-            if a == 1:
-                cols.append(row)
-            elif a:
-                cols.append(tuple([s * a for s in row]))
+        a, b = phi.numerator, x.numerator
+        if a:
+            cols.append(row if a == 1 else tuple([s * a for s in row]))
+        if b:
+            cols.append(row if b == 1 else tuple([s * b for s in row]))
     return 2 * w.n - _rank_columns(tuple(cols))
 
 

@@ -241,7 +241,7 @@ def _certified(
         cert: HullCertificate = Inside(primitive(inside))
     else:
         cert = Outside(primitive([-v for v in y[: q.dim]]))
-    if not verify_certificate(q, cert, relative_interior):  # pragma: no cover
+    if not verify_certificate(q, cert, relative_interior):
         raise ArithmeticError("simplex produced a non-verifying certificate")
     return cert
 

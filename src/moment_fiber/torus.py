@@ -51,7 +51,12 @@ class IntMatrix:
 
 @record
 class WeightMatrix:
-    """Integer weight matrix S with n >= 1 rows and r >= 1 columns."""
+    """Integer weight matrix S with n >= 1 rows and r >= 1 columns.
+
+    ``n`` and ``r`` are plain attributes, set once from the checked rows:
+    the oracles and the smooth witnesses read them on every call.  They
+    are not fields, so ``_fields`` is ``("matrix",)`` and ``==``, ``hash``
+    and the repr read the rows alone."""
 
     matrix: IntMatrix
 
@@ -66,20 +71,14 @@ class WeightMatrix:
         if not rows or not rows[0]:
             raise InputError("weight matrix needs n >= 1 rows and r >= 1 columns")
         object.__setattr__(self, "matrix", IntMatrix(rows))
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "r", len(rows[0]))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "WeightMatrix":
         """The matrix of any iterable of integer rows; ``__post_init__``
         reads and checks them."""
         return cls(IntMatrix(rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix.entries)
-
-    @property
-    def r(self) -> int:
-        return len(self.matrix.entries[0])
 
     def weight(self, i: int) -> tuple[int, ...]:
         """Row number i (1-based); InputError unless i is an int in 1..n."""
@@ -94,7 +93,8 @@ class WeightMatrix:
         InputError."""
         n, chosen = self.n, set()
         for i in read_tuple(subset, "index set"):
-            if not is_int(i) or not 1 <= i <= n:
+            # ``type(i) is int`` settles the common case without a call.
+            if not (type(i) is int or is_int(i)) or not 1 <= i <= n:
                 raise InputError(f"row index {i!r} is not an integer in 1..{n}")
             chosen.add(i)
         return chosen
@@ -337,20 +337,20 @@ class Analysis:
                 " positive-dimensional kernel; reduce it first"
                 " (reduce_to_effective)"
             )
-        chosen = w.index_set(subset)
-        lines = range(1, w.n + 1)
-        x = tuple([1 if i in chosen else 0 for i in lines])
-        phi = tuple([0 if i in chosen else 1 for i in lines])
-        return PairPoint(x, phi)
+        x, phi = [0] * w.n, [1] * w.n
+        for i in w.index_set(subset):
+            x[i - 1], phi[i - 1] = 1, 0
+        return PairPoint(tuple(x), tuple(phi))
 
     def stabilizer_dim(self, p: PairPoint) -> int:
         """Dimension of the joint infinitesimal stabilizer of (x, phi):
         r - rank of the weights on supp(x) | supp(phi).  A point supported
         on all of {1..n} reads the rank off ``rank``; a smaller support
-        is a stratum, whose rank is ``stratum_orbit_dim``."""
+        is a stratum, whose rank is ``stratum_orbit_dim``.  A coordinate
+        pair is in neither support when it equals (0, 0)."""
         w = self.weights
         _check_length(w, p)
-        if all(x or phi for x, phi in zip(p.x, p.phi)):
+        if (0, 0) not in zip(p.x, p.phi):
             return w.r - self.rank
         return w.r - stratum_orbit_dim(w, support(p.x) | support(p.phi))
 

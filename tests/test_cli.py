@@ -1204,6 +1204,24 @@ class TestSelftest:
         assert code == 1
         assert "certificate check: seed=0 weights=" in out
 
+    def test_simplex_certificate_fault_is_a_hull_line(self, capsys, monkeypatch):
+        # A hull certificate that fails the simplex's own check raises
+        # ArithmeticError inside zero_in_hull; selftest reports it as the
+        # query's hull certificate line and exits 1, with no traceback.
+        real = polytope.verify_certificate
+        monkeypatch.setattr(
+            polytope, "verify_certificate",
+            lambda q, cert, relative_interior: (
+                relative_interior and real(q, cert, relative_interior)
+            ),
+        )
+        with pytest.raises(ArithmeticError, match="non-verifying"):
+            polytope.zero_in_hull(polytope.HullQuery.of([[1], [-1]]))
+        code, out, err = run(["selftest", "--count", "3", "--seed", "3"], capsys)
+        assert code == 1
+        assert "hull certificate: seed=3 points=[(0, -4)]\n" in out
+        assert "Traceback" not in out + err
+
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
         # The tangent oracle's fiber check is the only evaluation at a
         # smooth witness.  The non-visible witness check evaluates none:

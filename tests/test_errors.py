@@ -206,6 +206,26 @@ def test_records_behave_as_frozen_dataclasses(rec):
     assert type(restored) is cls and restored == rec
 
 
+def test_weight_matrix_sizes_are_attributes_not_fields():
+    # n and r are set once in __post_init__; the rows alone are the
+    # record's value.  selftest --jobs ships each case's matrix to a
+    # worker by pickle, which keeps the sizes.
+    w = torus.WeightMatrix.from_rows([[1, 0, 2], [-1, 3, 0]])
+    assert torus.WeightMatrix._fields == ("matrix",)
+    assert (w.n, w.r) == (2, 3)
+    assert w == torus.WeightMatrix.from_rows(((1, 0, 2), (-1, 3, 0)))
+    assert w != torus.WeightMatrix.from_rows([[1, 0, 2]])
+    assert hash(w) == hash((w.matrix,))
+    assert repr(w) == (
+        "WeightMatrix(matrix=IntMatrix(entries=((1, 0, 2), (-1, 3, 0))))"
+    )
+    restored = pickle.loads(pickle.dumps(w))
+    assert restored == w and (restored.n, restored.r) == (2, 3)
+    for name in ("n", "r"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 5)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_fiber import exactlin, oracle, torus
+from moment_fiber import cli, exactlin, oracle, torus
 from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.torus import PairPoint, VisibleDecomposition, WeightMatrix
 
@@ -254,6 +255,65 @@ class TestPrunedPartitionSearch:
                 assert parts in expected, rows
             verdicts[visible] += 1
         assert min(verdicts.values()) >= 40, verdicts
+
+    def test_results_are_pinned(self):
+        # The search prunes a branch once its parts' spans are not in
+        # direct sum; that is exact, so it returns what the unpruned
+        # search returned: the repr of all 536 results over the n <= 7
+        # cases of three seeded selftest runs has this digest.
+        digest = hashlib.sha256()
+        count = 0
+        for seed in (0, 1, 2):
+            for _, w, _ in cli._cases(seed, 200, 8, 5, 5):
+                if w.n <= 7:
+                    digest.update(repr(oracle.brute_visible(w)).encode())
+                    count += 1
+        assert count == 536
+        assert digest.hexdigest() == (
+            "4912c2f4691b8996808ea1d9d73b2830c47578035655eb91cdece59e9a91081b"
+        )
+
+    @pytest.mark.parametrize(
+        "rows, expected, masks",
+        [
+            ([[1], [-1], [1]], None, [2, 3, 4, 5]),
+            (
+                [[1], [-1], [0]],
+                VisibleDecomposition(
+                    fixed=frozenset(),
+                    blocks=(
+                        torus.Block(frozenset({1, 2}), (1, 1)),
+                        torus.Block(frozenset({3}), (1,)),
+                    ),
+                ),
+                [2, 3, 4, 3, 4],
+            ),
+        ],
+        ids=["not-visible", "visible"],
+    )
+    def test_direct_sum_prune_cuts_a_branch(
+        self, rows, expected, masks, monkeypatch
+    ):
+        # With row 1 in I_0, the block {2, 3} (mask 6) is a circuit or
+        # not, but rows 1..3 have rank 1, not 1 + (2 - 1): the spans are
+        # not in direct sum, so no circuit of mask 6 is read.  Neither is
+        # one of mask 1, a single nonzero row of rank 1, not 0.  The
+        # answer is the one the unpruned search gave.
+        real = oracle._subset_circuits
+        read = []
+
+        def counting(entries):
+            basis, circuit, relation = real(entries)
+
+            def counted(mask):
+                read.append(mask)
+                return circuit(mask)
+
+            return basis, counted, relation
+
+        monkeypatch.setattr(oracle, "_subset_circuits", counting)
+        assert oracle.brute_visible(wm(rows)) == expected
+        assert read == masks
 
     def test_visible_blocks_number_n_minus_rank(self, corpus):
         checked = 0
