@@ -11,7 +11,7 @@ Subcommands:
   [--check-order-not-div A,B]``, the parts after TYPE in any order.  Each
   part may appear at most once, and a list is comma-separated integers
   with no empty field.
-* ``moment-fiber selftest``: randomized oracle-vs-fast-path suites.
+* ``moment-fiber selftest``: the suites of ``moment_fiber.selftest``.
 
 Exit codes: 0 success (also when the reader closes the output pipe
 early), 1 selftest mismatch, 2 input parse error (a repeated kac spec part
@@ -26,13 +26,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
 from typing import Any, Iterator, NoReturn, Optional, Sequence
 
-from . import __version__, oracle, polytope, theta, torus
+from . import __version__, polytope, theta, torus
 from .errors import CapabilityError, InputError, is_int, record
+# run_selftest for _dispatch; _random_weight_matrix only for perfbench,
+# which reads both here until ROADMAP item 1 points it at selftest.
+from .selftest import _random_weight_matrix, run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -92,10 +94,10 @@ class AnalysisReport:
     def from_dict(cls, data: dict) -> "AnalysisReport":
         """InputError for anything but a dict, named by its JSON type, a
         missing field (a schema-1 report has no ``schema``), another
-        schema, or a ``rank``, ``components.count`` or ``fiber_dimension``
+        schema, a ``components`` that is not an object, named by its JSON
+        type, or a ``rank``, ``components.count`` or ``fiber_dimension``
         that is not an int (a bool neither), named by its field and JSON
-        type (``components.count`` by the type of ``components`` when that
-        is not an object)."""
+        type."""
         if not isinstance(data, dict):
             raise InputError(f"report is a JSON {_kind(data)}, not an object")
         missing = [name for name in cls._fields if name not in data]
@@ -104,7 +106,11 @@ class AnalysisReport:
         if not is_int(data["schema"]) or data["schema"] != cls.schema:
             raise InputError(f"report schema {data['schema']!r} is not {cls.schema}")
         comps = data["components"]
-        count = comps.get("count") if isinstance(comps, dict) else comps
+        if not isinstance(comps, dict):
+            raise InputError(
+                f"report components is a JSON {_kind(comps)}, not an object"
+            )
+        count = comps.get("count")
         for name, value in [("rank", data["rank"]), ("components.count", count),
                             ("fiber_dimension", data["fiber_dimension"])]:
             if not is_int(value):
@@ -118,10 +124,11 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """The report of a JSON text; InputError for a number that is not
-        an integer, NaN and Infinity too, named by its token."""
+        """The report of a JSON text, read by ``_read_json``; InputError
+        also for a number that is not an integer, NaN and Infinity too,
+        named by its token."""
         return cls.from_dict(
-            json.loads(text, parse_float=_not_int, parse_constant=_not_int)
+            _read_json(text, parse_float=_not_int, parse_constant=_not_int)
         )
 
 
@@ -227,13 +234,21 @@ def _cut(text: str) -> str:
     return repr(text[:40]) + (f"... ({len(text)} characters)" if len(text) > 40 else "")
 
 
-def _parse_weights_json(text: str) -> torus.WeightMatrix:
+def _read_json(text: str, **hooks: Any) -> Any:
+    """``json.loads(text, **hooks)`` with each integer read by
+    ``_read_int``: the CLI's one JSON reader, of weight matrices and
+    reports.  Malformed text, nesting too deep to parse and an integer
+    past the digit limit are each an InputError."""
     try:
-        data = json.loads(text, parse_int=_read_int)
+        return json.loads(text, parse_int=_read_int, **hooks)
     except RecursionError:
         raise InputError("JSON input is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InputError(str(exc)) from None
+
+
+def _parse_weights_json(text: str) -> torus.WeightMatrix:
+    data = _read_json(text)
     if isinstance(data, list):
         rows = data
     elif isinstance(data, dict) and "weights" in data:
@@ -348,11 +363,6 @@ def _kac_parts(words: Sequence[str]) -> dict[str, str]:
     return parts
 
 
-def _worker_count(jobs: int) -> int:
-    """A requested worker count clamped to 1..os.cpu_count()."""
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
 def cmd_kac(tokens: Sequence[str]) -> dict:
     """The kac output for a spec given as one or more strings of words."""
     parts = _kac_parts([word for tok in tokens for word in tok.split()])
@@ -397,176 +407,6 @@ def cmd_kac(tokens: Sequence[str]) -> dict:
     return out
 
 
-# -- selftest -------------------------------------------------------------------
-
-
-def _random_weight_matrix(
-    rng: random.Random, max_n: int, max_r: int, max_entry: int
-) -> torus.WeightMatrix:
-    n = rng.randint(1, max_n)
-    r = rng.randint(1, max_r)
-    rows = [
-        [rng.randint(-max_entry, max_entry) for _ in range(r)] for _ in range(n)
-    ]
-    if rng.random() < 0.15:  # force a zero row: degenerate strata matter
-        rows[rng.randrange(n)] = [0] * r
-    if n >= 2 and rng.random() < 0.15:  # force a duplicate row
-        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
-    return torus.WeightMatrix.from_rows(rows)
-
-
-def _cases(
-    seed: int, count: int, max_n: int, max_r: int, max_entry: int
-) -> Iterator[tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]]:
-    """The run's ``count`` cases ``(seed, w, points)``, in order, all drawn
-    from one ``random.Random(seed)``: a weight matrix, then a hull query's
-    dimension and points.  No check reads the generator, so the cases
-    depend on these arguments only, never on how many processes check
-    them."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        w = _random_weight_matrix(rng, max_n, max_r, max_entry)
-        d = rng.randint(1, 4)
-        points = [
-            tuple(rng.randint(-4, 4) for _ in range(d))
-            for _ in range(rng.randint(1, 6))
-        ]
-        yield seed, w, points
-
-
-def _components(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
-    """Suite, n <= 12: the components from I_d and I_f against the
-    oracle's subset walk, as a set and by count."""
-    if w.n <= 12:
-        comps, brute = a.components(), oracle.brute_components(w)
-        if set(comps) != set(brute):
-            yield "component mismatch"
-        if len(comps) != len(brute):
-            yield "component count"
-
-
-def _visibility(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
-    """Suite, n <= 7: the visibility verdict against the oracle's circuit
-    scan, and a visible decomposition against the oracle's check."""
-    if w.n <= 7:
-        visible = isinstance(a.visibility, torus.VisibleDecomposition)
-        if visible != (oracle.brute_visible(w) is not None):
-            yield "visibility verdict mismatch"
-        elif visible and oracle.check_decomposition(w, a.visibility) is not None:
-            yield "decomposition verification"
-
-
-def _smooth_witnesses(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
-    """Suite, n <= 6 and locally free: the smooth witness of every subset
-    lies on the fiber, with a trivial stabilizer and the tangent dimension
-    of the fiber."""
-    if w.n <= 6 and a.rank == w.r:
-        for mask in range(1 << w.n):
-            subset = {i + 1 for i in range(w.n) if mask >> i & 1}
-            p = a.smooth_witness(subset)
-            try:  # the oracle evaluates the moment map at p first
-                tangent = oracle.tangent_dim(w, p)
-            except InputError:
-                yield "smooth witness off fiber"
-                continue
-            if a.stabilizer_dim(p) != 0:
-                yield "smooth witness stabilizer"
-            elif tangent != a.fiber_dimension:
-                yield "smooth witness tangent dimension"
-
-
-# The matrix suites, in the order their failures are reported.  Each one
-# takes a case's weight matrix and its Analysis, opens with its own size
-# guard, and yields one failure kind per mismatch.
-_SUITES = (_components, _visibility, _smooth_witnesses)
-
-
-def _check_case(
-    case: tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]
-) -> list[str]:
-    """The matrix suites of ``_SUITES`` in order, then the hull query, on
-    one case from ``_cases``.  Returns one line per failure,
-    ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
-    ``"<kind>: seed=<seed> points=<points>"``.  An analysis that fails its
-    own certificate check (an ArithmeticError) is the one failure
-    ``certificate check`` of the matrix, whose suites it would feed.  A
-    hull answer whose certificate fails, in the simplex's own check (an
-    ArithmeticError) or in the independent one here, is the failure
-    ``hull certificate`` of the points."""
-    seed, w, points = case
-    try:
-        a = torus.Analysis.of(w)  # one elimination feeds every suite
-    except ArithmeticError:
-        failures = ["certificate check"]
-    else:
-        failures = [kind for suite in _SUITES for kind in suite(w, a)]
-    if failures:  # the matrix is written out only when it fails
-        weights = f"seed={seed} weights={[list(r) for r in w.matrix.entries]}"
-        failures = [f"{kind}: {weights}" for kind in failures]
-    q = polytope.HullQuery.of(points)
-    try:
-        hull = polytope.zero_in_hull(q)
-    except ArithmeticError:  # the simplex's own certificate check failed
-        hull = None
-    if hull is None or not polytope.verify_certificate(
-        q, hull, relative_interior=False
-    ):
-        failures.append(f"hull certificate: seed={seed} points={points}")
-    elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(points):
-        failures.append(f"hull verdict: seed={seed} points={points}")
-    return failures
-
-
-# Cases per task sent to a worker: enough to amortize the pickling, few
-# enough that the workers finish close together.
-_CASES_PER_TASK = 16
-
-
-def run_selftest(
-    seed: int = 0,
-    count: int = 100,
-    max_n: int = 8,
-    max_r: int = 5,
-    max_entry: int = 5,
-    jobs: int = 1,
-) -> tuple[bool, list[str]]:
-    """Oracle-vs-fast-path randomized suites; returns (ok, messages).
-
-    ``_check_case`` checks the ``count`` cases of ``_cases`` in order, in
-    this process or, when ``_worker_count(min(jobs, count))`` is above 1,
-    on that many worker processes.  ``jobs`` sets only how fast the run
-    goes: the messages depend on the other arguments alone, and every
-    failure names the seed that replays it.  InputError unless every
-    argument is an int, with count, jobs, max_n and max_r >= 1 and
-    max_entry >= 0."""
-    sizes = (count, jobs, max_n, max_r)
-    ints = all(map(is_int, (seed, max_entry, *sizes)))
-    if not ints or min(sizes) < 1 or max_entry < 0:
-        raise InputError(
-            "selftest needs integer arguments with count, jobs, max_n and"
-            " max_r >= 1 and max_entry >= 0"
-        )
-    cases = _cases(seed, count, max_n, max_r, max_entry)
-    processes = _worker_count(min(jobs, count))
-    if processes == 1:
-        failures = [msg for found in map(_check_case, cases) for msg in found]
-    else:
-        import multiprocessing  # only here: it costs about 1 MB to import
-        with multiprocessing.Pool(processes=processes) as pool:
-            found_per_case = pool.imap(_check_case, cases, _CASES_PER_TASK)
-            failures = [msg for found in found_per_case for msg in found]
-    lines = [
-        f"selftest: {count} matrices"
-        f" (seed={seed}, n<={max_n}, r<={max_r}, |entry|<={max_entry})",
-    ]
-    if failures:
-        lines.append(f"FAIL: {len(failures)} mismatches")
-        lines.extend(failures[:20])
-    else:
-        lines.append("PASS: fast paths agree with brute-force oracles")
-    return not failures, lines
-
-
 # -- rendering ------------------------------------------------------------------
 
 
@@ -579,16 +419,12 @@ def _want_color(stream) -> bool:
     return bool(getattr(stream, "isatty", lambda: False)())
 
 
+# The text of a property value and its ANSI color code.
+_MARKS = {True: ("yes", "32"), False: ("no", "31"), None: ("?", "33")}
+
+
 def _mark(flag: Optional[bool], color: bool) -> str:
-    if flag is None:
-        sym = "?"
-        code = "33"
-    elif flag:
-        sym = "yes"
-        code = "32"
-    else:
-        sym = "no"
-        code = "31"
+    sym, code = _MARKS[flag]
     return f"\x1b[{code}m{sym}\x1b[0m" if color else sym
 
 

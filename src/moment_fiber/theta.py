@@ -542,10 +542,6 @@ class VinbergClassicalInput:
         """Index whose eigenvalue has minimal real part: 2j + s nearest m0."""
         return (self.m0 - self._shift()) // 2
 
-    def real_indices(self) -> frozenset[int]:
-        """Indices whose eigenvalue is +1 or -1: its own conjugate."""
-        return frozenset(j for j in range(self.m0) if self.conj(j) == j)
-
 
 def vinberg_delta(inp: VinbergClassicalInput) -> int:
     """Degree-1 minus degree-0 dimension from the closed formulas.

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from moment_fiber import cli, torus
+from moment_fiber import selftest, torus
 
 CORPUS_SEED = 20260810
 CORPUS_SHAPE = (10, 6, 5)  # max n, max r, max |entry| of the random matrices
@@ -35,7 +35,7 @@ def build_corpus(count: int, seed: int = CORPUS_SEED) -> list[torus.WeightMatrix
     rng = random.Random(seed)
     corpus = [torus.WeightMatrix.from_rows(rows) for rows in SPECIAL_ROWS]
     while len(corpus) < count:
-        corpus.append(cli._random_weight_matrix(rng, *CORPUS_SHAPE))
+        corpus.append(selftest._random_weight_matrix(rng, *CORPUS_SHAPE))
     return corpus
 
 

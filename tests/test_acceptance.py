@@ -346,7 +346,7 @@ def test_criterion_11_classical_formulas():
                             continue
                         if min(k) == 1:
                             assert delta <= 1, inp
-                        real = inp.real_indices()
+                        real = {j for j in range(m0) if inp.conj(j) == j}
                         stable_shape = all(
                             (k[j] == 1)
                             if j not in real

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
 import io
@@ -13,13 +14,14 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moment_fiber
-from moment_fiber import cli, exactlin, polytope, torus
+from moment_fiber import cli, exactlin, oracle, polytope, selftest, torus
 from moment_fiber.errors import CapabilityError, InputError
 
 
@@ -423,6 +425,41 @@ class TestAnalyze:
         # test alone would let them through to data["schema"].
         with pytest.raises(InputError, match=f"^report is a JSON {kind}, not an object$"):
             cli.AnalysisReport.from_json(text)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(5, "number"), ([], "array"), ("5", "string"), (None, "null")],
+        ids=["number", "array", "string", "null"],
+    )
+    def test_from_dict_refuses_components_that_are_not_an_object(self, value, kind):
+        # The count is read from the object: a bare number in its place is
+        # not a report.
+        rep = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]]))
+        data = {**json.loads(rep.to_json()), "components": value}
+        with pytest.raises(
+            InputError, match=f"^report components is a JSON {kind}, not an object$"
+        ):
+            cli.AnalysisReport.from_dict(data)
+
+    def test_from_json_of_malformed_json_is_an_input_error(self):
+        text = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]])).to_json()
+        with pytest.raises(InputError, match="^Expecting "):
+            cli.AnalysisReport.from_json(text[:-1])
+
+    def test_from_json_of_an_integer_past_the_digit_limit_names_it(self):
+        digits = "7" * 5000
+        text = cli.analyze(torus.WeightMatrix.from_rows([[1], [-1]])).to_json()
+        text = text.replace('"rank": 1,', f'"rank": {digits},')
+        with pytest.raises(
+            InputError,
+            match=f"^an integer of 5000 digits exceeds the limit of"
+            f" {sys.get_int_max_str_digits()} digits$",
+        ):
+            cli.AnalysisReport.from_json(text)
+
+    def test_from_json_of_deeply_nested_json_is_an_input_error(self):
+        with pytest.raises(InputError, match="^JSON input is nested too deeply$"):
+            cli.AnalysisReport.from_json("[" * 50000)
 
     def test_json_is_one_sorted_line(self, capsys):
         code, out, _ = run(
@@ -852,10 +889,30 @@ class TestKac:
 
 def test_worker_count_is_clamped():
     cpus = os.cpu_count() or 1
-    assert cli._worker_count(10**9) == cpus
-    assert cli._worker_count(0) == 1
-    assert cli._worker_count(-3) == 1
-    assert cli._worker_count(1) == 1
+    assert selftest._worker_count(10**9) == cpus
+    assert selftest._worker_count(0) == 1
+    assert selftest._worker_count(-3) == 1
+    assert selftest._worker_count(1) == 1
+
+
+def test_cli_holds_no_selftest_harness():
+    # The front end parses, runs and renders: the oracles, the case stream
+    # and the worker pool are selftest's.  perfbench reads the two names
+    # that cli imports back from it.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{a.name}".lstrip(".") for a in node.names)
+    parts = {p for name in imported for p in name.split(".")}
+    assert imported, "no imports found"
+    assert not parts & {"oracle", "random", "multiprocessing"}, sorted(imported)
+    assert cli.run_selftest is selftest.run_selftest
+    assert cli._random_weight_matrix is selftest._random_weight_matrix
 
 
 @pytest.mark.parametrize(
@@ -949,7 +1006,7 @@ def test_unreadable_long_path_is_cut_not_echoed(capsys):
     [
         (cli.torus, "is_stable", ["analyze", "[[1],[-1]]"]),
         (cli.theta, "levi_order_scan", ["kac", "E6 scan"]),
-        (cli.oracle, "brute_components", ["selftest"]),
+        (oracle, "brute_components", ["selftest"]),
     ],
     ids=["analyze", "kac", "selftest"],
 )
@@ -1104,12 +1161,12 @@ class TestSelftest:
         "owner, name, mutant, kind",
         [
             (
-                cli.oracle, "brute_visible",
+                oracle, "brute_visible",
                 lambda real: lambda w: None,
                 "visibility verdict mismatch: seed=3 weights=",
             ),
             (
-                cli.oracle, "check_decomposition",
+                oracle, "check_decomposition",
                 lambda real: lambda w, dec: "mutant",
                 "decomposition verification: seed=3 weights=",
             ),
@@ -1119,7 +1176,7 @@ class TestSelftest:
                 "smooth witness stabilizer: seed=3 weights=",
             ),
             (
-                cli.oracle, "tangent_dim",
+                oracle, "tangent_dim",
                 lambda real: lambda w, p: real(w, p) + 1,
                 "smooth witness tangent dimension: seed=3 weights=",
             ),
@@ -1129,7 +1186,7 @@ class TestSelftest:
                 "hull certificate: seed=3 points=",
             ),
             (
-                cli.oracle, "brute_zero_in_hull",
+                oracle, "brute_zero_in_hull",
                 lambda real: lambda pts: not real(pts),
                 "hull verdict: seed=3 points=",
             ),
@@ -1151,20 +1208,20 @@ class TestSelftest:
 
     def test_failure_lines_follow_the_suite_order(self, monkeypatch):
         # One case fails every matrix suite and the hull check at once: the
-        # lines of each suite come in the order of cli._SUITES, then the
+        # lines of each suite come in the order of selftest._SUITES, then the
         # hull's.  [[1], [1], [-2]] is not visible, has one component and
         # is locally free with n = 3, so all three suites run on it.
         visible = torus.VisibleDecomposition(frozenset(), ())
         for owner, name, mutant in [
-            (cli.oracle, "brute_components", lambda real: lambda w: real(w)[:-1]),
-            (cli.oracle, "brute_visible", lambda real: lambda w: visible),
-            (cli.oracle, "tangent_dim", lambda real: lambda w, p: real(w, p) + 1),
-            (cli.oracle, "brute_zero_in_hull", lambda real: lambda pts: not real(pts)),
+            (oracle, "brute_components", lambda real: lambda w: real(w)[:-1]),
+            (oracle, "brute_visible", lambda real: lambda w: visible),
+            (oracle, "tangent_dim", lambda real: lambda w, p: real(w, p) + 1),
+            (oracle, "brute_zero_in_hull", lambda real: lambda pts: not real(pts)),
         ]:
             monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
         w = torus.WeightMatrix.from_rows([[1], [1], [-2]])
         weights = "seed=5 weights=[[1], [1], [-2]]"
-        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
             f"component mismatch: {weights}",
             f"component count: {weights}",
             f"visibility verdict mismatch: {weights}",
@@ -1187,11 +1244,11 @@ class TestSelftest:
         w = torus.WeightMatrix.from_rows([[1], [-1], [-1]])
         with pytest.raises(ArithmeticError):
             torus.Analysis.of(w)
-        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
             "certificate check: seed=5 weights=[[1], [-1], [-1]]"
         ]
-        monkeypatch.setattr(cli.oracle, "brute_zero_in_hull", lambda pts: False)
-        assert cli._check_case((5, w, [(1,), (-1,)])) == [
+        monkeypatch.setattr(oracle, "brute_zero_in_hull", lambda pts: False)
+        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
             "certificate check: seed=5 weights=[[1], [-1], [-1]]",
             "hull verdict: seed=5 points=[(1,), (-1,)]",
         ]
@@ -1239,8 +1296,8 @@ class TestSelftest:
 
         monkeypatch.setattr(torus.Analysis, "smooth_witness", witness)
         monkeypatch.setattr(torus, "moment_eval", moment_eval)
-        monkeypatch.setattr(cli.oracle, "moment_eval", moment_eval)
-        ok, _ = cli.run_selftest(0, count=30)
+        monkeypatch.setattr(oracle, "moment_eval", moment_eval)
+        ok, _ = selftest.run_selftest(0, count=30)
         assert ok
         ids = {id(p) for p in points}
         hits = sorted(id(p) for p in evaluated if id(p) in ids)
@@ -1250,7 +1307,6 @@ class TestSelftest:
         # Every smooth witness of a matrix has the rows of S as its
         # Jacobian columns, so the tangent oracle ranks once per matrix
         # entering the suite (n <= 6, locally free), not once per point.
-        oracle = cli.oracle
         real_of, real_tangent, real_rank = (
             torus.Analysis.of, oracle.tangent_dim, oracle._rank_crossmul
         )
@@ -1277,7 +1333,7 @@ class TestSelftest:
         monkeypatch.setattr(oracle, "tangent_dim", tangent_dim)
         monkeypatch.setattr(oracle, "_rank_crossmul", rank)
         oracle._rank_columns.cache_clear()
-        ok, _ = cli.run_selftest(0, count=30)
+        ok, _ = selftest.run_selftest(0, count=30)
         assert ok
         matrices = sum(a.n <= 6 and a.rank == a.weights.r for a in analyses)
         assert 0 < matrices < len(points)
@@ -1296,7 +1352,7 @@ class TestSelftest:
     )
     def test_out_of_range_arguments_are_rejected(self, bad):
         with pytest.raises(InputError, match="selftest needs integer arguments"):
-            cli.run_selftest(**{"seed": 0, "count": 2, **bad})
+            selftest.run_selftest(**{"seed": 0, "count": 2, **bad})
 
     def test_parallel_shards(self, capsys):
         code, out, _ = run(
@@ -1311,15 +1367,15 @@ class TestSelftest:
         import multiprocessing
 
         opened, drawn, checked = [], [], []
-        real_draw, real_check = cli._random_weight_matrix, cli._check_case
+        real_draw, real_check = selftest._random_weight_matrix, selftest._check_case
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(opened))
         monkeypatch.setattr(
-            cli, "_random_weight_matrix",
+            selftest, "_random_weight_matrix",
             lambda *a: drawn.append(real_draw(*a)) or drawn[-1],
         )
         monkeypatch.setattr(
-            cli, "_check_case", lambda case: checked.append(case) or real_check(case)
+            selftest, "_check_case", lambda case: checked.append(case) or real_check(case)
         )
         code, out, _ = run(["selftest", "--count", "5", "--jobs", "2"], capsys)
         assert code == 0
@@ -1339,10 +1395,10 @@ class TestSelftest:
         for cpus, jobs in ((1, 4), (8, 4), (8, 1)):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             monkeypatch.setattr(
-                cli, "_check_case",
+                selftest, "_check_case",
                 lambda case: checked.setdefault((cpus, jobs), []).append(case) or [],
             )
-            ok, _ = cli.run_selftest(7, count=200, jobs=jobs)
+            ok, _ = selftest.run_selftest(7, count=200, jobs=jobs)
             assert ok
         assert opened == [4]
         assert len(checked[8, 1]) == 200
@@ -1373,13 +1429,13 @@ class TestSelftest:
         import multiprocessing
 
         opened = []
-        monkeypatch.setattr(cli.oracle, name, mutant(getattr(cli.oracle, name)))
+        monkeypatch.setattr(oracle, name, mutant(getattr(oracle, name)))
         monkeypatch.setattr(multiprocessing, "Pool", in_process_pool(opened))
         outputs = []
         for cpus in (1, 8):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             for jobs in (1, 2, 3, 4):
-                outputs.append(cli.run_selftest(0, count=150, jobs=jobs))
+                outputs.append(selftest.run_selftest(0, count=150, jobs=jobs))
         assert opened == [2, 3, 4]
         ok, lines = outputs[0]
         assert not ok and lines[2] == first
@@ -1394,7 +1450,7 @@ class TestSelftest:
         monkeypatch.setattr(
             exactlin, "echelon", lambda *a: calls.append(a) or real(*a)
         )
-        ok, _ = cli.run_selftest(0, count=30)
+        ok, _ = selftest.run_selftest(0, count=30)
         assert ok
         assert len(calls) <= 2 * 30
 
@@ -1408,7 +1464,7 @@ class TestSelftest:
         monkeypatch.setattr(
             exactlin, "kernel_basis", lambda *a: kernels.append(a) or real_kernel(*a)
         )
-        ok, _ = cli.run_selftest(0, count=30)
+        ok, _ = selftest.run_selftest(0, count=30)
         assert ok
         assert len(calls) == len(kernels) == 30
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from moment_fiber import cli, exactlin, oracle, torus
+from moment_fiber import exactlin, oracle, selftest, torus
 from moment_fiber.errors import CapabilityError, InputError
 from moment_fiber.torus import PairPoint, VisibleDecomposition, WeightMatrix
 
@@ -264,7 +264,7 @@ class TestPrunedPartitionSearch:
         digest = hashlib.sha256()
         count = 0
         for seed in (0, 1, 2):
-            for _, w, _ in cli._cases(seed, 200, 8, 5, 5):
+            for _, w, _ in selftest._cases(seed, 200, 8, 5, 5):
                 if w.n <= 7:
                     digest.update(repr(oracle.brute_visible(w)).encode())
                     count += 1
