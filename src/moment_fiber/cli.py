@@ -170,9 +170,10 @@ def analyze(
         properties["visible"] = {"value": True, "certificate": cert}
         properties["polar"] = {"value": True, "justification": "cartan_subspace"}
     else:
+        pair = vis.pair
         cartan, witness_dict = None, {
-            "x": list(vis.pair.x),
-            "phi": list(vis.pair.phi),
+            "x": list(pair.x),
+            "phi": list(pair.phi),
             "relation": list(vis.relation),
         }
         reason = (
@@ -377,21 +378,18 @@ def cmd_kac(tokens: Sequence[str]) -> dict:
         not_div = _read_ints(parts[option], option) if option in parts else []
         if any(q <= 0 for q in not_div):
             raise InputError(f"{option} needs positive divisors, got {parts[option]!r}")
-        hits = theta.levi_order_scan(family, rank, min_delta, twist)
+        # Each hit's order is computed when read, so it is read once.
+        hits = [
+            {"labels": list(h.diagram.labels), "order": h.order, "delta": h.delta}
+            for h in theta.levi_order_scan(family, rank, min_delta, twist)
+        ]
         out["scan"] = {
             "min_delta": min_delta,
-            "hits": [
-                {
-                    "labels": list(h.diagram.labels),
-                    "order": h.order,
-                    "delta": h.delta,
-                }
-                for h in hits
-            ],
+            "hits": hits,
             "order_not_divisible_by": not_div,
             "violations": [
-                {"labels": list(h.diagram.labels), "order": h.order}
-                for h in hits if any(h.order % q == 0 for q in not_div)
+                {"labels": list(h["labels"]), "order": h["order"]}
+                for h in hits if any(h["order"] % q == 0 for q in not_div)
             ],
         }
         return out
@@ -556,12 +554,13 @@ def _read_request(parser: argparse.ArgumentParser, args) -> tuple[str, Any]:
     if args.command == "analyze":
         return _one_format(parser, args.format or []), _load_matrix(args.input)
     # REMAINDER swallows trailing options: split the spec into words once
-    # and pull --format back out.
+    # and pull --format V and --format=V back out.
     formats, words = args.format or [], []
     it = iter([word for tok in args.spec for word in tok.split()])
     for word in it:
-        if word == "--format":
-            formats.append(next(it, ""))
+        name, eq, value = word.partition("=")
+        if name == "--format":
+            formats.append(value if eq else next(it, ""))
         else:
             words.append(word)
     return _one_format(parser, formats), cmd_kac(words)

@@ -37,10 +37,9 @@ def pivot(a: list[list[int]], k: int, c: int, prev: int) -> int:
     return p
 
 
-def echelon(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows.
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, as wide as
+    the first row (no rows: no columns, so no pivots and d = 1).
 
     Returns ``(a, pivots, d)``: the nonzero rows of the reduced form, their
     pivot columns, and the common denominator d.  Every pivot entry of
@@ -55,7 +54,7 @@ def echelon(
     nrows = len(a)
     pivots: list[int] = []
     prev = 1
-    for c in range(ncols):
+    for c in range(len(a[0]) if a else 0):
         k = len(pivots)
         for piv in range(k, nrows):
             if a[piv][c]:
@@ -72,7 +71,7 @@ def echelon(
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of integer rows: the number of pivots."""
-    return len(echelon(rows, len(rows[0]) if rows else 0)[1])
+    return len(echelon(rows)[1])
 
 
 def kernel_basis(
@@ -87,9 +86,10 @@ def kernel_basis(
     ``ncols - rank``, and every vector satisfies M v = 0 exactly.  The
     free columns are read off ``range(ncols)`` in increasing order, each
     tested against the pivot list, whose length is at most the number of
-    rows.
+    rows.  ``ncols`` is the width of M, which an M with no rows cannot
+    give.
     """
-    a, pivots, d = echelon(rows, ncols)
+    a, pivots, d = echelon(rows)
     sign = 1 if d > 0 else -1
     basis = []
     for f in [f for f in range(ncols) if f not in pivots]:

@@ -245,10 +245,12 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
     the block is a circuit.  Every subfamily of a direct family is
     direct, so every node on the way to a valid partition keeps the
     invariant: the prune is exact, the visiting order is unchanged, and
-    the first success is the one an unpruned search finds.  A leaf has
-    rank S = n - #blocks, so it has ``need`` = n - rank S blocks; no
-    block opens once there are ``need``, and none whose rank would pass
-    rank S.  A block's relation is its circuit made primitive and
+    the first success is the one an unpruned search finds.  No block
+    opens whose rank would pass rank S.  Once there are n - rank S
+    blocks, the assigned rows have rank |assigned| - (n - rank S), so
+    every unassigned row raises it and joins I_0 (branch 1): such a
+    node always ends in a partition, and no further block is ever
+    tried.  A block's relation is its circuit made primitive and
     positive.
     """
     if w.n > _VISIBLE_LIMIT:
@@ -266,7 +268,6 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
 
     full = (1 << n) - 1
     rank = len(basis(full))
-    need = n - rank  # the blocks of every leaf whose spans are in direct sum
 
     def search(
         unassigned: int, assigned: int, want: int, blocks: list[int]
@@ -275,7 +276,7 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
         ``unassigned``; I_0 is the rest.  The rows of ``assigned``, the
         union of the parts so far, have rank ``want``."""
         if unassigned == 0:
-            return blocks  # rank S = n - #blocks: there are ``need``
+            return blocks
         low = unassigned & -unassigned
         # Branch 1: lowest unassigned element joins I_0, if it is outside
         # the span of every assigned row.
@@ -283,10 +284,8 @@ def brute_visible(w: WeightMatrix) -> Optional[VisibleDecomposition]:
             got = search(unassigned ^ low, assigned | low, want + 1, blocks)
             if got is not None:
                 return got
-        # Branch 2: it starts a block, unless there are enough blocks;
-        # enumerate the blocks inside `unassigned`.
-        if len(blocks) == need:
-            return None
+        # Branch 2: it starts a block; enumerate the blocks inside
+        # `unassigned`.
         rest = unassigned ^ low
         sub = rest
         while True:  # all submasks of rest, visited so blocks ascend

@@ -56,8 +56,9 @@ def _components(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
 
 
 def _visibility(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
-    """Suite, n <= 7: the visibility verdict against the oracle's circuit
-    scan, and a visible decomposition against the oracle's check."""
+    """Suite, n <= 7: the visibility verdict against the oracle's
+    exhaustive partition search, and a visible decomposition against the
+    oracle's check."""
     if w.n <= 7:
         visible = isinstance(a.visibility, torus.VisibleDecomposition)
         if visible != (oracle.brute_visible(w) is not None):

@@ -328,10 +328,14 @@ def _eigenvectors(
 @record
 class GradedDims:
     """Dimension vector of the cyclic grading defined by a Kac diagram:
-    ``dims[j]`` is the dimension of degree j mod ``order``."""
+    ``dims[j]`` is the dimension of degree j mod ``order``, one entry per
+    degree, so ``order`` is ``len(dims)``."""
 
-    order: int
     dims: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.dims)
 
     @property
     def delta(self) -> int:
@@ -408,7 +412,7 @@ def graded_dims(d: KacDiagram) -> GradedDims:
     sum(k_i alpha_i) has degree sum(k_i s_i) mod m, and the Cartan
     subalgebra sits in degree 0."""
     m, degrees = _grading(d)
-    return GradedDims(order=m, dims=tuple(_histogram(m, degrees)))
+    return GradedDims(tuple(_histogram(m, degrees)))
 
 
 # -- labeling scans -------------------------------------------------------------
@@ -416,17 +420,22 @@ def graded_dims(d: KacDiagram) -> GradedDims:
 
 @record
 class ScanHit:
+    """A labeling a scan found, with its degree-1 excess; ``order`` is
+    the diagram's ``kac_order``."""
+
     diagram: KacDiagram
-    order: int
     delta: int
+
+    @property
+    def order(self) -> int:
+        return kac_order(self.diagram)
 
 
 def levi_order_scan(
     family: str, rank: int, min_delta: int = 2, twist: int = 1
 ) -> list[ScanHit]:
     """All {0,1}-labelings of the diagram with degree-1 excess at least
-    ``min_delta``, together with their grading orders, in increasing
-    label mask (label i at bit i).
+    ``min_delta``, in increasing label mask (label i at bit i).
 
     The labelings are walked in Gray-code order, so each step flips one
     label and adds or subtracts its packed column (see ``_columns``) from
@@ -451,14 +460,13 @@ def levi_order_scan(
         dims = _histogram(m, _degrees(lanes, len(vectors), m))
         delta = dims[1 % m] - dims[0]
         if delta >= min_delta:
-            found.append((mask, m, delta))
+            found.append((mask, delta))
     return [
         ScanHit(
             KacDiagram(family, rank, twist, tuple(mask >> i & 1 for i in range(len(marks)))),
-            order=m,
-            delta=delta,
+            delta,
         )
-        for mask, m, delta in sorted(found)
+        for mask, delta in sorted(found)
     ]
 
 
@@ -471,30 +479,28 @@ class VinbergClassicalInput:
 
     ``case`` 1..4: inner on the special linear algebra; orthogonal;
     symplectic; outer on the special linear algebra.  ``k`` holds the
-    eigenspace dimensions over Z_{m0}; ``eta`` records whether +1 and -1
-    are eigenvalues (signs +1/-1), fixed to None in case 1.
+    eigenspace dimensions over Z_{m0}, at least one, so ``m0`` is
+    ``len(k)``; ``eta`` records whether +1 and -1 are eigenvalues (signs
+    +1/-1), fixed to None in case 1.
 
     The eigenvalue of index j is exp(pi i (2j + s) / m0), with the shift
     s = 0 when ``eta`` is None or eta[+1] = 1, else s = 1.  Conjugation,
     the index of minimal real part, the real indices and the parity rule
-    for eta[-1] all follow from s.  ``case``, ``m0``, the entries of
-    ``k`` and the eta signs are ints, not bools.  ``k`` and ``eta`` may be
+    for eta[-1] all follow from s.  ``case``, the entries of ``k`` and
+    the eta signs are ints, not bools.  ``k`` and ``eta`` may be
     any iterables; each is read once into a tuple by ``errors.read_tuple``.
     """
 
     case: int
-    m0: int
     k: tuple[int, ...]
     eta: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if not is_int(self.case) or self.case not in (1, 2, 3, 4):
             raise InputError("case must be 1..4")
-        if not is_int(self.m0):
-            raise InputError(f"m0 must be an integer, got {self.m0!r}")
         object.__setattr__(self, "k", read_tuple(self.k, "k"))
-        if self.m0 < 1 or len(self.k) != self.m0:
-            raise InputError("k must have exactly m0 entries")
+        if not self.k:
+            raise InputError("k needs at least one eigenspace dimension")
         if not all(map(is_int, self.k)):
             raise InputError(f"eigenspace dimensions {self.k!r} are not all integers")
         if any(v < 0 for v in self.k):
@@ -525,6 +531,10 @@ class VinbergClassicalInput:
         for e, h, j in zip(self.eps, self.eta, (0, self.minus_one_index())):
             if h == 1 and e == -1 and self.k[j] % 2:
                 raise InputError(f"k[{j}] = {self.k[j]} is odd, but its form is skew")
+
+    @property
+    def m0(self) -> int:
+        return len(self.k)
 
     @property
     def eps(self) -> tuple[int, int]:

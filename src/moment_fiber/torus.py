@@ -162,13 +162,19 @@ class ClosedPairWitness:
     """A fiber point with closed orbit whose x-part is nilpotent.
 
     ``relation`` is a full-length integer vector: a mixed-sign dependency
-    among the weights; x is the indicator of its positive part, phi of the
-    negative part.  The monomial prod x_i^{b_i} prod phi_i^{b_i} over the
-    relation's support is an invariant taking value 1 at the witness.
+    among the weights.  The point, ``pair``, is read off its signs: x is
+    the indicator of its positive part, phi of the negative part.  The
+    monomial prod x_i^{b_i} prod phi_i^{b_i} over the relation's support
+    is an invariant taking value 1 at the witness.
     """
 
-    pair: PairPoint
     relation: tuple[int, ...]
+
+    @property
+    def pair(self) -> PairPoint:
+        rel = self.relation
+        x = tuple([1 if c > 0 else 0 for c in rel])
+        return PairPoint(x, tuple([1 if c < 0 else 0 for c in rel]))
 
 
 # -- internal helpers -------------------------------------------------------
@@ -232,8 +238,8 @@ class Analysis:
     relation on the fundamental circuit C(e, B) of one row e outside B,
     positive at e, the largest index of its support.  From these circuits:
 
-    * I_d (``dependent``) is the union of their supports, I_f (``free``)
-      the rest, and rank S = n - #circuits.
+    * I_d (``dependent``) is the union of their supports, I_f (``free``,
+      read off ``dependent``) the rest, and rank S = n - #circuits.
     * The zero fiber has dimension 2n - rank S; its components are the
       supersets of I_d, so it is irreducible, and normal, iff I_f = {}.
     * The action is visible iff no circuit has a mixed-sign relation.  A
@@ -243,7 +249,7 @@ class Analysis:
       ``visibility`` is the decomposition they are the blocks of, with
       I_0 = I_f.  Either certificate is checked before it is returned,
       the decomposition by one more rank and the witness by one more
-      elimination.
+      elimination (``_verify_nonvisible_witness``).
 
     The ``WeightMatrix`` it was built from stays as ``weights``, so the
     smooth points come from here too: ``smooth_witness`` reads local
@@ -254,7 +260,6 @@ class Analysis:
     weights: WeightMatrix
     rank: int
     dependent: Stratum  # I_d: rows in some circuit
-    free: Stratum  # I_f: rows in no circuit
     visibility: VisibleDecomposition | ClosedPairWitness
 
     @classmethod
@@ -265,18 +270,24 @@ class Analysis:
         vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
         supports = [[i for i, c in enumerate(v, 1) if c] for v in vectors]
         dependent = frozenset().union(*supports)
-        free = frozenset(range(1, w.n + 1)) - dependent
         mixed = _mixed_circuit(vectors)
         if mixed is None:  # disjoint supports: sorted by their least index
             blocks = tuple(
                 Block(frozenset(s), polytope.primitive([v[i - 1] for i in s]))
                 for s, v in sorted(zip(supports, vectors))
             )
+            free = frozenset(range(1, w.n + 1)) - dependent
             vis = VisibleDecomposition(fixed=free, blocks=blocks)
             _verify_decomposition(w, vis)
-        else:
-            vis = _nonvisible_witness(w, mixed)
-        return cls(w, w.n - len(vectors), dependent, free, vis)
+        else:  # the relation is the circuit divided by its entries' gcd
+            vis = ClosedPairWitness(polytope.primitive(mixed))
+            _verify_nonvisible_witness(w, vis)
+        return cls(w, w.n - len(vectors), dependent, vis)
+
+    @property
+    def free(self) -> Stratum:
+        """I_f: the rows in no circuit."""
+        return frozenset(range(1, self.n + 1)) - self.dependent
 
     @property
     def n(self) -> int:
@@ -418,7 +429,7 @@ def reduce_to_effective(w: WeightMatrix) -> WeightMatrix:
     Every column is a rational combination of the kept ones, so the rank of
     every row subset is preserved; the reduced action is locally free.
     """
-    _, keep, _ = exactlin.echelon(w.matrix.entries, w.r)
+    _, keep, _ = exactlin.echelon(w.matrix.entries)
     if not keep:
         raise CapabilityError(
             "the action is trivial (all weights vanish); there is no"
@@ -468,65 +479,37 @@ def pair_closed_orbit(w: WeightMatrix, p: PairPoint) -> Inside | NotClosed:
     return NotClosed(cocharacter=lam, limit=limit)
 
 
-def _nonvisible_witness(
-    w: WeightMatrix, mixed: tuple[int, ...]
-) -> ClosedPairWitness:
-    """A closed-orbit fiber point with nilpotent x, from a mixed circuit.
-
-    x is the indicator of the positive part P of the circuit's relation,
-    phi of the negative part N.  The circuit gives both certificates, so
-    no hull search runs: the absolute values of the relation are a
-    strictly positive combination of the doubled weights (the orbit is
-    closed), and P, a proper subset of a circuit, is independent, so
-    S_P t = 1 has a solution t pairing positively with every weight on
-    supp(x) (x is nilpotent).  ``_verify_nonvisible_witness`` checks
-    both.
-    """
-    # The circuit is an integer relation; divided by the gcd of its
-    # entries it is the primitive one.
-    rel = polytope.primitive(mixed)
-    x = tuple([1 if c > 0 else 0 for c in rel])
-    phi = tuple([1 if c < 0 else 0 for c in rel])
-    witness = ClosedPairWitness(pair=PairPoint(x, phi), relation=rel)
-    _verify_nonvisible_witness(w, witness)
-    return witness
-
-
 def _verify_nonvisible_witness(
     w: WeightMatrix, witness: ClosedPairWitness
 ) -> None:
     """Check the witness exactly, one check per fact; raise
-    ArithmeticError on a fault (InputError for a pair of the wrong
-    length, as everywhere).
+    ArithmeticError on a fault.
 
-    The relation r is a weight dependency, and supp(x) and supp(phi) are
-    its positive part P and negative part N, with P nonempty.  P and N are
-    disjoint, so every x_i phi_i is 0 and the pair lies on the zero fiber
-    without a moment map evaluation.  The same facts are closedness:
-    sum_P |r_i| s_i + sum_N |r_i| (-s_i) = sum r_i s_i = 0 with every
-    coefficient positive, an ``Inside`` certificate on the doubled weights
-    that needs no check of its own.  Nilpotency is the one certificate
-    built and checked: the functional t with S_P t = 1.
+    The witness comes from a mixed circuit, which gives both certificates,
+    so no hull search runs.  The relation r is a weight dependency, and
+    supp(x) and supp(phi) are its positive part P and negative part N,
+    with P nonempty.  P and N are disjoint, so every x_i phi_i is 0 and
+    the pair lies on the zero fiber without a moment map evaluation.  The
+    same facts are closedness: sum_P |r_i| s_i + sum_N |r_i| (-s_i) =
+    sum r_i s_i = 0 with every coefficient positive, an ``Inside``
+    certificate on the doubled weights that needs no check of its own.
+    Nilpotency is the one certificate built and checked: P, a proper
+    subset of a circuit, is independent, so S_P t = 1 has a solution t,
+    which pairs positively with every weight on supp(x).
 
     The dependency is checked column by column, as ``verify_certificate``
-    checks a combination, and the supports in one pass over the
-    coordinates: x_i != 0 exactly where r_i > 0, phi_i != 0 exactly where
-    r_i < 0.
+    checks a combination.
     """
-    p, rel = witness.pair, witness.relation
-    _check_length(w, p)
+    rel = witness.relation
     rows = w.matrix.entries
     if len(rel) != w.n or any(sum(map(mul, rel, col)) for col in zip(*rows)):
         raise ArithmeticError("witness relation is not a weight dependency")
     pos = [i for i, c in enumerate(rel) if c > 0]
-    if any((x != 0) != (c > 0) or (phi != 0) != (c < 0)
-           for x, phi, c in zip(p.x, p.phi, rel)):
-        raise ArithmeticError("witness supports differ from the relation")
     if not pos:
         raise ArithmeticError("witness x-part is zero")
 
     # Nilpotent: solve S_P t = 1 by one elimination of [S_P | 1].
-    a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos], w.r + 1)
+    a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos])
     if pivots and pivots[-1] == w.r:
         raise ArithmeticError("S_P t = 1 is inconsistent: P is dependent")
     # t = a[k][-1] / d at pivot column k; |d| * t keeps its signs.

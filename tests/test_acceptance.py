@@ -274,7 +274,7 @@ def _symmetric_k_vectors(inp_case: int, m0: int, eta: tuple[int, int]):
     """All duality-symmetric k with entries 1..SWEEP_MAX_K, odd skew
     eigenspaces included (the constructor rejects those)."""
     probe = theta.VinbergClassicalInput(
-        case=inp_case, m0=m0, k=(2,) * m0, eta=eta
+        case=inp_case, k=(2,) * m0, eta=eta
     )
     orbits: list[list[int]] = []
     seen: set[int] = set()
@@ -300,7 +300,7 @@ def test_criterion_11_classical_formulas():
         # Formula equivalence, inner case: all k-vectors, entries 0..3.
         for m0 in range(1, SWEEP_MAX_M0 + 1):
             for k in itertools.product(range(SWEEP_MAX_K + 1), repeat=m0):
-                inp = theta.VinbergClassicalInput(case=1, m0=m0, k=k)
+                inp = theta.VinbergClassicalInput(case=1, k=k)
                 assert theta.vinberg_delta(inp) == oracle.vinberg_delta_blocks(
                     inp
                 )
@@ -312,7 +312,7 @@ def test_criterion_11_classical_formulas():
                 k = tuple(
                     rng.randint(0, SWEEP_MAX_K) for _ in range(m0)
                 )
-                inp = theta.VinbergClassicalInput(case=1, m0=m0, k=k)
+                inp = theta.VinbergClassicalInput(case=1, k=k)
                 assert theta.vinberg_delta(inp) == oracle.vinberg_delta_blocks(
                     inp
                 )
@@ -325,7 +325,7 @@ def test_criterion_11_classical_formulas():
                     eta = (eta1, etam1)
                     solutions = set()
                     probe = theta.VinbergClassicalInput(
-                        case=case, m0=m0, k=(2,) * m0, eta=eta
+                        case=case, k=(2,) * m0, eta=eta
                     )
                     type_one = all(
                         e * h == 1 for e, h in zip(probe.eps, eta)
@@ -333,7 +333,7 @@ def test_criterion_11_classical_formulas():
                     for k in _symmetric_k_vectors(case, m0, eta):
                         try:
                             inp = theta.VinbergClassicalInput(
-                                case=case, m0=m0, k=k, eta=eta
+                                case=case, k=k, eta=eta
                             )
                         except InputError as exc:
                             # No such block exists: an odd real eigenspace

@@ -735,18 +735,22 @@ class TestKac:
 
     def test_format_in_each_position(self, capsys):
         # argparse reads --format before the spec; after it, or inside
-        # its one word, it is pulled out by hand.
+        # its one word, it is pulled out by hand, as --format V and as
+        # --format=V.
         spec = "E6 twist=2 labels=1,0,1,1,1"
         outs = []
         for argv in (
             ["kac", "--format", "json", spec],
             ["kac", spec, "--format", "json"],
             ["kac", f"{spec} --format json"],
+            ["kac", "--format=json", spec],
+            ["kac", spec, "--format=json"],
+            ["kac", f"{spec} --format=json"],
         ):
             code, out, err = run(argv, capsys)
             assert (code, err) == (0, ""), argv
             outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
+        assert all(out == outs[0] for out in outs)
         assert json.loads(outs[0])["order"] == 12
 
     def test_bad_spec_exits_2(self, capsys):
@@ -773,6 +777,12 @@ class TestKac:
             ["kac", "A2 all-ones", "--format", "json", "--format", "json"],
             ["analyze", "[[1],[-1]]", "--format", "json", "--format", "text"],
             ["analyze", "[[1],[-1]]", "--format", "json", "--format", "json"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1", "--format=xml"],
+            ["kac", "E6 twist=1 labels=1,1,1,0,1,1,1 --format=xml"],
+            ["kac", "A2 all-ones --format="],
+            ["kac", "--format=json", "A2 all-ones", "--format=text"],
+            ["kac", "A2 all-ones --format=json --format text"],
+            ["kac", "A2 all-ones", "--format=json", "--format=json"],
         ],
     )
     def test_bad_format_exits_2(self, argv, capsys):
@@ -1019,6 +1029,27 @@ def test_capability_refusal_exits_3(owner, name, argv, capsys, monkeypatch):
 
     monkeypatch.setattr(owner, name, refuse)
     assert run(argv, capsys) == (cli.EXIT_CAPABILITY, "", "refused: mutant\n")
+
+
+def test_reader_closing_mid_output_exits_0_quietly():
+    # ``moment-fiber kac ... | head``: the scan's text is longer than the
+    # stdout buffer, so a write fails while the hits are printed.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "moment_fiber.cli", "kac",
+         "E8 twist=1 scan --delta-ge -100"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert (code, err) == (cli.EXIT_OK, b"")
 
 
 def test_closed_pipe_exits_0_without_traceback():

@@ -31,8 +31,8 @@ W = torus.WeightMatrix.from_rows([[1], [-1]])
         (oracle.brute_zero_in_relative_interior, (None,)),
         (W.index_set, (5,)),
         (theta.KacDiagram.of, ("A", 2, 5)),
-        (theta.VinbergClassicalInput, (1, 1, 5)),
-        (lambda: theta.VinbergClassicalInput(2, 2, (1, 1), eta=5), ()),
+        (theta.VinbergClassicalInput, (1, 5)),
+        (lambda: theta.VinbergClassicalInput(2, (1, 1), eta=5), ()),
     ],
     ids=[
         "from_rows-int",
@@ -150,15 +150,15 @@ RECORDS = [
     BLOCK,
     torus.VisibleDecomposition(frozenset({3}), (BLOCK,)),
     torus.NotClosed((1,), POINT),
-    torus.ClosedPairWitness(POINT, (1, 1, -2)),
+    torus.ClosedPairWitness((1, 1, -2)),
     torus.Analysis.of(NOT_VISIBLE),
     HullQuery.of([[1], [-1]]),
     polytope.Inside((1, 1)),
     polytope.Outside((1,)),
     KAC,
-    theta.GradedDims(3, (2, 3, 3)),
-    theta.ScanHit(KAC, 3, 1),
-    theta.VinbergClassicalInput(2, 2, (1, 1), (1, 1)),
+    theta.GradedDims((2, 3, 3)),
+    theta.ScanHit(KAC, 1),
+    theta.VinbergClassicalInput(2, (1, 1), (1, 1)),
     cli.analyze(NOT_VISIBLE),
 ]
 
@@ -231,7 +231,7 @@ def test_weight_matrix_sizes_are_attributes_not_fields():
     [
         (lambda: torus.WeightMatrix(torus.IntMatrix([])), "n >= 1 rows"),
         (lambda: theta.KacDiagram("A", 2, 1, (0, 0, 0)), "at least one label"),
-        (lambda: theta.VinbergClassicalInput(1, 2, (1,)), "exactly m0 entries"),
+        (lambda: theta.VinbergClassicalInput(1, ()), "at least one"),
     ],
     ids=["weight-matrix", "kac-diagram", "vinberg"],
 )
@@ -241,8 +241,8 @@ def test_records_validate_in_post_init(make, message):
 
 
 def test_record_defaults():
-    v = theta.VinbergClassicalInput(1, 2, (1, 2))
-    assert v.eta is None and v == theta.VinbergClassicalInput(1, 2, (1, 2), eta=None)
+    v = theta.VinbergClassicalInput(1, (1, 2))
+    assert v.eta is None and v == theta.VinbergClassicalInput(1, (1, 2), eta=None)
 
     class Misordered:
         a: int = 0

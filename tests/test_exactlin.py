@@ -122,10 +122,10 @@ class TestKernel:
     def test_negative_denominator_scaled_by_its_absolute_value(self):
         # echelon's d is -1 and -6 here; each circuit is |d| at its free
         # column, so it stays positive at its largest index.
-        assert exactlin.echelon([[-1, 1]], 2)[2] == -1
+        assert exactlin.echelon([[-1, 1]])[2] == -1
         assert exactlin.kernel_basis([[-1, 1]], 2) == [(1, 1)]
         rows = [[2, 0, 1], [0, -3, 1]]
-        assert exactlin.echelon(rows, 3)[2] == -6
+        assert exactlin.echelon(rows)[2] == -6
         assert exactlin.kernel_basis(rows, 3) == [(-3, 2, 6)]
 
 
@@ -169,7 +169,7 @@ class TestEchelon:
     @settings(max_examples=150, deadline=None)
     def test_contract(self, rows, data):
         for m in (rows, with_dependent_rows(rows, data)):
-            a, pivots, d = exactlin.echelon(m, ncols(m))
+            a, pivots, d = exactlin.echelon(m)
             assert type(d) is int and d != 0
             assert all(type(x) is int for row in a for x in row)
             assert len(a) == len(pivots)

@@ -471,7 +471,7 @@ class TestScans:
             dims[0] = rank
             for root in roots:
                 dims[sum(map(mul, root, labels[:-1])) % m] += 1
-            gd = GradedDims(order=m, dims=tuple(dims))
+            gd = GradedDims(tuple(dims))
             assert graded_dims(KacDiagram.of(family, rank, labels)) == gd, labels
             expected.append((labels, m, gd.delta))
         assert [(h.diagram.labels, h.order, h.delta) for h in hits] == expected
@@ -519,22 +519,22 @@ class TestScans:
 class TestVinberg:
     def test_inner_all_equal(self):
         for m0 in (2, 3, 5, 8):
-            inp = VinbergClassicalInput(case=1, m0=m0, k=(1,) * m0)
+            inp = VinbergClassicalInput(case=1, k=(1,) * m0)
             assert vinberg_delta(inp) == 1
 
     def test_inner_with_jump(self):
-        inp = VinbergClassicalInput(case=1, m0=3, k=(2, 1, 1))
+        inp = VinbergClassicalInput(case=1, k=(2, 1, 1))
         assert vinberg_delta(inp) == 0
 
     def test_orthogonal_doubled_zero(self):
-        inp = VinbergClassicalInput(case=2, m0=4, k=(2, 1, 1, 1), eta=(1, 1))
+        inp = VinbergClassicalInput(case=2, k=(2, 1, 1, 1), eta=(1, 1))
         assert vinberg_delta(inp) == 1
 
     def test_trivial_grading_has_delta_zero(self):
         # m0 = 1: g_1 = g_0 = sl_N, so delta is 0, as graded_dims says for
         # A2 with labels (0, 0, 1), the order-1 grading of sl_3.
         for n in range(5):
-            inp = VinbergClassicalInput(case=1, m0=1, k=(n,))
+            inp = VinbergClassicalInput(case=1, k=(n,))
             assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == 0
         gd = graded_dims(KacDiagram.of("A", 2, (0, 0, 1)))
         assert (gd.order, gd.dims, gd.delta) == (1, (8,), 0)
@@ -550,43 +550,53 @@ class TestVinberg:
         for family, rank, labels, dims, k, eta in pins:
             gd = graded_dims(KacDiagram.of(family, rank, labels, twist=2))
             assert (gd.order, gd.dims) == (2, dims)
-            inp = VinbergClassicalInput(case=4, m0=1, k=k, eta=eta)
+            inp = VinbergClassicalInput(case=4, k=k, eta=eta)
             assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == gd.delta
         # X -> -J X^T J^-1 with J symmetric (any N) or skew (N even).
         shapes = [(n, (1, -1), n - 1) for n in range(1, 7)]
         shapes += [(n, (-1, 1), -n - 1) for n in (2, 4, 6)]
         for n, eta, delta in shapes:
-            inp = VinbergClassicalInput(case=4, m0=1, k=(n,), eta=eta)
+            inp = VinbergClassicalInput(case=4, k=(n,), eta=eta)
             assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == delta
 
     def test_matches_block_model(self):
-        inp = VinbergClassicalInput(case=3, m0=4, k=(1, 1, 1, 1), eta=(-1, -1))
+        inp = VinbergClassicalInput(case=3, k=(1, 1, 1, 1), eta=(-1, -1))
         assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == 1
 
     def test_cyclic_invariance_inner(self):
         k = (3, 1, 2, 2, 1)
-        base = vinberg_delta(VinbergClassicalInput(case=1, m0=5, k=k))
+        base = vinberg_delta(VinbergClassicalInput(case=1, k=k))
         for shift in range(1, 5):
             rolled = tuple(k[(j + shift) % 5] for j in range(5))
             assert (
-                vinberg_delta(VinbergClassicalInput(case=1, m0=5, k=rolled))
+                vinberg_delta(VinbergClassicalInput(case=1, k=rolled))
                 == base
             )
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(case=5, m0=1, k=(1,)), "case must be 1..4"),
-            (dict(case=1, m0=0, k=()), "exactly m0 entries"),
-            (dict(case=1, m0=2, k=(1,)), "exactly m0 entries"),
-            (dict(case=1, m0=2, k=(1, -1)), "nonnegative"),
-            (dict(case=2, m0=2, k=(1, 1)), "need the eta signs"),
-            (dict(case=2, m0=2, k=(1, 1), eta=(1, 0)), "must be \\+1 or -1"),
-            (dict(case=3, m0=2, k=(1, 1), eta=(2, 1)), "must be \\+1 or -1"),
+            (dict(case=5, k=(1,)), "case must be 1..4"),
+            (dict(case=1, k=()), "at least one eigenspace"),
+            (dict(case=1, k=(1, -1)), "nonnegative"),
+            (dict(case=2, k=(1, 1)), "need the eta signs"),
+            (dict(case=2, k=(1, 1), eta=(1, 0)), "must be \\+1 or -1"),
+            (dict(case=3, k=(1, 1), eta=(2, 1)), "must be \\+1 or -1"),
             # Case 1 has no eta: signs that would shift its eigenvalues,
             # and ones that are no signs at all.
-            (dict(case=1, m0=3, k=(1, 1, 1), eta=(-1, 1)), "takes no eta"),
-            (dict(case=1, m0=3, k=(1, 1, 1), eta=("x",)), "takes no eta"),
+            (dict(case=1, k=(1, 1, 1), eta=(-1, 1)), "takes no eta"),
+            (dict(case=1, k=(1, 1, 1), eta=("x",)), "takes no eta"),
+        ],
+        # Pinned, so that a deleted case renames none of the others.
+        ids=[
+            "kwargs0-case must be 1..4",
+            "kwargs1-at least one eigenspace",
+            "kwargs3-nonnegative",
+            "kwargs4-need the eta signs",
+            "kwargs5-must be \\+1 or -1",
+            "kwargs6-must be \\+1 or -1",
+            "kwargs7-takes no eta",
+            "kwargs8-takes no eta",
         ],
     )
     def test_block_data_validation(self, kwargs, message):
@@ -596,18 +606,17 @@ class TestVinberg:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: VinbergClassicalInput(1, 2, (1.5, 0.5)),
-            lambda: VinbergClassicalInput(1, 2.0, (1, 1)),
-            lambda: VinbergClassicalInput(2, 2, (1, 1), (1,)),
-            lambda: VinbergClassicalInput(2, 2, (1, 1), (1, 1, 1)),
-            lambda: VinbergClassicalInput(2, 2, (1, 1), (1.0, 1)),
-            lambda: VinbergClassicalInput(True, 1, (1,)),
+            lambda: VinbergClassicalInput(1, (1.5, 0.5)),
+            lambda: VinbergClassicalInput(2, (1, 1), (1,)),
+            lambda: VinbergClassicalInput(2, (1, 1), (1, 1, 1)),
+            lambda: VinbergClassicalInput(2, (1, 1), (1.0, 1)),
+            lambda: VinbergClassicalInput(True, (1,)),
             lambda: KacDiagram.of("E", 6.0, [1] * 7),
             lambda: KacDiagram.of("A", 2, [1, 1, 1], twist=True),
             lambda: KacDiagram.all_ones("E", 6.0),
         ],
         ids=[
-            "float-k", "float-m0", "short-eta", "long-eta", "float-eta",
+            "float-k", "short-eta", "long-eta", "float-eta",
             "bool-case", "float-rank", "bool-twist", "all-ones-float-rank",
         ],
     )
@@ -631,14 +640,15 @@ class TestVinberg:
         ],
     )
     def test_shifted_eigenvalues(self, case, m0, k, eta, conj, minus_one, real):
-        inp = VinbergClassicalInput(case, m0, k, eta)
+        inp = VinbergClassicalInput(case, k, eta)
+        assert inp.m0 == m0
         assert [inp.conj(j) for j in range(m0)] == conj
         assert inp.minus_one_index() == minus_one
         assert {j for j in range(m0) if inp.conj(j) == j} == real
 
     def test_symmetry_validation(self):
         with pytest.raises(InputError):
-            VinbergClassicalInput(case=2, m0=4, k=(1, 2, 1, 1), eta=(1, 1))
+            VinbergClassicalInput(case=2, k=(1, 2, 1, 1), eta=(1, 1))
 
     @pytest.mark.parametrize(
         "case, m0, k, eta",
@@ -650,7 +660,7 @@ class TestVinberg:
     )
     def test_odd_skew_real_block_rejected(self, case, m0, k, eta):
         with pytest.raises(InputError, match="is odd, but its form is skew"):
-            VinbergClassicalInput(case, m0, k, eta)
+            VinbergClassicalInput(case, k, eta)
 
     @pytest.mark.parametrize(
         "case, m0, k, eta, delta",
@@ -663,14 +673,15 @@ class TestVinberg:
         ],
     )
     def test_even_skew_real_block_accepted(self, case, m0, k, eta, delta):
-        inp = VinbergClassicalInput(case, m0, k, eta)
+        inp = VinbergClassicalInput(case, k, eta)
+        assert inp.m0 == m0
         assert vinberg_delta(inp) == oracle.vinberg_delta_blocks(inp) == delta
 
     def test_eta_consistency_validation(self):
         with pytest.raises(InputError):
-            VinbergClassicalInput(case=2, m0=4, k=(1, 1, 1, 1), eta=(1, -1))
+            VinbergClassicalInput(case=2, k=(1, 1, 1, 1), eta=(1, -1))
         with pytest.raises(InputError):
-            VinbergClassicalInput(case=4, m0=3, k=(1, 1, 1), eta=(1, 1))
+            VinbergClassicalInput(case=4, k=(1, 1, 1), eta=(1, 1))
 
     def test_delta_bounded_by_minimum_at_type_one_signs(self):
         # Cases 2..4 with eps*eta = +1 on both real eigenvalues: the gain
@@ -680,7 +691,7 @@ class TestVinberg:
                 if m0 % 2 != parity:
                     continue
                 eta = (eta1, 1 if (eta1 == 1) == (m0 % 2 == 0) else -1)
-                inp0 = VinbergClassicalInput(case=case, m0=m0, k=(1,) * m0, eta=eta)
+                inp0 = VinbergClassicalInput(case=case, k=(1,) * m0, eta=eta)
                 eps = inp0.eps
                 if eps[0] * eta[0] != 1 or eps[1] * eta[1] != 1:
                     continue
@@ -696,6 +707,6 @@ class TestVinberg:
                         for j in orb:
                             k[j] = v
                     inp = VinbergClassicalInput(
-                        case=case, m0=m0, k=tuple(k), eta=eta
+                        case=case, k=tuple(k), eta=eta
                     )
                     assert vinberg_delta(inp) <= min(k)

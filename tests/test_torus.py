@@ -140,6 +140,7 @@ class TestStrataNumbers:
                 lambda w, s: oracle.random_fiber_point(w, s, seed=0),
                 id="random_fiber_point",
             ),
+            pytest.param(lambda w, s: [w.weight(i) for i in s], id="weight"),
         ],
     )
     def test_out_of_range_index_rejected(self, fn, subset):
@@ -695,30 +696,29 @@ class TestNonvisibleWitness:
             assert len(calls) - before == 1, w.matrix.entries
 
     @pytest.mark.parametrize(
-        "rows, relation, x, phi, message",
+        "rows, relation, message",
         [
             # One sign of TRIPLE's relation (-1, 1, 0) flipped.
-            ([[1], [1], [-2]], (1, 1, 0), (0, 1, 0), (1, 0, 0), "dependency"),
-            # Signs and supports agree, but no dependency.
-            ([[1], [1], [-2]], (-1, 2, 0), (0, 1, 0), (1, 0, 0), "dependency"),
-            # x misses an index of the positive part.
-            ([[1], [1], [-2]], (1, 1, 1), (0, 0, 0), (0, 0, 0), "supports"),
-            ([[1], [1], [-2]], (2, 0, 1), (1, 0, 0), (0, 0, 1), "supports"),
-            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 1), (1, 0, 0), "supports"),
-            # x and phi overlap at index 2: off the fiber, and phi's
-            # support is not the negative part.
-            ([[1], [1], [-2]], (-1, 1, 0), (0, 1, 0), (1, 1, 0), "supports"),
+            ([[1], [1], [-2]], (1, 1, 0), "dependency"),
+            # Signs agree, but no dependency.
+            ([[1], [1], [-2]], (-1, 2, 0), "dependency"),
             # Positive relations: P is dependent, S_P t = 1 inconsistent.
-            ([[1], [2], [-1]], (1, 1, 3), (1, 1, 1), (0, 0, 0), "inconsistent"),
-            ([[1], [2], [1]], (1, 1, -3), (1, 1, 0), (0, 0, 1), "inconsistent"),
+            ([[1], [2], [-1]], (1, 1, 3), "inconsistent"),
+            ([[1], [2], [1]], (1, 1, -3), "inconsistent"),
             # No positive part.
-            ([[1], [-1]], (-1, -1), (0, 0), (1, 1), "x-part is zero"),
+            ([[1], [-1]], (-1, -1), "x-part is zero"),
+        ],
+        # Pinned, so that deleting a case renames none of the others.
+        ids=[
+            "rows0-relation0-x0-phi0-dependency",
+            "rows1-relation1-x1-phi1-dependency",
+            "rows6-relation6-x6-phi6-inconsistent",
+            "rows7-relation7-x7-phi7-inconsistent",
+            "rows8-relation8-x8-phi8-x-part is zero",
         ],
     )
-    def test_tampered_witness_is_rejected(
-        self, rows, relation, x, phi, message
-    ):
-        witness = torus.ClosedPairWitness(PairPoint.of(x, phi), relation)
+    def test_tampered_witness_is_rejected(self, rows, relation, message):
+        witness = torus.ClosedPairWitness(relation)
         with pytest.raises(ArithmeticError, match=message):
             torus._verify_nonvisible_witness(wm(rows), witness)
 

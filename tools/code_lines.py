@@ -1,11 +1,14 @@
-"""Count the code lines of the package and the names it exports.
+"""Count the code lines of the package, its record classes and their
+fields, and the names it exports.
 
 A code line of ``src/moment_fiber/*.py`` holds at least one token that is
 not a comment, a line break or indentation, and lies in no docstring (the
 leading string of a module, class or function, found with ``ast``).  A
 multi-line string that is not a docstring counts every line it spans.
-Prints one line per module, the total, and the number of names in the
-package's ``__all__``.
+A record class is a class decorated with ``record`` (from ``errors``);
+its fields are its class-level annotations, as ``record`` reads them.
+Prints one line per module, the total, the number of record classes and
+of their fields, and the number of names in the package's ``__all__``.
 
 Run from anywhere: ``python tools/code_lines.py``.
 """
@@ -55,6 +58,16 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def record_fields(source: str) -> list[int]:
+    """The field count of each record class in one module's source."""
+    return [
+        sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
+    ]
+
+
 def exported_names(source: str) -> int:
     """The number of names in the module's ``__all__`` list."""
     for node in ast.parse(source).body:
@@ -66,12 +79,16 @@ def exported_names(source: str) -> int:
 
 
 def main() -> None:
-    total = 0
+    total, fields = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        count = code_lines(source)
         total += count
+        fields += record_fields(source)
         print(f"{path.name:<16} {count:>6}")
     print(f"{'total':<16} {total:>6}")
+    print(f"{'record classes':<16} {len(fields):>6}")
+    print(f"{'record fields':<16} {sum(fields):>6}")
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     print(f"{'__all__ names':<16} {exported_names(init):>6}")
 
