@@ -45,16 +45,21 @@ FORMATS = ("json", "text")
 
 
 # json.dumps(obj, sort_keys=True) builds an encoder per call; this one
-# holds no state between calls, so it is shared.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# holds no state between calls, so it is shared.  It keeps no table of
+# the containers it is inside; a cycle ends in the recursion limit.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _dumps(obj: Any) -> str:
     """The CLI's one JSON style: one compact line, keys sorted, so the C
     encoder runs; the text of ``json.dumps(obj, sort_keys=True)``, by one
     shared encoder.  Pipe it through ``python -m json.tool`` to indent
-    it."""
-    return _ENCODER.encode(obj)
+    it.  A value that contains itself, or one nested past the recursion
+    limit, raises ValueError, as ``json.dumps`` does for a cycle."""
+    try:
+        return _ENCODER.encode(obj)
+    except RecursionError:
+        raise ValueError("circular reference or nesting too deep") from None
 
 
 def _cert_dict(cert: polytope.HullCertificate) -> dict:

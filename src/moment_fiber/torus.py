@@ -4,7 +4,8 @@ A rank-r torus acting diagonally on n coordinate lines is encoded by the
 n x r integer weight matrix S (row i is the weight of the i-th line).
 Everything about the zero fiber of the moment map on V + V* is decided
 exactly from S.  The facts read off the circuits of S come together in one
-``Analysis``, built by one elimination of tS: the splits I_d/I_f (I_d is
+``Analysis``, built by one forward elimination of tS and only the circuits
+it needs, each one back-substituted column: the splits I_d/I_f (I_d is
 the support of the symplectic reduction), the fiber's dimension and
 irreducible components (normal iff I_f is empty), the visibility verdict
 as one value (the decomposition when visible, else a non-visible
@@ -23,8 +24,8 @@ and the witness's relation and point.  A user's ``PairPoint`` keeps its
 coordinates as given, ints or Fractions.  Most hull certificates come
 from the simplex in ``polytope``; the non-visible witness is built from
 its circuit and only checked, so ``analyze`` runs one simplex per matrix
-(stability) and two eliminations: the circuits and the check of the
-decomposition or witness they give.
+(stability) and two forward eliminations: the circuits and the check of
+the decomposition or witness they give.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import exactlin, polytope
 from .errors import CapabilityError, InputError, int_rows, is_int, read_tuple, record
@@ -233,10 +234,15 @@ def stratum_orbit_dim(w: WeightMatrix, subset: Iterable[int]) -> int:
 class Analysis:
     """Every fact the circuits of the weights decide, from one elimination.
 
-    ``Analysis.of(w)`` runs one ``kernel_basis`` of tS.  Its pivot columns
-    are the greedy row basis B of S, and each kernel vector is an integer
-    relation on the fundamental circuit C(e, B) of one row e outside B,
-    positive at e, the largest index of its support.  From these circuits:
+    ``Analysis.of(w)`` reads the ``circuits`` of tS, one forward
+    elimination and then one back-substituted column per circuit read.
+    Its pivot columns are the greedy row basis B of S, and each kernel
+    vector is an integer relation on the fundamental circuit C(e, B) of
+    one row e outside B, positive at e, the largest index of its support.
+    Visible input reads them all.  Otherwise the read stops once the
+    witness is found and all r basis rows are covered, which leaves I_d =
+    {1..n} and rank S = r; a smaller rank reads them all.  From these
+    circuits:
 
     * I_d (``dependent``) is the union of their supports, I_f (``free``,
       read off ``dependent``) the rest, and rank S = n - #circuits.
@@ -264,25 +270,40 @@ class Analysis:
 
     @classmethod
     def of(cls, w: WeightMatrix) -> "Analysis":
-        """The analysis of ``w``.  Each circuit's support is read off its
-        vector as a list of 1-based indices in increasing order, the order
-        the blocks and I_d are built from."""
-        vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
-        supports = [[i for i, c in enumerate(v, 1) if c] for v in vectors]
-        dependent = frozenset().union(*supports)
-        mixed = _mixed_circuit(vectors)
+        """The analysis of ``w``.  Each circuit has one row outside B, its
+        own, so len(dependent) - len(vectors) basis rows are covered.  B
+        has at most r rows: once r are covered, rank S = r and I_d is
+        every row, so a non-visible input reads no further circuit."""
+        n, r = w.n, w.r
+        stream = exactlin.circuits(list(zip(*w.matrix.entries)), n)
+        vectors: list[tuple[int, ...]] = []
+        dependent: set[int] = set()
+
+        def read() -> Iterator[tuple[int, ...]]:
+            for v in stream:
+                vectors.append(v)
+                dependent.update(support(v))
+                yield v
+
+        mixed = _mixed_circuit(read())
         if mixed is None:  # disjoint supports: sorted by their least index
-            blocks = tuple(
-                Block(frozenset(s), polytope.primitive([v[i - 1] for i in s]))
-                for s, v in sorted(zip(supports, vectors))
-            )
-            free = frozenset(range(1, w.n + 1)) - dependent
-            vis = VisibleDecomposition(fixed=free, blocks=blocks)
+            blocks = [
+                Block(support(v), polytope.primitive([c for c in v if c]))
+                for v in vectors
+            ]
+            blocks.sort(key=lambda b: min(b.indices))
+            free = frozenset(range(1, n + 1)) - dependent
+            vis = VisibleDecomposition(fixed=free, blocks=tuple(blocks))
             _verify_decomposition(w, vis)
         else:  # the relation is the circuit divided by its entries' gcd
             vis = ClosedPairWitness(polytope.primitive(mixed))
+            rest = read()  # on until r basis rows are covered or none is left
+            while len(dependent) - len(vectors) < r and next(rest, None):
+                pass
             _verify_nonvisible_witness(w, vis)
-        return cls(w, w.n - len(vectors), dependent, vis)
+        if len(dependent) - len(vectors) == r:
+            return cls(w, r, frozenset(range(1, n + 1)), vis)
+        return cls(w, n - len(vectors), frozenset(dependent), vis)
 
     @property
     def free(self) -> Stratum:
@@ -367,7 +388,7 @@ class Analysis:
 
 
 def _mixed_circuit(
-    vectors: Sequence[tuple[int, ...]]
+    vectors: Iterable[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
     """A mixed-sign integer circuit met while scanning the fundamental
     circuits in order, or None when they are positive and disjoint.
@@ -508,15 +529,16 @@ def _verify_nonvisible_witness(
     if not pos:
         raise ArithmeticError("witness x-part is zero")
 
-    # Nilpotent: solve S_P t = 1 by one elimination of [S_P | 1].
+    # Nilpotent: solve S_P t = 1 by one forward pass of [S_P | 1] and a
+    # back-substitution of its last column.
     a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos])
     if pivots and pivots[-1] == w.r:
         raise ArithmeticError("S_P t = 1 is inconsistent: P is dependent")
-    # t = a[k][-1] / d at pivot column k; |d| * t keeps its signs.
+    # t = x_k / d at pivot column k; |d| * t keeps its signs.
     sign = 1 if d > 0 else -1
     t = [0] * w.r
-    for row, c in zip(a, pivots):
-        t[c] = sign * row[-1]
+    for c, x in zip(pivots, exactlin.back_substitute(a, pivots, d, w.r)):
+        t[c] = sign * x
     nilpotent = Outside(polytope.primitive(t))
     if not polytope.verify_certificate(
         HullQuery(tuple([rows[i] for i in pos])), nilpotent, relative_interior=False

@@ -161,9 +161,10 @@ def with_dependent_rows(rows, data):
 
 
 class TestEchelon:
-    """``echelon``'s contract, which both the kernel and the witness solve
-    rely on: pivot entries d, zeros above and below them, ``a / d`` the
-    reduced row-echelon form over Q, integers only."""
+    """``echelon``'s contract, which the circuits and the witness solve
+    rely on: a row-echelon form in integers whose pivots are the reduced
+    form's, and columns that ``back_substitute`` turns, over d, into the
+    columns of the reduced row-echelon form over Q."""
 
     @given(st.one_of(matrices, huge_matrices), st.data())
     @settings(max_examples=150, deadline=None)
@@ -174,10 +175,13 @@ class TestEchelon:
             assert all(type(x) is int for row in a for x in row)
             assert len(a) == len(pivots)
             for k, p in enumerate(pivots):
-                assert [row[p] for row in a] == [d if i == k else 0 for i in range(len(a))]
+                assert a[k][p] and not any(a[k][:p])
             rref, rref_pivots = fraction_rref(m, ncols(m))
             assert pivots == rref_pivots
-            assert [[Fraction(x, d) for x in row] for row in a] == rref
+            for f in range(ncols(m)):
+                col = exactlin.back_substitute(a, pivots, d, f)
+                assert all(type(x) is int for x in col)
+                assert [Fraction(x, d) for x in col] == [row[f] for row in rref]
 
 
 class TestIntMatrix:

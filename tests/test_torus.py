@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moment_fiber import cli, exactlin, oracle, polytope, torus
 from moment_fiber.errors import CapabilityError, InputError
@@ -366,7 +368,8 @@ class TestVisibility:
 
     def test_two_eliminations_per_analysis(self, corpus, monkeypatch):
         # The circuits, then one rank for a decomposition or one solve for
-        # a witness: every other fact is read off the circuits.
+        # a witness, each one forward pass: every other fact is read off
+        # the circuits.
         calls = []
         real = exactlin.echelon
         monkeypatch.setattr(
@@ -376,6 +379,88 @@ class TestVisibility:
             before = len(calls)
             torus.Analysis.of(w)
             assert len(calls) - before == 2, w.matrix.entries
+
+
+# Pieces of a block-diagonal weight matrix: a coloop, a zero row, an
+# opposite pair, a positive triple, two positive circuits meeting in one
+# row (the overlap case) and a positive circuit in rank 2.
+PIECES = [
+    [[1]], [[0]], [[1], [-1]], [[1], [1], [-2]], [[1], [-1], [-1]],
+    [[1, 0], [0, 1], [-1, -2]],
+]
+random_pieces = st.integers(1, 3).flatmap(
+    lambda r: st.lists(
+        st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=6
+    )
+)
+
+
+@st.composite
+def lazy_read_matrices(draw):
+    """A direct sum of pieces, then a duplicate row or none, rows shuffled:
+    visible and non-visible input, with zero rows, duplicate rows and
+    coloops, and the overlap case."""
+    pieces = draw(st.lists(
+        st.one_of(st.sampled_from(PIECES), random_pieces), min_size=1, max_size=4
+    ))
+    width = sum(len(p[0]) for p in pieces)
+    rows, off = [], 0
+    for piece in pieces:
+        for row in piece:
+            rows.append([0] * off + list(row) + [0] * (width - off - len(row)))
+        off += len(piece[0])
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return wm(draw(st.permutations(rows)))
+
+
+def eager_analysis(w):
+    """(rank, dependent, visibility) read off every circuit of tS."""
+    vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
+    supports = [[i for i, c in enumerate(v, 1) if c] for v in vectors]
+    dependent = frozenset().union(*supports)
+    mixed = torus._mixed_circuit(vectors)
+    if mixed is None:
+        blocks = tuple(
+            torus.Block(frozenset(s), polytope.primitive([v[i - 1] for i in s]))
+            for s, v in sorted(zip(supports, vectors))
+        )
+        free = frozenset(range(1, w.n + 1)) - dependent
+        vis = VisibleDecomposition(free, blocks)
+    else:
+        vis = ClosedPairWitness(polytope.primitive(mixed))
+    return w.n - len(vectors), dependent, vis
+
+
+class TestLazyCircuitRead:
+    """``Analysis.of`` stops reading circuits once the verdict is decided
+    and every basis row is covered; it still equals the eager read."""
+
+    @given(lazy_read_matrices())
+    @example(wm([[0], [1]]))  # a zero row
+    @example(wm([[1, 0], [1, 0], [0, 1]]))  # a duplicate row and a coloop
+    @example(wm([[1, 0], [-1, 0], [0, 1], [0, -2]]))  # visible, two blocks
+    @example(wm([[1], [-1], [-1]]))  # the overlap case
+    @example(wm([[1, 0], [1, 1], [-2, 0], [0, 0]]))  # mixed, with a coloop
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_eager_read(self, w):
+        a = torus.Analysis.of(w)
+        assert (a.rank, a.dependent, a.visibility) == eager_analysis(w)
+
+    def test_generic_matrix_reads_few_circuits(self, monkeypatch):
+        # A generic (80, 20) matrix is not visible, and its first circuit
+        # already covers all 20 basis rows.
+        calls = []
+        real = exactlin.back_substitute
+        monkeypatch.setattr(
+            exactlin, "back_substitute", lambda *a: calls.append(a[3]) or real(*a)
+        )
+        rng = random.Random(80)
+        w = wm([[rng.randint(-5, 5) for _ in range(20)] for _ in range(80)])
+        a = torus.Analysis.of(w)
+        assert isinstance(a.visibility, ClosedPairWitness)
+        assert (a.rank, a.dependent) == (20, frozenset(range(1, 81)))
+        assert 0 < len(calls) < w.n - a.rank
 
 
 class TestCartanSubspace:
