@@ -7,7 +7,8 @@ column of the reduced row-echelon form is back-substituted only when a
 caller reads it (``back_substitute``), so ``circuits`` builds each kernel
 circuit lazily.  Every routine takes plain integer rows, indexed from 0,
 and returns integers: the reduced form over Q is the integer form over
-its common denominator, and a kernel vector is an integer circuit.  No
+|d|, the absolute value of its common denominator, and a kernel vector
+is an integer circuit.  The sign of d stays inside this module.  No
 ``Fraction`` is built here.
 """
 
@@ -80,22 +81,25 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 
 
 def back_substitute(
-    a: list[list[int]], pivots: list[int], d: int, f: int
+    a: list[list[int]], pivots: list[int], d: int, f: int, width: int
 ) -> list[int]:
-    """Column f of d times the reduced row-echelon form, one entry per
-    pivot, from ``echelon``'s ``(a, pivots, d)``: d B^-1 A_f, B the pivot
-    columns.  Row k gives a[k][p_k] x_k = d a[k][f] - sum_{j > k}
-    a[k][p_j] x_j, solved from the last row up; every x_k is an integer
-    (Cramer's rule), so each division is exact.
+    """Column f of |d| times the reduced row-echelon form, from
+    ``echelon``'s ``(a, pivots, d)``, as a vector of ``width`` entries:
+    |d| (B^-1 A_f)_k at pivot column p_k, B the pivot columns, and 0 at
+    every other column.  Row k gives a[k][p_k] x_k = |d| a[k][f] -
+    sum_{j > k} a[k][p_j] x_j, solved from the last row up; every x_k is
+    an integer (Cramer's rule), so each division is exact.  Scaling by
+    |d|, not d, keeps the signs of B^-1 A_f, so no caller reads the sign
+    of d.
     """
-    x = [0] * len(pivots)
+    v = [0] * width
     for k in range(len(pivots) - 1, -1, -1):
         row = a[k]
-        t = d * row[f]
-        for j in range(k + 1, len(pivots)):
-            t -= row[pivots[j]] * x[j]
-        x[k] = t // row[pivots[k]]
-    return x
+        t = abs(d) * row[f]
+        for p in pivots[k + 1:]:
+            t -= row[p] * v[p]
+        v[pivots[k]] = t // row[pivots[k]]
+    return v
 
 
 def rank_rows(rows: Sequence[Sequence[int]]) -> int:
@@ -108,26 +112,16 @@ def circuits(rows: Sequence[Sequence[int]], ncols: int) -> Iterator[tuple[int, .
     vector per free column f of ``echelon``, in increasing f, each built
     only when it is read.
 
-    The vector for f is |d| at f, 0 at the other free columns, and
-    -sign(d) x_k at pivot k, x = ``back_substitute(a, pivots, d, f)``.  It
-    is the echelon-normalized rational vector (1 at f) times |d|, so it is
-    positive at f, the largest index of its support: the fundamental
-    circuit of f over the pivot columns.  There are ``ncols - rank`` of
-    them, and each satisfies M v = 0 exactly.  ``ncols`` is the width of
-    M, which an M with no rows cannot give.
+    The vector for f is |d| at f and minus ``back_substitute``'s column f
+    elsewhere: the echelon-normalized rational vector (1 at f) times |d|,
+    so it is positive at f, the largest index of its support, and 0 at
+    the other free columns: the fundamental circuit of f over the pivot
+    columns.  There are ``ncols - rank`` of them, and each satisfies
+    M v = 0 exactly.  ``ncols`` is the width of M, which an M with no
+    rows cannot give.
     """
     a, pivots, d = echelon(rows)
-    sign = 1 if d > 0 else -1
     for f in sorted(set(range(ncols)).difference(pivots)):
-        v = [0] * ncols
+        v = [-x for x in back_substitute(a, pivots, d, f, ncols)]
         v[f] = abs(d)
-        for p, x in zip(pivots, back_substitute(a, pivots, d, f)):
-            v[p] = -sign * x
         yield tuple(v)
-
-
-def kernel_basis(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> list[tuple[int, ...]]:
-    """Every circuit of ``circuits(rows, ncols)``, in its order."""
-    return list(circuits(rows, ncols))

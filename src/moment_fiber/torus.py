@@ -530,15 +530,11 @@ def _verify_nonvisible_witness(
         raise ArithmeticError("witness x-part is zero")
 
     # Nilpotent: solve S_P t = 1 by one forward pass of [S_P | 1] and a
-    # back-substitution of its last column.
+    # back-substitution of its last column, which gives |d| t.
     a, pivots, d = exactlin.echelon([rows[i] + (1,) for i in pos])
     if pivots and pivots[-1] == w.r:
         raise ArithmeticError("S_P t = 1 is inconsistent: P is dependent")
-    # t = x_k / d at pivot column k; |d| * t keeps its signs.
-    sign = 1 if d > 0 else -1
-    t = [0] * w.r
-    for c, x in zip(pivots, exactlin.back_substitute(a, pivots, d, w.r)):
-        t[c] = sign * x
+    t = exactlin.back_substitute(a, pivots, d, w.r, w.r)
     nilpotent = Outside(polytope.primitive(t))
     if not polytope.verify_certificate(
         HullQuery(tuple([rows[i] for i in pos])), nilpotent, relative_interior=False

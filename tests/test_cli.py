@@ -513,12 +513,20 @@ class TestAnalyze:
                 assert set(wit["x"]) | set(wit["phi"]) <= {0, 1}, points
 
     def test_color_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOMENT_FIBER_COLOR", "1")
-        _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
-        assert "\x1b[32m" in out
-        monkeypatch.setenv("MOMENT_FIBER_COLOR", "0")
-        _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
-        assert "\x1b[" not in out
+        # MOMENT_FIBER_COLOR=1 or 0 decides; unset or any other value
+        # leaves it to whether the output stream is a terminal.
+        for env in ("1", "0", None, "2"):
+            for tty in (True, False):
+                if env is None:
+                    monkeypatch.delenv("MOMENT_FIBER_COLOR", raising=False)
+                else:
+                    monkeypatch.setenv("MOMENT_FIBER_COLOR", env)
+                monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+                _, out, _ = run(["analyze", "[[1],[-1]]"], capsys)
+                colored = env == "1" or (env != "0" and tty)
+                assert ("\x1b[32myes\x1b[0m" in out) is colored, (env, tty)
+                assert ("\x1b[" in out) is colored, (env, tty)
+                assert ("  stable        yes" in out) is not colored, (env, tty)
 
     def test_text_report(self, capsys, monkeypatch):
         # Every mark of the text report, the cap note and the witness line.

@@ -60,7 +60,7 @@ class TestRank:
     @settings(max_examples=150, deadline=None)
     def test_rank_plus_nullity(self, rows):
         cols = ncols(rows)
-        kernel = exactlin.kernel_basis(rows, cols)
+        kernel = list(exactlin.circuits(rows, cols))
         assert exactlin.rank_rows(rows) + len(kernel) == cols
 
     @given(matrices, st.randoms(use_true_random=False))
@@ -86,21 +86,21 @@ class TestRank:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert exactlin.kernel_basis([[1, 0], [0, 1]], 2) == []
+        assert list(exactlin.circuits([[1, 0], [0, 1]], 2)) == []
 
     def test_single_relation_row(self):
         row = [1, 1, -2]
-        basis = exactlin.kernel_basis([row], 3)
+        basis = list(exactlin.circuits([row], 3))
         assert len(basis) == 2
         for v in basis:
             assert sum(Fraction(c) * x for c, x in zip(row, v)) == 0
 
     def test_transpose_of_opposite_pair(self):
         ts = list(zip(*[[1], [-1]]))
-        assert exactlin.kernel_basis(ts, 2) == [(Fraction(1), Fraction(1))]
+        assert list(exactlin.circuits(ts, 2)) == [(Fraction(1), Fraction(1))]
 
     def test_zero_rows_kernel_is_identity(self):
-        basis = exactlin.kernel_basis([], 2)
+        basis = list(exactlin.circuits([], 2))
         assert basis == [
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)),
@@ -109,24 +109,24 @@ class TestKernel:
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_kernel_vectors_annihilate(self, rows):
-        for v in exactlin.kernel_basis(rows, ncols(rows)):
+        for v in exactlin.circuits(rows, ncols(rows)):
             for row in rows:
                 assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
     @given(huge_matrices)
     @settings(max_examples=100, deadline=None)
     def test_entries_are_int(self, rows):
-        for v in exactlin.kernel_basis(rows, ncols(rows)):
+        for v in exactlin.circuits(rows, ncols(rows)):
             assert all(type(c) is int for c in v)
 
     def test_negative_denominator_scaled_by_its_absolute_value(self):
         # echelon's d is -1 and -6 here; each circuit is |d| at its free
         # column, so it stays positive at its largest index.
         assert exactlin.echelon([[-1, 1]])[2] == -1
-        assert exactlin.kernel_basis([[-1, 1]], 2) == [(1, 1)]
+        assert list(exactlin.circuits([[-1, 1]], 2)) == [(1, 1)]
         rows = [[2, 0, 1], [0, -3, 1]]
         assert exactlin.echelon(rows)[2] == -6
-        assert exactlin.kernel_basis(rows, 3) == [(-3, 2, 6)]
+        assert list(exactlin.circuits(rows, 3)) == [(-3, 2, 6)]
 
 
 def fraction_rref(rows, cols):
@@ -163,8 +163,9 @@ def with_dependent_rows(rows, data):
 class TestEchelon:
     """``echelon``'s contract, which the circuits and the witness solve
     rely on: a row-echelon form in integers whose pivots are the reduced
-    form's, and columns that ``back_substitute`` turns, over d, into the
-    columns of the reduced row-echelon form over Q."""
+    form's, and columns that ``back_substitute`` turns, over |d|, into the
+    columns of the reduced row-echelon form over Q, entry k at pivot
+    column p_k and 0 at every other column."""
 
     @given(st.one_of(matrices, huge_matrices), st.data())
     @settings(max_examples=150, deadline=None)
@@ -179,9 +180,23 @@ class TestEchelon:
             rref, rref_pivots = fraction_rref(m, ncols(m))
             assert pivots == rref_pivots
             for f in range(ncols(m)):
-                col = exactlin.back_substitute(a, pivots, d, f)
+                col = exactlin.back_substitute(a, pivots, d, f, ncols(m))
+                assert len(col) == ncols(m)
                 assert all(type(x) is int for x in col)
-                assert [Fraction(x, d) for x in col] == [row[f] for row in rref]
+                assert [Fraction(col[p], abs(d)) for p in pivots] == [
+                    row[f] for row in rref
+                ]
+                assert not any(x for c, x in enumerate(col) if c not in pivots)
+
+    def test_negative_denominator_column(self):
+        # d = -1: column 1 of the reduced form [1, -1] is -1, times |d|.
+        a, pivots, d = exactlin.echelon([[-1, 1]])
+        assert d == -1
+        assert exactlin.back_substitute(a, pivots, d, 1, 2) == [-1, 0]
+        # d = -6: column 2 of the reduced form is (1/2, -1/3), times |d|.
+        a, pivots, d = exactlin.echelon([[2, 0, 1], [0, -3, 1]])
+        assert d == -6
+        assert exactlin.back_substitute(a, pivots, d, 2, 3) == [3, -2, 0]
 
 
 class TestIntMatrix:
@@ -229,7 +244,7 @@ class TestAgainstOracle:
         columns = [[row[j] for row in rows] for j in range(ncols(rows))]
         expected = oracle._dependencies(columns)
         primitive = []
-        for v in exactlin.kernel_basis(rows, ncols(rows)):
+        for v in exactlin.circuits(rows, ncols(rows)):
             assert v[max(i for i, c in enumerate(v) if c)] > 0
             g = math.gcd(*v)
             primitive.append([c // g for c in v])

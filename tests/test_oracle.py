@@ -352,7 +352,7 @@ class TestKernelVector:
                 rows[rng.randrange(k - 1)] = list(rows[rng.randrange(k - 1)])
             if exactlin.rank_rows(rows) != k - 1:
                 continue
-            (u,) = exactlin.kernel_basis(list(zip(*rows)), k)
+            (u,) = list(exactlin.circuits(list(zip(*rows)), k))
             assert u[max(i for i, c in enumerate(u) if c)] > 0, rows
             v = oracle._subset_circuits(rows)[1]((1 << k) - 1)
             if 0 in u:

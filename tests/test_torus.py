@@ -126,7 +126,7 @@ class TestStrataNumbers:
             for subset in ({1}, set(range(1, w.n + 1))):
                 sub = [w.weight(i) for i in sorted(subset)]
                 assert modality(w, subset) == len(
-                    exactlin.kernel_basis(list(zip(*sub)), len(sub))
+                    list(exactlin.circuits(list(zip(*sub)), len(sub)))
                 )
 
     @pytest.mark.parametrize(
@@ -164,7 +164,7 @@ class TestSplitIndices:
     def test_dependent_part_is_union_of_relation_supports(self, small_corpus):
         for w in small_corpus:
             i_d = torus.Analysis.of(w).dependent
-            basis = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
+            basis = list(exactlin.circuits(list(zip(*w.matrix.entries)), w.n))
             supports = set()
             for v in basis:
                 supports |= {i + 1 for i, c in enumerate(v) if c != 0}
@@ -224,11 +224,11 @@ class TestLocallyFreeAndKernel:
         assert locally_free(IDENTITY2)
 
     def test_kernel_of_action(self):
-        k = exactlin.kernel_basis([[1, 0], [-1, 0]], 2)
+        k = list(exactlin.circuits([[1, 0], [-1, 0]], 2))
         assert len(k) == 1
         assert k[0][0] == 0 and k[0][1] != 0
-        assert exactlin.kernel_basis(IDENTITY2.matrix.entries, 2) == []
-        k2 = exactlin.kernel_basis([[2, 4]], 2)
+        assert list(exactlin.circuits(IDENTITY2.matrix.entries, 2)) == []
+        k2 = list(exactlin.circuits([[2, 4]], 2))
         assert len(k2) == 1
         assert 2 * k2[0][0] + 4 * k2[0][1] == 0
 
@@ -416,7 +416,7 @@ def lazy_read_matrices(draw):
 
 def eager_analysis(w):
     """(rank, dependent, visibility) read off every circuit of tS."""
-    vectors = exactlin.kernel_basis(list(zip(*w.matrix.entries)), w.n)
+    vectors = list(exactlin.circuits(list(zip(*w.matrix.entries)), w.n))
     supports = [[i for i, c in enumerate(v, 1) if c] for v in vectors]
     dependent = frozenset().union(*supports)
     mixed = torus._mixed_circuit(vectors)
@@ -630,7 +630,7 @@ class TestPairClosedOrbit:
             raise AssertionError("closedness needs no circuits")
 
         monkeypatch.setattr(torus.Analysis, "of", forbidden)
-        monkeypatch.setattr(exactlin, "kernel_basis", forbidden)
+        monkeypatch.setattr(exactlin, "circuits", forbidden)
         res = torus.pair_closed_orbit(w, PairPoint.of((1, 0, 1, 1), (0,) * 4))
         assert isinstance(res, NotClosed)
         assert res.cocharacter == (1, 0)

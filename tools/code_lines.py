@@ -1,5 +1,5 @@
-"""Count the code lines of the package, its record classes and their
-fields, and the names it exports.
+"""Count the code lines of the package, its public functions and
+classes, its record classes and their fields, and the names it exports.
 
 A code line of ``src/moment_fiber/*.py`` holds at least one token that is
 not a comment, a line break or indentation, and lies in no docstring (the
@@ -7,8 +7,12 @@ leading string of a module, class or function, found with ``ast``).  A
 multi-line string that is not a docstring counts every line it spans.
 A record class is a class decorated with ``record`` (from ``errors``);
 its fields are its class-level annotations, as ``record`` reads them.
-Prints one line per module, the total, the number of record classes and
-of their fields, and the number of names in the package's ``__all__``.
+A public name is a function or class defined at a module's top level
+whose name does not start with ``_``.  Prints one line per module, its
+code lines and its public names, then the totals, the number of record
+classes and of their fields, and the number of names in the package's
+``__all__``.  A reader that closes the pipe early (``| head``) ends it
+quietly, with exit status 0.
 
 Run from anywhere: ``python tools/code_lines.py``.
 """
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -68,6 +74,15 @@ def record_fields(source: str) -> list[int]:
     ]
 
 
+def public_names(source: str) -> int:
+    """The number of public functions and classes at the module's top level."""
+    return sum(
+        isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        for node in ast.parse(source).body
+    )
+
+
 def exported_names(source: str) -> int:
     """The number of names in the module's ``__all__`` list."""
     for node in ast.parse(source).body:
@@ -79,14 +94,15 @@ def exported_names(source: str) -> int:
 
 
 def main() -> None:
-    total, fields = 0, []
+    total, public, fields = 0, 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        count = code_lines(source)
+        count, names = code_lines(source), public_names(source)
         total += count
+        public += names
         fields += record_fields(source)
-        print(f"{path.name:<16} {count:>6}")
-    print(f"{'total':<16} {total:>6}")
+        print(f"{path.name:<16} {count:>6} {names:>4} public")
+    print(f"{'total':<16} {total:>6} {public:>4} public")
     print(f"{'record classes':<16} {len(fields):>6}")
     print(f"{'record fields':<16} {sum(fields):>6}")
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
@@ -94,4 +110,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); quiet the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
