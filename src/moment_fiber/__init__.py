@@ -15,7 +15,6 @@ from .polytope import (
     HullQuery,
     Inside,
     Outside,
-    zero_in_hull,
     zero_in_relative_interior,
 )
 from .theta import (
@@ -72,6 +71,5 @@ __all__ = [
     "smooth_witness",
     "stratum_orbit_dim",
     "vinberg_delta",
-    "zero_in_hull",
     "zero_in_relative_interior",
 ]

@@ -4,20 +4,20 @@ Everything here is deliberately written against different algorithms than
 the main modules: ranks by inserting rows one at a time into an integer
 echelon basis that pivots from the right (cross-multiplication, then gcd
 division; no Bareiss division, no rational RREF), kernels by the same row
-insertion, with a unit tag carried along to record each relation, hull
-membership by Caratheodory subset search (no simplex), visibility by
-exhaustive partition search (a decomposition, or None when there is
-none), mixed-sign circuits by subset enumeration.
+insertion, with a unit tag carried along to record each relation,
+relative-interior membership by Caratheodory subset search (no simplex),
+visibility by exhaustive partition search (a decomposition, or None when
+there is none), mixed-sign circuits by subset enumeration.
 One reader of row subsets, ``_subset_circuits``, serves the visibility
 and circuit searches, the kernels and the decomposition check: a subset's
 basis extends that of the subset less its highest row, so a prefix has
 the greedy basis, and a relation is read off a reduced tag.  Relations
-are integer vectors, each checked in integers.  The hull searches visit
-independent subsets only (Caratheodory), and the component walk ends a
-branch whose nullity can no longer reach n - rank S.  The partition
-search keeps its assigned parts in direct sum: a row joins I_0, or a
-circuit opens a block, only if the rank of the union grows by 1, or by
-the block's size less 1.  A subfamily of a direct family is direct, so
+are integer vectors, each checked in integers.  The relative-interior
+search visits independent subsets only (Caratheodory), and the component
+walk ends a branch whose nullity can no longer reach n - rank S.  The
+partition search keeps its assigned parts in direct sum: a row joins I_0,
+or a circuit opens a block, only if the rank of the union grows by 1, or
+by the block's size less 1.  A subfamily of a direct family is direct, so
 no branch to a decomposition is cut, and a finished partition has
 n - rank S blocks without a test of its own.
 The tangent oracle ranks a Jacobian's columns in index order through a
@@ -389,43 +389,25 @@ def check_decomposition(
     return None
 
 
-# -- hull membership -----------------------------------------------------------
-
-
-def _distinct(points: Iterable[Iterable[int]], what: str) -> list[tuple[int, ...]]:
-    """The distinct points, sorted; duplicates do not change a hull or a
-    cone.  The points are read by ``errors.int_rows``, the fast path's
-    reader too: InputError if there are none, a point is not iterable,
-    their dimensions differ or a coordinate is not an integer."""
-    pts = int_rows(points, what)
-    if not pts:
-        raise InputError(f"{what} needs at least one point")
-    return sorted(set(pts))
-
-
-def brute_zero_in_hull(points: Sequence[Sequence[int]]) -> bool:
-    """0 in CH(points): the lifted target (0, 1) is a nonnegative
-    combination of the lifted points (p, 1), found by ``_cone_support``.
-
-    A zero point settles the query immediately.
-    """
-    pts = _distinct(points, "hull query")
-    if any(not any(p) for p in pts):
-        return True
-    origin = (0,) * len(pts[0]) + (1,)
-    return _cone_support(origin, [p + (1,) for p in pts]) is not None
+# -- relative-interior membership ----------------------------------------------
 
 
 def brute_zero_in_relative_interior(points: Sequence[Sequence[int]]) -> bool:
     """0 in the relative interior: every point joins some nonnegative
     relation, equivalently -p is in the cone of the points for each p.
 
-    Each relation found covers its whole support at once, so points already
-    seen inside a relation are not re-queried.  No separate hull test is
-    needed: one relation through a nonzero point already puts 0 in the
-    hull, and a set of zero points is its own hull.
+    The points are read by ``errors.int_rows``, the fast path's reader
+    too: InputError if there are none, a point is not iterable, their
+    dimensions differ or a coordinate is not an integer.  Only the
+    distinct points are searched, sorted; duplicates do not change a
+    cone.  Each relation found covers its whole support at once, so points
+    already seen inside a relation are not re-queried.  No separate hull
+    test is needed: one relation through a nonzero point already puts 0 in
+    the hull, and a set of zero points is its own hull.
     """
-    pts = _distinct(points, "relative-interior query")
+    pts = sorted(set(int_rows(points, "relative-interior query")))
+    if not pts:
+        raise InputError("relative-interior query needs at least one point")
     covered: set[int] = set()
     for i, p in enumerate(pts):
         if i in covered or not any(p):

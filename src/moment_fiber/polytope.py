@@ -1,28 +1,29 @@
-"""Exact convex-hull membership tests with dual certificates.
+"""Exact relative-interior membership tests with dual certificates.
 
-Both queries — "is 0 in the convex hull of the given integer points?" and
-"is 0 in its relative interior?" — are answered with a certificate that
+The one query, "is 0 in the relative interior of the convex hull of the
+given integer points?", is answered with a certificate that
 ``verify_certificate`` checks exactly:
 
 * ``Inside``: explicit combination coefficients, primitive (gcd 1)
-  integers, one per point: nonnegative for the hull, positive for the
-  relative interior,
+  positive integers, one per point,
 * ``Outside``: an integral separating functional, i.e. a one-parameter
-  subgroup under which every point has (strictly / weakly) positive pairing.
+  subgroup under which every point has weakly positive pairing, and one
+  point a strictly positive one.
 
-Both queries check their certificate with ``verify_certificate`` before
-returning it, in one shared tail.  A caller that already holds a
-certificate, such as the torus layer's non-visible witness, checks it
-the same way and needs no simplex run.  ``HullQuery.of`` reads the points
-with ``errors.int_rows``, the reader of the weight matrix too.
+The query checks its certificate with ``verify_certificate`` before
+returning it.  A caller that already holds a certificate, such as the
+torus layer's non-visible witness, checks it the same way and needs no
+simplex run; ``verify_certificate`` also takes the hull form, whose
+Inside is only nonnegative and whose Outside pairs strictly positively
+with every point.  ``HullQuery.of`` reads the points with
+``errors.int_rows``, the reader of the weight matrix too.
 
 The engine is a fraction-free phase-one simplex priced by Dantzig's rule
 (most negative reduced cost), falling back to Bland's rule after a
 degenerate pivot so that it cannot cycle.  It is a revised simplex
 (Dantzig and Orchard-Hays 1954) over one common denominator d: for n
 points in Z^r the integer tableau holds only d times the basis inverse
-and the basic solution, r + 2 integers per row (r + 3 for the hull form,
-whose extra row makes the coefficients sum to 1).  Each step prices the
+and the basic solution, r + 2 integers per row.  Each step prices the
 input columns against it and pivots by the same Bareiss step as the
 elimination, ``exactlin.pivot``.  Its entries equal those of the full
 (r + 1) x (n + r + 1) tableau, so the choices and certificates are the
@@ -71,9 +72,9 @@ class HullQuery:
 class Inside:
     """Combination coefficients witnessing 0 in the (relative interior of
     the) hull; one coefficient per input point position.  The simplex
-    gives primitive integers, nonnegative for the hull and positive for
-    the relative interior; ``verify_certificate`` takes ints and Fractions
-    alike, and c passes iff c / sum(c) is a convex combination."""
+    gives primitive positive integers; ``verify_certificate`` takes ints
+    and Fractions alike, nonnegative ones in the hull form, and c passes
+    iff c / sum(c) is a convex combination."""
 
     coefficients: tuple[int | Fraction, ...]
 
@@ -200,18 +201,6 @@ def _phase_one(
     return None, d, y
 
 
-def zero_in_hull(q: HullQuery) -> HullCertificate:
-    """Decide 0 in CH(points); certificate verifies exactly either way.
-
-    Inside: the primitive nonnegative integers of the simplex's solution
-    x / d, whose entries sum to 1: a nonzero combination with zero
-    weighted sum.  Outside: integral functional strictly positive on
-    every point.
-    """
-    x, _, y = _phase_one([p + (1,) for p in q.points], [0] * q.dim + [1])
-    return _certified(q, x, y, relative_interior=False)
-
-
 def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
     """Decide 0 in the relative interior of CH(points).
 
@@ -219,29 +208,18 @@ def zero_in_relative_interior(q: HullQuery) -> HullCertificate:
     feasible (the relation set is a cone), so strictness is LP-expressible.
     Inside: the primitive positive integers of d (a + 1), for the simplex's
     solution a = x / d.  Outside: integral functional nonnegative on all
-    points, positive on one.
+    points, positive on one, from the Farkas dual y: its first ``q.dim``
+    entries negated and made primitive.  The certificate is checked
+    exactly before it is returned; a check that fails is an internal
+    fault.
     """
     rhs = [-sum(coords) for coords in zip(*q.points)]
     x, d, y = _phase_one(q.points, rhs)
-    inside = None if x is None else [v + d for v in x]
-    return _certified(q, inside, y, relative_interior=True)
-
-
-def _certified(
-    q: HullQuery,
-    inside: list[int] | None,
-    y: list[int] | None,
-    relative_interior: bool,
-) -> HullCertificate:
-    """The certificate of one simplex answer, checked exactly before it is
-    returned: Inside(primitive(inside)) when the system was feasible, else
-    Outside from the Farkas dual y, its first ``q.dim`` entries negated
-    and made primitive.  A check that fails is an internal fault."""
-    if inside is not None:
-        cert: HullCertificate = Inside(primitive(inside))
+    if x is not None:
+        cert: HullCertificate = Inside(primitive([v + d for v in x]))
     else:
         cert = Outside(primitive([-v for v in y[: q.dim]]))
-    if not verify_certificate(q, cert, relative_interior):
+    if not verify_certificate(q, cert, relative_interior=True):
         raise ArithmeticError("simplex produced a non-verifying certificate")
     return cert
 

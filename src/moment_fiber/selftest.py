@@ -6,7 +6,7 @@ import os
 import random
 from typing import Iterator
 
-from . import oracle, polytope, torus
+from . import oracle, torus
 from .errors import InputError, is_int
 
 
@@ -27,21 +27,14 @@ def _random_weight_matrix(
 
 def _cases(
     seed: int, count: int, max_n: int, max_r: int, max_entry: int
-) -> Iterator[tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]]:
-    """The run's ``count`` cases ``(seed, w, points)``, in order, all drawn
-    from one ``random.Random(seed)``: a weight matrix, then a hull query's
-    dimension and points.  No check reads the generator, so the cases
-    depend on these arguments only, never on how many processes check
-    them."""
+) -> Iterator[tuple[int, torus.WeightMatrix]]:
+    """The run's ``count`` cases ``(seed, w)``, in order: weight matrices
+    drawn from one ``random.Random(seed)``.  No check reads the generator,
+    so the cases depend on these arguments only, never on how many
+    processes check them."""
     rng = random.Random(seed)
     for _ in range(count):
-        w = _random_weight_matrix(rng, max_n, max_r, max_entry)
-        d = rng.randint(1, 4)
-        points = [
-            tuple(rng.randint(-4, 4) for _ in range(d))
-            for _ in range(rng.randint(1, 6))
-        ]
-        yield seed, w, points
+        yield seed, _random_weight_matrix(rng, max_n, max_r, max_entry)
 
 
 def _components(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
@@ -86,25 +79,34 @@ def _smooth_witnesses(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]
                 yield "smooth witness tangent dimension"
 
 
+def _stability(w: torus.WeightMatrix, a: torus.Analysis) -> Iterator[str]:
+    """Suite, n <= 6: the stability verdict against the oracle's cone
+    search on the same rows.  A stability certificate that fails the
+    simplex's own check (an ArithmeticError) is the failure
+    ``certificate check`` of the matrix."""
+    if w.n <= 6:
+        try:
+            stable = torus.is_stable(w)[0]
+        except ArithmeticError:
+            yield "certificate check"
+            return
+        if stable != oracle.brute_zero_in_relative_interior(w.matrix.entries):
+            yield "stability"
+
+
 # The matrix suites, in the order their failures are reported.  Each one
 # takes a case's weight matrix and its Analysis, opens with its own size
 # guard, and yields one failure kind per mismatch.
-_SUITES = (_components, _visibility, _smooth_witnesses)
+_SUITES = (_components, _visibility, _smooth_witnesses, _stability)
 
 
-def _check_case(
-    case: tuple[int, torus.WeightMatrix, list[tuple[int, ...]]]
-) -> list[str]:
-    """The matrix suites of ``_SUITES`` in order, then the hull query, on
-    one case from ``_cases``.  Returns one line per failure,
-    ``"<kind>: seed=<seed> weights=<rows>"`` or, for the hull,
-    ``"<kind>: seed=<seed> points=<points>"``.  An analysis that fails its
-    own certificate check (an ArithmeticError) is the one failure
-    ``certificate check`` of the matrix, whose suites it would feed.  A
-    hull answer whose certificate fails, in the simplex's own check (an
-    ArithmeticError) or in the independent one here, is the failure
-    ``hull certificate`` of the points."""
-    seed, w, points = case
+def _check_case(case: tuple[int, torus.WeightMatrix]) -> list[str]:
+    """The suites of ``_SUITES`` in order, on one case from ``_cases``.
+    Returns one line per failure, ``"<kind>: seed=<seed> weights=<rows>"``.
+    An analysis that fails its own certificate check (an ArithmeticError)
+    is the one failure ``certificate check`` of the matrix, whose suites
+    it would feed."""
+    seed, w = case
     try:
         a = torus.Analysis.of(w)  # one elimination feeds every suite
     except ArithmeticError:
@@ -114,17 +116,6 @@ def _check_case(
     if failures:  # the matrix is written out only when it fails
         weights = f"seed={seed} weights={[list(r) for r in w.matrix.entries]}"
         failures = [f"{kind}: {weights}" for kind in failures]
-    q = polytope.HullQuery.of(points)
-    try:
-        hull = polytope.zero_in_hull(q)
-    except ArithmeticError:  # the simplex's own certificate check failed
-        hull = None
-    if hull is None or not polytope.verify_certificate(
-        q, hull, relative_interior=False
-    ):
-        failures.append(f"hull certificate: seed={seed} points={points}")
-    elif isinstance(hull, polytope.Inside) != oracle.brute_zero_in_hull(points):
-        failures.append(f"hull verdict: seed={seed} points={points}")
     return failures
 
 

@@ -19,8 +19,8 @@ as input is read once by a reader of ``errors``: the weight rows by
 ``int_rows``, an index set and a pair point's x and phi by
 ``read_tuple``, so a non-iterable one is an ``InputError``.  All
 certificates verify exactly, and all are integer vectors: separating
-cocharacters, hull and relative-interior combinations, block relations
-and the witness's relation and point.  A user's ``PairPoint`` keeps its
+cocharacters, relative-interior combinations, block relations and the
+witness's relation and point.  A user's ``PairPoint`` keeps its
 coordinates as given, ints or Fractions.  Most hull certificates come
 from the simplex in ``polytope``; the non-visible witness is built from
 its circuit and only checked, so ``analyze`` runs one simplex per matrix

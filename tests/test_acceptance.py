@@ -108,7 +108,8 @@ def test_criterion_04_visibility_oracle_equivalence(corpus):
 
 
 def criterion_05_queries():
-    """Criterion 5's 1,000 seeded hull queries, as point lists."""
+    """Criterion 5's 1,000 seeded relative-interior queries, as point
+    lists."""
     rng = random.Random(QUERY_SEED)
     for _ in range(1000):
         d = rng.randint(1, 5)
@@ -117,45 +118,39 @@ def criterion_05_queries():
 
 
 def test_criterion_05_certificate_exclusivity():
-    with criterion(5, "hull certificates verify exactly, one branch only", 30):
+    with criterion(
+        5, "relative-interior certificates verify exactly, one branch only", 30
+    ):
         for pts in criterion_05_queries():
             q = HullQuery.of(pts)
-            for relative, decide, brute in (
-                (False, polytope.zero_in_hull, oracle.brute_zero_in_hull),
-                (
-                    True,
-                    polytope.zero_in_relative_interior,
-                    oracle.brute_zero_in_relative_interior,
-                ),
-            ):
-                cert = decide(q)
-                inside = isinstance(cert, Inside)
-                # The returned branch verifies by exact arithmetic...
-                assert polytope.verify_certificate(q, cert, relative), (
-                    pts,
-                    cert,
-                )
-                # ...and it is the true branch, so by the exact pairing
-                # identity no certificate for the other branch can exist.
-                assert inside == brute(pts), (pts, cert)
+            cert = polytope.zero_in_relative_interior(q)
+            inside = isinstance(cert, Inside)
+            # The returned branch verifies by exact arithmetic...
+            assert polytope.verify_certificate(q, cert, True), (pts, cert)
+            # ...and it is the true branch, so by the exact pairing
+            # identity no certificate for the other branch can exist.
+            assert inside == oracle.brute_zero_in_relative_interior(pts), (
+                pts,
+                cert,
+            )
 
 
 def test_criterion_05_hull_combinations_are_primitive_integers():
-    # Every hull Inside is nonnegative ints with gcd 1, and its convex
-    # form c / sum(c) verifies too.  A rule that dropped the sign, the
-    # nonzero or the length check would pass one of the bad variants.
+    # Every relative-interior Inside is positive ints with gcd 1, and its
+    # convex form c / sum(c) verifies too.  A rule that dropped the sign,
+    # the nonzero or the length check would pass one of the bad variants.
     inside = 0
     for pts in criterion_05_queries():
         q = HullQuery.of(pts)
-        cert = polytope.zero_in_hull(q)
+        cert = polytope.zero_in_relative_interior(q)
         if not isinstance(cert, Inside):
             continue
         inside += 1
         c = cert.coefficients
-        assert all(type(v) is int and v >= 0 for v in c), pts
+        assert all(type(v) is int and v > 0 for v in c), pts
         assert math.gcd(*c) == 1, pts
         convex = Inside(tuple(Fraction(v, sum(c)) for v in c))
-        assert polytope.verify_certificate(q, convex, False), pts
+        assert polytope.verify_certificate(q, convex, True), pts
         zero, negative = (0,) * len(c), tuple(-v for v in c)
         for bad in (zero, negative, c + (0,), c[:-1]):
             for mode in (False, True):
@@ -183,7 +178,7 @@ def test_criterion_06_stability_irreducibility_triple(corpus):
         assert seen >= 20
 
 
-def test_criterion_07_nonvisible_witnesses(corpus):
+def test_criterion_07_nonvisible_witnesses(corpus, hull_by_peeling):
     with criterion(7, "closed-pair witnesses exactly on non-visible input", 120):
         nonvisible = 0
         for w in corpus:
@@ -196,10 +191,10 @@ def test_criterion_07_nonvisible_witnesses(corpus):
             p = wit.pair
             assert all(v == 0 for v in torus.moment_eval(w, p))
             # x is nilpotent: 0 is outside the hull of its weights.
-            q = HullQuery.of([w.weight(i) for i in sorted(torus.support(p.x))])
-            cert = polytope.zero_in_hull(q)
+            pts = [w.weight(i) for i in sorted(torus.support(p.x))]
+            cert = hull_by_peeling(pts)
             assert isinstance(cert, polytope.Outside), w.matrix.entries
-            assert polytope.verify_certificate(q, cert, False)
+            assert polytope.verify_certificate(HullQuery.of(pts), cert, False)
             # The relation is an exact weight dependency with mixed signs,
             # and the associated monomial is 1 (hence nonzero) at the pair.
             assert any(c > 0 for c in wit.relation)

@@ -1098,6 +1098,17 @@ def test_closed_pipe_exits_0_without_traceback():
     assert proc.returncode == cli.EXIT_OK
 
 
+def negated_dual(real):
+    """``polytope._phase_one`` with its Farkas dual negated: every Outside
+    built from it fails the simplex's own certificate check."""
+
+    def phase_one(columns, rhs):
+        x, d, y = real(columns, rhs)
+        return x, d, y and [-v for v in y]
+
+    return phase_one
+
+
 def in_process_pool(opened):
     """A stand-in for ``multiprocessing.Pool`` that maps in this process,
     so monkeypatches hold; ``opened`` collects each pool's size."""
@@ -1230,19 +1241,23 @@ class TestSelftest:
                 "smooth witness tangent dimension: seed=3 weights=",
             ),
             (
-                polytope, "zero_in_hull",
-                lambda real: lambda q: polytope.Outside((0,) * q.dim),
-                "hull certificate: seed=3 points=",
+                polytope, "_phase_one", negated_dual,
+                "certificate check: seed=3 weights=",
             ),
             (
-                oracle, "brute_zero_in_hull",
+                torus, "is_stable",
+                lambda real: lambda w: (not real(w)[0], real(w)[1]),
+                "stability: seed=3 weights=",
+            ),
+            (
+                oracle, "brute_zero_in_relative_interior",
                 lambda real: lambda pts: not real(pts),
-                "hull verdict: seed=3 points=",
+                "stability: seed=3 weights=",
             ),
         ],
         ids=[
             "visibility", "decomposition", "stabilizer", "tangent",
-            "hull-certificate", "hull-verdict",
+            "hull-certificate", "hull-verdict", "stability-oracle",
         ],
     )
     def test_each_failure_kind_is_reported(
@@ -1256,26 +1271,29 @@ class TestSelftest:
         assert kind in out
 
     def test_failure_lines_follow_the_suite_order(self, monkeypatch):
-        # One case fails every matrix suite and the hull check at once: the
-        # lines of each suite come in the order of selftest._SUITES, then the
-        # hull's.  [[1], [1], [-2]] is not visible, has one component and
-        # is locally free with n = 3, so all three suites run on it.
+        # One case fails every suite at once: the lines of each suite come
+        # in the order of selftest._SUITES.  [[1], [1], [-2]] is not
+        # visible, has one component and is locally free with n = 3, so
+        # all four suites run on it.
         visible = torus.VisibleDecomposition(frozenset(), ())
         for owner, name, mutant in [
             (oracle, "brute_components", lambda real: lambda w: real(w)[:-1]),
             (oracle, "brute_visible", lambda real: lambda w: visible),
             (oracle, "tangent_dim", lambda real: lambda w, p: real(w, p) + 1),
-            (oracle, "brute_zero_in_hull", lambda real: lambda pts: not real(pts)),
+            (
+                oracle, "brute_zero_in_relative_interior",
+                lambda real: lambda pts: not real(pts),
+            ),
         ]:
             monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
         w = torus.WeightMatrix.from_rows([[1], [1], [-2]])
         weights = "seed=5 weights=[[1], [1], [-2]]"
-        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
+        assert selftest._check_case((5, w)) == [
             f"component mismatch: {weights}",
             f"component count: {weights}",
             f"visibility verdict mismatch: {weights}",
             *[f"smooth witness tangent dimension: {weights}"] * 8,
-            "hull verdict: seed=5 points=[(1,), (-1,)]",
+            f"stability: {weights}",
         ]
 
     @staticmethod
@@ -1287,19 +1305,20 @@ class TestSelftest:
     def test_certificate_fault_is_a_failure_line(self, monkeypatch):
         # [[1], [-1], [-1]] has two positive fundamental circuits through
         # row 1; without the overlap case the analysis's own certificate
-        # check raises ArithmeticError.  That is the case's one matrix
-        # line, and the hull query is still checked.
+        # check raises ArithmeticError.  That is the case's one line: the
+        # suites it would feed do not run, the stability suite neither.
         monkeypatch.setattr(torus, "_mixed_circuit", self._without_overlap)
         w = torus.WeightMatrix.from_rows([[1], [-1], [-1]])
         with pytest.raises(ArithmeticError):
             torus.Analysis.of(w)
-        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
+        assert selftest._check_case((5, w)) == [
             "certificate check: seed=5 weights=[[1], [-1], [-1]]"
         ]
-        monkeypatch.setattr(oracle, "brute_zero_in_hull", lambda pts: False)
-        assert selftest._check_case((5, w, [(1,), (-1,)])) == [
-            "certificate check: seed=5 weights=[[1], [-1], [-1]]",
-            "hull verdict: seed=5 points=[(1,), (-1,)]",
+        monkeypatch.setattr(
+            oracle, "brute_zero_in_relative_interior", lambda pts: False
+        )
+        assert selftest._check_case((5, w)) == [
+            "certificate check: seed=5 weights=[[1], [-1], [-1]]"
         ]
 
     def test_certificate_fault_fails_the_run(self, capsys, monkeypatch):
@@ -1310,22 +1329,31 @@ class TestSelftest:
         assert code == 1
         assert "certificate check: seed=0 weights=" in out
 
-    def test_simplex_certificate_fault_is_a_hull_line(self, capsys, monkeypatch):
-        # A hull certificate that fails the simplex's own check raises
-        # ArithmeticError inside zero_in_hull; selftest reports it as the
-        # query's hull certificate line and exits 1, with no traceback.
+    def test_simplex_certificate_fault_is_a_certificate_line(
+        self, capsys, monkeypatch
+    ):
+        # A checker that rejects every relative-interior Outside fails
+        # the simplex's own check inside is_stable on unstable input.  The
+        # analysis checks no such certificate (block relations are
+        # Insides, the witness's functional is in the hull form), so it
+        # still runs.  selftest reports the fault as the matrix's
+        # certificate check line and exits 1, with no traceback.
         real = polytope.verify_certificate
         monkeypatch.setattr(
             polytope, "verify_certificate",
-            lambda q, cert, relative_interior: (
-                relative_interior and real(q, cert, relative_interior)
-            ),
+            lambda q, cert, relative_interior: real(q, cert, relative_interior)
+            and not (relative_interior and isinstance(cert, polytope.Outside)),
         )
+        unstable = torus.WeightMatrix.from_rows([[1], [2]])
+        torus.Analysis.of(unstable)
         with pytest.raises(ArithmeticError, match="non-verifying"):
-            polytope.zero_in_hull(polytope.HullQuery.of([[1], [-1]]))
+            torus.is_stable(unstable)
         code, out, err = run(["selftest", "--count", "3", "--seed", "3"], capsys)
         assert code == 1
-        assert "hull certificate: seed=3 points=[(0, -4)]\n" in out
+        assert (
+            "certificate check: seed=3 weights=[[-4, -5, -3], [2, -2, -1],"
+            " [5, 1, 5]]\n" in out
+        )
         assert "Traceback" not in out + err
 
     def test_one_moment_map_evaluation_per_smooth_witness(self, monkeypatch):
@@ -1431,7 +1459,7 @@ class TestSelftest:
         assert "selftest: 5 matrices" in out
         assert opened == [2]
         assert len(drawn) == 5
-        assert [w for _, w, _ in checked] == drawn
+        assert [w for _, w in checked] == drawn
 
     def test_shards_do_not_depend_on_the_host(self, monkeypatch):
         # --jobs 4 checks the cases of --jobs 1, in the same order, on a
@@ -1459,12 +1487,14 @@ class TestSelftest:
             (
                 "brute_components",
                 lambda real: lambda w: real(w)[:-1] if w.n % 3 == 0 else real(w),
-                "component mismatch: seed=0 weights=[[0], [5], [0], [-2], [1], [2]]",
+                "component mismatch: seed=0 weights=[[2, -4, -4, 0, 3],"
+                " [2, -4, -1, 3, -1], [-4, 3, 0, 3, -2]]",
             ),
             (
-                "brute_zero_in_hull",
+                "brute_zero_in_relative_interior",
                 lambda real: lambda pts: real(pts) != (len(pts) == 3),
-                "hull verdict: seed=0 points=[(-4, 3, 3), (2, 1, 4), (-2, -1, 2)]",
+                "stability: seed=0 weights=[[2, -4, -4, 0, 3],"
+                " [2, -4, -1, 3, -1], [-4, 3, 0, 3, -2]]",
             ),
         ],
         ids=["components", "hull"],
@@ -1472,8 +1502,8 @@ class TestSelftest:
     def test_failures_do_not_depend_on_jobs_or_host(
         self, name, mutant, first, monkeypatch
     ):
-        # A broken matrix suite and a broken hull suite: every --jobs and
-        # CPU count gives the same lines.  The first failure line for
+        # A broken component oracle and a broken hull oracle: every --jobs
+        # and CPU count gives the same lines.  The first failure line for
         # seed 0 is pinned, so the draw order of the cases is held.
         import multiprocessing
 

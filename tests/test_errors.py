@@ -27,7 +27,7 @@ W = torus.WeightMatrix.from_rows([[1], [-1]])
         (HullQuery.of, ([5],)),
         (HullQuery.of, (None,)),
         (torus.PairPoint.of, (5, [1])),
-        (oracle.brute_zero_in_hull, ([5],)),
+        (oracle.brute_zero_in_relative_interior, ([5],)),
         (oracle.brute_zero_in_relative_interior, (None,)),
         (W.index_set, (5,)),
         (theta.KacDiagram.of, ("A", 2, 5)),

@@ -673,21 +673,23 @@ class TestPairClosedOrbit:
                 assert free == supp.difference(*inside), (w, supp)
 
 
-def x_is_nilpotent(w, p):
-    # The simplex's own answer: 0 outside the hull of the weights on
-    # supp x, with a functional that verifies.
-    q = polytope.HullQuery.of([w.weight(i) for i in sorted(torus.support(p.x))])
-    cert = polytope.zero_in_hull(q)
+def x_is_nilpotent(w, p, hull_by_peeling):
+    # A searched answer: 0 outside the hull of the weights on supp x, by
+    # relative-interior queries that each verify, with a functional that
+    # verifies in the hull form.
+    pts = [w.weight(i) for i in sorted(torus.support(p.x))]
+    cert = hull_by_peeling(pts)
+    q = polytope.HullQuery.of(pts)
     return isinstance(cert, Outside) and polytope.verify_certificate(q, cert, False)
 
 
 class TestNonvisibleWitness:
-    def test_triple(self):
+    def test_triple(self, hull_by_peeling):
         wit = torus.Analysis.of(TRIPLE).visibility
         assert isinstance(wit, ClosedPairWitness)
         p = wit.pair
         assert torus.moment_eval(TRIPLE, p) == (Fraction(0),)
-        assert x_is_nilpotent(TRIPLE, p)
+        assert x_is_nilpotent(TRIPLE, p, hull_by_peeling)
         # The relation is a genuine mixed-sign dependency.
         assert any(c > 0 for c in wit.relation)
         assert any(c < 0 for c in wit.relation)
@@ -753,8 +755,11 @@ class TestNonvisibleWitness:
             assert any(c < 0 for c in wit.relation)
             assert all(v == 0 for v in torus.moment_eval(w, wit.pair))
 
-    def test_constructed_witness_matches_the_searched_route(self, corpus):
-        # The hull searches stay the reference for the built certificates.
+    def test_constructed_witness_matches_the_searched_route(
+        self, corpus, hull_by_peeling
+    ):
+        # The relative-interior searches stay the reference for the built
+        # certificates.
         checked = 0
         for w in corpus:
             wit = torus.Analysis.of(w).visibility
@@ -763,7 +768,7 @@ class TestNonvisibleWitness:
             assert isinstance(torus.pair_closed_orbit(w, wit.pair), Inside), (
                 w.matrix.entries
             )
-            assert x_is_nilpotent(w, wit.pair), w.matrix.entries
+            assert x_is_nilpotent(w, wit.pair, hull_by_peeling), w.matrix.entries
             checked += 1
         assert checked > 100
 
